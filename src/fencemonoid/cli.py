@@ -1,5 +1,5 @@
 """Command-line surface: enumeration, Green's analysis, factorization,
-claim verification, with JSON/CSV export and a result cache.
+claim verification, with JSON/CSV export.
 
 Exit codes: 0 = ok, 2 = a verified claim was violated (with a
 counterexample in the payload), 1 = usage or resource error.  Text
@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 import time
 from dataclasses import dataclass
@@ -50,21 +49,7 @@ def _parse_element(text: str, n: int) -> pinj.PartialInjection:
 
 
 def cmd_enumerate(args) -> CommandResult:
-    cache_dir = en.cache_dir_from_env(args.cache_dir)
-    path = os.path.join(cache_dir, en.cache_filename(args.n, args.which))
-    table = None
-    if not args.no_cache and os.path.exists(path):
-        try:
-            cached = en.load_table(path)
-            if cached.n == args.n and cached.kind == args.which:
-                table = cached
-        except (ValueError, OSError):
-            table = None
-    if table is None:
-        table = en.build(args.n, args.which, threads=args.threads, huge=args.huge)
-        if not args.no_cache:
-            os.makedirs(cache_dir, exist_ok=True)
-            en.save_table(table, path)
+    table = en.build(args.n, args.which, huge=args.huge)
     payload: dict = {"which": args.which, "count": len(table)}
     if args.contains is not None:
         elt = _parse_element(args.contains, args.n)
@@ -330,17 +315,12 @@ def _build_parser() -> _Parser:
         p.add_argument("--n", type=int, required=True, help="ambient size")
         p.add_argument("--format", choices=("text", "json", "csv"), default="text")
         p.add_argument("--huge", action="store_true", help="allow n = 9, 10")
-        p.add_argument(
-            "--threads", type=int, default=1, help="max parallel workers"
-        )
 
     p = sub.add_parser("enumerate", help="build and count I / PFI / IF")
     common(p)
     p.add_argument("--which", choices=("I", "PFI", "IF"), default="IF")
     p.add_argument("--elements", action="store_true", help="print all elements")
     p.add_argument("--contains", metavar="ELT", help="membership query")
-    p.add_argument("--cache-dir", default=None, help="cache directory (env FENCE_CACHE)")
-    p.add_argument("--no-cache", action="store_true")
     p.set_defaults(func=cmd_enumerate, render=_render_enumerate)
 
     p = sub.add_parser("greens", help="Green's relations, invariants, witnesses")

@@ -5,7 +5,7 @@ two-way fence-preserving subsemigroups), computes generated closures
 with one shortest discovery word per element, principal ideals,
 irreducible elements, least generating sets and semigroup rank.  All
 outputs are canonically sorted, so results are byte-identical across
-runs and across any parallelism degree.
+runs.
 """
 
 from __future__ import annotations
@@ -13,16 +13,13 @@ from __future__ import annotations
 import hashlib
 import itertools
 import math
-import os
-from concurrent.futures import ProcessPoolExecutor
 
 from .fence import in_if, in_pfi
+from .greens import blocks
 from .pinj import PartialInjection
 
 BUILD_GUARD = 10  # |I_10| ~ 2.3e8; anything beyond is out of reach anyway
 HUGE_THRESHOLD = 9  # n = 9, 10 only behind an explicit opt-in
-
-CACHE_MAGIC = "FENCEMONOID v1"
 
 
 class TooLargeError(ValueError):
@@ -92,6 +89,11 @@ def symmetric_inverse_size(n: int) -> int:
     return sum(math.comb(n, k) ** 2 * math.factorial(k) for k in range(n + 1))
 
 
+def _domains(n):
+    pts = range(1, n + 1)
+    return [dom for k in range(n + 1) for dom in itertools.combinations(pts, k)]
+
+
 def _iter_imgs_for_domains(n, domains):
     pts = range(1, n + 1)
     for dom in domains:
@@ -104,8 +106,9 @@ def _iter_imgs_for_domains(n, domains):
                 yield tuple(img)
 
 
-def _filter_chunk(args):
-    n, which, domains = args
+def _filter_chunk(n, which, domains):
+    """Every map of I_n on the given domains, filtered by the membership
+    test of ``which``: the brute-force reference for :func:`place_blocks`."""
     keep = []
     for img in _iter_imgs_for_domains(n, domains):
         a = PartialInjection(n, img)
@@ -120,13 +123,65 @@ def _filter_chunk(args):
     return keep
 
 
-def build(n: int, which: str = "IF", threads: int = 1, huge: bool = False) -> SemigroupTable:
-    """Enumerate all of I_n filtered down to the requested semigroup.
+def _block_placements(n, start, length, two_way):
+    """(mask, blocked, values) for each image interval one domain block may take.
 
-    ``which`` is one of I, PFI, IF.  Guarded at n <= 10; n in {9, 10}
-    additionally requires ``huge=True``.  With ``threads > 1`` the
-    membership filter is spread over worker processes; the sorted result
-    is identical for every thread count.
+    A block of two or more points keeps every point's parity, so it runs
+    ascending onto [t, t+length-1] when t and start agree mod 2 and
+    descending when t+length-1 and start do; a singleton goes anywhere.
+    ``blocked`` adds the interval's two neighbours in the two-way case,
+    where no two image intervals may touch.
+    """
+    out = []
+    full = (1 << length) - 1
+    for t in range(1, n - length + 2):
+        mask = full << (t - 1)
+        blocked = mask | mask << 1 | mask >> 1 if two_way else mask
+        if length == 1 or (t - start) % 2 == 0:
+            out.append((mask, blocked, tuple(range(t, t + length))))
+        if length > 1 and (t + length - 1 - start) % 2 == 0:
+            out.append((mask, blocked, tuple(range(t + length - 1, t - 1, -1))))
+    return out
+
+
+def place_blocks(n, domains, two_way=True):
+    """Images of every map in IF_n (PFI_n when not ``two_way``) with one of
+    the given domains, unsorted.
+
+    A map is fence-preserving exactly when each maximal domain block maps
+    monotonically onto an interval as :func:`_block_placements` allows and
+    the image intervals are disjoint; it is two-way when, in addition, no
+    two intervals are adjacent.  Each block is placed in turn on the image
+    points still free, so every map generated is a member.
+    """
+    placements = {}
+    imgs = []
+    for dom in domains:
+        states = [(0, ())]
+        pos = 1
+        for start, length in blocks(n, dom):
+            key = (start, length)
+            if key not in placements:
+                placements[key] = _block_placements(n, start, length, two_way)
+            pad = (0,) * (start - pos)
+            states = [
+                (used | blocked, prefix + pad + values)
+                for used, prefix in states
+                for mask, blocked, values in placements[key]
+                if not used & mask
+            ]
+            pos = start + length
+        tail = (0,) * (n + 1 - pos)
+        imgs.extend(prefix + tail for _, prefix in states)
+    return imgs
+
+
+def build(n: int, which: str = "IF", huge: bool = False) -> SemigroupTable:
+    """Enumerate I_n, PFI_n or IF_n as a canonically sorted table.
+
+    ``which`` is one of I, PFI, IF.  PFI and IF are generated directly by
+    :func:`place_blocks`; I lists every partial injection.  Guarded at
+    n <= 10; n in {9, 10} additionally requires ``huge=True``.
     """
     which = which.upper()
     if which not in ("I", "PFI", "IF"):
@@ -134,26 +189,12 @@ def build(n: int, which: str = "IF", threads: int = 1, huge: bool = False) -> Se
     if not (1 <= n <= BUILD_GUARD):
         raise TooLargeError(f"n must be in 1..{BUILD_GUARD}, got {n}")
     if n >= HUGE_THRESHOLD and not huge:
-        raise TooLargeError(
-            f"n = {n} enumerates ~{symmetric_inverse_size(n):.2g} maps; pass huge=True (--huge)"
-        )
-    if threads < 1:
-        raise ValueError("threads must be >= 1")
+        raise TooLargeError(f"n = {n} needs huge=True (--huge)")
 
-    pts = range(1, n + 1)
-    domains = [
-        dom for k in range(n + 1) for dom in itertools.combinations(pts, k)
-    ]
-    if threads > 1 and n >= 6:
-        chunk = max(1, len(domains) // (threads * 4))
-        jobs = [
-            (n, which, domains[i : i + chunk]) for i in range(0, len(domains), chunk)
-        ]
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(_filter_chunk, jobs))
-        imgs = [img for part in parts for img in part]
+    if which == "I":
+        imgs = _filter_chunk(n, which, _domains(n))
     else:
-        imgs = _filter_chunk((n, which, domains))
+        imgs = place_blocks(n, _domains(n), two_way=which == "IF")
     imgs.sort()
     return SemigroupTable(
         n, [PartialInjection(n, img) for img in imgs], closed=True, kind=which
@@ -406,7 +447,8 @@ def semigroup_rank(table: SemigroupTable, descent_start=None):
         trial = current - {g}
         if trial and len(closure(table.n, trial)) == target:
             current = trial
-    assert len(closure(table.n, current)) == target
+    if len(closure(table.n, current)) != target:
+        raise RuntimeError("greedy descent lost generation")
     return ("bounds", lo, len(current))
 
 
@@ -423,50 +465,3 @@ def regular_elements(table: SemigroupTable):
                 out.append(PartialInjection(n, a))
                 break
     return tuple(out)
-
-
-# --- cache files -----------------------------------------------------------
-
-DEFAULT_CACHE_DIR = ".fence-cache"
-CACHE_ENV_VAR = "FENCE_CACHE"
-
-
-def cache_dir_from_env(explicit=None) -> str:
-    if explicit:
-        return explicit
-    return os.environ.get(CACHE_ENV_VAR, DEFAULT_CACHE_DIR)
-
-
-def cache_filename(n: int, kind: str) -> str:
-    return f"{kind.replace(':', '_')}_n{n}.txt"
-
-
-def save_table(table: SemigroupTable, path: str) -> None:
-    """Write the cache format: a header line, then one element per line."""
-    tmp = path + ".tmp"
-    with open(tmp, "w") as fh:
-        fh.write(f"{CACHE_MAGIC} n={table.n} kind={table.kind} count={len(table)}\n")
-        for e in table.elements:
-            fh.write(e.encode() + "\n")
-    os.replace(tmp, path)
-
-
-def load_table(path: str) -> SemigroupTable:
-    """Read a cache file back into a (closed) table; raises on corruption."""
-    from . import pinj
-
-    with open(path) as fh:
-        header = fh.readline().strip()
-        parts = header.split()
-        if parts[:2] != CACHE_MAGIC.split() or len(parts) != 5:
-            raise ValueError(f"bad cache header in {path}: {header!r}")
-        n = int(parts[2].split("=", 1)[1])
-        kind = parts[3].split("=", 1)[1]
-        count = int(parts[4].split("=", 1)[1])
-        elements = [pinj.parse(line.strip()) for line in fh if line.strip()]
-    if len(elements) != count:
-        raise ValueError(
-            f"cache {path} advertises {count} elements but holds {len(elements)}"
-        )
-    elements.sort()
-    return SemigroupTable(n, elements, closed=kind in ("I", "PFI", "IF"), kind=kind)

@@ -151,7 +151,8 @@ def build_reversal(n: int, m: int, p: int):
     if p % 2:
         raise BadIndicesError(f"reversal needs an even interval span, got p={p}")
     elt = _rev_elt(n, m, p)
-    assert in_if(elt) and elt.rank >= n - 2
+    if not (in_if(elt) and elt.rank >= n - 2):
+        raise FactorizationError("reversal is not a high-rank element of the semigroup")
     return elt, Word(n, (elt,), provenance="constructive")
 
 
@@ -243,7 +244,8 @@ def build_shift_word(n: int, kind: str, m: int, p: int, k: int | None = None):
     word = Word(n, letters, provenance="constructive")
     if eval_word(word) != elt:
         raise FactorizationError(f"{kind} word does not evaluate to its target")
-    assert in_if(elt)
+    if not in_if(elt):
+        raise FactorizationError(f"{kind} target leaves the semigroup")
     return elt, word
 
 

@@ -15,7 +15,7 @@ import functools
 import itertools
 from dataclasses import dataclass
 
-from .enumeration import NotMemberError, closure
+from .enumeration import NotMemberError, closure, place_blocks
 from .fence import in_if
 from .pinj import PartialInjection
 
@@ -29,7 +29,8 @@ class OddAmbientError(ValueError):
 
 
 def _checked(a: PartialInjection) -> PartialInjection:
-    assert in_if(a), f"constructed generator {a.encode()} escapes the semigroup"
+    if not in_if(a):
+        raise RuntimeError(f"constructed generator {a.encode()} escapes the semigroup")
     return a
 
 
@@ -154,70 +155,22 @@ def named(n: int, spec: GeneratorSpec) -> PartialInjection:
     return beta(n, spec.i, spec.j)
 
 
-def _runs(points):
-    out = []
-    start = prev = None
-    for x in points:
-        if start is None:
-            start = prev = x
-        elif x == prev + 1:
-            prev = x
-        else:
-            out.append((start, prev - start + 1))
-            start = prev = x
-    if start is not None:
-        out.append((start, prev - start + 1))
-    return out
-
-
 def set_j(n: int):
     """All elements of rank >= n-2, built by direct high-rank generation.
 
-    Domains omit at most two points (at most three blocks); each block
-    maps monotonically onto an interval with matching end parity, so the
-    candidate space is tiny and never touches the full monoid.
+    The block-placement generator of :mod:`enumeration` runs over the
+    domains that omit at most two points, so the candidate space is tiny
+    and never touches the full monoid.
     """
     if n < 1:
         raise BadIndexError("ambient size must be positive")
-    pts = list(range(1, n + 1))
-    out = set()
-    domains = itertools.chain(
-        [()], itertools.combinations(pts, 1), itertools.combinations(pts, 2)
-    )
-    for omit in domains:
-        dom = [x for x in pts if x not in omit]
-        blks = _runs(dom)
-
-        def assign(bi, used, img):
-            if bi == len(blks):
-                a = PartialInjection(n, tuple(img))
-                if in_if(a):
-                    out.add(a)
-                return
-            start, length = blks[bi]
-            full = (1 << length) - 1
-            for t in range(1, n - length + 2):
-                mask = full << (t - 1)
-                if used & mask:
-                    continue
-                for desc in (False, True):
-                    if length == 1 and desc:
-                        continue
-                    if length > 1:
-                        # in-block parity is forced: the matched endpoint
-                        # must agree with the block start mod 2
-                        anchor = t + length - 1 if desc else t
-                        if (anchor - start) % 2:
-                            continue
-                    for r in range(length):
-                        img[start + r - 1] = (t + length - 1 - r) if desc else (t + r)
-                    assign(bi + 1, used | mask, img)
-                    for r in range(length):
-                        img[start + r - 1] = 0
-            return
-
-        assign(0, 0, [0] * n)
-    return tuple(sorted(out))
+    pts = range(1, n + 1)
+    domains = [
+        tuple(x for x in pts if x not in omit)
+        for k in range(3)
+        for omit in itertools.combinations(pts, k)
+    ]
+    return tuple(sorted(PartialInjection(n, img) for img in place_blocks(n, domains)))
 
 
 def set_g(n: int):
@@ -227,7 +180,8 @@ def set_g(n: int):
     gens = [PartialInjection.identity(n), sigma1(n), sigma2(n)]
     gens += [gamma(n, i) for i in range(4, n + 1, 2)]
     gens += [delta(n, i) for i in range(1, n - 2, 2)]
-    assert len(gens) == n + 1
+    if len(set(gens)) != n + 1:
+        raise RuntimeError(f"set_g({n}) does not have n+1 distinct generators")
     return tuple(sorted(gens))
 
 

@@ -176,8 +176,10 @@ def j_witness(a: PartialInjection, b: PartialInjection):
                 img[i + r - 1] = l + k - (r + 1)
     g = PartialInjection(n, tuple(img))
     d = a.inverse() * g.inverse() * b
-    assert in_if(g) and in_if(d)
-    assert g * a * d == b
+    if not (in_if(g) and in_if(d)):
+        raise RuntimeError("witness pair leaves the semigroup")
+    if g * a * d != b:
+        raise RuntimeError("witness pair does not carry a onto b")
     return g, d
 
 

@@ -168,16 +168,15 @@ def test_10_enumerator_sanity(table):
     report(10, "enumerator sanity (|I_n| matches, n<=7)", True)
 
 
-def test_11_cli_determinism_across_threads():
-    def run(threads):
+def test_11_cli_determinism_and_oracle():
+    def run():
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
-            code = cli.main([
-                "enumerate", "--n", "6", "--which", "IF",
-                "--elements", "--no-cache", "--threads", str(threads),
-            ])
+            code = cli.main(["enumerate", "--n", "6", "--which", "IF", "--elements"])
         assert code == 0
         return out.getvalue()
 
-    ok = run(1) == run(4)
-    report(11, "byte-identical output across --threads", ok)
+    oracle = sorted(en._filter_chunk(6, "IF", en._domains(6)))
+    lines = [f"count {len(oracle)}"] + [pinj.PartialInjection(6, img).encode() for img in oracle]
+    ok = run() == run() == "\n".join(lines) + "\n"
+    report(11, "byte-identical enumerate output, equal to the filter oracle", ok)

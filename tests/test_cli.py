@@ -1,8 +1,11 @@
 import contextlib
 import io
 import json
+import time
 
 from fencemonoid import cli
+from fencemonoid import enumeration as en
+from fencemonoid.pinj import PartialInjection
 
 ALPHA = "n=6:[1>3 2>2 4>6 5>5 6>4]"
 
@@ -16,41 +19,53 @@ def run(*argv):
 
 
 def test_enumerate_counts():
-    code, out, _ = run("enumerate", "--n", "2", "--which", "IF", "--no-cache")
+    code, out, _ = run("enumerate", "--n", "2", "--which", "IF")
     assert code == 0 and out == "count 6\n"
-    code, out, _ = run("enumerate", "--n", "1", "--which", "IF", "--no-cache")
+    code, out, _ = run("enumerate", "--n", "1", "--which", "IF")
     assert code == 0 and out == "count 2\n"
 
 
 def test_enumerate_contains_counterexample():
     code, out, _ = run(
-        "enumerate", "--n", "6", "--which", "PFI", "--contains", ALPHA, "--no-cache"
+        "enumerate", "--n", "6", "--which", "PFI", "--contains", ALPHA
     )
     assert code == 0 and "contains true" in out
     code, out, _ = run(
-        "enumerate", "--n", "6", "--which", "IF", "--contains", ALPHA, "--no-cache"
+        "enumerate", "--n", "6", "--which", "IF", "--contains", ALPHA
     )
     assert code == 0 and "contains false" in out
 
 
-def test_enumerate_deterministic_across_threads():
-    args = ["enumerate", "--n", "6", "--which", "IF", "--elements", "--no-cache"]
-    _, out1, _ = run(*args, "--threads", "1")
-    _, out2, _ = run(*args, "--threads", "3")
-    assert out1 == out2
+def test_enumerate_matches_filter_oracle():
+    args = ["enumerate", "--n", "6", "--which", "IF", "--elements"]
+    _, out1, _ = run(*args)
+    _, out2, _ = run(*args)
+    oracle = sorted(en._filter_chunk(6, "IF", en._domains(6)))
+    expected = [f"count {len(oracle)}"] + [PartialInjection(6, img).encode() for img in oracle]
+    assert out1 == out2 == "\n".join(expected) + "\n"
 
 
-def test_enumerate_cache(tmp_path):
-    args = ["enumerate", "--n", "4", "--cache-dir", str(tmp_path)]
-    code, out1, _ = run(*args)
-    assert code == 0
-    assert (tmp_path / "IF_n4.txt").exists()
-    code, out2, _ = run(*args)  # second run is served from the cache
-    assert code == 0 and out2 == out1
+def test_enumerate_cache(tmp_path, monkeypatch):
+    # the on-disk cache and the worker pool are gone, flags included
+    monkeypatch.chdir(tmp_path)
+    for flag in (["--cache-dir", str(tmp_path)], ["--no-cache"], ["--threads", "2"]):
+        code, _, err = run("enumerate", "--n", "4", *flag)
+        assert code == 1 and "unrecognized" in err
+    code, out, _ = run("enumerate", "--n", "4")
+    assert code == 0 and out == "count 53\n"
+    assert not (tmp_path / ".fence-cache").exists()
+
+
+def test_enumerate_huge_n10_is_fast():
+    t0 = time.perf_counter()
+    code, out, _ = run("enumerate", "--n", "10", "--huge")
+    elapsed = time.perf_counter() - t0
+    assert code == 0 and out == "count 137412\n"
+    assert elapsed < 2.0, f"{elapsed:.2f} s"
 
 
 def test_enumerate_guard_exit_code():
-    code, _, err = run("enumerate", "--n", "9", "--no-cache")
+    code, _, err = run("enumerate", "--n", "9")
     assert code == 1 and "huge" in err
 
 
@@ -144,7 +159,7 @@ def test_verify_violation_exit_code(monkeypatch):
 
 def test_json_schema():
     code, out, _ = run(
-        "enumerate", "--n", "3", "--no-cache", "--format", "json"
+        "enumerate", "--n", "3", "--format", "json"
     )
     assert code == 0
     doc = json.loads(out)
@@ -158,7 +173,7 @@ def test_json_schema():
 
 
 def test_csv_rejected_for_non_tabular():
-    code, _, err = run("enumerate", "--n", "3", "--no-cache", "--format", "csv")
+    code, _, err = run("enumerate", "--n", "3", "--format", "csv")
     assert code == 1 and "tabular" in err
 
 

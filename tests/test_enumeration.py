@@ -45,9 +45,29 @@ def test_build_deterministic():
     assert [e.encode() for e in a] == [e.encode() for e in b]
 
 
-def test_build_threads_equivalent(table):
-    parallel = en.build(6, "IF", threads=2)
-    assert [e.encode() for e in parallel] == [e.encode() for e in table(6)]
+def test_build_matches_filter_oracle(table):
+    # block placement against the brute-force filter over all of I_n
+    for which in ("PFI", "IF"):
+        for n in range(1, 9):
+            oracle = sorted(en._filter_chunk(n, which, en._domains(n)))
+            assert [e.img for e in table(n, which)] == oracle, (which, n)
+
+
+def test_build_makes_no_membership_tests(monkeypatch):
+    def refuse(a):
+        pytest.fail(f"membership test called on {a.encode()}")
+
+    monkeypatch.setattr(en, "in_if", refuse)
+    monkeypatch.setattr(en, "in_pfi", refuse)
+    assert len(en.build(6, "IF")) == 612
+    assert len(en.build(6, "PFI")) == 1424
+
+
+def test_build_huge_if():
+    for n, size in ((9, 34164), (10, 137412)):
+        tbl = en.build(n, "IF", huge=True)
+        assert len(tbl) == size
+        assert all(fence.in_if(a) for a in tbl)
 
 
 def test_closure_sigma_pair():
@@ -202,21 +222,9 @@ def test_ideal_oracle_requires_generating_set(table):
         en.ideal_j_classes(table(3), [PartialInjection.identity(3)])
 
 
-def test_cache_roundtrip(tmp_path, table):
-    tbl = table(4)
-    path = tmp_path / "IF_n4.txt"
-    en.save_table(tbl, str(path))
-    loaded = en.load_table(str(path))
-    assert loaded.n == 4 and loaded.kind == "IF" and loaded.closed
-    assert [e.encode() for e in loaded] == [e.encode() for e in tbl]
-    header = path.read_text().splitlines()[0]
-    assert header == f"FENCEMONOID v1 n=4 kind=IF count={len(tbl)}"
-
-
-def test_cache_rejects_corruption(tmp_path, table):
-    path = tmp_path / "bad.txt"
-    en.save_table(table(3), str(path))
-    lines = path.read_text().splitlines()
-    path.write_text("\n".join(lines[:-1]) + "\n")  # drop one element
-    with pytest.raises(ValueError):
-        en.load_table(str(path))
+def test_semigroup_rank_descent_check(monkeypatch, table):
+    # a closure that never generates makes the greedy result fail its check
+    tbl = table(3)
+    monkeypatch.setattr(en, "closure", lambda n, gens: ())
+    with pytest.raises(RuntimeError, match="descent"):
+        en.semigroup_rank(tbl)

@@ -281,3 +281,16 @@ def test_far_block_alignment_cases():
         assert not w.fallback
         assert factor.eval_word(w) == a
         assert all(factor._resolve(l, 8).rank >= 6 for l in w.letters)
+
+
+def test_reversal_check_rejects_low_rank(monkeypatch):
+    monkeypatch.setattr(factor, "_rev_elt", lambda n, m, p: PartialInjection.empty(n))
+    with pytest.raises(factor.FactorizationError, match="high-rank"):
+        factor.build_reversal(6, 2, 2)
+
+
+def test_shift_check_rejects_target_outside_semigroup(monkeypatch):
+    # shift2k with k=0 uses no reversal, so only the final membership check sees this
+    monkeypatch.setattr(factor, "in_if", lambda a: False)
+    with pytest.raises(factor.FactorizationError, match="leaves the semigroup"):
+        factor.build_shift_word(8, "shift2k", 2, 2, 0)

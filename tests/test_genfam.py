@@ -95,9 +95,21 @@ def test_set_j_small_cases(table):
 
 
 def test_set_j_equals_high_rank_filter(table):
-    for n in range(1, 7):
-        expected = {a for a in table(n) if a.rank >= n - 2}
-        assert set(genfam.set_j(n)) == expected
+    for n in range(1, 9):
+        expected = tuple(a for a in table(n) if a.rank >= n - 2)
+        assert genfam.set_j(n) == expected
+
+
+def test_checked_rejects_escaping_generator():
+    swap = pinj.make(2, {(1, 2), (2, 1)})
+    with pytest.raises(RuntimeError, match="escapes"):
+        genfam._checked(swap)
+
+
+def test_set_g_rejects_repeated_generator(monkeypatch):
+    monkeypatch.setattr(genfam, "sigma2", genfam.sigma1)
+    with pytest.raises(RuntimeError, match="distinct"):
+        genfam.set_g(6)
 
 
 def test_set_g_cardinality():

@@ -180,3 +180,20 @@ def test_witness_random_pairs_at_n6(table):
         if greens.are_j_related(a, b):
             g, d = greens.j_witness(a, b)
             assert g * a * d == b
+
+
+def test_witness_check_rejects_escaping_pair(monkeypatch):
+    a = pinj.make(6, {(1, 1), (2, 2)})
+    b = pinj.make(6, {(5, 5), (6, 6)})
+    monkeypatch.setattr(greens, "in_if", lambda x: False)
+    with pytest.raises(RuntimeError, match="leaves"):
+        greens.j_witness(a, b)
+
+
+def test_witness_check_rejects_wrong_product(monkeypatch):
+    # with no blocks matched, g is empty and g*a*d cannot reach b
+    a = pinj.make(6, {(1, 1), (2, 2)})
+    b = pinj.make(6, {(5, 5), (6, 6)})
+    monkeypatch.setattr(greens, "_match_blocks", lambda a, b: [])
+    with pytest.raises(RuntimeError, match="onto"):
+        greens.j_witness(a, b)
