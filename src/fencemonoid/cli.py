@@ -247,9 +247,10 @@ def _verify_jcrit(n, huge):
     if n <= 5:
         # literal oracle: one two-sided principal ideal per element
         jsets = {a: en.principal_ideals(table, a)[2] for a in table}
+        invariants = {a: greens.j_invariant(a) for a in table}
         for a in table:
             for b in table:
-                criterion = greens.j_invariant(a) == greens.j_invariant(b)
+                criterion = invariants[a] == invariants[b]
                 oracle = b in jsets[a] and a in jsets[b]
                 if criterion != oracle:
                     return False, {

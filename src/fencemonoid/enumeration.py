@@ -13,10 +13,12 @@ from __future__ import annotations
 import hashlib
 import itertools
 import math
+from array import array
+from operator import ne
 
 from .fence import in_if, in_pfi
 from .greens import blocks
-from .pinj import PartialInjection
+from .pinj import PartialInjection, multiplier
 
 BUILD_GUARD = 10  # |I_10| ~ 2.3e8; anything beyond is out of reach anyway
 HUGE_THRESHOLD = 9  # n = 9, 10 only behind an explicit opt-in
@@ -217,6 +219,7 @@ def closure(n: int, gens) -> SemigroupTable:
             raise ValueError(f"generator {g.encode()} has ambient size {g.n}, expected {n}")
 
     gen_imgs = [g.img for g in gen_list]
+    padded_gens = [(0,) + b for b in gen_imgs]
     found: dict[tuple, int] = {}
     order: list[tuple] = []
     parents: list[tuple] = []
@@ -229,9 +232,7 @@ def closure(n: int, gens) -> SemigroupTable:
     while frontier:
         new = []
         for pos in frontier:
-            a = order[pos]
-            for gi, b in enumerate(gen_imgs):
-                p = tuple(b[v - 1] if v else 0 for v in a)
+            for gi, p in enumerate(map(multiplier(order[pos]), padded_gens)):
                 if p not in found:
                     found[p] = len(order)
                     order.append(p)
@@ -262,20 +263,21 @@ def principal_ideals(table: SemigroupTable, a: PartialInjection):
     """(Rset, Lset, Jset) under the S^1 convention.
 
     Rset = {a} + aS, Lset = {a} + Sa, Jset additionally includes SaS,
-    computed literally by product saturation over the table.
+    computed literally as (Sa)S by products over the table.
     """
     if not table.closed:
         raise ValueError("principal ideals need a closed table")
     table.position(a)
     imgs = [e.img for e in table.elements]
+    padded = [(0,) + b for b in imgs]
     ai = a.img
+    padded_a = (0,) + ai
 
-    right = {tuple(b[v - 1] if v else 0 for v in ai) for b in imgs}
-    left = {tuple(ai[v - 1] if v else 0 for v in s) for s in imgs}
-    two_sided = set(right)
-    for y in right:
-        two_sided.update(tuple(y[v - 1] if v else 0 for v in s) for s in imgs)
-    two_sided |= left
+    right = set(map(multiplier(ai), padded))
+    left = {multiplier(s)(padded_a) for s in imgs}
+    two_sided = right | left
+    for y in left:
+        two_sided.update(map(multiplier(y), padded))
     right.add(ai)
     left.add(ai)
     two_sided.add(ai)
@@ -307,14 +309,14 @@ def ideal_j_classes(table: SemigroupTable, gens):
         raise ValueError("oracle generators do not generate the table")
     imgs = [e.img for e in table.elements]
     index = table.index
-    gen_imgs = [g.img for g in gens]
-    succ: list[list[int]] = []
+    gen_muls = [multiplier(g.img) for g in gens]
+    padded_gens = [(0,) + g.img for g in gens]
+    succ: list[array] = []  # 4-byte entries: the rows hold about |S| * 2|gens| edges
     for a in imgs:
-        row = set()
-        for g in gen_imgs:
-            row.add(index[tuple(g[v - 1] if v else 0 for v in a)])
-            row.add(index[tuple(a[v - 1] if v else 0 for v in g)])
-        succ.append(sorted(row))
+        padded_a = (0,) + a
+        row = {index[p] for p in map(multiplier(a), padded_gens)}
+        row.update(index[mul(padded_a)] for mul in gen_muls)
+        succ.append(array("i", sorted(row)))
 
     # iterative Tarjan SCC
     n_nodes = len(imgs)
@@ -388,23 +390,33 @@ def is_generating(table: SemigroupTable, gens) -> bool:
 def irreducibles(table: SemigroupTable):
     """Elements that are not a product of two others.
 
-    Valid only because the table is closed: any longer product over
-    S minus {g} reduces to a two-factor one, so a full product scan
-    suffices.  Returns a canonically sorted tuple.
+    Let T_k be the elements of rank >= k.  The scan takes the largest
+    k <= n-2 for which T_k generates the table, checked by closure (T_0
+    is the whole table and needs no check).  Every element of rank < k
+    is then a product of two others: in a word over T_k for it, the first
+    prefix equal to it is longer than one letter, so it is that prefix
+    without its last letter times the letter, and neither factor is the
+    element.  Since rank(ab) <= min(rank a, rank b), an element of rank
+    r >= k is a product of two others only through factors of rank >= r,
+    so products of pairs in T_k decide it.  Valid only because the table
+    is closed.  Returns a canonically sorted tuple.
     """
     if not table.closed:
         raise ValueError("irreducibles are only meaningful for a closed table")
-    imgs = [e.img for e in table.elements]
-    reducible = set()
-    for a in imgs:
-        for b in imgs:
-            p = tuple(b[v - 1] if v else 0 for v in a)
-            if p != a and p != b:
-                reducible.add(p)
     n = table.n
-    return tuple(
-        PartialInjection(n, img) for img in imgs if img not in reducible
-    )
+    k = max(n - 2, 0)
+    while k > 0 and not is_generating(table, [e for e in table.elements if e.rank >= k]):
+        k -= 1
+    top = [e.img for e in table.elements if e.rank >= k]
+    padded_top = [(0,) + b for b in top]
+    reducible = set()
+    for a in top:
+        products = list(map(multiplier(a), padded_top))
+        # products a*b that differ from b, then from a
+        row = set(itertools.compress(products, map(ne, products, top)))
+        row.discard(a)
+        reducible |= row
+    return tuple(PartialInjection(n, img) for img in top if img not in reducible)
 
 
 def least_generating_set(table: SemigroupTable):
@@ -415,11 +427,7 @@ def least_generating_set(table: SemigroupTable):
     set can be contained in all others.
     """
     irr = irreducibles(table)
-    if not irr:
-        return None
-    if len(closure(table.n, irr)) == len(table):
-        return irr
-    return None
+    return irr if is_generating(table, irr) else None
 
 
 def semigroup_rank(table: SemigroupTable, descent_start=None):
@@ -431,10 +439,10 @@ def semigroup_rank(table: SemigroupTable, descent_start=None):
     default), repeatedly drop the largest-key element whose removal
     keeps generation.
     """
-    least = least_generating_set(table)
-    if least is not None:
-        return ("exact", len(least))
-    lo = len(irreducibles(table))
+    irr = irreducibles(table)
+    if is_generating(table, irr):
+        return ("exact", len(irr))
+    lo = len(irr)
     if descent_start is None:
         gens = list(table.elements)
     else:
@@ -453,15 +461,30 @@ def semigroup_rank(table: SemigroupTable, descent_start=None):
 
 
 def regular_elements(table: SemigroupTable):
-    """Elements a with some x in the table satisfying a*x*a == a."""
+    """Elements a with some x in the table satisfying a*x*a == a.
+
+    a*x*a == a holds exactly when x maps each point y of im a to its
+    preimage under a, i.e. when x extends a's inverse.  So the candidates
+    for x are the elements holding every (y, a^-1(y)) pair, found by
+    intersecting per-pair index sets; a has no witness when none holds
+    them all.  The least candidate is confirmed with the literal product.
+    """
     imgs = [e.img for e in table.elements]
+    holders: dict[tuple[int, int], set[int]] = {}
+    for pos, img in enumerate(imgs):
+        for x, v in enumerate(img, start=1):
+            if v:
+                holders.setdefault((x, v), set()).add(pos)
+    everyone = set(range(len(imgs)))
     n = table.n
     out = []
     for a in imgs:
-        for x in imgs:
-            ax = tuple(x[v - 1] if v else 0 for v in a)
-            axa = tuple(a[v - 1] if v else 0 for v in ax)
-            if axa == a:
-                out.append(PartialInjection(n, a))
-                break
+        needed = [holders.get((v, x), set()) for x, v in enumerate(a, start=1) if v]
+        candidates = min(needed, key=len).intersection(*needed) if needed else everyone
+        if candidates:
+            elt = PartialInjection(n, a)
+            ax = multiplier(a)((0,) + imgs[min(candidates)])
+            if multiplier(ax)((0,) + a) != a:
+                raise RuntimeError(f"regular witness for {elt.encode()} failed its check")
+            out.append(elt)
     return tuple(out)

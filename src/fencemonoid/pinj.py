@@ -8,6 +8,8 @@ immutable and freely shareable.
 
 from __future__ import annotations
 
+from operator import itemgetter
+
 MAX_N = 32
 
 
@@ -118,8 +120,7 @@ class PartialInjection:
             return NotImplemented
         if self.n != other.n:
             raise SizeMismatchError(f"ambient sizes differ: {self.n} != {other.n}")
-        b = other.img
-        return PartialInjection(self.n, tuple(b[v - 1] if v else 0 for v in self.img))
+        return PartialInjection(self.n, multiplier(self.img)((0,) + other.img))
 
     def inverse(self) -> "PartialInjection":
         img = [0] * self.n
@@ -162,6 +163,21 @@ class PartialInjection:
 
     def __repr__(self):
         return f"<pinj {self.encode()}>"
+
+
+def multiplier(img: tuple[int, ...]):
+    """The product kernel: ``multiplier(a)((0,) + b)`` is the img of ``a*b``.
+
+    With ``b`` padded by a leading 0, slot ``v`` holds the image of ``v``
+    under ``b`` and slot 0 keeps "undefined" undefined, so the product is
+    a C-level ``itemgetter`` lookup of ``a``'s values.  Building the
+    getter once and calling it on many padded right factors is the bulk
+    form.  ``itemgetter`` of one index returns a scalar, so n = 1 wraps it.
+    """
+    if len(img) == 1:
+        (v,) = img
+        return lambda padded: (padded[v],)
+    return itemgetter(*img)
 
 
 def parse(text: str) -> PartialInjection:

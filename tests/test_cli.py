@@ -3,7 +3,7 @@ import io
 import json
 import time
 
-from fencemonoid import cli
+from fencemonoid import cli, genfam
 from fencemonoid import enumeration as en
 from fencemonoid.pinj import PartialInjection
 
@@ -139,6 +139,19 @@ def test_verify_ok_claims():
     assert run("verify", "--n", "3", "--claim", "regular")[0] == 0
     code, out, _ = run("verify", "--n", "4", "--claim", "rank")
     assert "claim rank: ok" in out
+
+
+def test_verify_structure_claims_reachable():
+    code, out, _ = run("verify", "--n", "8", "--claim", "least", "--format", "json")
+    least = json.loads(out)["result"]["least"]
+    assert code == 0 and len(least) == 9
+    assert least == sorted(g.encode() for g in genfam.set_g(8))
+    code, out, _ = run("verify", "--n", "8", "--claim", "rank", "--format", "json")
+    assert code == 0 and json.loads(out)["result"]["rank"] == ["exact", 9]
+    code, out, _ = run("verify", "--n", "7", "--claim", "regular", "--format", "json")
+    result = json.loads(out)["result"]
+    assert code == 0
+    assert (result["regular"], result["pfi_size"], result["outside_if"]) == (2288, 6714, [])
 
 
 def test_verify_parity_guards():

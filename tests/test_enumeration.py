@@ -180,6 +180,67 @@ def test_irreducibles_of_identity_closure():
     assert en.irreducibles(tbl) == (PartialInjection.identity(3),)
 
 
+def _irreducibles_full_scan(table):
+    """Every product of two elements: the reference for the rank-stratified scan."""
+    imgs = [e.img for e in table.elements]
+    reducible = set()
+    for a in imgs:
+        for b in imgs:
+            p = tuple(b[v - 1] if v else 0 for v in a)
+            if p != a and p != b:
+                reducible.add(p)
+    return tuple(PartialInjection(table.n, img) for img in imgs if img not in reducible)
+
+
+def _regular_full_scan(table):
+    """Every a with some x in the table such that a*x*a == a, by products."""
+    imgs = [e.img for e in table.elements]
+    out = []
+    for a in imgs:
+        for x in imgs:
+            ax = tuple(x[v - 1] if v else 0 for v in a)
+            if tuple(a[v - 1] if v else 0 for v in ax) == a:
+                out.append(PartialInjection(table.n, a))
+                break
+    return tuple(out)
+
+
+def _random_map(rng, n, lo, hi):
+    k = rng.randint(lo, hi)
+    return pinj.make(n, zip(rng.sample(range(1, n + 1), k), rng.sample(range(1, n + 1), k)))
+
+
+def _low_rank_closures():
+    """Closures of the identity, the empty map and mixed low-rank maps.  In
+    most of them the rank >= n-2 elements do not generate, so the
+    irreducible scan has to step down to lower ranks."""
+    tables = []
+    for n in (3, 4, 5, 6):
+        identity, empty = PartialInjection.identity(n), PartialInjection.empty(n)
+        tables += [en.closure(n, [identity]), en.closure(n, [empty])]
+        tables.append(en.closure(n, [identity, empty]))
+        rng = random.Random(n)
+        for _ in range(3):
+            gens = [_random_map(rng, n, 1, 2), _random_map(rng, n, 1, 2)]
+            tables.append(en.closure(n, gens + [_random_map(rng, n, n - 1, n)]))
+    return tables
+
+
+def test_irreducibles_match_full_scan(table):
+    for n in range(1, 7):
+        assert en.irreducibles(table(n)) == _irreducibles_full_scan(table(n))
+    for tbl in _low_rank_closures():
+        assert en.irreducibles(tbl) == _irreducibles_full_scan(tbl)
+
+
+def test_regular_elements_match_full_scan(table):
+    for n in range(1, 7):
+        tbl = table(n, "PFI")
+        assert en.regular_elements(tbl) == _regular_full_scan(tbl)
+    for tbl in _low_rank_closures():
+        assert en.regular_elements(tbl) == _regular_full_scan(tbl)
+
+
 def test_least_generating_set_even(table):
     least = en.least_generating_set(table(4))
     assert least is not None

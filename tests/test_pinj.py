@@ -166,3 +166,24 @@ def test_parse_rejects_garbage():
     for bad in ("", "6:[1>2]", "n=6:1>2", "n=x:[]"):
         with pytest.raises(ValueError):
             pinj.parse(bad)
+
+
+def test_parse_accepts_any_pair_order():
+    a = pinj.parse("n=6:[2>2 1>1]")
+    assert a == pinj.parse("n=6:[1>1 2>2]")
+    assert a.encode() == "n=6:[1>1 2>2]"
+
+
+def _product_by_formula(a, b):
+    """x(ab) = (xa)b point by point: the reference for the product kernel."""
+    return tuple(b[v - 1] if v else 0 for v in a)
+
+
+def test_product_kernel_matches_formula(table):
+    for n in range(1, 4):
+        elements = table(n, "I").elements
+        for a in elements:
+            for b in elements:
+                expected = _product_by_formula(a.img, b.img)
+                assert pinj.multiplier(a.img)((0,) + b.img) == expected
+                assert (a * b).img == expected
