@@ -49,7 +49,7 @@ def _parse_element(text: str, n: int) -> pinj.PartialInjection:
 
 
 def cmd_enumerate(args) -> CommandResult:
-    table = en.build(args.n, args.which, huge=args.huge)
+    table = en.build(args.n, args.which)
     payload: dict = {"which": args.which, "count": len(table)}
     if args.contains is not None:
         elt = _parse_element(args.contains, args.n)
@@ -72,7 +72,7 @@ def _render_enumerate(payload, out):
 
 def cmd_greens(args) -> CommandResult:
     if args.classes:
-        table = en.build(args.n, "IF", huge=args.huge)
+        table = en.build(args.n, "IF")
         classes = greens.j_classes(table)
         rows = [
             {
@@ -194,23 +194,23 @@ def _render_factorize(payload, out):
 # --- verify ------------------------------------------------------------------
 
 
-def _verify_thm1(n, huge):
-    table = en.build(n, "IF", huge=huge)
+def _verify_thm1(n):
+    table = en.build(n, "IF")
     gens = genfam.set_j(n)
     generated = len(en.closure(n, gens))
     ok = generated == len(table)
     return ok, {"size": len(table), "generators": len(gens), "generated": generated}
 
 
-def _verify_thm2(n, huge):
-    table = en.build(n, "IF", huge=huge)
+def _verify_thm2(n):
+    table = en.build(n, "IF")
     cl = en.closure(n, genfam.set_g(n))
     ok = set(cl.elements) == set(table.elements)
     return ok, {"size": len(table), "generated": len(cl)}
 
 
-def _verify_least(n, huge):
-    table = en.build(n, "IF", huge=huge)
+def _verify_least(n):
+    table = en.build(n, "IF")
     least = en.least_generating_set(table)
     G = set(genfam.set_g(n))
     ok = least is not None and set(least) == G
@@ -220,17 +220,17 @@ def _verify_least(n, huge):
     }
 
 
-def _verify_rank(n, huge):
-    table = en.build(n, "IF", huge=huge)
+def _verify_rank(n):
+    table = en.build(n, "IF")
     result = en.semigroup_rank(table)
     ok = result == ("exact", n + 1)
     return ok, {"rank": list(result), "expected": n + 1}
 
 
-def _verify_odd_neg(n, huge):
+def _verify_odd_neg(n):
     if n % 2 == 0:
         raise genfam.OddAmbientError("claim odd-neg applies to odd n only")
-    table = en.build(n, "IF", huge=huge)
+    table = en.build(n, "IF")
     high = [a for a in table if a.rank >= n - 1]
     generates = en.is_generating(table, high)
     least = en.least_generating_set(table)
@@ -241,8 +241,8 @@ def _verify_odd_neg(n, huge):
     }
 
 
-def _verify_jcrit(n, huge):
-    table = en.build(n, "IF", huge=huge)
+def _verify_jcrit(n):
+    table = en.build(n, "IF")
     crit = greens.j_classes(table)
     if n <= 5:
         # literal oracle: one two-sided principal ideal per element
@@ -264,8 +264,8 @@ def _verify_jcrit(n, huge):
     return ok, {"classes": len(crit), "oracle_classes": len(oracle)}
 
 
-def _verify_regular(n, huge):
-    pfi = en.build(n, "PFI", huge=huge)
+def _verify_regular(n):
+    pfi = en.build(n, "PFI")
     regulars = en.regular_elements(pfi)
     stray = [a for a in regulars if not fence.in_if(a)]
     ok = not stray
@@ -293,7 +293,7 @@ def cmd_verify(args) -> CommandResult:
         raise genfam.OddAmbientError(f"claim {args.claim} applies to even n only")
     if parity == "odd" and args.n % 2 == 0:
         raise genfam.OddAmbientError(f"claim {args.claim} applies to odd n only")
-    ok, payload = func(args.n, args.huge)
+    ok, payload = func(args.n)
     payload["claim"] = args.claim
     return CommandResult("ok" if ok else "violation", payload)
 
@@ -315,7 +315,6 @@ def _build_parser() -> _Parser:
     def common(p):
         p.add_argument("--n", type=int, required=True, help="ambient size")
         p.add_argument("--format", choices=("text", "json", "csv"), default="text")
-        p.add_argument("--huge", action="store_true", help="allow n = 9, 10")
 
     p = sub.add_parser("enumerate", help="build and count I / PFI / IF")
     common(p)

@@ -1,11 +1,11 @@
 """Exhaustive construction and closure machinery at desk scale.
 
 Builds the full symmetric inverse monoid on {1..n} (or its one-way /
-two-way fence-preserving subsemigroups), computes generated closures
-with one shortest discovery word per element, principal ideals,
-irreducible elements, least generating sets and semigroup rank.  All
-outputs are canonically sorted, so results are byte-identical across
-runs.
+two-way fence-preserving subsemigroups), each up to its own size limit
+in :data:`MAX_N`, and computes generated closures with one shortest
+discovery word per element, principal ideals, irreducible elements,
+least generating sets and semigroup rank.  All outputs are canonically
+sorted, so results are byte-identical across runs.
 """
 
 from __future__ import annotations
@@ -20,8 +20,8 @@ from .fence import in_if, in_pfi
 from .greens import blocks
 from .pinj import PartialInjection, multiplier
 
-BUILD_GUARD = 10  # |I_10| ~ 2.3e8; anything beyond is out of reach anyway
-HUGE_THRESHOLD = 9  # n = 9, 10 only behind an explicit opt-in
+# largest n each kind is built for: |I_9| is 17.6M maps, |IF_10| 137,412
+MAX_N = {"I": 8, "PFI": 10, "IF": 10}
 
 
 class TooLargeError(ValueError):
@@ -178,20 +178,18 @@ def place_blocks(n, domains, two_way=True):
     return imgs
 
 
-def build(n: int, which: str = "IF", huge: bool = False) -> SemigroupTable:
+def build(n: int, which: str = "IF") -> SemigroupTable:
     """Enumerate I_n, PFI_n or IF_n as a canonically sorted table.
 
     ``which`` is one of I, PFI, IF.  PFI and IF are generated directly by
-    :func:`place_blocks`; I lists every partial injection.  Guarded at
-    n <= 10; n in {9, 10} additionally requires ``huge=True``.
+    :func:`place_blocks`; I lists every partial injection.  n must lie in
+    1..MAX_N[which]; a larger n raises :class:`TooLargeError`.
     """
     which = which.upper()
-    if which not in ("I", "PFI", "IF"):
+    if which not in MAX_N:
         raise ValueError(f"which must be I, PFI or IF, got {which!r}")
-    if not (1 <= n <= BUILD_GUARD):
-        raise TooLargeError(f"n must be in 1..{BUILD_GUARD}, got {n}")
-    if n >= HUGE_THRESHOLD and not huge:
-        raise TooLargeError(f"n = {n} needs huge=True (--huge)")
+    if not (1 <= n <= MAX_N[which]):
+        raise TooLargeError(f"{which} is built for n in 1..{MAX_N[which]}, got {n}")
 
     if which == "I":
         imgs = _filter_chunk(n, which, _domains(n))
@@ -285,13 +283,6 @@ def principal_ideals(table: SemigroupTable, a: PartialInjection):
     n = table.n
     wrap = lambda S: frozenset(PartialInjection(n, img) for img in S)
     return wrap(right), wrap(left), wrap(two_sided)
-
-
-def ideal_j_test(table: SemigroupTable, a: PartialInjection, b: PartialInjection) -> bool:
-    """Brute-force J oracle: mutual two-sided principal-ideal membership."""
-    _, _, ja = principal_ideals(table, a)
-    _, _, jb = principal_ideals(table, b)
-    return b in ja and a in jb
 
 
 def ideal_j_classes(table: SemigroupTable, gens):
@@ -392,7 +383,9 @@ def irreducibles(table: SemigroupTable):
 
     Let T_k be the elements of rank >= k.  The scan takes the largest
     k <= n-2 for which T_k generates the table, checked by closure (T_0
-    is the whole table and needs no check).  Every element of rank < k
+    is the whole table and needs no check).  After a failed check it
+    steps down to the next rank present below k, or to 0, since T_j is
+    T_k for every j in between.  Every element of rank < k
     is then a product of two others: in a word over T_k for it, the first
     prefix equal to it is longer than one letter, so it is that prefix
     without its last letter times the letter, and neither factor is the
@@ -406,7 +399,7 @@ def irreducibles(table: SemigroupTable):
     n = table.n
     k = max(n - 2, 0)
     while k > 0 and not is_generating(table, [e for e in table.elements if e.rank >= k]):
-        k -= 1
+        k = max((e.rank for e in table.elements if e.rank < k), default=0)
     top = [e.img for e in table.elements if e.rank >= k]
     padded_top = [(0,) + b for b in top]
     reducible = set()
@@ -430,27 +423,20 @@ def least_generating_set(table: SemigroupTable):
     return irr if is_generating(table, irr) else None
 
 
-def semigroup_rank(table: SemigroupTable, descent_start=None):
+def semigroup_rank(table: SemigroupTable):
     """Minimum generating-set size: ('exact', k) or ('bounds', lo, hi).
 
     Exact when a least generating set exists.  Otherwise the lower bound
     is the irreducible count and the upper bound comes from a greedy
-    descent: starting from ``descent_start`` (the whole table by
-    default), repeatedly drop the largest-key element whose removal
-    keeps generation.
+    descent: starting from the whole table, repeatedly drop the
+    largest-key element whose removal keeps generation.
     """
     irr = irreducibles(table)
     if is_generating(table, irr):
         return ("exact", len(irr))
     lo = len(irr)
-    if descent_start is None:
-        gens = list(table.elements)
-    else:
-        gens = _check_subset(table, descent_start)
-        if len(closure(table.n, gens)) != len(table):
-            raise ValueError("descent_start does not generate the table")
     target = len(table)
-    current = set(gens)
+    current = set(table.elements)
     for g in sorted(current, key=lambda e: e.key, reverse=True):
         trial = current - {g}
         if trial and len(closure(table.n, trial)) == target:

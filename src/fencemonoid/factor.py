@@ -17,7 +17,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass, field
 
-from . import genfam
+from . import genfam, greens
 from .enumeration import closure
 from .fence import in_if, require_if
 from .genfam import GeneratorSpec, OddAmbientError
@@ -341,24 +341,15 @@ class BlockForm:
         if _mismatches(a):
             raise MalformedBlockFormError("element is not parity-normalized")
         blocks = []
-        dom = a.domain()
-        img = a.img
-        idx = 0
-        while idx < len(dom):
-            r = dom[idx]
-            s = r
-            while idx + 1 < len(dom) and dom[idx + 1] == s + 1:
-                idx += 1
-                s = dom[idx]
-            idx += 1
-            vals = [img[x - 1] for x in range(r, s + 1)]
-            asc = len(vals) == 1 or vals[1] == vals[0] + 1
+        for r, length in greens.blocks(a.n, a.domain()):
+            vals = list(a.img[r - 1 : r - 1 + length])
+            asc = length == 1 or vals[1] == vals[0] + 1
             lo, hi = min(vals), max(vals)
             if sorted(vals) != list(range(lo, hi + 1)) or (
                 vals != sorted(vals) and vals != sorted(vals, reverse=True)
             ):
                 raise MalformedBlockFormError("block image is not a monotone interval")
-            blocks.append(_Block(r, s, lo, hi, asc))
+            blocks.append(_Block(r, r + length - 1, lo, hi, asc))
 
         fixed_lead = 0
         while fixed_lead < len(blocks) and blocks[fixed_lead].fixed:
@@ -619,7 +610,7 @@ def factorize_j(a: PartialInjection) -> Word:
         return Word(n, bfs.letters, provenance="bfs-fallback", fallback=True)
 
 
-def factorize_g(a: PartialInjection, table=None) -> Word:
+def factorize_g(a: PartialInjection) -> Word:
     """Factor an element over set_g (even ambient size only).
 
     Runs :func:`factorize_j`, then expands each high-rank letter through
@@ -634,7 +625,7 @@ def factorize_g(a: PartialInjection, table=None) -> Word:
     letters: list = []
     misses = 0
     for letter in base.letters:
-        gw = genfam.g_word_for(n, _resolve(letter, n), table)
+        gw = genfam.g_word_for(n, _resolve(letter, n))
         letters.extend(gw.letters)
         misses += gw.provenance == "bfs"
     word = Word(

@@ -272,7 +272,7 @@ def _table_word(n: int, target: PartialInjection):
     return None
 
 
-def g_word_for(n: int, target: PartialInjection, table=None):
+def g_word_for(n: int, target: PartialInjection):
     """A word over set_g evaluating to ``target``.
 
     Emits a closed-form identity-table word when the target matches one
@@ -289,8 +289,7 @@ def g_word_for(n: int, target: PartialInjection, table=None):
         word = Word(n, tuple(letters), provenance="table")
         if eval_word(word) == target:
             return word
-    if table is None:
-        table = _g_closure(n)
+    table = _g_closure(n)
     if target not in table:
         raise NotMemberError(f"{target.encode()} is not generated by set_g({n})")
     lookup = _g_spec_lookup(n)

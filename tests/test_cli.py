@@ -46,9 +46,9 @@ def test_enumerate_matches_filter_oracle():
 
 
 def test_enumerate_cache(tmp_path, monkeypatch):
-    # the on-disk cache and the worker pool are gone, flags included
+    # the on-disk cache, the worker pool and the --huge opt-in are gone, flags included
     monkeypatch.chdir(tmp_path)
-    for flag in (["--cache-dir", str(tmp_path)], ["--no-cache"], ["--threads", "2"]):
+    for flag in (["--cache-dir", str(tmp_path)], ["--no-cache"], ["--threads", "2"], ["--huge"]):
         code, _, err = run("enumerate", "--n", "4", *flag)
         assert code == 1 and "unrecognized" in err
     code, out, _ = run("enumerate", "--n", "4")
@@ -58,15 +58,18 @@ def test_enumerate_cache(tmp_path, monkeypatch):
 
 def test_enumerate_huge_n10_is_fast():
     t0 = time.perf_counter()
-    code, out, _ = run("enumerate", "--n", "10", "--huge")
+    code, out, _ = run("enumerate", "--n", "10")
     elapsed = time.perf_counter() - t0
     assert code == 0 and out == "count 137412\n"
     assert elapsed < 2.0, f"{elapsed:.2f} s"
 
 
 def test_enumerate_guard_exit_code():
-    code, _, err = run("enumerate", "--n", "9")
-    assert code == 1 and "huge" in err
+    code, _, err = run("enumerate", "--which", "I", "--n", "9")
+    assert code == 1 and "I " in err and "1..8" in err
+    for which in ("IF", "PFI"):
+        code, _, err = run("enumerate", "--which", which, "--n", "11")
+        assert code == 1 and f"{which} " in err and "1..10" in err
 
 
 def test_greens_pair_output():
@@ -164,7 +167,7 @@ def test_verify_parity_guards():
 
 def test_verify_violation_exit_code(monkeypatch):
     monkeypatch.setitem(
-        cli._CLAIMS, "rank", (lambda n, huge: (False, {"forced": True}), "even")
+        cli._CLAIMS, "rank", (lambda n: (False, {"forced": True}), "even")
     )
     code, out, _ = run("verify", "--n", "4", "--claim", "rank")
     assert code == 2 and "violation" in out

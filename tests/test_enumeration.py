@@ -33,10 +33,9 @@ def test_build_counterexample_membership(table):
 
 
 def test_build_resource_guard():
-    with pytest.raises(TooLargeError):
-        en.build(11, "IF")
-    with pytest.raises(TooLargeError):
-        en.build(9, "IF")  # needs huge=True
+    for n, which in ((9, "I"), (11, "PFI"), (11, "IF")):
+        with pytest.raises(TooLargeError, match=f"{which} .*1..{n - 1}"):
+            en.build(n, which)
 
 
 def test_build_deterministic():
@@ -65,7 +64,7 @@ def test_build_makes_no_membership_tests(monkeypatch):
 
 def test_build_huge_if():
     for n, size in ((9, 34164), (10, 137412)):
-        tbl = en.build(n, "IF", huge=True)
+        tbl = en.build(n, "IF")
         assert len(tbl) == size
         assert all(fence.in_if(a) for a in tbl)
 
@@ -231,6 +230,20 @@ def test_irreducibles_match_full_scan(table):
         assert en.irreducibles(table(n)) == _irreducibles_full_scan(table(n))
     for tbl in _low_rank_closures():
         assert en.irreducibles(tbl) == _irreducibles_full_scan(tbl)
+
+
+def test_irreducibles_skip_empty_rank_bands(monkeypatch, table):
+    # a failed generation check steps straight to the next rank present,
+    # so {identity, empty map} at n = 6 needs one closure, not four
+    tbl = en.closure(6, [PartialInjection.identity(6), PartialInjection.empty(6)])
+    calls = []
+    real = en.closure
+    monkeypatch.setattr(en, "closure", lambda *args: calls.append(args) or real(*args))
+    assert en.irreducibles(tbl) == _irreducibles_full_scan(tbl)
+    assert len(calls) == 1
+    calls.clear()
+    assert en.irreducibles(table(6)) == _irreducibles_full_scan(table(6))
+    assert len(calls) == 1
 
 
 def test_regular_elements_match_full_scan(table):
