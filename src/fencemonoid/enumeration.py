@@ -201,13 +201,30 @@ def build(n: int, which: str = "IF") -> SemigroupTable:
     )
 
 
-def closure(n: int, gens) -> SemigroupTable:
+def require_floor_within_limit(n: int, min_rank: int) -> None:
+    """Refuse a closure of rank-(>= n-2) generators floored below n-2 past
+    the IF limit: below that layer the closure grows like IF_n itself."""
+    if min_rank < n - 2 and n > MAX_N["IF"]:
+        raise TooLargeError(
+            f"a closure below rank n-2 = {n - 2} would enumerate IF_{n}; "
+            f"IF is built for n in 1..{MAX_N['IF']}, got {n}"
+        )
+
+
+def closure(n: int, gens, min_rank: int = 0) -> SemigroupTable:
     """Generated closure with one shortest discovery word per element.
 
     Frontier-based product saturation: each round multiplies the frontier
     (in canonical key order) by every generator (same order), so ties
     between equal-length words resolve by the key of the left factor and
     the result is deterministic.
+
+    With ``min_rank > 0`` every generator and product of rank below the
+    floor is dropped, and the table is not closed.  Because
+    ``rank(x*g) <= rank(x)``, every prefix of a word for an element of
+    rank ``r >= min_rank`` has rank ``>= r``: the floored frontiers are
+    subsequences of the full ones, in the same order, so each element
+    kept has the same discovery word as in the full closure.
     """
     gen_list = sorted({g for g in gens})
     if not gen_list:
@@ -218,11 +235,12 @@ def closure(n: int, gens) -> SemigroupTable:
 
     gen_imgs = [g.img for g in gen_list]
     padded_gens = [(0,) + b for b in gen_imgs]
+    max_zeros = n - min_rank
     found: dict[tuple, int] = {}
     order: list[tuple] = []
     parents: list[tuple] = []
     for gi, img in enumerate(gen_imgs):
-        if img not in found:
+        if img not in found and img.count(0) <= max_zeros:
             found[img] = len(order)
             order.append(img)
             parents.append((None, gi))
@@ -231,7 +249,7 @@ def closure(n: int, gens) -> SemigroupTable:
         new = []
         for pos in frontier:
             for gi, p in enumerate(map(multiplier(order[pos]), padded_gens)):
-                if p not in found:
+                if p not in found and p.count(0) <= max_zeros:
                     found[p] = len(order)
                     order.append(p)
                     parents.append((pos, gi))
@@ -250,7 +268,7 @@ def closure(n: int, gens) -> SemigroupTable:
     return SemigroupTable(
         n,
         elements,
-        closed=True,
+        closed=min_rank <= 0,
         kind=f"closure:{digest}",
         gens=gen_list,
         parents=new_parents,

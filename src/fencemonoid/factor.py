@@ -18,7 +18,7 @@ import functools
 from dataclasses import dataclass, field
 
 from . import genfam, greens
-from .enumeration import closure
+from .enumeration import closure, require_floor_within_limit
 from .fence import in_if, require_if
 from .genfam import GeneratorSpec, OddAmbientError
 from .pinj import OutOfRangeError, PartialInjection
@@ -516,9 +516,15 @@ def fix_first_block(bf: BlockForm):
 # --- top-level factorization --------------------------------------------------
 
 
-@functools.lru_cache(maxsize=None)
-def _j_closure(n: int):
-    return closure(n, genfam.set_j(n))
+@functools.lru_cache(maxsize=8)
+def _j_closure(n: int, min_rank: int):
+    require_floor_within_limit(n, min_rank)
+    return closure(n, genfam.set_j(n), min_rank)
+
+
+@functools.lru_cache(maxsize=4096)
+def _is_high_rank_letter(elt: PartialInjection) -> bool:
+    return elt.rank >= elt.n - 2 and in_if(elt)
 
 
 def factorize_bfs(table, a: PartialInjection) -> Word:
@@ -547,8 +553,8 @@ def _constructive(a: PartialInjection) -> Word:
     lw, rw, core = parity_normalize(a)
     left = list(lw.letters)
     right = list(rw.letters)
+    bf = BlockForm.from_pinj(core)
     for _ in range(2 * n + 4):
-        bf = BlockForm.from_pinj(core)
         if bf.all_fixed:
             break
         prefix_points = [
@@ -570,6 +576,7 @@ def _constructive(a: PartialInjection) -> Word:
             raise FactorizationError("alignment step failed to align")
         if bf_check == "fixed" and not (bf2.i > bf.i or bf2.all_fixed):
             raise FactorizationError("fixing step failed to extend the prefix")
+        bf = bf2
     else:
         raise FactorizationError("block pipeline did not converge")
 
@@ -585,8 +592,7 @@ def _constructive(a: PartialInjection) -> Word:
     if eval_word(word) != a:
         raise FactorizationError("assembled word does not evaluate to the input")
     for letter in letters:
-        elt = _resolve(letter, n)
-        if elt.rank < n - 2 or not in_if(elt):
+        if not _is_high_rank_letter(_resolve(letter, n)):
             raise FactorizationError("assembled word contains a low-rank letter")
     return word
 
@@ -597,7 +603,8 @@ def factorize_j(a: PartialInjection) -> Word:
     High-rank inputs are their own one-letter word.  Everything else
     runs the constructive pipeline; if any internal postcondition fails
     the element is factored by breadth-first search instead and the word
-    is flagged as a fallback.
+    is flagged as a fallback.  That search is floored at the element's
+    rank, and past the IF limit it raises :class:`TooLargeError`.
     """
     require_if(a)
     n = a.n
@@ -606,7 +613,7 @@ def factorize_j(a: PartialInjection) -> Word:
     try:
         return _constructive(a)
     except (FactorizationError, MalformedBlockFormError, BadIndicesError, KindMismatchError):
-        bfs = factorize_bfs(_j_closure(n), a)
+        bfs = factorize_bfs(_j_closure(n, a.rank), a)
         return Word(n, bfs.letters, provenance="bfs-fallback", fallback=True)
 
 

@@ -15,7 +15,7 @@ import functools
 import itertools
 from dataclasses import dataclass
 
-from .enumeration import NotMemberError, closure, place_blocks
+from .enumeration import NotMemberError, closure, place_blocks, require_floor_within_limit
 from .fence import in_if
 from .pinj import PartialInjection
 
@@ -137,8 +137,13 @@ class GeneratorSpec:
         return cls(name)
 
 
+@functools.lru_cache(maxsize=1024)
 def named(n: int, spec: GeneratorSpec) -> PartialInjection:
-    """Realize a generator spec as a concrete map on {1..n}."""
+    """Realize a generator spec as a concrete map on {1..n}.
+
+    Cached: specs and maps are immutable, and a factorization resolves
+    the same few letters many times.
+    """
     fam = spec.family
     if fam == "id":
         return PartialInjection.identity(n)
@@ -210,12 +215,13 @@ def _eta_right(n: int, c: int) -> PartialInjection:
     return PartialInjection(n, tuple(img))
 
 
-@functools.lru_cache(maxsize=None)
-def _g_closure(n: int):
-    return closure(n, set_g(n))
+@functools.lru_cache(maxsize=8)
+def _g_closure(n: int, min_rank: int):
+    require_floor_within_limit(n, min_rank)
+    return closure(n, set_g(n), min_rank)
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=8)
 def _g_spec_lookup(n: int):
     specs = [GeneratorSpec("id"), GeneratorSpec("sig1"), GeneratorSpec("sig2")]
     specs += [GeneratorSpec("gam", i) for i in range(4, n + 1, 2)]
@@ -277,7 +283,10 @@ def g_word_for(n: int, target: PartialInjection):
 
     Emits a closed-form identity-table word when the target matches one
     of the known shapes (verified by evaluation); otherwise falls back
-    to the shortest discovery word in the Cayley closure of set_g.  The
+    to the shortest discovery word in the Cayley closure of set_g,
+    floored at ``min(target.rank, n-2)``: every prefix of the target's
+    word has at least its rank, so the word is the one the full closure
+    gives, and a letter of rank >= n-2 never enumerates IF_n.  The
     returned word records which path produced it.
     """
     from .factor import Word, eval_word
@@ -289,7 +298,7 @@ def g_word_for(n: int, target: PartialInjection):
         word = Word(n, tuple(letters), provenance="table")
         if eval_word(word) == target:
             return word
-    table = _g_closure(n)
+    table = _g_closure(n, min(target.rank, n - 2))
     if target not in table:
         raise NotMemberError(f"{target.encode()} is not generated by set_g({n})")
     lookup = _g_spec_lookup(n)

@@ -3,7 +3,7 @@ import io
 import json
 import time
 
-from fencemonoid import cli, genfam
+from fencemonoid import cli, factor, genfam
 from fencemonoid import enumeration as en
 from fencemonoid.pinj import PartialInjection
 
@@ -126,6 +126,32 @@ def test_factorize_single_letter():
         "factorize", "--n", "4", "--element", "n=4:[1>1 2>2 3>3]", "--verify"
     )
     assert code == 0 and "length 1" in out
+
+
+def test_factorize_g_reaches_n32():
+    # each run pays for its floored closure of set_g(n), 3,214 elements at n = 32
+    for n in (12, 32):
+        genfam._g_closure.cache_clear()
+        t0 = time.perf_counter()
+        code, out, _ = run(
+            "factorize", "--n", str(n),
+            "--element", genfam.beta(n, 1, 3).encode(),
+            "--target", "G", "--verify",
+        )
+        elapsed = time.perf_counter() - t0
+        assert code == 0
+        assert "bfs_letters 1\n" in out and "verified true\n" in out
+        assert elapsed < 2.0, f"n={n}: {elapsed:.2f} s"
+
+
+def test_factorize_fallback_past_limit_exits_1(monkeypatch):
+    def decline(a):
+        raise factor.FactorizationError("declined")
+
+    monkeypatch.setattr(factor, "_constructive", decline)
+    code, out, err = run("factorize", "--n", "12", "--element", "n=12:[1>1]")
+    assert code == 1 and out == ""
+    assert "IF_12" in err and "1..10" in err
 
 
 def test_factorize_g_needs_even_n():

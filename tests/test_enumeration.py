@@ -110,6 +110,24 @@ def test_closure_shortest_words(table):
     assert len(cl.word_for(eps2)) == 2
 
 
+def test_floored_closure_words_match_full():
+    # the floored closure is the full one cut at the floor, element order
+    # and discovery words included, for every floor up to the least
+    # generator rank
+    cases = [(n, genfam.set_g(n)) for n in (2, 4, 6, 8)]
+    cases += [(n, genfam.set_j(n)) for n in range(1, 7)]
+    for n, gens in cases:
+        full = en.closure(n, gens)
+        for k in range(min(g.rank for g in gens) + 1):
+            floored = en.closure(n, gens, k)
+            assert floored.closed == (k == 0)
+            assert floored.elements == tuple(e for e in full if e.rank >= k)
+            for a in floored:
+                assert floored.word_for(a) == full.word_for(a)
+    ident, empty = PartialInjection.identity(4), PartialInjection.empty(4)
+    assert en.closure(4, [ident, empty], 1).elements == (ident,)
+
+
 def test_closure_stays_inside_if(table):
     rng = random.Random(10)
     elements = table(5).elements

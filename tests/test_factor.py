@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from fencemonoid import enumeration as en
 from fencemonoid import factor, fence, genfam, pinj
 from fencemonoid.factor import (
     BadIndicesError,
@@ -217,7 +218,7 @@ def test_factorize_rejects_non_if():
 
 
 def test_factorize_bfs_matches_table(table):
-    cl = factor._j_closure(4)
+    cl = factor._j_closure(4, 0)
     for g in cl.gens:
         assert factor.factorize_bfs(cl, g).letters == (g,)
     for a in table(4):
@@ -226,9 +227,34 @@ def test_factorize_bfs_matches_table(table):
 
 
 def test_factorize_bfs_eps2_length():
-    cl = genfam._g_closure(6)
+    cl = genfam._g_closure(6, 0)
     w = factor.factorize_bfs(cl, genfam.epsilon(6, 2))
     assert len(w) == 2
+
+
+def test_factorize_g_matches_full_closure_words(table):
+    # reference: each J letter expanded by its table word, or else by its
+    # word in the full, unfloored closure of set_g
+    for n in (2, 4, 6, 8):
+        full = en.closure(n, genfam.set_g(n))
+        lookup = genfam._g_spec_lookup(n)
+        expansions = {}  # letter -> (word letters, 1 if from the closure)
+
+        def expand(letter):
+            target = factor._resolve(letter, n)
+            if target not in expansions:
+                letters = genfam._table_word(n, target)
+                if letters is not None and factor.eval_word(Word(n, tuple(letters))) == target:
+                    expansions[target] = (tuple(letters), 0)
+                else:
+                    expansions[target] = (tuple(lookup[g] for g in full.word_for(target)), 1)
+            return expansions[target]
+
+        for a in table(n):
+            parts = [expand(l) for l in factor.factorize_j(a).letters]
+            w = factor.factorize_g(a)
+            assert w.text() == Word(n, sum((p[0] for p in parts), ())).text()
+            assert w.bfs_letters == sum(p[1] for p in parts)
 
 
 def test_factorize_g_table_case():

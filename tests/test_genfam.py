@@ -1,7 +1,10 @@
+import time
+
 import pytest
 
 from fencemonoid import enumeration as en
 from fencemonoid import factor, fence, genfam, pinj
+from fencemonoid.enumeration import TooLargeError
 from fencemonoid.genfam import BadIndexError, GeneratorSpec, OddAmbientError
 from fencemonoid.pinj import PartialInjection
 
@@ -189,6 +192,15 @@ def test_g_word_for_everything(table):
         for a in table(n):
             w = genfam.g_word_for(n, a)
             assert factor.eval_word(w) == a
+
+
+def test_g_word_for_low_rank_past_limit_fails_fast():
+    # a rank-0 target would need the whole closure of set_g(12), IF_12
+    genfam._g_closure.cache_clear()
+    t0 = time.perf_counter()
+    with pytest.raises(TooLargeError, match="1..10"):
+        genfam.g_word_for(12, PartialInjection.empty(12))
+    assert time.perf_counter() - t0 < 0.5
 
 
 def test_g_word_rejects_odd_n():
