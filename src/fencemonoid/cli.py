@@ -197,7 +197,7 @@ def _render_factorize(payload, out):
 def _verify_thm1(n):
     table = en.build(n, "IF")
     gens = genfam.set_j(n)
-    generated = len(en.closure(n, gens))
+    generated = len(en.closure(n, en.reduce_generators(gens)))
     ok = generated == len(table)
     return ok, {"size": len(table), "generators": len(gens), "generated": generated}
 

@@ -275,6 +275,32 @@ def closure(n: int, gens, min_rank: int = 0) -> SemigroupTable:
     )
 
 
+def reduce_generators(gens):
+    """A subset of ``gens`` that generates the same semigroup.
+
+    Going down the ranks present, a generator of rank r is dropped when
+    it lies in the closure of the generators kept at higher ranks,
+    floored at r.  By the prefix argument of :func:`closure`, that
+    floored closure holds exactly the rank >= r elements of the
+    semigroup the kept generators generate, so every dropped generator
+    is a product of kept ones, and by induction down the ranks the kept
+    set generates everything ``gens`` does.  Only literal products are
+    used and no fence fact is assumed, so a check over the result still
+    tests its claim.  Returns a canonically sorted list.  Use it where
+    only the generated set matters: :func:`closure` words are over the
+    declared generators.
+    """
+    gen_list = sorted(set(gens))
+    kept = []
+    for r in sorted({g.rank for g in gen_list}, reverse=True):
+        layer = [g for g in gen_list if g.rank == r]
+        if kept:
+            reached = closure(gen_list[0].n, kept, min_rank=r)
+            layer = [g for g in layer if g not in reached]
+        kept += layer
+    return sorted(kept)
+
+
 def principal_ideals(table: SemigroupTable, a: PartialInjection):
     """(Rset, Lset, Jset) under the S^1 convention.
 
@@ -308,12 +334,14 @@ def ideal_j_classes(table: SemigroupTable, gens):
 
     x and y are J-related iff each lies in the other's two-sided
     principal ideal, i.e. iff they are mutually reachable under one-step
-    left/right multiplication by elements of a generating set.  The
-    generating property is verified by closure before use, so nothing
-    beyond the definition of an ideal is assumed.  Returns the classes
-    as sorted element lists, ordered by least member.
+    left/right multiplication by elements of a generating set.  Any
+    generating set will do, so the graph is built over
+    :func:`reduce_generators` of ``gens``.  The generating property is
+    verified by closure before use, so nothing beyond the definition of
+    an ideal is assumed.  Returns the classes as sorted element lists,
+    ordered by least member.
     """
-    gens = _check_subset(table, gens)
+    gens = reduce_generators(_check_subset(table, gens))
     if len(closure(table.n, gens)) != len(table):
         raise ValueError("oracle generators do not generate the table")
     imgs = [e.img for e in table.elements]
@@ -389,11 +417,15 @@ def _check_subset(table, gens):
 
 
 def is_generating(table: SemigroupTable, gens) -> bool:
-    """True iff the closure of gens has the table's full size."""
+    """True iff the closure of gens has the table's full size.
+
+    The closure is taken over :func:`reduce_generators` of gens, which
+    generates the same set.
+    """
     gens = _check_subset(table, gens)
     if not gens:
         return False
-    return len(closure(table.n, gens)) == len(table)
+    return len(closure(table.n, reduce_generators(gens))) == len(table)
 
 
 def irreducibles(table: SemigroupTable):

@@ -278,6 +278,7 @@ def _table_word(n: int, target: PartialInjection):
     return None
 
 
+@functools.lru_cache(maxsize=4096)
 def g_word_for(n: int, target: PartialInjection):
     """A word over set_g evaluating to ``target``.
 
@@ -287,7 +288,8 @@ def g_word_for(n: int, target: PartialInjection):
     floored at ``min(target.rank, n-2)``: every prefix of the target's
     word has at least its rank, so the word is the one the full closure
     gives, and a letter of rank >= n-2 never enumerates IF_n.  The
-    returned word records which path produced it.
+    returned word records which path produced it.  Words are memoised
+    per (n, target); a :class:`Word` is frozen, so sharing one is safe.
     """
     from .factor import Word, eval_word
 

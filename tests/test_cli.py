@@ -132,6 +132,7 @@ def test_factorize_g_reaches_n32():
     # each run pays for its floored closure of set_g(n), 3,214 elements at n = 32
     for n in (12, 32):
         genfam._g_closure.cache_clear()
+        genfam.g_word_for.cache_clear()
         t0 = time.perf_counter()
         code, out, _ = run(
             "factorize", "--n", str(n),
@@ -181,6 +182,16 @@ def test_verify_structure_claims_reachable():
     result = json.loads(out)["result"]
     assert code == 0
     assert (result["regular"], result["pfi_size"], result["outside_if"]) == (2288, 6714, [])
+
+
+def test_verify_thm1_n10_is_fast():
+    # the closure runs over the reduced set_j(10), 21 of its 288 elements
+    t0 = time.perf_counter()
+    code, out, _ = run("verify", "--n", "10", "--claim", "thm1")
+    elapsed = time.perf_counter() - t0
+    assert code == 0
+    assert "generated 137412\n" in out and "generators 288\n" in out
+    assert elapsed < 15.0, f"{elapsed:.1f} s"
 
 
 def test_verify_parity_guards():

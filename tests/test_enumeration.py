@@ -256,12 +256,69 @@ def test_irreducibles_skip_empty_rank_bands(monkeypatch, table):
     tbl = en.closure(6, [PartialInjection.identity(6), PartialInjection.empty(6)])
     calls = []
     real = en.closure
-    monkeypatch.setattr(en, "closure", lambda *args: calls.append(args) or real(*args))
+
+    def spy(n, gens, min_rank=0):
+        # the unfloored closures are the generation checks; the floored
+        # ones come from reduce_generators
+        if min_rank == 0:
+            calls.append(gens)
+        return real(n, gens, min_rank)
+
+    monkeypatch.setattr(en, "closure", spy)
     assert en.irreducibles(tbl) == _irreducibles_full_scan(tbl)
     assert len(calls) == 1
     calls.clear()
     assert en.irreducibles(table(6)) == _irreducibles_full_scan(table(6))
     assert len(calls) == 1
+
+
+def _reduction_inputs(table):
+    """Generating sets to reduce: the rank >= n-2 and rank >= n-1 layers,
+    set_g, seeded random subsets and the low-rank closures."""
+    for n in range(1, 9):
+        yield genfam.set_j(n)
+        yield [e for e in table(n) if e.rank >= n - 1]
+    for n in (2, 4, 6, 8):
+        yield genfam.set_g(n)
+    rng = random.Random(2019)
+    for n in range(1, 7):
+        elements = table(n).elements
+        for _ in range(25):
+            yield rng.sample(elements, rng.randint(1, min(12, len(elements))))
+    for tbl in _low_rank_closures():
+        yield tbl.gens
+        yield tbl.elements
+
+
+def test_reduce_generators_generates_the_same_set(table):
+    # the plain closure over the unreduced set is the reference
+    checked = 0
+    for gens in _reduction_inputs(table):
+        n = gens[0].n
+        reduced = en.reduce_generators(gens)
+        assert set(reduced) <= set(gens)
+        assert set(en.closure(n, reduced)) == set(en.closure(n, gens))
+        checked += 1
+    assert checked >= 200
+    assert len(en.reduce_generators(genfam.set_j(8))) == 17
+
+
+def test_reduce_generators_keeps_top_rank_and_drops_products():
+    identity = PartialInjection.identity(4)
+    eps1, eps2 = genfam.epsilon(4, 1), genfam.epsilon(4, 2)
+    # eps1 * eps2 has rank 2 and is dropped; eps1 is no product of identity
+    assert en.reduce_generators([eps1 * eps2, eps2, eps1, eps2]) == sorted([eps1, eps2])
+    assert en.reduce_generators([eps1, identity]) == sorted([eps1, identity])
+    assert en.reduce_generators([]) == []
+
+
+def test_ideal_j_classes_match_unreduced_graph(monkeypatch, table):
+    for n in range(1, 8):
+        reduced = en.ideal_j_classes(table(n), genfam.set_j(n))
+        with monkeypatch.context() as m:
+            m.setattr(en, "reduce_generators", list)
+            unreduced = en.ideal_j_classes(table(n), genfam.set_j(n))
+        assert reduced == unreduced, n
 
 
 def test_regular_elements_match_full_scan(table):
@@ -317,6 +374,6 @@ def test_ideal_oracle_requires_generating_set(table):
 def test_semigroup_rank_descent_check(monkeypatch, table):
     # a closure that never generates makes the greedy result fail its check
     tbl = table(3)
-    monkeypatch.setattr(en, "closure", lambda n, gens: ())
+    monkeypatch.setattr(en, "closure", lambda n, gens, min_rank=0: ())
     with pytest.raises(RuntimeError, match="descent"):
         en.semigroup_rank(tbl)

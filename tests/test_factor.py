@@ -320,3 +320,34 @@ def test_shift_check_rejects_target_outside_semigroup(monkeypatch):
     monkeypatch.setattr(factor, "in_if", lambda a: False)
     with pytest.raises(factor.FactorizationError, match="leaves the semigroup"):
         factor.build_shift_word(8, "shift2k", 2, 2, 0)
+
+
+def test_step_leaving_semigroup_falls_back(monkeypatch):
+    # a step whose result leaves IF_n is caught by the BlockForm built
+    # from it next, and the element is factored by the counted fallback
+    n = 6
+    swap = pinj.make(n, {(1, 2), (2, 1), (3, 3), (4, 4), (5, 5), (6, 6)})
+    a = pinj.parse("n=6:[4>1 6>3]")
+    assert not fence.in_if(swap)
+
+    def leave(bf):
+        return Word(n, (swap,)), Word(n, ())
+
+    rejected = []
+    real = BlockForm.from_pinj
+
+    def from_pinj(elt):
+        try:
+            return real(elt)
+        except MalformedBlockFormError as exc:
+            rejected.append((elt, str(exc)))
+            raise
+
+    monkeypatch.setattr(factor, "align_first_block", leave)
+    monkeypatch.setattr(factor, "fix_first_block", leave)
+    monkeypatch.setattr(BlockForm, "from_pinj", from_pinj)
+    w = factor.factorize_j(a)
+    assert (w.provenance, w.fallback) == ("bfs-fallback", True)
+    assert factor.eval_word(w) == a
+    ((elt, message),) = rejected
+    assert not fence.in_if(elt) and "not in the semigroup" in message

@@ -197,6 +197,7 @@ def test_g_word_for_everything(table):
 def test_g_word_for_low_rank_past_limit_fails_fast():
     # a rank-0 target would need the whole closure of set_g(12), IF_12
     genfam._g_closure.cache_clear()
+    genfam.g_word_for.cache_clear()
     t0 = time.perf_counter()
     with pytest.raises(TooLargeError, match="1..10"):
         genfam.g_word_for(12, PartialInjection.empty(12))
