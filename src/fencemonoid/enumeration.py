@@ -428,29 +428,10 @@ def is_generating(table: SemigroupTable, gens) -> bool:
     return len(closure(table.n, reduce_generators(gens))) == len(table)
 
 
-def irreducibles(table: SemigroupTable):
-    """Elements that are not a product of two others.
-
-    Let T_k be the elements of rank >= k.  The scan takes the largest
-    k <= n-2 for which T_k generates the table, checked by closure (T_0
-    is the whole table and needs no check).  After a failed check it
-    steps down to the next rank present below k, or to 0, since T_j is
-    T_k for every j in between.  Every element of rank < k
-    is then a product of two others: in a word over T_k for it, the first
-    prefix equal to it is longer than one letter, so it is that prefix
-    without its last letter times the letter, and neither factor is the
-    element.  Since rank(ab) <= min(rank a, rank b), an element of rank
-    r >= k is a product of two others only through factors of rank >= r,
-    so products of pairs in T_k decide it.  Valid only because the table
-    is closed.  Returns a canonically sorted tuple.
-    """
-    if not table.closed:
-        raise ValueError("irreducibles are only meaningful for a closed table")
-    n = table.n
-    k = max(n - 2, 0)
-    while k > 0 and not is_generating(table, [e for e in table.elements if e.rank >= k]):
-        k = max((e.rank for e in table.elements if e.rank < k), default=0)
-    top = [e.img for e in table.elements if e.rank >= k]
+def _irreducibles_within(layer):
+    """The elements of ``layer`` that are not a product of two other
+    elements of ``layer``, in ``layer``'s order."""
+    top = [e.img for e in layer]
     padded_top = [(0,) + b for b in top]
     reducible = set()
     for a in top:
@@ -459,7 +440,53 @@ def irreducibles(table: SemigroupTable):
         row = set(itertools.compress(products, map(ne, products, top)))
         row.discard(a)
         reducible |= row
-    return tuple(PartialInjection(n, img) for img in top if img not in reducible)
+    return tuple(e for e in layer if e.img not in reducible)
+
+
+def _irreducible_scan(table: SemigroupTable, need_generation: bool):
+    """(irreducibles, whether they generate the table).
+
+    Let T_k be the elements of rank >= k.  Since rank(ab) <= min(rank a,
+    rank b), an element of rank r >= k is a product of two others only
+    through factors of rank >= r, so products of pairs in T_k decide
+    which elements of T_k are irreducible, whether or not T_k generates.
+    If T_k generates the table, every element of rank < k is a product
+    of two others: in a word over T_k for it, the first prefix equal to
+    it is longer than one letter, so it is that prefix without its last
+    letter times the letter, and neither factor is the element.  The
+    scan then holds all the irreducibles.
+
+    Starting from k = n-2, the scan of T_k comes first and its
+    irreducibles are tested for generation, checked by closure.  If they
+    generate, so does T_k, which contains them, and no closure of T_k is
+    needed.  Otherwise T_k itself is checked, unless it equals its
+    irreducibles; if it fails too, k steps down to the next rank present
+    below k, or to 0, since T_j is T_k for every j in between.  T_0 is
+    the whole table and needs no check; there the generation of the
+    irreducibles is decided by one closure when ``need_generation`` is
+    set and is None otherwise.  Valid only because the table is closed.
+    """
+    if not table.closed:
+        raise ValueError("irreducibles are only meaningful for a closed table")
+    n = table.n
+    k = max(n - 2, 0)
+    while True:
+        layer = [e for e in table.elements if e.rank >= k]
+        irr = _irreducibles_within(layer)
+        if k == 0:
+            return irr, is_generating(table, irr) if need_generation else None
+        if is_generating(table, irr):
+            return irr, True
+        if len(irr) < len(layer) and is_generating(table, layer):
+            return irr, False
+        k = max((e.rank for e in table.elements if e.rank < k), default=0)
+
+
+def irreducibles(table: SemigroupTable):
+    """Elements that are not a product of two others, as a canonically
+    sorted tuple; see :func:`_irreducible_scan` for the rank-stratified
+    scan."""
+    return _irreducible_scan(table, need_generation=False)[0]
 
 
 def least_generating_set(table: SemigroupTable):
@@ -469,8 +496,8 @@ def least_generating_set(table: SemigroupTable):
     the least one exactly when they generate; otherwise no generating
     set can be contained in all others.
     """
-    irr = irreducibles(table)
-    return irr if is_generating(table, irr) else None
+    irr, generates = _irreducible_scan(table, need_generation=True)
+    return irr if generates else None
 
 
 def semigroup_rank(table: SemigroupTable):
@@ -481,8 +508,8 @@ def semigroup_rank(table: SemigroupTable):
     descent: starting from the whole table, repeatedly drop the
     largest-key element whose removal keeps generation.
     """
-    irr = irreducibles(table)
-    if is_generating(table, irr):
+    irr, generates = _irreducible_scan(table, need_generation=True)
+    if generates:
         return ("exact", len(irr))
     lo = len(irr)
     target = len(table)

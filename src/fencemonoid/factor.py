@@ -21,7 +21,7 @@ from . import genfam, greens
 from .enumeration import closure, require_floor_within_limit
 from .fence import in_if, require_if
 from .genfam import GeneratorSpec, OddAmbientError
-from .pinj import OutOfRangeError, PartialInjection
+from .pinj import OutOfRangeError, PartialInjection, SizeMismatchError, multiplier
 
 
 class BadIndicesError(ValueError):
@@ -97,10 +97,19 @@ class Word:
 
 
 def eval_word(word: Word) -> PartialInjection:
-    result = PartialInjection.identity(word.n)
+    """The product of the letters, folded over img tuples with the
+    :func:`~fencemonoid.pinj.multiplier` kernel; one element is built at
+    the end.  An explicit letter of another ambient size raises
+    :class:`SizeMismatchError`, as the element product does."""
+    n = word.n
+    acc = tuple(range(1, n + 1))
+    named = genfam.named
     for letter in word.letters:
-        result = result * _resolve(letter, word.n)
-    return result
+        elt = named(n, letter) if isinstance(letter, GeneratorSpec) else letter
+        if elt.n != n:
+            raise SizeMismatchError(f"ambient sizes differ: {n} != {elt.n}")
+        acc = multiplier(acc)((0,) + elt.img)
+    return PartialInjection(n, acc)
 
 
 def parse_word(text: str) -> Word:
@@ -144,8 +153,13 @@ def _rev_elt(n: int, m: int, p: int) -> PartialInjection:
     return PartialInjection(n, tuple(img))
 
 
+@functools.lru_cache(maxsize=4096)
 def build_reversal(n: int, m: int, p: int):
-    """The in-place interval reversal: a single rank >= n-2 letter, self-inverse."""
+    """The in-place interval reversal: a single rank >= n-2 letter, self-inverse.
+
+    A pure function of (n, m, p), memoised, so its membership and rank
+    checks run once per distinct reversal; bad indices are not cached
+    and raise on every call."""
     if m < 1 or p < 0 or m + p > n:
         raise BadIndicesError(f"need 1 <= m, 0 <= p, m+p <= n; got m={m}, p={p}, n={n}")
     if p % 2:

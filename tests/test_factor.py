@@ -12,7 +12,81 @@ from fencemonoid.factor import (
     Word,
 )
 from fencemonoid.genfam import GeneratorSpec
-from fencemonoid.pinj import PartialInjection
+from fencemonoid.pinj import PartialInjection, SizeMismatchError
+
+
+def _image_directions(start, length, t):
+    """Directions (False ascending) in which the domain run of ``length``
+    points at ``start`` may map onto the interval from ``t``: a run of two
+    or more points keeps every point's parity."""
+    if length == 1:
+        return (False,)
+    if length % 2 == 0:
+        return ((t - start) % 2 == 1,)
+    return (False, True) if (t - start) % 2 == 0 else ()
+
+
+def _runs_fit(runs, t, n):
+    """Whether the runs can be laid out in this order from ``t`` on, each
+    image interval one point clear of the previous."""
+    for start, length in runs:
+        if not _image_directions(start, length, t):
+            t += 1
+        if t + length - 1 > n:
+            return False
+        t += length + 1
+    return True
+
+
+def _random_if(rng, n):
+    """A seeded element of IF_n by random block placement: a uniform rank
+    and domain, the domain runs in a random order that fits (else in
+    domain order, which always fits), each onto a random interval that
+    leaves room for the rest."""
+    runs = []
+    for x in sorted(rng.sample(range(1, n + 1), rng.randint(0, n))):
+        if runs and runs[-1][0] + runs[-1][1] == x:
+            runs[-1][1] += 1
+        else:
+            runs.append([x, 1])
+    order = rng.sample(runs, len(runs))
+    if not _runs_fit(order, 1, n):
+        order = runs
+    img = [0] * n
+    lo = 1
+    for bi, (start, length) in enumerate(order):
+        t = rng.choice([
+            t for t in range(lo, n - length + 2)
+            if _image_directions(start, length, t) and _runs_fit(order[bi + 1 :], t + length + 1, n)
+        ])
+        desc = rng.choice(_image_directions(start, length, t))
+        for r in range(length):
+            img[start + r - 1] = t + length - 1 - r if desc else t + r
+        lo = t + length + 1
+    a = PartialInjection(n, tuple(img))
+    assert fence.in_if(a)
+    return a
+
+
+def _seeded_elements(seed, n, count):
+    rng = random.Random(seed)
+    return [_random_if(rng, n) for _ in range(count)]
+
+
+def _eval_word_by_objects(word):
+    """The element-by-element fold: the oracle for the img-tuple fold of
+    :func:`factor.eval_word`."""
+    result = PartialInjection.identity(word.n)
+    for letter in word.letters:
+        result = result * factor._resolve(letter, word.n)
+    return result
+
+
+def _clear_caches():
+    for mod in (factor, genfam):
+        for value in vars(mod).values():
+            if hasattr(value, "cache_clear"):
+                value.cache_clear()
 
 
 def test_reversal_example():
@@ -107,6 +181,32 @@ def test_eval_word_empty_is_identity():
 def test_eval_word_resolves_specs():
     w = Word(6, (GeneratorSpec("sig1"), GeneratorSpec("sig2")))
     assert factor.eval_word(w) == genfam.epsilon(6, 2)
+
+
+def test_eval_word_matches_object_fold(table):
+    def check(word):
+        got = factor.eval_word(word)
+        assert type(got) is PartialInjection and got.n == word.n
+        assert got == _eval_word_by_objects(word)
+        return got
+
+    for n in range(1, 8):
+        for a in table(n):
+            assert check(factor.factorize_j(a)) == a
+            if n % 2 == 0:
+                assert check(factor.factorize_g(a)) == a
+    for n in (16, 32):
+        for a in _seeded_elements(n, n, 200):
+            assert check(factor.factorize_j(a)) == a
+            w = factor.factorize_g(a)
+            assert check(w) == a and check(w.inverse()) == a.inverse()
+
+
+def test_eval_word_rejects_letter_of_other_size():
+    with pytest.raises(SizeMismatchError):
+        factor.eval_word(Word(6, (PartialInjection.identity(8),)))
+    with pytest.raises(SizeMismatchError):
+        _eval_word_by_objects(Word(6, (PartialInjection.identity(8),)))
 
 
 def test_word_text_parse_roundtrip():
@@ -310,16 +410,25 @@ def test_far_block_alignment_cases():
 
 
 def test_reversal_check_rejects_low_rank(monkeypatch):
+    # a reversal memoised by an earlier call would hide the patch
+    factor.build_reversal.cache_clear()
     monkeypatch.setattr(factor, "_rev_elt", lambda n, m, p: PartialInjection.empty(n))
-    with pytest.raises(factor.FactorizationError, match="high-rank"):
-        factor.build_reversal(6, 2, 2)
+    try:
+        with pytest.raises(factor.FactorizationError, match="high-rank"):
+            factor.build_reversal(6, 2, 2)
+    finally:
+        factor.build_reversal.cache_clear()
 
 
 def test_shift_check_rejects_target_outside_semigroup(monkeypatch):
     # shift2k with k=0 uses no reversal, so only the final membership check sees this
+    factor.build_reversal.cache_clear()
     monkeypatch.setattr(factor, "in_if", lambda a: False)
-    with pytest.raises(factor.FactorizationError, match="leaves the semigroup"):
-        factor.build_shift_word(8, "shift2k", 2, 2, 0)
+    try:
+        with pytest.raises(factor.FactorizationError, match="leaves the semigroup"):
+            factor.build_shift_word(8, "shift2k", 2, 2, 0)
+    finally:
+        factor.build_reversal.cache_clear()
 
 
 def test_step_leaving_semigroup_falls_back(monkeypatch):
@@ -351,3 +460,39 @@ def test_step_leaving_semigroup_falls_back(monkeypatch):
     assert factor.eval_word(w) == a
     ((elt, message),) = rejected
     assert not fence.in_if(elt) and "not in the semigroup" in message
+
+
+def test_cold_and_warm_caches_agree(table):
+    # memoised moves and words must not change any answer: each call made
+    # with every factor/genfam cache cleared first, then again warm
+    def answers(a, clear):
+        clear()
+        j = factor.factorize_j(a)
+        out = (j.text(), j.provenance, j.fallback)
+        if a.n % 2 == 0:
+            clear()
+            g = factor.factorize_g(a)
+            out += (g.text(), g.bfs_letters)
+        return out
+
+    elements = [a for n in range(1, 7) for a in table(n)]
+    elements += _seeded_elements(320, 32, 100)
+    cold = [answers(a, _clear_caches) for a in elements]
+    assert [answers(a, lambda: None) for a in elements] == cold
+
+
+def test_bad_moves_raise_on_every_call():
+    # lru_cache does not cache exceptions, so every repeat is checked again
+    bad = [
+        (BadIndicesError, factor.build_reversal, (6, 4, 4)),
+        (BadIndicesError, factor.build_reversal, (6, 2, 3)),
+        (BadIndicesError, factor.build_shift_word, (6, "shift2k", 3, 2, 2)),
+        (KindMismatchError, factor.build_shift_word, (8, "revshift", 1, 2)),
+        (KindMismatchError, factor.build_shift_word, (8, "revshifteven", 1, 1, 1)),
+        (KindMismatchError, factor.build_shift_word, (8, "twist", 1, 1, 1)),
+    ]
+    for _ in range(3):
+        factor.build_reversal(6, 2, 2)
+        for error, func, args in bad:
+            with pytest.raises(error):
+                func(*args)
