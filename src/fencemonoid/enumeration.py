@@ -2,15 +2,16 @@
 
 Builds the full symmetric inverse monoid on {1..n} (or its one-way /
 two-way fence-preserving subsemigroups), each up to its own size limit
-in :data:`MAX_N`, and computes generated closures with one shortest
-discovery word per element, principal ideals, irreducible elements,
-least generating sets and semigroup rank.  All outputs are canonically
-sorted, so results are byte-identical across runs.
+in :data:`MAX_N`, and computes principal ideals, irreducible elements,
+least generating sets and semigroup rank.  One product-saturation loop,
+:func:`saturate`, gives the set a generating set generates; the
+generation checks read only that set, and :func:`closure` wraps it in a
+table with one shortest discovery word per element.  All outputs are
+canonically sorted, so results are byte-identical across runs.
 """
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 import math
 from array import array
@@ -45,14 +46,13 @@ class SemigroupTable:
     via :meth:`word_for`.
     """
 
-    def __init__(self, n, elements, closed, kind="", gens=None, parents=None):
+    def __init__(self, n, elements, closed, gens=None, parents=None):
         self.n = n
         self.elements = tuple(elements)
         self.index = {e.img: i for i, e in enumerate(self.elements)}
         self.closed = closed
-        self.kind = kind
         self.gens = tuple(gens) if gens is not None else None
-        # parents[i] = (parent_position, generator_position) or None for seeds
+        # img -> (parent img or None, generator position), as saturate returns
         self._parents = parents
 
     def __len__(self):
@@ -74,14 +74,11 @@ class SemigroupTable:
         """Shortest discovery word for an element, as generator letters."""
         if self._parents is None or self.gens is None:
             raise ValueError("table was not built by closure; no words recorded")
-        pos = self.position(elt)
-        letters = []
-        while True:
-            parent, gen = self._parents[pos]
+        self.position(elt)
+        img, letters = elt.img, []
+        while img is not None:
+            img, gen = self._parents[img]
             letters.append(self.gens[gen])
-            if parent is None:
-                break
-            pos = parent
         letters.reverse()
         return letters
 
@@ -196,9 +193,7 @@ def build(n: int, which: str = "IF") -> SemigroupTable:
     else:
         imgs = place_blocks(n, _domains(n), two_way=which == "IF")
     imgs.sort()
-    return SemigroupTable(
-        n, [PartialInjection(n, img) for img in imgs], closed=True, kind=which
-    )
+    return SemigroupTable(n, [PartialInjection(n, img) for img in imgs], closed=True)
 
 
 def require_floor_within_limit(n: int, min_rank: int) -> None:
@@ -211,67 +206,62 @@ def require_floor_within_limit(n: int, min_rank: int) -> None:
         )
 
 
-def closure(n: int, gens, min_rank: int = 0) -> SemigroupTable:
-    """Generated closure with one shortest discovery word per element.
+def saturate(n: int, gens, min_rank: int = 0) -> dict:
+    """The set ``gens`` generates, as img -> (parent img or None,
+    generator position) in discovery order.
 
     Frontier-based product saturation: each round multiplies the frontier
-    (in canonical key order) by every generator (same order), so ties
-    between equal-length words resolve by the key of the left factor and
-    the result is deterministic.
+    (in canonical key order) by every generator (canonically sorted, as
+    the positions count them), so ties between equal-length words resolve
+    by the key of the left factor and the result is deterministic.
 
     With ``min_rank > 0`` every generator and product of rank below the
-    floor is dropped, and the table is not closed.  Because
-    ``rank(x*g) <= rank(x)``, every prefix of a word for an element of
-    rank ``r >= min_rank`` has rank ``>= r``: the floored frontiers are
-    subsequences of the full ones, in the same order, so each element
-    kept has the same discovery word as in the full closure.
+    floor is dropped.  Because ``rank(x*g) <= rank(x)``, every prefix of
+    a word for an element of rank ``r >= min_rank`` has rank ``>= r``:
+    the floored frontiers are subsequences of the full ones, in the same
+    order, so each element kept has the same parent as in the full
+    saturation.
     """
-    gen_list = sorted({g for g in gens})
+    gen_list = sorted(set(gens))
     if not gen_list:
         raise ValueError("need at least one generator")
     for g in gen_list:
         if g.n != n:
             raise ValueError(f"generator {g.encode()} has ambient size {g.n}, expected {n}")
 
-    gen_imgs = [g.img for g in gen_list]
-    padded_gens = [(0,) + b for b in gen_imgs]
+    padded_gens = [(0,) + g.img for g in gen_list]
     max_zeros = n - min_rank
-    found: dict[tuple, int] = {}
-    order: list[tuple] = []
-    parents: list[tuple] = []
-    for gi, img in enumerate(gen_imgs):
-        if img not in found and img.count(0) <= max_zeros:
-            found[img] = len(order)
-            order.append(img)
-            parents.append((None, gi))
-    frontier = sorted(found.values(), key=lambda i: order[i])
+    parents = {
+        g.img: (None, gi) for gi, g in enumerate(gen_list) if g.img.count(0) <= max_zeros
+    }
+    frontier = sorted(parents)
     while frontier:
         new = []
-        for pos in frontier:
-            for gi, p in enumerate(map(multiplier(order[pos]), padded_gens)):
-                if p not in found and p.count(0) <= max_zeros:
-                    found[p] = len(order)
-                    order.append(p)
-                    parents.append((pos, gi))
-                    new.append(found[p])
-        frontier = sorted(new, key=lambda i: order[i])
+        for x in frontier:
+            for gi, p in enumerate(map(multiplier(x), padded_gens)):
+                if p not in parents and p.count(0) <= max_zeros:
+                    parents[p] = (x, gi)
+                    new.append(p)
+        frontier = sorted(new)
+    return parents
 
-    ranked = sorted(range(len(order)), key=lambda i: order[i])
-    remap = {old: new for new, old in enumerate(ranked)}
-    elements = [PartialInjection(n, order[i]) for i in ranked]
-    new_parents = [None] * len(order)
-    for old, (par, gi) in enumerate(parents):
-        new_parents[remap[old]] = (remap[par] if par is not None else None, gi)
-    digest = hashlib.sha256(
-        "\n".join(e.encode() for e in gen_list).encode()
-    ).hexdigest()[:12]
+
+def closure(n: int, gens, min_rank: int = 0) -> SemigroupTable:
+    """Generated closure with one shortest discovery word per element.
+
+    The table of :func:`saturate`: each element's word follows its
+    parents back to a generator.  With ``min_rank > 0`` the table is not
+    closed, and each element kept has the same word as in the full
+    closure.  A check that needs only the generated set should call
+    :func:`saturate`.
+    """
+    parents = saturate(n, gens, min_rank)
     return SemigroupTable(
         n,
-        elements,
+        [PartialInjection(n, img) for img in sorted(parents)],
         closed=min_rank <= 0,
-        kind=f"closure:{digest}",
-        gens=gen_list,
-        parents=new_parents,
+        gens=sorted(set(gens)),
+        parents=parents,
     )
 
 
@@ -280,7 +270,7 @@ def reduce_generators(gens):
 
     Going down the ranks present, a generator of rank r is dropped when
     it lies in the closure of the generators kept at higher ranks,
-    floored at r.  By the prefix argument of :func:`closure`, that
+    floored at r.  By the prefix argument of :func:`saturate`, that
     floored closure holds exactly the rank >= r elements of the
     semigroup the kept generators generate, so every dropped generator
     is a product of kept ones, and by induction down the ranks the kept
@@ -295,8 +285,8 @@ def reduce_generators(gens):
     for r in sorted({g.rank for g in gen_list}, reverse=True):
         layer = [g for g in gen_list if g.rank == r]
         if kept:
-            reached = closure(gen_list[0].n, kept, min_rank=r)
-            layer = [g for g in layer if g not in reached]
+            reached = saturate(gen_list[0].n, kept, min_rank=r)
+            layer = [g for g in layer if g.img not in reached]
         kept += layer
     return sorted(kept)
 
@@ -337,12 +327,12 @@ def ideal_j_classes(table: SemigroupTable, gens):
     left/right multiplication by elements of a generating set.  Any
     generating set will do, so the graph is built over
     :func:`reduce_generators` of ``gens``.  The generating property is
-    verified by closure before use, so nothing beyond the definition of
+    verified by saturation before use, so nothing beyond the definition of
     an ideal is assumed.  Returns the classes as sorted element lists,
     ordered by least member.
     """
     gens = reduce_generators(_check_subset(table, gens))
-    if len(closure(table.n, gens)) != len(table):
+    if len(saturate(table.n, gens)) != len(table):
         raise ValueError("oracle generators do not generate the table")
     imgs = [e.img for e in table.elements]
     index = table.index
@@ -417,15 +407,15 @@ def _check_subset(table, gens):
 
 
 def is_generating(table: SemigroupTable, gens) -> bool:
-    """True iff the closure of gens has the table's full size.
+    """True iff the set gens generates has the table's full size.
 
-    The closure is taken over :func:`reduce_generators` of gens, which
+    It is saturated from :func:`reduce_generators` of gens, which
     generates the same set.
     """
     gens = _check_subset(table, gens)
     if not gens:
         return False
-    return len(closure(table.n, reduce_generators(gens))) == len(table)
+    return len(saturate(table.n, reduce_generators(gens))) == len(table)
 
 
 def _irreducibles_within(layer):
@@ -516,9 +506,9 @@ def semigroup_rank(table: SemigroupTable):
     current = set(table.elements)
     for g in sorted(current, key=lambda e: e.key, reverse=True):
         trial = current - {g}
-        if trial and len(closure(table.n, trial)) == target:
+        if trial and len(saturate(table.n, trial)) == target:
             current = trial
-    if len(closure(table.n, current)) != target:
+    if len(saturate(table.n, current)) != target:
         raise RuntimeError("greedy descent lost generation")
     return ("bounds", lo, len(current))
 

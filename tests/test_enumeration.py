@@ -1,9 +1,11 @@
+import contextlib
+import io
 import random
 
 import pytest
 
 from fencemonoid import enumeration as en
-from fencemonoid import fence, genfam, pinj
+from fencemonoid import cli, factor, fence, genfam, greens, pinj
 from fencemonoid.enumeration import (
     NotMemberError,
     NotSubsetError,
@@ -122,6 +124,7 @@ def test_floored_closure_words_match_full():
             floored = en.closure(n, gens, k)
             assert floored.closed == (k == 0)
             assert floored.elements == tuple(e for e in full if e.rank >= k)
+            assert en.saturate(n, gens, k).keys() == {e.img for e in floored}
             for a in floored:
                 assert floored.word_for(a) == full.word_for(a)
     ident, empty = PartialInjection.identity(4), PartialInjection.empty(4)
@@ -255,16 +258,16 @@ def test_irreducibles_skip_empty_rank_bands(monkeypatch, table):
     # so {identity, empty map} at n = 6 needs one closure, not four
     tbl = en.closure(6, [PartialInjection.identity(6), PartialInjection.empty(6)])
     calls = []
-    real = en.closure
+    real = en.saturate
 
     def spy(n, gens, min_rank=0):
-        # the unfloored closures are the generation checks; the floored
+        # the unfloored saturations are the generation checks; the floored
         # ones come from reduce_generators
         if min_rank == 0:
             calls.append(gens)
         return real(n, gens, min_rank)
 
-    monkeypatch.setattr(en, "closure", spy)
+    monkeypatch.setattr(en, "saturate", spy)
     assert en.irreducibles(tbl) == _irreducibles_full_scan(tbl)
     assert len(calls) == 1
     calls.clear()
@@ -371,9 +374,40 @@ def test_ideal_oracle_requires_generating_set(table):
         en.ideal_j_classes(table(3), [PartialInjection.identity(3)])
 
 
+def _cli_out(*argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(list(argv))
+    return code, out.getvalue()
+
+
+def test_generation_checks_record_no_words(monkeypatch, table):
+    # a generation check reads only the generated set, so none of them
+    # builds a closure table with its words
+    tbl, set_j, set_g = table(6), genfam.set_j(6), genfam.set_g(6)
+    argvs = [("verify", "--n", "6", "--claim", claim) for claim in ("thm1", "thm2")]
+    expected = [_cli_out(*argv) for argv in argvs]
+    assert [code for code, _ in expected] == [0, 0]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a generation check built a closure table")
+
+    for mod in (en, genfam, factor):
+        monkeypatch.setattr(mod, "closure", refuse)
+    assert en.is_generating(tbl, set_j)
+    assert not en.is_generating(tbl, [PartialInjection.identity(6)])
+    reduced = en.reduce_generators(set_j)
+    assert set(reduced) <= set(set_j) and len(reduced) < len(set_j)
+    assert en.is_generating(tbl, reduced)
+    assert set(en.least_generating_set(tbl)) == set(set_g)
+    assert en.semigroup_rank(tbl) == ("exact", 7)
+    assert en.ideal_j_classes(tbl, set_j) == greens.j_classes(tbl)
+    assert [_cli_out(*argv) for argv in argvs] == expected
+
+
 def test_semigroup_rank_descent_check(monkeypatch, table):
-    # a closure that never generates makes the greedy result fail its check
+    # a saturation that never generates makes the greedy result fail its check
     tbl = table(3)
-    monkeypatch.setattr(en, "closure", lambda n, gens, min_rank=0: ())
+    monkeypatch.setattr(en, "saturate", lambda n, gens, min_rank=0: {})
     with pytest.raises(RuntimeError, match="descent"):
         en.semigroup_rank(tbl)

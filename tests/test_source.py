@@ -1,9 +1,14 @@
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import fencemonoid
 
 SRC = Path(fencemonoid.__file__).parent
+BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
 
 
 def test_no_assert_statements_in_src():
@@ -51,3 +56,29 @@ def test_no_unbounded_caches_in_src():
         for line in _unbounded_caches(path.read_text(), str(path))
     ]
     assert found == []
+
+
+# installs the traced benchmark's wrappers on freshly imported modules, as
+# a traced pass does, and prints the metrics it could not wrap
+_TRACED_METRICS = """
+import importlib, json
+import passrun, tracing
+package = importlib.import_module("fencemonoid")
+mods = {name: importlib.import_module("fencemonoid." + name) for name in passrun.MODULES}
+tracer = tracing.Tracer()
+tracing.install(tracer, package, mods)
+reported = tracing.layer_metrics(tracer)
+print(json.dumps([m[0] for m in tracing.METRICS if m[0] not in reported]))
+"""
+
+
+def test_traced_benchmark_reports_every_layer_metric():
+    # the traced run drops, without failing, every metric whose symbols it
+    # cannot wrap, such as a ``closure`` no longer bound by name in genfam
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(BENCHMARKS), str(SRC.parent)]))
+    proc = subprocess.run(
+        [sys.executable, "-B", "-c", _TRACED_METRICS],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == []
