@@ -245,13 +245,16 @@ def _verify_jcrit(n):
     table = en.build(n, "IF")
     crit = greens.j_classes(table)
     if n <= 5:
-        # literal oracle: one two-sided principal ideal per element
-        jsets = {a: en.principal_ideals(table, a)[2] for a in table}
-        invariants = {a: greens.j_invariant(a) for a in table}
-        for a in table:
-            for b in table:
-                criterion = invariants[a] == invariants[b]
-                oracle = b in jsets[a] and a in jsets[b]
+        # literal oracle: every two-sided principal ideal, from one bulk pass
+        _, _, jsets = en.principal_ideals(table)
+        fiber = [0] * len(table)
+        for c, cls in enumerate(crit):
+            for a in cls:
+                fiber[table.position(a)] = c
+        for i, a in enumerate(table.elements):
+            for j, b in enumerate(table.elements):
+                criterion = fiber[i] == fiber[j]
+                oracle = (jsets[i] >> j) & (jsets[j] >> i) & 1 == 1
                 if criterion != oracle:
                     return False, {
                         "counterexample": [a.encode(), b.encode()],

@@ -6,8 +6,12 @@ in :data:`MAX_N`, and computes principal ideals, irreducible elements,
 least generating sets and semigroup rank.  One product-saturation loop,
 :func:`saturate`, gives the set a generating set generates; the
 generation checks read only that set, and :func:`closure` wraps it in a
-table with one shortest discovery word per element.  All outputs are
-canonically sorted, so results are byte-identical across runs.
+table with one shortest discovery word per element.  The J-class
+oracles work on table positions: :func:`principal_ideals` gives every
+principal ideal as a bitmask from one pass over the products, and
+:func:`ideal_j_classes` builds only the rank-keeping edges of its
+Cayley graph.  All outputs are canonically sorted, so results are
+byte-identical across runs.
 """
 
 from __future__ import annotations
@@ -15,7 +19,8 @@ from __future__ import annotations
 import itertools
 import math
 from array import array
-from operator import ne
+from functools import reduce
+from operator import ne, or_
 
 from .fence import in_if, in_pfi
 from .greens import blocks
@@ -291,62 +296,37 @@ def reduce_generators(gens):
     return sorted(kept)
 
 
-def principal_ideals(table: SemigroupTable, a: PartialInjection):
-    """(Rset, Lset, Jset) under the S^1 convention.
+def principal_ideals(table: SemigroupTable):
+    """Every principal ideal of a closed table under the S^1 convention.
 
-    Rset = {a} + aS, Lset = {a} + Sa, Jset additionally includes SaS,
-    computed literally as (Sa)S by products over the table.
+    Returns ``(right, left, two_sided)``: three tuples indexed by table
+    position, of int bitmasks over positions.  ``right[i]`` is bit i plus
+    ``i*s`` for every s in the table, ``left[i]`` is bit i plus ``s*i``,
+    and ``two_sided[i]`` is the OR of ``right[j]`` over every j in
+    ``left[i]``: for a at position i, the set {a} + aS + Sa + (Sa)S.
+    One bulk pass forms each of the |S|^2 literal products once, as the
+    rows of the multiplication table: row i gives ``right[i]`` and
+    column j gives ``left[j]``.
     """
     if not table.closed:
         raise ValueError("principal ideals need a closed table")
-    table.position(a)
     imgs = [e.img for e in table.elements]
     padded = [(0,) + b for b in imgs]
-    ai = a.img
-    padded_a = (0,) + ai
-
-    right = set(map(multiplier(ai), padded))
-    left = {multiplier(s)(padded_a) for s in imgs}
-    two_sided = right | left
-    for y in left:
-        two_sided.update(map(multiplier(y), padded))
-    right.add(ai)
-    left.add(ai)
-    two_sided.add(ai)
-
-    n = table.n
-    wrap = lambda S: frozenset(PartialInjection(n, img) for img in S)
-    return wrap(right), wrap(left), wrap(two_sided)
+    position = table.index.__getitem__
+    rows = [tuple(map(position, map(multiplier(a), padded))) for a in imgs]
+    bits = [1 << i for i in range(len(imgs))]
+    right_members = [set(row) | {i} for i, row in enumerate(rows)]
+    left_members = [set(col) | {j} for j, col in enumerate(zip(*rows))]
+    right = tuple(sum(map(bits.__getitem__, found)) for found in right_members)
+    left = tuple(sum(map(bits.__getitem__, found)) for found in left_members)
+    two_sided = tuple(reduce(or_, map(right.__getitem__, found)) for found in left_members)
+    return right, left, two_sided
 
 
-def ideal_j_classes(table: SemigroupTable, gens):
-    """J-class partition from two-sided ideal reachability.
-
-    x and y are J-related iff each lies in the other's two-sided
-    principal ideal, i.e. iff they are mutually reachable under one-step
-    left/right multiplication by elements of a generating set.  Any
-    generating set will do, so the graph is built over
-    :func:`reduce_generators` of ``gens``.  The generating property is
-    verified by saturation before use, so nothing beyond the definition of
-    an ideal is assumed.  Returns the classes as sorted element lists,
-    ordered by least member.
-    """
-    gens = reduce_generators(_check_subset(table, gens))
-    if len(saturate(table.n, gens)) != len(table):
-        raise ValueError("oracle generators do not generate the table")
-    imgs = [e.img for e in table.elements]
-    index = table.index
-    gen_muls = [multiplier(g.img) for g in gens]
-    padded_gens = [(0,) + g.img for g in gens]
-    succ: list[array] = []  # 4-byte entries: the rows hold about |S| * 2|gens| edges
-    for a in imgs:
-        padded_a = (0,) + a
-        row = {index[p] for p in map(multiplier(a), padded_gens)}
-        row.update(index[mul(padded_a)] for mul in gen_muls)
-        succ.append(array("i", sorted(row)))
-
-    # iterative Tarjan SCC
-    n_nodes = len(imgs)
+def _strong_components(succ) -> list[int]:
+    """Component number of each node of the graph ``succ`` (node ->
+    successor list), by iterative Tarjan."""
+    n_nodes = len(succ)
     disc = [-1] * n_nodes
     low = [0] * n_nodes
     on_stack = [False] * n_nodes
@@ -389,9 +369,56 @@ def ideal_j_classes(table: SemigroupTable, gens):
             if work:
                 u, _ = work[-1]
                 low[u] = min(low[u], low[v])
+    return comp
 
+
+def _rank_keeping_rows(table: SemigroupTable, gens) -> list[array]:
+    """Successor rows of the two-sided Cayley graph over ``gens``, by
+    table position, holding only the edges that keep rank.
+
+    ``x*g`` keeps x's rank iff im x is inside dom g, and ``g*x`` iff
+    dom x is inside im g; both are tested on bitmasks before the product
+    is formed, so no rank-lowering product is computed.
+    """
+    index = table.index
+    right_gens: dict[int, list] = {}  # im x -> padded g with im x inside dom g
+    left_muls: dict[int, list] = {}  # dom x -> multiplier(g) with dom x inside im g
+    succ: list[array] = []  # 4-byte entries: the rows hold up to |S| * 2|gens| edges
+    for x in table.elements:
+        im, dom = x.im_mask(), x.dom_mask()
+        if im not in right_gens:
+            right_gens[im] = [(0,) + g.img for g in gens if not im & ~g.dom_mask()]
+        if dom not in left_muls:
+            left_muls[dom] = [multiplier(g.img) for g in gens if not dom & ~g.im_mask()]
+        padded_x = (0,) + x.img
+        row = {index[p] for p in map(multiplier(x.img), right_gens[im])}
+        row.update(index[mul(padded_x)] for mul in left_muls[dom])
+        succ.append(array("i", sorted(row)))
+    return succ
+
+
+def ideal_j_classes(table: SemigroupTable, gens):
+    """J-class partition from two-sided ideal reachability.
+
+    x and y are J-related iff each lies in the other's two-sided
+    principal ideal, i.e. iff they are mutually reachable under one-step
+    left/right multiplication by elements of a generating set.  Any
+    generating set will do, so the graph is built over
+    :func:`reduce_generators` of ``gens``.  The generating property is
+    verified by saturation before use, so nothing beyond the definition of
+    an ideal is assumed.
+
+    No edge ``x -> x*g`` or ``x -> g*x`` raises rank, so an edge that
+    lowers it lies on no cycle, and dropping it leaves every strongly
+    connected component unchanged: the graph holds only the edges of
+    :func:`_rank_keeping_rows`.  Returns the classes as sorted element
+    lists, ordered by least member.
+    """
+    gens = reduce_generators(_check_subset(table, gens))
+    if len(saturate(table.n, gens)) != len(table):
+        raise ValueError("oracle generators do not generate the table")
     groups: dict[int, list] = {}
-    for pos, c in enumerate(comp):
+    for pos, c in enumerate(_strong_components(_rank_keeping_rows(table, gens))):
         groups.setdefault(c, []).append(table.elements[pos])
     classes = [sorted(g) for g in groups.values()]
     classes.sort(key=lambda cls: cls[0].key)

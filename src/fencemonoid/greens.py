@@ -186,13 +186,20 @@ def j_witness(a: PartialInjection, b: PartialInjection):
 def j_classes(table):
     """Partition a table's elements into J-classes (fingerprint fibers).
 
-    Classes and their members are ordered by canonical key, so output is
-    deterministic across runs.
+    :func:`j_invariant` reads only the domain, so it is computed once per
+    distinct domain, keyed by the domain's pattern of defined slots, and
+    shared by every element with that domain.  Classes and their members
+    are ordered by canonical key, so output is deterministic across runs.
     """
+    keys: dict[tuple, tuple] = {}
     fibers: dict[tuple, list[PartialInjection]] = defaultdict(list)
     for elt in table.elements:
-        inv = j_invariant(elt)
-        fibers[(inv.sizes, inv.odd_starts)].append(elt)
+        dom = tuple(map(bool, elt.img))
+        key = keys.get(dom)
+        if key is None:
+            inv = j_invariant(elt)
+            key = keys[dom] = (inv.sizes, inv.odd_starts)
+        fibers[key].append(elt)
     classes = [sorted(members) for members in fibers.values()]
     classes.sort(key=lambda cls: cls[0].key)
     return classes

@@ -35,10 +35,10 @@ def test_01_one_way_counterexample():
     report(1, "one-way counterexample", ok and ms < 1.0, f"{ms:.3f} ms")
 
 
-def test_02_rank4_pair_not_j_related(table):
+def test_02_rank4_pair_not_j_related(table, ideal_sets):
     tbl = table(6)
-    _, _, ja = en.principal_ideals(tbl, A6)
-    _, _, jb = en.principal_ideals(tbl, B6)
+    _, _, ja = ideal_sets(tbl, A6)
+    _, _, jb = ideal_sets(tbl, B6)
     oracle_related = B6 in ja and A6 in jb
     ok = (
         A6.rank == B6.rank == 4
@@ -85,11 +85,11 @@ def test_05_odd_n_negative_results(table):
     report(5, "odd-n negatives (n=3,5)", True)
 
 
-def test_06_j_criterion_equals_ideal_oracle(table):
+def test_06_j_criterion_equals_ideal_oracle(table, ideal_sets):
     t0 = time.perf_counter()
     for n in range(1, 6):
         tbl = table(n)
-        jsets = {a: en.principal_ideals(tbl, a)[2] for a in tbl}
+        jsets = {a: ideal_sets(tbl, a)[2] for a in tbl}
         for a in tbl:
             inv_a = greens.j_invariant(a)
             for b in tbl:

@@ -171,6 +171,14 @@ def test_verify_ok_claims():
     assert "claim rank: ok" in out
 
 
+def test_verify_jcrit_makes_one_bulk_ideal_pass(monkeypatch):
+    calls = []
+    real = en.principal_ideals
+    monkeypatch.setattr(en, "principal_ideals", lambda tbl: calls.append(tbl) or real(tbl))
+    assert run("verify", "--n", "5", "--claim", "jcrit")[0] == 0
+    assert len(calls) == 1
+
+
 def test_verify_structure_claims_reachable():
     code, out, _ = run("verify", "--n", "8", "--claim", "least", "--format", "json")
     least = json.loads(out)["result"]["least"]

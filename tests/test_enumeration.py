@@ -11,7 +11,7 @@ from fencemonoid.enumeration import (
     NotSubsetError,
     TooLargeError,
 )
-from fencemonoid.pinj import PartialInjection
+from fencemonoid.pinj import PartialInjection, multiplier
 
 ALPHA = pinj.make(6, {(1, 3), (2, 2), (4, 6), (5, 5), (6, 4)})
 
@@ -141,22 +141,22 @@ def test_closure_stays_inside_if(table):
         assert set(cl.elements) <= set(elements)
 
 
-def test_principal_ideals_identity(table):
+def test_principal_ideals_identity(table, ideal_sets):
     tbl = table(3)
     ident = PartialInjection.identity(3)
-    r, l, j = en.principal_ideals(tbl, ident)
+    r, l, j = ideal_sets(tbl, ident)
     full = set(tbl.elements)
     assert set(r) == full and set(l) == full and set(j) == full
 
 
-def test_principal_ideals_zero(table):
+def test_principal_ideals_zero(table, ideal_sets):
     tbl = table(3)
     empty = PartialInjection.empty(3)
-    r, l, j = en.principal_ideals(tbl, empty)
+    r, l, j = ideal_sets(tbl, empty)
     assert set(r) == set(l) == set(j) == {empty}
 
 
-def test_principal_ideals_hand_computed(table):
+def test_principal_ideals_hand_computed(table, ideal_sets):
     # n=2, a = {1->2}: products with all six elements, worked by hand
     tbl = table(2)
     a = pinj.make(2, {(1, 2)})
@@ -165,16 +165,42 @@ def test_principal_ideals_hand_computed(table):
     e2 = pinj.identity_on(2, {1})
     b = pinj.make(2, {(2, 1)})
     empty = PartialInjection.empty(2)
-    r, l, j = en.principal_ideals(tbl, a)
+    r, l, j = ideal_sets(tbl, a)
     assert set(r) == {a, empty, e2}
     assert set(l) == {a, empty, e1}
     assert set(j) == {a, b, e1, e2, empty}
     assert ident not in j
 
 
-def test_principal_ideals_not_member(table):
+def test_principal_ideals_not_member(table, ideal_sets):
     with pytest.raises(NotMemberError):
-        en.principal_ideals(table(6), ALPHA)
+        ideal_sets(table(6), ALPHA)
+
+
+def _principal_ideals_per_element(table, a):
+    """(R, L, J) of one element from its own products: the per-element
+    path that the bulk masks of ``principal_ideals`` replaced."""
+    imgs = [e.img for e in table.elements]
+    padded = [(0,) + b for b in imgs]
+    ai = a.img
+    padded_a = (0,) + ai
+    right = set(map(multiplier(ai), padded))
+    left = {multiplier(s)(padded_a) for s in imgs}
+    two_sided = right | left
+    for y in left:
+        two_sided.update(map(multiplier(y), padded))
+    right.add(ai)
+    left.add(ai)
+    two_sided.add(ai)
+    wrap = lambda found: frozenset(PartialInjection(table.n, img) for img in found)
+    return wrap(right), wrap(left), wrap(two_sided)
+
+
+def test_principal_ideal_masks_match_per_element_products(table, ideal_sets):
+    tables = [table(n) for n in range(1, 6)] + [table(n, "PFI") for n in range(1, 5)]
+    for tbl in tables:
+        for a in tbl:
+            assert ideal_sets(tbl, a) == _principal_ideals_per_element(tbl, a), a.encode()
 
 
 def test_is_generating_self(table):
@@ -322,6 +348,42 @@ def test_ideal_j_classes_match_unreduced_graph(monkeypatch, table):
             m.setattr(en, "reduce_generators", list)
             unreduced = en.ideal_j_classes(table(n), genfam.set_j(n))
         assert reduced == unreduced, n
+
+
+def _unpruned_rows(table, gens):
+    """Successor rows of the two-sided Cayley graph with every edge, rank-
+    lowering ones included: the row builder the rank-keeping one replaced."""
+    imgs = [e.img for e in table.elements]
+    index = table.index
+    gen_muls = [multiplier(g.img) for g in gens]
+    padded_gens = [(0,) + g.img for g in gens]
+    succ = []
+    for a in imgs:
+        padded_a = (0,) + a
+        row = {index[p] for p in map(multiplier(a), padded_gens)}
+        row.update(index[mul(padded_a)] for mul in gen_muls)
+        succ.append(sorted(row))
+    return succ
+
+
+def _partition(succ):
+    groups = {}
+    for pos, c in enumerate(en._strong_components(succ)):
+        groups.setdefault(c, []).append(pos)
+    return sorted(groups.values())
+
+
+def test_rank_keeping_rows_drop_only_rank_lowering_edges(table):
+    for n in range(1, 9):
+        tbl = table(n)
+        gens = en.reduce_generators(genfam.set_j(n))
+        full = _unpruned_rows(tbl, gens)
+        kept = en._rank_keeping_rows(tbl, gens)
+        ranks = [e.rank for e in tbl.elements]
+        for x, (row, pruned) in enumerate(zip(full, kept)):
+            assert list(pruned) == [y for y in row if ranks[y] == ranks[x]], (n, x)
+        # a rank-lowering edge lies on no cycle, so the components agree
+        assert _partition(kept) == _partition(full), n
 
 
 def test_regular_elements_match_full_scan(table):

@@ -1,4 +1,5 @@
 import random
+from collections import defaultdict
 
 import pytest
 
@@ -70,13 +71,13 @@ def test_green_test_rejects_non_if():
         greens.green_test("R", bad, bad)
 
 
-def test_green_test_matches_one_sided_ideals(table):
+def test_green_test_matches_one_sided_ideals(table, ideal_sets):
     # R iff equal right ideals, L iff equal left ideals, exhaustively
     for n in range(1, 6):
         tbl = table(n)
         rsets, lsets = {}, {}
         for a in tbl:
-            r, l, _ = en.principal_ideals(tbl, a)
+            r, l, _ = ideal_sets(tbl, a)
             rsets[a], lsets[a] = r, l
         for a in tbl:
             for b in tbl:
@@ -162,6 +163,29 @@ def test_j_classes_eps1_eps6_split(table):
     c1 = next(i for i, c in enumerate(classes) if e1 in c)
     c6 = next(i for i, c in enumerate(classes) if e6 in c)
     assert c1 != c6
+
+
+def _j_classes_per_element(table):
+    """J-classes from one fingerprint per element: the fibering that the
+    per-domain one of ``j_classes`` replaced."""
+    fibers = defaultdict(list)
+    for elt in table.elements:
+        inv = greens.j_invariant(elt)
+        fibers[(inv.sizes, inv.odd_starts)].append(elt)
+    classes = [sorted(members) for members in fibers.values()]
+    classes.sort(key=lambda cls: cls[0].key)
+    return classes
+
+
+def test_j_classes_match_per_element_fibering(monkeypatch, table):
+    for n in range(1, 10):
+        assert greens.j_classes(table(n)) == _j_classes_per_element(table(n)), n
+    # one fingerprint per distinct domain: every subset of {1..8} is one
+    calls = []
+    real = greens.j_invariant
+    monkeypatch.setattr(greens, "j_invariant", lambda a: calls.append(a) or real(a))
+    greens.j_classes(table(8))
+    assert len(calls) == 2**8
 
 
 def test_j_invariant_constant_on_oracle_classes(table):

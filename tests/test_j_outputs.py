@@ -1,0 +1,120 @@
+"""Pinned output of the J layer: ``verify --claim jcrit`` and ``greens --classes``.
+
+Each digest is the sha256 of stdout, with ``timing_ms`` dropped from the
+JSON document, which is the only part that changes from run to run.
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+
+import pytest
+
+from fencemonoid import cli, greens
+
+# n -> (text, json)
+JCRIT = {
+    1: ("a1eceeffa112e7e5cb39d954fb3a707655d604c5b5c4ca61ef14fa94e9fb7a23",
+        "e6c624e98c9ea0abf2461dedb5dd2a3dca39ff6df7eaf8efdf3e04152f537c37"),
+    2: ("a8202cc8725a99d4bbe78f21df49173d2a633f065ee775e9cf2ae333c9dc7544",
+        "688ee526ed997d7e4cf10b122d8bd1ccf5523047918eec32ec31ec72a71dfab0"),
+    3: ("009fa7f597e8e6116821ae2fc808c8905fe6db6714d25680f265754375d523a7",
+        "0be4ee8fa5aaeec7ffde0f474d25cfc7967ce7b059db20da6c299e6c5ca33f42"),
+    4: ("d91bcf951c97b3bd33c5a3be7d1ee02565061c3eafb200486adbecc0700a01c8",
+        "c65a72fc721aa2bb915b0a738184d09ff413152bc19071ca8fd9af04f5127312"),
+    5: ("a5243e78a060b6dc43c06ecba10df0b48d199976cceb1e56a751e61d4f15414b",
+        "df0913ab944cf43da2dfab5b12844e8e1f9a7d4d50188117b1eadbce9fabe14b"),
+    6: ("7a4388a15f0353bb9268e2a7a546a930c06d680fcf57452e67167a31567481e0",
+        "88b7e55fc33150eb88c9c2965cf765cada0aeac855118e35700477c3257b5465"),
+    7: ("fe910f9336cf2ed9644df8983c06e88bd12667654b20bad6630712d66da46593",
+        "113e3f805b6b76b22173e6f30b75ceffc09016d6126256666f0a8809d0335c8d"),
+    8: ("db211d1bfa3932c993666fe1629c4233fe04b0817e0c0a088cc0d013fe55b99d",
+        "128cf1d5ea385585fedcb4429e1a70c3188f5ac8f8328a210d2e93c75dc14da2"),
+}
+
+# n -> (text, json, csv)
+CLASSES = {
+    4: ("1fc1eb8abe98db8ffbdcb6f0273659d02bac72315b56281a5814337890b959bd",
+        "b24bb46d1aa77818599f457c1bbba9eb3d7a1ba9250bb93e7afddb65d4965662",
+        "8c77b60b3e95facf39706754a161708ab1ad081aa9ffe33fefaccd87a90102d9"),
+    5: ("8e9711605028387bd3f316d8d6e80c78ac7211ab40196966d3459253bf3b1ac8",
+        "1addda78ab573caf771f27cd943d60db9f81b50157bd514709266d6848b5e11b",
+        "3e7e106044c2175428a7d2979dbba23c3512c27269fcef5f8c9e6284094fe2d2"),
+    6: ("6659fce0910bd6a87028daa1e6381c2effae318d484d067f03c5422acf8d7656",
+        "441c8ee25163bdb4e882664fdf71901ce02397bd9bfec20add170e11a0d81a20",
+        "b6b9ad2a1938d78d1c4a7512fbab441d82f11d2cee8cca66dc9ae4e4089789f0"),
+    7: ("c6b5d6419023d16cfe65ca072f429a0f2c28f95c8c63ba144c21c546c1549cde",
+        "9d1e4e08412179d83680f10eeee88386d1137cf7ffc5a639c21ecc5591c003b4",
+        "dee6083aa4c62b7e97ab02ad4ff1bf2ef1fee69519936dd932c095ee136a2037"),
+    8: ("cadf7b732714bb26d73530329ad65589a27bcaefa03d373427f94eba0d21a54e",
+        "e3887276330384a310fa5a22357b01b0f2866fd4b2cdddaaf8f9ccfc4957da11",
+        "046f2a76af893567ad9ec73de9d717dd4da48ebb032f70197c4ed9ab0a244962"),
+}
+
+
+def run(*argv):
+    out = io.StringIO()
+    err = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+def digest(*argv):
+    code, out, err = run(*argv)
+    assert (code, err) == (0, "")
+    if argv[-1] == "json":
+        doc = json.loads(out)
+        del doc["timing_ms"]
+        out = json.dumps(doc, sort_keys=True) + "\n"
+    return hashlib.sha256(out.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("n", sorted(JCRIT))
+def test_verify_jcrit_output_pinned(n):
+    got = tuple(
+        digest("verify", "--n", str(n), "--claim", "jcrit", "--format", fmt)
+        for fmt in ("text", "json")
+    )
+    assert got == JCRIT[n]
+
+
+@pytest.mark.parametrize("n", sorted(CLASSES))
+def test_greens_classes_output_pinned(n):
+    got = tuple(
+        digest("greens", "--n", str(n), "--classes", "--format", fmt)
+        for fmt in ("text", "json", "csv")
+    )
+    assert got == CLASSES[n]
+
+
+@pytest.mark.parametrize(
+    "fingerprint, pair, criterion, oracle",
+    [
+        # rank alone merges the two rank-2 maps of different J-classes
+        (lambda a: greens.JInvariant(((a.rank, 1),), ()),
+         ["n=4:[3>1 4>2]", "n=4:[2>1 4>3]"], True, False),
+        # the domain itself splits one J-class into its R-classes
+        (lambda a: greens.JInvariant(tuple((x, 1) for x in a.domain()), ()),
+         ["n=4:[4>1]", "n=4:[3>1]"], False, True),
+    ],
+)
+def test_jcrit_reports_first_counterexample_in_table_order(
+    monkeypatch, fingerprint, pair, criterion, oracle
+):
+    monkeypatch.setattr(greens, "j_invariant", fingerprint)
+    code, out, err = run("verify", "--n", "4", "--claim", "jcrit")
+    assert (code, err) == (2, "")
+    assert out == (
+        "claim jcrit: violation\n"
+        f"counterexample {json.dumps(pair)}\n"
+        f"criterion {json.dumps(criterion)}\n"
+        f"oracle {json.dumps(oracle)}\n"
+    )
+    code, out, _ = run("verify", "--n", "4", "--claim", "jcrit", "--format", "json")
+    result = json.loads(out)["result"]
+    assert code == 2
+    assert (result["counterexample"], result["criterion"], result["oracle"]) == (
+        pair, criterion, oracle,
+    )
