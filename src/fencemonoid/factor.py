@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from . import genfam, greens
 from .enumeration import closure, require_floor_within_limit
 from .fence import in_if, require_if
-from .genfam import GeneratorSpec, OddAmbientError
+from .genfam import GeneratorSpec, OddAmbientError, interval_map
 from .pinj import OutOfRangeError, PartialInjection, SizeMismatchError, multiplier
 
 
@@ -74,9 +74,6 @@ class Word:
     def __len__(self):
         return len(self.letters)
 
-    def eval(self) -> PartialInjection:
-        return eval_word(self)
-
     def inverse(self) -> "Word":
         return Word(
             self.n,
@@ -128,8 +125,10 @@ def parse_word(text: str) -> Word:
     while i < len(tokens):
         tok = tokens[i]
         if tok.startswith("["):
-            while not tokens[i].endswith("]"):
+            while not tok.endswith("]"):
                 i += 1
+                if i == len(tokens):
+                    raise ValueError(f"bad word literal: {text!r}")
                 tok += " " + tokens[i]
             letters.append(pinj.parse(f"n={n}:{tok}"))
         else:
@@ -143,14 +142,7 @@ def parse_word(text: str) -> Word:
 
 def _rev_elt(n: int, m: int, p: int) -> PartialInjection:
     """Reverse [m, m+p] in place (p even), drop m-1 and m+p+1, fix the rest."""
-    img = [0] * n
-    for x in range(1, m - 1):
-        img[x - 1] = x
-    for x in range(m, m + p + 1):
-        img[x - 1] = 2 * m + p - x
-    for x in range(m + p + 2, n + 1):
-        img[x - 1] = x
-    return PartialInjection(n, tuple(img))
+    return interval_map(n, m, range(m + p, m - 1, -1))
 
 
 @functools.lru_cache(maxsize=4096)
@@ -168,18 +160,6 @@ def build_reversal(n: int, m: int, p: int):
     if not (in_if(elt) and elt.rank >= n - 2):
         raise FactorizationError("reversal is not a high-rank element of the semigroup")
     return elt, Word(n, (elt,), provenance="constructive")
-
-
-def _interval_elt(n, m, p, lo_gap, image_of):
-    """dom = {1..m-2} + [m, m+p] + {m+p+lo_gap..n}, fixed outside the middle."""
-    img = [0] * n
-    for x in range(1, m - 1):
-        img[x - 1] = x
-    for x in range(m, m + p + 1):
-        img[x - 1] = image_of(x)
-    for x in range(m + p + lo_gap, n + 1):
-        img[x - 1] = x
-    return PartialInjection(n, tuple(img))
 
 
 def _eps_letters(n, points):
@@ -229,7 +209,7 @@ def build_shift_word(n: int, kind: str, m: int, p: int, k: int | None = None):
     if kind == "shift2k":
         if k is None or k < 0 or m + p + 2 * k > n:
             raise BadIndicesError(f"shift needs 0 <= k and m+p+2k <= n (m={m}, p={p}, k={k})")
-        elt = _interval_elt(n, m, p, 2 * k + 2, lambda x: x + 2 * k)
+        elt = interval_map(n, m, range(m + 2 * k, m + p + 2 * k + 1), 2 * k + 2)
         letters = _shift2k_letters(n, m, p, k)
     elif kind == "revshift2k":
         if p % 2 == 0:
@@ -238,7 +218,7 @@ def build_shift_word(n: int, kind: str, m: int, p: int, k: int | None = None):
             raise BadIndicesError(
                 f"reversal-shift needs 1 <= k and m+p+2k-1 <= n (m={m}, p={p}, k={k})"
             )
-        elt = _interval_elt(n, m, p, 2 * k + 1, lambda x: 2 * m + p + 2 * k - 1 - x)
+        elt = interval_map(n, m, range(m + p + 2 * k - 1, m + 2 * k - 2, -1), 2 * k + 1)
         letters = _shift2k_letters(n, m, p, k - 1) + _revshift_letters(n, m + 2 * k - 2, p)
     elif kind == "revshifteven":
         if p % 2:
@@ -249,7 +229,7 @@ def build_shift_word(n: int, kind: str, m: int, p: int, k: int | None = None):
             )
         if k == 0:
             return build_reversal(n, m, p)
-        elt = _interval_elt(n, m, p, 2 * k + 2, lambda x: 2 * m + p + 2 * k - x)
+        elt = interval_map(n, m, range(m + p + 2 * k, m + 2 * k - 1, -1), 2 * k + 2)
         rev, _ = build_reversal(n, m + 2 * k, p)
         letters = _shift2k_letters(n, m, p, k) + (rev,)
     else:
@@ -393,14 +373,6 @@ class BlockForm:
 # --- block alignment and pinning ----------------------------------------------
 
 
-def _empty_word(n):
-    return Word(n, (), provenance="constructive")
-
-
-def _left_word(n, letters):
-    return Word(n, tuple(letters), provenance="constructive")
-
-
 def _case_next_block(bf: BlockForm, idx: int):
     """Build the two-step repair when the minimal image belongs to the
     block right after the current one and no boundary case applies."""
@@ -483,10 +455,8 @@ def align_first_block(bf: BlockForm):
     block, a reshaping reversal brings it adjacent first.
     """
     n = bf.elt.n
-    if bf.all_fixed:
-        return _empty_word(n), _empty_word(n)
-    lhs, rhs = _align_dispatch(bf, 0)
-    return _left_word(n, lhs), _left_word(n, rhs)
+    lhs, rhs = ((), ()) if bf.all_fixed else _align_dispatch(bf, 0)
+    return Word(n, lhs, provenance="constructive"), Word(n, rhs, provenance="constructive")
 
 
 def fix_first_block(bf: BlockForm):
@@ -497,20 +467,21 @@ def fix_first_block(bf: BlockForm):
     >= n-2.
     """
     n = bf.elt.n
+    empty = Word(n, (), provenance="constructive")
     if bf.all_fixed:
-        return _empty_word(n), _empty_word(n)
+        return empty, empty
     if not bf.aligned:
         raise MalformedBlockFormError("block image is not aligned yet")
     blk = bf.blocks[bf.i - 1]
     if blk.fixed:
-        return _empty_word(n), _empty_word(n)
+        return empty, empty
     d = blk.r - blk.t
     if blk.asc:
         if d > 0:
             _, w = build_shift_word(n, "shift2k", blk.t, blk.u - blk.t, d // 2)
-            return w, _empty_word(n)
+            return w, empty
         _, w = build_shift_word(n, "shift2k", blk.r, blk.s - blk.r, -d // 2)
-        return _empty_word(n), w.inverse()
+        return empty, w.inverse()
     if d >= 0:
         if d == 0:
             _, w = build_reversal(n, blk.t, blk.u - blk.t)
@@ -518,13 +489,13 @@ def fix_first_block(bf: BlockForm):
             _, w = build_shift_word(n, "revshift2k", blk.t, blk.u - blk.t, (d + 1) // 2)
         else:
             _, w = build_shift_word(n, "revshifteven", blk.t, blk.u - blk.t, d // 2)
-        return w, _empty_word(n)
+        return w, empty
     d2 = -d
     if d2 % 2:
         _, w = build_shift_word(n, "revshift2k", blk.r, blk.s - blk.r, (d2 + 1) // 2)
     else:
         _, w = build_shift_word(n, "revshifteven", blk.r, blk.s - blk.r, d2 // 2)
-    return _empty_word(n), w.inverse()
+    return empty, w.inverse()
 
 
 # --- top-level factorization --------------------------------------------------

@@ -7,6 +7,11 @@ reversals beta_{i,j} are the building blocks of every factorization
 this package produces.  set_j collects all elements of rank >= n-2
 (a generating set for every n); set_g is {id, sig1, sig2} + gammas +
 deltas, the least generating set when n is even, of size n+1.
+
+Every interval move, here and in :mod:`factor` (the reversals and
+shifts of the constructive factorization), is laid out by one builder,
+:func:`interval_map`: fixed prefix, at most one dropped point, the
+moved interval, a gap of dropped points, fixed suffix.
 """
 
 from __future__ import annotations
@@ -34,22 +39,33 @@ def _checked(a: PartialInjection) -> PartialInjection:
     return a
 
 
+def interval_map(n: int, m: int, values, gap: int = 2) -> PartialInjection:
+    """The interval move onto the sequence ``values``: fix {1..m-2}, drop
+    m-1, send m, m+1, ... onto ``values`` in turn (0 drops a point), drop
+    the next gap-1 points and fix the rest.  Dropped points past n are
+    omitted; an interval that starts below 1 or runs past n raises."""
+    end = m + len(values)  # the first point after the interval
+    if m < 1 or gap < 1 or end > n + 1:
+        raise BadIndexError(f"interval [{m}, {end - 1}] with gap {gap} does not fit in 1..{n}")
+    return PartialInjection(n, (
+        *range(1, m - 1), *(0,) * min(1, m - 1),
+        *values,
+        *(0,) * min(gap - 1, n + 1 - end), *range(end + gap - 1, n + 1),
+    ))
+
+
 def epsilon(n: int, i: int) -> PartialInjection:
     """Identity on {1..n} minus {i}: the rank n-1 idempotents."""
     if not 1 <= i <= n:
         raise BadIndexError(f"epsilon index must be in 1..{n}, got {i}")
-    return PartialInjection(n, tuple(0 if x == i else x for x in range(1, n + 1)))
+    return interval_map(n, i + 1, (), 1)  # the empty move at i+1 drops only i
 
 
 def sigma1(n: int) -> PartialInjection:
     """1 -> n, x -> x-2 for 3 <= x <= n; undefined at 2.  Rank n-1, even n only."""
     if n % 2 or n < 2:
         raise OddAmbientError(f"sigma1 needs even ambient size, got {n}")
-    img = [0] * n
-    img[0] = n
-    for x in range(3, n + 1):
-        img[x - 1] = x - 2
-    return _checked(PartialInjection(n, tuple(img)))
+    return _checked(_eta_left(n, n))
 
 
 def sigma2(n: int) -> PartialInjection:
@@ -61,12 +77,7 @@ def gamma(n: int, i: int) -> PartialInjection:
     """Reverse {1..i-1} in place, fix {i+1..n}; undefined at i.  i even, 4 <= i <= n."""
     if i % 2 or not 4 <= i <= n:
         raise BadIndexError(f"gamma index must be even in 4..{n}, got {i}")
-    img = [0] * n
-    for x in range(1, i):
-        img[x - 1] = i - x
-    for x in range(i + 1, n + 1):
-        img[x - 1] = x
-    return _checked(PartialInjection(n, tuple(img)))
+    return _checked(interval_map(n, 1, range(i - 1, 0, -1)))
 
 
 def delta(n: int, i: int) -> PartialInjection:
@@ -79,12 +90,7 @@ def delta(n: int, i: int) -> PartialInjection:
         raise OddAmbientError(f"delta needs even ambient size, got {n}")
     if i % 2 == 0 or not 1 <= i <= n - 3:
         raise BadIndexError(f"delta index must be odd in 1..{n - 3}, got {i}")
-    img = [0] * n
-    for x in range(1, i):
-        img[x - 1] = x
-    for x in range(i + 1, n + 1):
-        img[x - 1] = n + i + 1 - x
-    return _checked(PartialInjection(n, tuple(img)))
+    return _checked(interval_map(n, i + 1, range(n, i, -1)))
 
 
 def beta(n: int, i: int, j: int) -> PartialInjection:
@@ -96,12 +102,7 @@ def beta(n: int, i: int, j: int) -> PartialInjection:
         raise BadIndexError(f"beta needs 1 <= i < j <= {n}, got ({i}, {j})")
     if (j - i) % 2:
         raise BadIndexError(f"beta indices must share parity, got ({i}, {j})")
-    img = [0] * n
-    for x in range(1, n + 1):
-        if x == i or x == j:
-            continue
-        img[x - 1] = i + j - x if i < x < j else x
-    return _checked(PartialInjection(n, tuple(img)))
+    return _checked(interval_map(n, i + 1, range(j - 1, i, -1)))
 
 
 _FAMILIES = ("id", "sig1", "sig2", "eps", "gam", "del", "beta")
@@ -195,24 +196,12 @@ def set_g(n: int):
 
 def _eta_left(n: int, a: int) -> PartialInjection:
     """1 -> a, x -> x-2 for 3 <= x <= a, fix above a+1 (a even)."""
-    img = [0] * n
-    img[0] = a
-    for x in range(3, a + 1):
-        img[x - 1] = x - 2
-    for x in range(a + 2, n + 1):
-        img[x - 1] = x
-    return PartialInjection(n, tuple(img))
+    return interval_map(n, 1, (a, 0, *range(1, a - 1)))
 
 
 def _eta_right(n: int, c: int) -> PartialInjection:
     """x -> x+2 for x <= c-2, c -> 1, fix above c+1 (c even)."""
-    img = [0] * n
-    for x in range(1, c - 1):
-        img[x - 1] = x + 2
-    img[c - 1] = 1
-    for x in range(c + 2, n + 1):
-        img[x - 1] = x
-    return PartialInjection(n, tuple(img))
+    return _eta_left(n, c).inverse()
 
 
 @functools.lru_cache(maxsize=8)

@@ -66,12 +66,6 @@ class JInvariant:
     sizes: tuple[tuple[int, int], ...]
     odd_starts: tuple[tuple[int, int], ...]
 
-    def total(self, k: int) -> int:
-        return dict(self.sizes).get(k, 0)
-
-    def odd_start(self, k: int) -> int:
-        return dict(self.odd_starts).get(k, 0)
-
     def encode(self) -> str:
         """Canonical text: ``k:total[:odd]`` terms joined by ``;``, ascending k."""
         odd = dict(self.odd_starts)

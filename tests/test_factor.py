@@ -149,6 +149,61 @@ def test_shift_kind_mismatch():
         factor.build_shift_word(6, "shift2k", 3, 2, 2)  # m+p+2k > n
 
 
+# the per-point loops that genfam.interval_map replaced, kept as its oracle
+
+
+def _loop_rev_elt(n, m, p):
+    img = [0] * n
+    for x in range(1, m - 1):
+        img[x - 1] = x
+    for x in range(m, m + p + 1):
+        img[x - 1] = 2 * m + p - x
+    for x in range(m + p + 2, n + 1):
+        img[x - 1] = x
+    return PartialInjection(n, tuple(img))
+
+
+def _loop_interval_elt(n, m, p, lo_gap, image_of):
+    img = [0] * n
+    for x in range(1, m - 1):
+        img[x - 1] = x
+    for x in range(m, m + p + 1):
+        img[x - 1] = image_of(x)
+    for x in range(m + p + lo_gap, n + 1):
+        img[x - 1] = x
+    return PartialInjection(n, tuple(img))
+
+
+def test_interval_moves_match_loop_builders():
+    # every valid index at n <= 32; build_shift_word also evaluates each
+    # shift's word against its target
+    cases = 0
+    for n in range(1, 33):
+        for m in range(1, n + 1):
+            for p in range(n - m + 1):
+                assert factor._rev_elt(n, m, p) == _loop_rev_elt(n, m, p)
+                room = n - m - p
+                targets = [
+                    ("shift2k", k, 2 * k + 2, lambda x, k=k: x + 2 * k)
+                    for k in range(room // 2 + 1)
+                ]
+                if p % 2:
+                    targets += [
+                        ("revshift2k", k, 2 * k + 1, lambda x, k=k: 2 * m + p + 2 * k - 1 - x)
+                        for k in range(1, (room + 1) // 2 + 1)
+                    ]
+                else:
+                    targets += [
+                        ("revshifteven", k, 2 * k + 2, lambda x, k=k: 2 * m + p + 2 * k - x)
+                        for k in range(room // 2 + 1)
+                    ]
+                for kind, k, gap, image_of in targets:
+                    elt, _ = factor.build_shift_word(n, kind, m, p, k)
+                    assert elt == _loop_interval_elt(n, m, p, gap, image_of)
+                cases += 1 + len(targets)
+    assert cases == 59976
+
+
 def test_builders_invert_letterwise():
     rng = random.Random(12)
     cases = 0
@@ -216,6 +271,10 @@ def test_word_text_parse_roundtrip():
     parsed = factor.parse_word(w.text())
     assert factor.eval_word(parsed) == factor.eval_word(w)
     assert factor.parse_word("w6:").letters == ()
+    # an unterminated raw letter is a bad literal, not an index error
+    for text in ("w6: [1>1", "w6: eps:2 [2>4 3>3"):
+        with pytest.raises(ValueError, match="bad word literal"):
+            factor.parse_word(text)
 
 
 def test_parity_normalize_noop_when_aligned():

@@ -207,3 +207,106 @@ def test_g_word_for_low_rank_past_limit_fails_fast():
 def test_g_word_rejects_odd_n():
     with pytest.raises(OddAmbientError):
         genfam.g_word_for(5, PartialInjection.identity(5))
+
+
+# --- the per-point loops that interval_map replaced, kept as its oracle -------
+
+
+def _loop_eta_left(n, a):
+    img = [0] * n
+    img[0] = a
+    for x in range(3, a + 1):
+        img[x - 1] = x - 2
+    for x in range(a + 2, n + 1):
+        img[x - 1] = x
+    return PartialInjection(n, tuple(img))
+
+
+def _loop_eta_right(n, c):
+    img = [0] * n
+    for x in range(1, c - 1):
+        img[x - 1] = x + 2
+    img[c - 1] = 1
+    for x in range(c + 2, n + 1):
+        img[x - 1] = x
+    return PartialInjection(n, tuple(img))
+
+
+def _loop_sigma1(n):
+    img = [0] * n
+    img[0] = n
+    for x in range(3, n + 1):
+        img[x - 1] = x - 2
+    return PartialInjection(n, tuple(img))
+
+
+def _loop_gamma(n, i):
+    img = [0] * n
+    for x in range(1, i):
+        img[x - 1] = i - x
+    for x in range(i + 1, n + 1):
+        img[x - 1] = x
+    return PartialInjection(n, tuple(img))
+
+
+def _loop_delta(n, i):
+    img = [0] * n
+    for x in range(1, i):
+        img[x - 1] = x
+    for x in range(i + 1, n + 1):
+        img[x - 1] = n + i + 1 - x
+    return PartialInjection(n, tuple(img))
+
+
+def _loop_beta(n, i, j):
+    img = [0] * n
+    for x in range(1, n + 1):
+        if x == i or x == j:
+            continue
+        img[x - 1] = i + j - x if i < x < j else x
+    return PartialInjection(n, tuple(img))
+
+
+def test_named_moves_match_loop_builders():
+    cases = 0
+    for n in range(1, 33):
+        for i in range(1, n + 1):
+            assert genfam.epsilon(n, i) == pinj.identity_on(n, set(range(1, n + 1)) - {i})
+        for a in range(2, n + 1, 2):
+            assert genfam._eta_left(n, a) == _loop_eta_left(n, a)
+            assert genfam._eta_right(n, a) == _loop_eta_right(n, a)
+        for i in range(4, n + 1, 2):
+            assert genfam.gamma(n, i) == _loop_gamma(n, i)
+        for i in range(1, n + 1):
+            for j in range(i + 2, n + 1, 2):
+                assert genfam.beta(n, i, j) == _loop_beta(n, i, j)
+                cases += 1
+        if n % 2 == 0:
+            assert genfam.sigma1(n) == _loop_sigma1(n)
+            for i in range(1, n - 2, 2):
+                assert genfam.delta(n, i) == _loop_delta(n, i)
+    assert cases == sum((n - 1) ** 2 // 4 for n in range(1, 33))
+
+
+def test_interval_map_layout():
+    # fix 1, drop 2, reverse [3, 5], drop 6 and 7 (gap 3), fix 8
+    assert genfam.interval_map(8, 3, range(5, 2, -1), 3) == pinj.make(
+        8, {(1, 1), (3, 5), (4, 4), (5, 3), (8, 8)}
+    )
+    # the interval may end at n; the dropped points past n are omitted
+    assert genfam.interval_map(4, 2, (4, 3, 2)) == pinj.make(4, {(2, 4), (3, 3), (4, 2)})
+    assert genfam.interval_map(4, 1, ()) == pinj.make(4, {(2, 2), (3, 3), (4, 4)})
+
+
+def test_interval_map_refuses_interval_outside_range():
+    assert issubclass(BadIndexError, ValueError)
+    with pytest.raises(BadIndexError):
+        genfam.interval_map(6, 0, (1,))
+    with pytest.raises(BadIndexError):
+        genfam.interval_map(6, -1, ())
+    with pytest.raises(BadIndexError):
+        genfam.interval_map(6, 5, (6, 5, 4))  # would end at 7
+    with pytest.raises(BadIndexError):
+        genfam.interval_map(6, 8, ())
+    with pytest.raises(BadIndexError):
+        genfam.interval_map(6, 2, (2,), 0)
