@@ -262,7 +262,10 @@ def _verify_jcrit(n):
                         "oracle": oracle,
                     }
         return True, {"classes": len(crit), "pairs": len(table) ** 2}
-    oracle = en.ideal_j_classes(table, genfam.set_j(n))
+    # oracle: D = J in the inverse semigroup IF_n, whose R- and L-classes
+    # are fixed by domain and image; it reads no fingerprint and no fence
+    # fact (see inverse_j_classes)
+    oracle = en.inverse_j_classes(table)
     ok = [sorted(c) for c in crit] == [sorted(c) for c in oracle]
     return ok, {"classes": len(crit), "oracle_classes": len(oracle)}
 

@@ -3,7 +3,7 @@ import io
 import json
 import time
 
-from fencemonoid import cli, factor, genfam
+from fencemonoid import cli, factor, genfam, greens
 from fencemonoid import enumeration as en
 from fencemonoid.pinj import PartialInjection
 
@@ -177,6 +177,40 @@ def test_verify_jcrit_makes_one_bulk_ideal_pass(monkeypatch):
     monkeypatch.setattr(en, "principal_ideals", lambda tbl: calls.append(tbl) or real(tbl))
     assert run("verify", "--n", "5", "--claim", "jcrit")[0] == 0
     assert len(calls) == 1
+
+
+def test_verify_jcrit_detects_rank_only_partition(monkeypatch):
+    # rank merges J-classes from n = 4 on; the n >= 6 oracle must see it
+    def by_rank(table):
+        classes = {}
+        for a in table.elements:
+            classes.setdefault(a.rank, []).append(a)
+        return sorted(classes.values(), key=lambda cls: cls[0].key)
+
+    monkeypatch.setattr(greens, "j_classes", by_rank)
+    code, out, _ = run("verify", "--n", "6", "--claim", "jcrit", "--format", "json")
+    doc = json.loads(out)
+    assert code == 2 and doc["status"] == "violation"
+    assert doc["result"]["classes"] == 7 and doc["result"]["oracle_classes"] == 19
+
+
+def test_verify_jcrit_builds_no_cayley_graph(monkeypatch):
+    calls = []
+    real_ideal, real_set_j = en.ideal_j_classes, genfam.set_j
+    monkeypatch.setattr(
+        en, "ideal_j_classes", lambda *a: calls.append("ideal_j_classes") or real_ideal(*a)
+    )
+    monkeypatch.setattr(genfam, "set_j", lambda n: calls.append("set_j") or real_set_j(n))
+    for n in (6, 7, 8):
+        assert run("verify", "--n", str(n), "--claim", "jcrit")[0] == 0
+    assert calls == []
+
+
+def test_verify_jcrit_n9():
+    code, out, _ = run("verify", "--n", "9", "--claim", "jcrit", "--format", "json")
+    result = json.loads(out)["result"]
+    assert code == 0
+    assert result["classes"] == result["oracle_classes"] == 55
 
 
 def test_verify_structure_claims_reachable():

@@ -386,6 +386,107 @@ def test_rank_keeping_rows_drop_only_rank_lowering_edges(table):
         assert _partition(kept) == _partition(full), n
 
 
+def test_inverse_j_classes_match_ideal_and_fingerprint_classes(table):
+    for n in range(1, 9):
+        tbl = table(n)
+        classes = en.inverse_j_classes(tbl)
+        assert classes == en.ideal_j_classes(tbl, genfam.set_j(n)), n
+        assert classes == greens.j_classes(tbl), n
+
+
+def test_inverse_j_classes_match_all_pairs_principal_ideals(table):
+    for n in range(1, 6):
+        tbl = table(n)
+        _, _, jsets = en.principal_ideals(tbl)
+        size = len(tbl)
+        # positions J-related to i: each lies in the other's two-sided ideal
+        related = [
+            tuple(j for j in range(size) if jsets[i] >> j & jsets[j] >> i & 1)
+            for i in range(size)
+        ]
+        oracle = sorted(set(related))
+        got = sorted(tuple(map(tbl.position, cls)) for cls in en.inverse_j_classes(tbl))
+        assert got == oracle, n
+
+
+def test_inverse_j_classes_on_closure_tables():
+    for n in (2, 4, 6):
+        tbl = en.closure(n, genfam.set_g(n))
+        assert tbl.closed
+        assert en.inverse_j_classes(tbl) == en.ideal_j_classes(tbl, tbl.gens), n
+    # on closures that are not fence monoids: agree where closed under
+    # inverse, refuse where not
+    agreed = refused = 0
+    for tbl in _low_rank_closures():
+        try:
+            classes = en.inverse_j_classes(tbl)
+        except ValueError as exc:
+            assert "inverse" in str(exc)
+            assert any(e.inverse() not in tbl for e in tbl)
+            refused += 1
+        else:
+            assert classes == en.ideal_j_classes(tbl, tbl.gens)
+            agreed += 1
+    assert agreed and refused
+
+
+def test_inverse_j_classes_refuse_tables_not_inverse_closed(table):
+    with pytest.raises(ValueError, match="inverse of n=4:"):
+        en.inverse_j_classes(table(4, "PFI"))
+    floored = en.closure(6, genfam.set_j(6), min_rank=3)
+    assert not floored.closed
+    with pytest.raises(ValueError, match="closed under products"):
+        en.inverse_j_classes(floored)
+
+
+def test_inverse_j_classes_read_no_fingerprint_or_fence_fact(monkeypatch, table):
+    tables = [table(n) for n in range(1, 9)]
+    expected = [greens.j_classes(tbl) for tbl in tables]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the oracle read the criterion")
+
+    for mod, name in (
+        (greens, "j_invariant"), (greens, "j_classes"), (greens, "blocks"),
+        (en, "blocks"), (fence, "in_if"), (fence, "in_pfi"), (en, "in_if"),
+        (en, "in_pfi"),
+    ):
+        monkeypatch.setattr(mod, name, refuse)
+    assert [en.inverse_j_classes(tbl) for tbl in tables] == expected
+
+
+def test_union_roots_joins_connected_nodes():
+    roots = en.union_roots([(1, 2), (3, 4), (2, 5), (6, 6), (4, 3)])
+    assert set(roots) == {1, 2, 3, 4, 5, 6}
+    assert roots[1] == roots[2] == roots[5]
+    assert roots[3] == roots[4]
+    assert len({roots[1], roots[3], roots[6]}) == 3
+    assert en.union_roots([]) == {}
+    # a long chain stays one component
+    chain = en.union_roots((i, i + 1) for i in range(1000))
+    assert len(set(chain.values())) == 1
+    # random graphs, against components found by breadth-first search
+    rng = random.Random(5)
+    for _ in range(200):
+        edges = [(rng.randrange(30), rng.randrange(30)) for _ in range(rng.randrange(40))]
+        adjacent = {}
+        for u, v in edges:
+            adjacent.setdefault(u, set()).add(v)
+            adjacent.setdefault(v, set()).add(u)
+        components = set()
+        for start in adjacent:
+            seen, frontier = {start}, [start]
+            while frontier:
+                frontier = [w for x in frontier for w in adjacent[x] - seen]
+                seen.update(frontier)
+            components.add(frozenset(seen))
+        roots = en.union_roots(edges)
+        grouped = {}
+        for node, root in roots.items():
+            grouped.setdefault(root, set()).add(node)
+        assert set(map(frozenset, grouped.values())) == components
+
+
 def test_regular_elements_match_full_scan(table):
     for n in range(1, 7):
         tbl = table(n, "PFI")
