@@ -27,7 +27,7 @@ from operator import ne, or_
 
 from .fence import in_if, in_pfi
 from .greens import blocks
-from .pinj import PartialInjection, multiplier
+from .pinj import PartialInjection, inverse_img, multiplier
 
 # largest n each kind is built for: |I_9| is 17.6M maps, |IF_10| 137,412
 MAX_N = {"I": 8, "PFI": 10, "IF": 10}
@@ -482,15 +482,11 @@ def inverse_j_classes(table: SemigroupTable):
     n = table.n
     imgs = [e.img for e in table.elements]
     index = table.index
-    pts = range(1, n + 1)
     bits = [1 << x for x in range(n)]
     doms = [sum(itertools.compress(bits, img)) for img in imgs]
     edges = set()
     for img, dom in zip(imgs, doms):
-        inv = [0] * (n + 1)  # slot 0 collects the undefined points
-        for x, v in zip(pts, img):
-            inv[v] = x
-        pos = index.get(tuple(inv[1:]))
+        pos = index.get(tuple(inverse_img(img)))
         if pos is None:
             elt = PartialInjection(n, img).encode()
             raise ValueError(f"the inverse of {elt} is not in the table")

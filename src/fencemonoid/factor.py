@@ -10,18 +10,27 @@ repair words yields the factorization.  Each step's postcondition is
 checked at runtime; any violation routes the element to a breadth-first
 fallback over the rank >= n-2 generators, and the produced word records
 which path was taken.
+
+The pipeline runs on img tuples.  Letters are folded with the
+:func:`~fencemonoid.pinj.multiplier` kernel, and one element is built
+per step, for its block form.  Each check runs once per value: the
+input's membership once, each step's result once, and the letter check
+once per distinct letter of the word.  Each explicit letter is inverted
+at most once per factorization.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
-from . import genfam, greens
+from . import genfam
 from .enumeration import closure, require_floor_within_limit
 from .fence import in_if, require_if
 from .genfam import GeneratorSpec, OddAmbientError, interval_map
-from .pinj import OutOfRangeError, PartialInjection, SizeMismatchError, multiplier
+from .pinj import MAX_N, OutOfRangeError, PartialInjection, SizeMismatchError, multiplier
 
 
 class BadIndicesError(ValueError):
@@ -93,20 +102,25 @@ class Word:
         return " ".join([f"w{self.n}:"] + parts)
 
 
-def eval_word(word: Word) -> PartialInjection:
-    """The product of the letters, folded over img tuples with the
-    :func:`~fencemonoid.pinj.multiplier` kernel; one element is built at
-    the end.  An explicit letter of another ambient size raises
+def _value(letters, n: int) -> tuple:
+    """The img tuple of the product of the letters, folded left to right
+    with the :func:`~fencemonoid.pinj.multiplier` kernel; () is the
+    identity.  An explicit letter of another ambient size raises
     :class:`SizeMismatchError`, as the element product does."""
-    n = word.n
     acc = tuple(range(1, n + 1))
     named = genfam.named
-    for letter in word.letters:
+    for letter in letters:
         elt = named(n, letter) if isinstance(letter, GeneratorSpec) else letter
         if elt.n != n:
             raise SizeMismatchError(f"ambient sizes differ: {n} != {elt.n}")
         acc = multiplier(acc)((0,) + elt.img)
-    return PartialInjection(n, acc)
+    return acc
+
+
+def eval_word(word: Word) -> PartialInjection:
+    """The product of the letters, folded over img tuples; one element is
+    built at the end."""
+    return PartialInjection(word.n, _value(word.letters, word.n))
 
 
 def parse_word(text: str) -> Word:
@@ -162,8 +176,13 @@ def build_reversal(n: int, m: int, p: int):
     return elt, Word(n, (elt,), provenance="constructive")
 
 
+# one shared spec per point, so resolving a letter never compares specs
+# field by field
+_EPS = (None,) + tuple(GeneratorSpec("eps", i) for i in range(1, MAX_N + 1))
+
+
 def _eps_letters(n, points):
-    return tuple(GeneratorSpec("eps", i) for i in points if 1 <= i <= n)
+    return tuple(_EPS[i] for i in points if 1 <= i <= n)
 
 
 def _shift2k_letters(n, m, p, k):
@@ -175,7 +194,7 @@ def _shift2k_letters(n, m, p, k):
         if p % 2 == 0:
             b1, _ = build_reversal(n, mm, p + 2)
             b2, _ = build_reversal(n, mm + 2, p)
-            letters += [b1, b2, GeneratorSpec("eps", mm)]
+            letters += [b1, b2, _EPS[mm]]
         else:
             b3, _ = build_reversal(n, mm, p + 1)
             b4, _ = build_reversal(n, mm + 1, p + 1)
@@ -185,7 +204,7 @@ def _shift2k_letters(n, m, p, k):
 
 def _revshift_letters(n, m, p):
     b1, _ = build_reversal(n, m, p + 1)
-    return (b1, GeneratorSpec("eps", m))
+    return (b1, _EPS[m])
 
 
 def build_shift_word(n: int, kind: str, m: int, p: int, k: int | None = None):
@@ -235,12 +254,11 @@ def build_shift_word(n: int, kind: str, m: int, p: int, k: int | None = None):
     else:
         raise KindMismatchError(f"unknown kind {kind!r}")
 
-    word = Word(n, letters, provenance="constructive")
-    if eval_word(word) != elt:
+    if _value(letters, n) != elt.img:
         raise FactorizationError(f"{kind} word does not evaluate to its target")
     if not in_if(elt):
         raise FactorizationError(f"{kind} target leaves the semigroup")
-    return elt, word
+    return elt, Word(n, letters, provenance="constructive")
 
 
 def partial_identity_word(n: int, points) -> Word:
@@ -254,8 +272,53 @@ def partial_identity_word(n: int, points) -> Word:
 # --- parity normalization ----------------------------------------------------
 
 
-def _mismatches(a: PartialInjection):
-    return [x for x in a.domain() if (x - a.img[x - 1]) % 2]
+def _mismatches(img: tuple):
+    """The domain points whose image differs from them mod 2, ascending."""
+    return [x for x, v in enumerate(img, 1) if v and (x - v) % 2]
+
+
+def _invert_all(letters) -> tuple:
+    """The letters of the inverse word: each letter inverted, in reverse."""
+    return tuple(_invert_letter(l) for l in reversed(letters))
+
+
+def _parity_repair(a: PartialInjection):
+    """The body of :func:`parity_normalize` for a member of the semigroup.
+
+    Returns (left, right, left_inv, right_inv, core): the rotation
+    letters, the letters of their inverse words, and the core's img
+    tuple.  Each letter is inverted once, for the invertibility check,
+    and the inverses are handed on to the caller.
+    """
+    n = a.n
+    core = a.img
+    left: list = []
+    right: list = []
+    mism = _mismatches(core)
+    for _ in range(n + 1):
+        if not mism:
+            break
+        evens = [x for x in mism if x % 2 == 0]
+        if evens:
+            eta = genfam._eta_left(n, evens[0])
+            new = multiplier(eta.img)((0,) + core)
+            left.insert(0, eta)
+        else:
+            eta = genfam._eta_right(n, core[mism[0] - 1])
+            new = multiplier(core)((0,) + eta.img)
+            right.append(eta)
+        new_mism = _mismatches(new)
+        if new.count(0) != core.count(0) or len(new_mism) != len(mism) - 1:
+            raise FactorizationError("parity repair did not reduce the mismatch count")
+        core, mism = new, new_mism
+    else:
+        raise FactorizationError("parity repair did not converge")
+
+    left_inv = _invert_all(left)
+    right_inv = _invert_all(right)
+    if _value((*left_inv, PartialInjection(n, core), *right_inv), n) != a.img:
+        raise FactorizationError("parity repair is not invertible on this element")
+    return tuple(left), tuple(right), left_inv, right_inv, core
 
 
 def parity_normalize(a: PartialInjection):
@@ -269,41 +332,18 @@ def parity_normalize(a: PartialInjection):
     """
     require_if(a)
     n = a.n
-    core = a
-    left: list = []
-    right: list = []
-    for _ in range(n + 1):
-        mism = _mismatches(core)
-        if not mism:
-            break
-        evens = [x for x in mism if x % 2 == 0]
-        if evens:
-            eta = genfam._eta_left(n, min(evens))
-            new = eta * core
-            left.insert(0, eta)
-        else:
-            c = core.img[min(mism) - 1]
-            eta = genfam._eta_right(n, c)
-            new = core * eta
-            right.append(eta)
-        if new.rank != core.rank or len(_mismatches(new)) != len(mism) - 1:
-            raise FactorizationError("parity repair did not reduce the mismatch count")
-        core = new
-    else:
-        raise FactorizationError("parity repair did not converge")
-
-    lw = Word(n, tuple(left), provenance="constructive")
-    rw = Word(n, tuple(right), provenance="constructive")
-    if eval_word(lw.inverse()) * core * eval_word(rw.inverse()) != a:
-        raise FactorizationError("parity repair is not invertible on this element")
-    return lw, rw, core
+    left, right, _, _, core = _parity_repair(a)
+    return (
+        Word(n, left, provenance="constructive"),
+        Word(n, right, provenance="constructive"),
+        PartialInjection(n, core),
+    )
 
 
 # --- block stage form --------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _Block:
+class _Block(NamedTuple):
     r: int  # domain interval [r, s]
     s: int
     t: int  # image interval [t, u]
@@ -321,53 +361,72 @@ class BlockForm:
 
     ``blocks`` lists the domain runs with their image intervals and
     directions; blocks before stage ``i`` (1-based) are pointwise fixed
-    and lie below every remaining image.
+    and lie below every remaining image.  ``low`` is the 0-based index of
+    the remaining block with the least image, ``len(blocks)`` once every
+    block is fixed.
     """
 
     elt: PartialInjection
     blocks: list = field(default_factory=list)
     i: int = 1
+    low: int = 0
 
     @classmethod
     def from_pinj(cls, a: PartialInjection) -> "BlockForm":
         if not in_if(a):
             raise MalformedBlockFormError(f"{a.encode()} is not in the semigroup")
-        if _mismatches(a):
-            raise MalformedBlockFormError("element is not parity-normalized")
-        blocks = []
-        for r, length in greens.blocks(a.n, a.domain()):
-            vals = list(a.img[r - 1 : r - 1 + length])
-            asc = length == 1 or vals[1] == vals[0] + 1
-            lo, hi = min(vals), max(vals)
-            if sorted(vals) != list(range(lo, hi + 1)) or (
-                vals != sorted(vals) and vals != sorted(vals, reverse=True)
-            ):
-                raise MalformedBlockFormError("block image is not a monotone interval")
-            blocks.append(_Block(r, r + length - 1, lo, hi, asc))
+        return cls._scan(a)
 
-        fixed_lead = 0
-        while fixed_lead < len(blocks) and blocks[fixed_lead].fixed:
-            fixed_lead += 1
-        stage = 1
-        for cand in range(fixed_lead + 1, 0, -1):
-            prefix_end = blocks[cand - 2].s if cand >= 2 else 0
-            if all(b.t > prefix_end for b in blocks[cand - 1 :]):
-                stage = cand
-                break
-        return cls(a, blocks, stage)
+    @classmethod
+    def _scan(cls, a: PartialInjection) -> "BlockForm":
+        """The form of a member of the semigroup: parity, domain runs and
+        the monotone-interval test from one scan of its img."""
+        blocks = []
+        lead = 0  # how many leading blocks are fixed pointwise
+        unnormalized = malformed = False
+        r = first = last = step = 0  # the open run's start, end images and step
+        for x, v in enumerate(a.img + (0,), 1):  # the trailing 0 ends the last run
+            if not v:
+                if r:
+                    if lead == len(blocks) and step >= 0 and first == r:
+                        lead += 1
+                    t, u = (first, last) if step >= 0 else (last, first)
+                    blocks.append(_Block(r, x - 1, t, u, step >= 0))
+                    r = 0
+                continue
+            if (x - v) % 2:
+                unnormalized = True
+            if not r:
+                r, first, last, step = x, v, v, 0
+                continue
+            if not step:
+                step = v - last
+            if v - last != step or step not in (1, -1):
+                malformed = True
+            last = v
+        if unnormalized:
+            raise MalformedBlockFormError("element is not parity-normalized")
+        if malformed:
+            raise MalformedBlockFormError("block image is not a monotone interval")
+
+        # the stage: the latest one, at most one past the fixed lead, whose
+        # remaining images all lie above the blocks before it.  A fixed
+        # block the stage moves back over ends at or above the least
+        # image, and its image (its own points) is disjoint from that one,
+        # so it lies wholly above: ``low`` stands.
+        i = lead + 1
+        low = min(range(lead, len(blocks)), key=lambda l: blocks[l].t, default=len(blocks))
+        while low < len(blocks) and i > 1 and blocks[i - 2].s >= blocks[low].t:
+            i -= 1
+        return cls(a, blocks, i, low)
 
     @property
     def all_fixed(self):
         return self.i > len(self.blocks)
 
-    def min_image_pos(self) -> int:
-        """0-based index of the remaining block with the least image."""
-        idx = self.i - 1
-        return min(range(idx, len(self.blocks)), key=lambda l: self.blocks[l].t)
-
     @property
     def aligned(self):
-        return self.all_fixed or self.min_image_pos() == self.i - 1
+        return self.low == self.i - 1
 
 
 # --- block alignment and pinning ----------------------------------------------
@@ -395,7 +454,7 @@ def _align_dispatch(bf: BlockForm, depth: int):
     """Case dispatch for one alignment step; returns (left, right) letters."""
     n = bf.elt.n
     idx = bf.i - 1
-    k0 = bf.min_image_pos()
+    k0 = bf.low
     if k0 == idx:
         return (), ()
 
@@ -439,7 +498,7 @@ def _align_dispatch(bf: BlockForm, depth: int):
     if reshaped.rank != bf.elt.rank:
         raise FactorizationError("far-block repair lost domain points")
     bf2 = BlockForm.from_pinj(reshaped)
-    if bf2.i != bf.i or bf2.min_image_pos() != idx + 1:
+    if bf2.i != bf.i or bf2.low != idx + 1:
         raise FactorizationError("far-block repair did not reduce to the adjacent case")
     lhs, rhs = _align_dispatch(bf2, depth + 1)
     return lhs + (tau,), rhs
@@ -459,6 +518,35 @@ def align_first_block(bf: BlockForm):
     return Word(n, lhs, provenance="constructive"), Word(n, rhs, provenance="constructive")
 
 
+def _pin(bf: BlockForm):
+    """The move that pins the aligned current block: (target, word, on_left).
+
+    On the left the move is the target itself; on the right it is the
+    target's inverse.
+    """
+    n = bf.elt.n
+    blk = bf.blocks[bf.i - 1]
+    d = blk.r - blk.t
+    if blk.asc:
+        if d > 0:
+            return (*build_shift_word(n, "shift2k", blk.t, blk.u - blk.t, d // 2), True)
+        return (*build_shift_word(n, "shift2k", blk.r, blk.s - blk.r, -d // 2), False)
+    if d >= 0:
+        if d == 0:
+            elt, w = build_reversal(n, blk.t, blk.u - blk.t)
+        elif d % 2:
+            elt, w = build_shift_word(n, "revshift2k", blk.t, blk.u - blk.t, (d + 1) // 2)
+        else:
+            elt, w = build_shift_word(n, "revshifteven", blk.t, blk.u - blk.t, d // 2)
+        return elt, w, True
+    d2 = -d
+    if d2 % 2:
+        elt, w = build_shift_word(n, "revshift2k", blk.r, blk.s - blk.r, (d2 + 1) // 2)
+    else:
+        elt, w = build_shift_word(n, "revshifteven", blk.r, blk.s - blk.r, d2 // 2)
+    return elt, w, False
+
+
 def fix_first_block(bf: BlockForm):
     """Pin the aligned block down pointwise with a shift / reversal-shift.
 
@@ -472,30 +560,10 @@ def fix_first_block(bf: BlockForm):
         return empty, empty
     if not bf.aligned:
         raise MalformedBlockFormError("block image is not aligned yet")
-    blk = bf.blocks[bf.i - 1]
-    if blk.fixed:
+    if bf.blocks[bf.i - 1].fixed:
         return empty, empty
-    d = blk.r - blk.t
-    if blk.asc:
-        if d > 0:
-            _, w = build_shift_word(n, "shift2k", blk.t, blk.u - blk.t, d // 2)
-            return w, empty
-        _, w = build_shift_word(n, "shift2k", blk.r, blk.s - blk.r, -d // 2)
-        return empty, w.inverse()
-    if d >= 0:
-        if d == 0:
-            _, w = build_reversal(n, blk.t, blk.u - blk.t)
-        elif d % 2:
-            _, w = build_shift_word(n, "revshift2k", blk.t, blk.u - blk.t, (d + 1) // 2)
-        else:
-            _, w = build_shift_word(n, "revshifteven", blk.t, blk.u - blk.t, d // 2)
-        return w, empty
-    d2 = -d
-    if d2 % 2:
-        _, w = build_shift_word(n, "revshift2k", blk.r, blk.s - blk.r, (d2 + 1) // 2)
-    else:
-        _, w = build_shift_word(n, "revshifteven", blk.r, blk.s - blk.r, d2 // 2)
-    return empty, w.inverse()
+    _, w, on_left = _pin(bf)
+    return (w, empty) if on_left else (empty, w.inverse())
 
 
 # --- top-level factorization --------------------------------------------------
@@ -519,66 +587,79 @@ def factorize_bfs(table, a: PartialInjection) -> Word:
     return Word(a.n, letters, provenance="bfs")
 
 
-def _apply_step(core, w1, w2, prefix_points):
-    """Apply one step to the core.  Membership and parity normalization
-    of the result are checked by the ``BlockForm.from_pinj`` that
-    :func:`_constructive` builds from it next."""
-    new = eval_word(w1) * core * eval_word(w2)
-    if new.rank != core.rank:
+def _apply_step(core: PartialInjection, lhs, rhs, prefix) -> tuple:
+    """The img tuple of eval(lhs) * core * eval(rhs), for one step.  The
+    blocks in ``prefix`` are fixed pointwise in the core and must stay
+    so.  Membership and parity normalization of the result are checked
+    by the ``BlockForm.from_pinj`` that :func:`_constructive` builds from
+    it next."""
+    new = _value((*lhs, core, *rhs), core.n)
+    if new.count(0) != core.img.count(0):
         raise FactorizationError("pipeline step lost domain points")
-    for x in prefix_points:
-        if new.img[x - 1] != x:
+    for b in prefix:
+        if new[b.r - 1 : b.s] != core.img[b.r - 1 : b.s]:
             raise FactorizationError("pipeline step disturbed the fixed prefix")
     return new
 
 
+def _step(bf: BlockForm):
+    """One pipeline step: (lhs, rhs, lhs_inv, rhs_inv), applied to the
+    core as eval(lhs) * core * eval(rhs); ``lhs_inv`` and ``rhs_inv`` are
+    the letters of the inverse words, each letter inverted once.  A
+    right-side pin is applied as its target's inverse and enters the
+    inverse word as the shift word itself."""
+    if not bf.aligned:
+        lhs, rhs = _align_dispatch(bf, 0)
+        return lhs, rhs, _invert_all(lhs), _invert_all(rhs)
+    if bf.blocks[bf.i - 1].fixed:
+        return (), (), (), ()
+    elt, w, on_left = _pin(bf)
+    if on_left:
+        return (elt,), (), _invert_all(w.letters), ()
+    return (), (elt.inverse(),), (), w.letters
+
+
 def _constructive(a: PartialInjection) -> Word:
+    """The block pipeline for a member of the semigroup of rank < n-2."""
     n = a.n
-    lw, rw, core = parity_normalize(a)
-    left = list(lw.letters)
-    right = list(rw.letters)
-    bf = BlockForm.from_pinj(core)
+    _, _, left_inv, right_inv, img = _parity_repair(a)
+    head = [left_inv]  # the assembled word's chunks before the residual
+    tail = [right_inv]  # and after it, last chunk first
+    if img == a.img:  # no repair: the input's membership is already checked
+        core, bf = a, BlockForm._scan(a)
+    else:
+        core = PartialInjection(n, img)
+        bf = BlockForm.from_pinj(core)
     for _ in range(2 * n + 4):
         if bf.all_fixed:
             break
-        prefix_points = [
-            x for b in bf.blocks[: bf.i - 1] for x in range(b.r, b.s + 1)
-        ]
-        if not bf.aligned:
-            w1, w2 = align_first_block(bf)
-            bf_check = "aligned"
-        else:
-            w1, w2 = fix_first_block(bf)
-            bf_check = "fixed"
-        core = _apply_step(core, w1, w2, prefix_points)
-        left = list(w1.letters) + left
-        right = right + list(w2.letters)
+        aligning = not bf.aligned
+        lhs, rhs, lhs_inv, rhs_inv = _step(bf)
+        core = PartialInjection(n, _apply_step(core, lhs, rhs, bf.blocks[: bf.i - 1]))
+        head.append(lhs_inv)
+        tail.append(rhs_inv)
         bf2 = BlockForm.from_pinj(core)
         # an alignment step may incidentally fix its block, advancing the
         # stage outright; otherwise it must leave the stage aligned
-        if bf_check == "aligned" and not (bf2.i > bf.i or bf2.aligned):
+        if aligning and not (bf2.i > bf.i or bf2.aligned):
             raise FactorizationError("alignment step failed to align")
-        if bf_check == "fixed" and not (bf2.i > bf.i or bf2.all_fixed):
+        if not aligning and not (bf2.i > bf.i or bf2.all_fixed):
             raise FactorizationError("fixing step failed to extend the prefix")
         bf = bf2
     else:
         raise FactorizationError("block pipeline did not converge")
 
-    missing = sorted(set(range(1, n + 1)) - set(core.domain()))
-    eps_word = partial_identity_word(n, missing)
-    if eval_word(eps_word) != core:
+    eps = _eps_letters(n, [x for x, v in enumerate(core.img, 1) if not v])
+    if _value(eps, n) != core.img:
         raise FactorizationError("residual core is not a partial identity")
 
-    left_inv = [_invert_letter(l) for l in reversed(left)]
-    right_inv = [_invert_letter(l) for l in reversed(right)]
-    letters = tuple(left_inv) + eps_word.letters + tuple(right_inv)
-    word = Word(n, letters, provenance="constructive")
-    if eval_word(word) != a:
+    letters = (*itertools.chain(*head), *eps, *itertools.chain(*reversed(tail)))
+    if _value(letters, n) != a.img:
         raise FactorizationError("assembled word does not evaluate to the input")
-    for letter in letters:
+    for letter in set(letters):
         if not _is_high_rank_letter(_resolve(letter, n)):
             raise FactorizationError("assembled word contains a low-rank letter")
-    return word
+    return Word(n, letters, provenance="constructive")
 
 
 def factorize_j(a: PartialInjection) -> Word:
@@ -611,8 +692,7 @@ def factorize_g(a: PartialInjection) -> Word:
     n = a.n
     if n % 2:
         raise OddAmbientError(f"set_g factorization needs even n, got {n}")
-    require_if(a)
-    base = factorize_j(a)
+    base = factorize_j(a)  # checks membership
     letters: list = []
     misses = 0
     for letter in base.letters:
@@ -626,6 +706,6 @@ def factorize_g(a: PartialInjection) -> Word:
         fallback=base.fallback,
         bfs_letters=misses,
     )
-    if eval_word(word) != a:
+    if _value(word.letters, n) != a.img:
         raise FactorizationError("generator expansion does not evaluate to the input")
     return word

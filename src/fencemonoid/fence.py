@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from enum import Enum
 
-from .pinj import OutOfRangeError, PartialInjection
+from .pinj import OutOfRangeError, PartialInjection, inverse_img
 
 
 class Membership(Enum):
@@ -31,32 +31,33 @@ def fence_less(n: int, x: int, y: int) -> bool:
     return abs(x - y) == 1 and x % 2 == 1
 
 
-def preserves_fence(a: PartialInjection) -> bool:
-    """Forward fence-preservation: x <_f y implies xa <_f ya on the domain.
+def _preserves(img) -> bool:
+    """Forward fence-preservation of an image sequence (slot x-1 holds
+    the image of x, 0 means undefined).
 
     The fence's comparability graph is the path 1-2-...-n, so only pairs
     (x, x+1) with both points defined need checking: their images must be
     adjacent, with the odd point of the pair mapping to the odd image.
+    Given adjacent images, that holds iff x and its image agree mod 2.
     """
-    img = a.img
-    n = a.n
-    for x in range(1, n):
-        u, v = img[x - 1], img[x]
-        if u and v:
-            if abs(u - v) != 1:
-                return False
-            # the fence-smaller (odd) point must map to the fence-smaller image
-            smaller = u if x % 2 == 1 else v
-            if smaller % 2 == 0:
-                return False
+    u = 0  # the image of point x; v is the image of x + 1
+    for x, v in enumerate(img):
+        if u and v and (u - v not in (1, -1) or (u - x) & 1):
+            return False
+        u = v
     return True
+
+
+def preserves_fence(a: PartialInjection) -> bool:
+    """Forward fence-preservation: x <_f y implies xa <_f ya on the domain."""
+    return _preserves(a.img)
 
 
 def membership(a: PartialInjection) -> Membership:
     """Classify a map as NotPFI, PFIOnly (one direction), or IF (both)."""
     if not preserves_fence(a):
         return Membership.NOT_PFI
-    if not preserves_fence(a.inverse()):
+    if not _preserves(inverse_img(a.img)):
         return Membership.PFI_ONLY
     return Membership.IF
 
@@ -66,7 +67,10 @@ def in_pfi(a: PartialInjection) -> bool:
 
 
 def in_if(a: PartialInjection) -> bool:
-    return preserves_fence(a) and preserves_fence(a.inverse())
+    """Both directions preserve the fence.  The inverse is tested as a
+    plain list of images; no inverse element is built."""
+    img = a.img
+    return _preserves(img) and _preserves(inverse_img(img))
 
 
 def require_if(a: PartialInjection) -> None:

@@ -119,6 +119,15 @@ class GeneratorSpec:
     def __post_init__(self):
         if self.family not in _FAMILIES:
             raise BadIndexError(f"unknown family {self.family!r}")
+        # the dataclass hash, computed once: specs key the ``named`` cache
+        object.__setattr__(self, "_hash", hash((self.family, self.i, self.j)))
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):
+        # rebuilt through __init__, so a copy hashes as its own process does
+        return type(self), (self.family, self.i, self.j)
 
     def text(self) -> str:
         if self.family == "beta":
@@ -200,8 +209,9 @@ def _eta_left(n: int, a: int) -> PartialInjection:
 
 
 def _eta_right(n: int, c: int) -> PartialInjection:
-    """x -> x+2 for x <= c-2, c -> 1, fix above c+1 (c even)."""
-    return _eta_left(n, c).inverse()
+    """x -> x+2 for x <= c-2, c -> 1, fix above c+1 (c even): the inverse
+    of ``_eta_left(n, c)``, laid out directly."""
+    return interval_map(n, 1, (*range(3, c + 1), 0, 1))
 
 
 @functools.lru_cache(maxsize=8)

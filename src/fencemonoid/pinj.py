@@ -123,11 +123,7 @@ class PartialInjection:
         return PartialInjection(self.n, multiplier(self.img)((0,) + other.img))
 
     def inverse(self) -> "PartialInjection":
-        img = [0] * self.n
-        for x, v in enumerate(self.img, start=1):
-            if v:
-                img[v - 1] = x
-        return PartialInjection(self.n, tuple(img))
+        return PartialInjection(self.n, tuple(inverse_img(self.img)))
 
     def is_partial_identity(self) -> bool:
         return all(v == 0 or v == x for x, v in enumerate(self.img, start=1))
@@ -178,6 +174,15 @@ def multiplier(img: tuple[int, ...]):
         (v,) = img
         return lambda padded: (padded[v],)
     return itemgetter(*img)
+
+
+def inverse_img(img) -> list:
+    """The inverse kernel: the img of the inverse map, as a plain list."""
+    inv = [0] * (len(img) + 1)  # slot 0 collects the undefined points
+    for x, v in enumerate(img, 1):
+        inv[v] = x
+    del inv[0]
+    return inv
 
 
 def parse(text: str) -> PartialInjection:

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from fencemonoid import enumeration as en
-from fencemonoid import factor, fence, genfam, pinj
+from fencemonoid import factor, fence, genfam, greens, pinj
 from fencemonoid.factor import (
     BadIndicesError,
     BlockForm,
@@ -286,7 +286,7 @@ def test_parity_normalize_noop_when_aligned():
 def test_parity_normalize_single_mismatch():
     a = pinj.make(6, {(4, 1)})
     left, right, core = factor.parity_normalize(a)
-    assert not factor._mismatches(core)
+    assert not factor._mismatches(core.img)
     assert core.rank == 1
     assert factor.eval_word(left) * a * factor.eval_word(right) == core
 
@@ -300,7 +300,7 @@ def test_parity_normalize_empty_map():
 def test_parity_normalize_exhaustive(table):
     for a in table(6):
         left, right, core = factor.parity_normalize(a)
-        assert not factor._mismatches(core)
+        assert not factor._mismatches(core.img)
         assert core.rank == a.rank
         recon = (
             factor.eval_word(left.inverse())
@@ -315,6 +315,177 @@ def test_block_form_rejects_bad_input():
         BlockForm.from_pinj(pinj.make(6, {(1, 3), (2, 2), (4, 6), (5, 5), (6, 4)}))
     with pytest.raises(MalformedBlockFormError):
         BlockForm.from_pinj(pinj.make(6, {(4, 1)}))  # parity mismatch
+
+
+# the element-level bodies that the img-tuple pipeline replaced, kept as
+# its oracles
+
+
+def _old_in_if(a):
+    return fence.preserves_fence(a) and fence.preserves_fence(a.inverse())
+
+
+def _old_mismatches(a):
+    return [x for x in a.domain() if (x - a.img[x - 1]) % 2]
+
+
+def _old_block_form(a):
+    """(blocks, stage, least-image position) by way of ``greens.blocks``."""
+    if not fence.in_if(a):
+        raise MalformedBlockFormError(f"{a.encode()} is not in the semigroup")
+    if _old_mismatches(a):
+        raise MalformedBlockFormError("element is not parity-normalized")
+    blocks = []
+    for r, length in greens.blocks(a.n, a.domain()):
+        vals = list(a.img[r - 1 : r - 1 + length])
+        asc = length == 1 or vals[1] == vals[0] + 1
+        lo, hi = min(vals), max(vals)
+        if sorted(vals) != list(range(lo, hi + 1)) or (
+            vals != sorted(vals) and vals != sorted(vals, reverse=True)
+        ):
+            raise MalformedBlockFormError("block image is not a monotone interval")
+        blocks.append((r, r + length - 1, lo, hi, asc))
+    fixed = [asc and t == r for r, _, t, _, asc in blocks]
+    fixed_lead = 0
+    while fixed_lead < len(blocks) and fixed[fixed_lead]:
+        fixed_lead += 1
+    stage = 1
+    for cand in range(fixed_lead + 1, 0, -1):
+        prefix_end = blocks[cand - 2][1] if cand >= 2 else 0
+        if all(b[2] > prefix_end for b in blocks[cand - 1 :]):
+            stage = cand
+            break
+    rest = range(stage - 1, len(blocks))
+    low = min(rest, key=lambda l: blocks[l][2]) if rest else len(blocks)
+    return blocks, stage, low
+
+
+def _old_apply_step(core, w1, w2, prefix_points):
+    new = _eval_word_by_objects(w1) * core * _eval_word_by_objects(w2)
+    if new.rank != core.rank:
+        raise factor.FactorizationError("pipeline step lost domain points")
+    for x in prefix_points:
+        if new.img[x - 1] != x:
+            raise factor.FactorizationError("pipeline step disturbed the fixed prefix")
+    return new.img
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (MalformedBlockFormError, factor.FactorizationError) as exc:
+        return type(exc), str(exc)
+
+
+def _new_block_form(a):
+    bf = BlockForm.from_pinj(a)
+    return [tuple(b) for b in bf.blocks], bf.i, bf.low
+
+
+def test_block_form_scan_matches_element_oracle(table):
+    normalized = 0
+    for n in range(1, 9):
+        for a in table(n):
+            assert _outcome(_new_block_form, a) == _outcome(_old_block_form, a)
+            normalized += not _old_mismatches(a)
+    assert normalized == 4128  # 2713 of them at n = 8
+
+
+def test_block_form_errors_match_element_oracle(monkeypatch):
+    def check(enc, message):
+        a = pinj.parse(enc)
+        got = _outcome(_new_block_form, a)
+        assert got == _outcome(_old_block_form, a)
+        assert got[0] is MalformedBlockFormError and message in got[1]
+
+    check("n=6:[1>3 2>2 4>6 5>5 6>4]", "not in the semigroup")
+    check("n=6:[4>1]", "not parity-normalized")
+    # no member of the semigroup has a block that is not a monotone
+    # interval, so the shape test is reached only past a waived membership
+    monkeypatch.setattr(factor, "in_if", lambda a: True)
+    monkeypatch.setattr(fence, "in_if", lambda a: True)
+    check("n=6:[1>1 2>4 3>3]", "not a monotone interval")
+    check("n=6:[1>5 2>4 3>1]", "not a monotone interval")
+    check("n=8:[1>1 2>4 3>7]", "not a monotone interval")  # even steps of 3
+    # a map with both faults reports the parity first, as before
+    check("n=6:[1>1 2>3 3>2]", "not parity-normalized")
+
+
+def test_apply_step_matches_object_products(table):
+    steps = 0
+    for n in range(1, 8):
+        for a in table(n):
+            if a.rank >= n - 2:
+                continue
+            _, _, core = factor.parity_normalize(a)
+            bf = BlockForm.from_pinj(core)
+            for _ in range(2 * n + 4):
+                if bf.all_fixed:
+                    break
+                w1, w2 = (factor.fix_first_block if bf.aligned else factor.align_first_block)(bf)
+                prefix = bf.blocks[: bf.i - 1]
+                points = [x for b in prefix for x in range(b.r, b.s + 1)]
+                new = factor._apply_step(core, w1.letters, w2.letters, prefix)
+                assert new == _old_apply_step(core, w1, w2, points)
+                core = PartialInjection(n, new)
+                bf = BlockForm.from_pinj(core)
+                steps += 1
+            assert bf.all_fixed
+    assert steps > 1000
+    # a step that drops a point, and one that keeps the rank but moves
+    # the fixed prefix
+    core = pinj.identity_on(6, {1, 2, 5})
+    prefix = BlockForm.from_pinj(core).blocks[:1]
+    for w1, message in (
+        (Word(6, (GeneratorSpec("eps", 5),)), "lost domain points"),
+        (Word(6, (factor._rev_elt(6, 1, 2),)), "disturbed the fixed prefix"),
+    ):
+        got = _outcome(factor._apply_step, core, w1.letters, (), prefix)
+        assert got == _outcome(_old_apply_step, core, w1, Word(6), [1, 2])
+        assert got == (factor.FactorizationError, f"pipeline step {message}")
+
+
+def test_uninverted_letters_leave_through_the_fallback(monkeypatch, table):
+    # the runtime checks guard the letter inversions: with every letter
+    # left as it is, each element whose word needs a letter that is not
+    # its own inverse fails a check and is factored by the counted BFS
+    # fallback; the rest keep their words
+    real = factor._invert_letter
+    elements = [a for n in range(1, 8) for a in table(n)]
+    words, affected = [], []
+    for a in elements:
+        seen = []
+        monkeypatch.setattr(factor, "_invert_letter", lambda l: seen.append(l) or real(l))
+        words.append(factor.factorize_j(a))
+        affected.append(any(real(l) != l for l in seen))
+    monkeypatch.setattr(factor, "_invert_letter", lambda l: l)
+    for a, word, hit in zip(elements, words, affected):
+        w = factor.factorize_j(a)
+        if hit:
+            assert (w.provenance, w.fallback) == ("bfs-fallback", True)
+            assert _eval_word_by_objects(w) == a
+        else:
+            assert (w.text(), w.provenance) == (word.text(), word.provenance)
+            assert not w.fallback
+    assert sum(affected) == 1654 and len(elements) == 3161
+
+
+def test_factorize_sampled_n9_to_32():
+    # properties on random samples past the exhaustive range
+    for n in range(9, 33):
+        gset = set(genfam.set_g(n)) if n % 2 == 0 else ()
+        for a in _seeded_elements(900 + n, n, 40):
+            words = [factor.factorize_j(a)]
+            if gset:
+                words.append(factor.factorize_g(a))
+            for w in words:
+                assert not w.fallback
+                assert _eval_word_by_objects(w) == a
+                for letter in set(w.letters):
+                    elt = factor._resolve(letter, n)
+                    assert elt.rank >= n - 2 and _old_in_if(elt)
+            if gset:
+                assert all(factor._resolve(l, n) in gset for l in words[1].letters)
 
 
 def test_align_noop_when_already_aligned():
@@ -499,7 +670,7 @@ def test_step_leaving_semigroup_falls_back(monkeypatch):
     assert not fence.in_if(swap)
 
     def leave(bf):
-        return Word(n, (swap,)), Word(n, ())
+        return (swap,), (), (), ()
 
     rejected = []
     real = BlockForm.from_pinj
@@ -511,8 +682,7 @@ def test_step_leaving_semigroup_falls_back(monkeypatch):
             rejected.append((elt, str(exc)))
             raise
 
-    monkeypatch.setattr(factor, "align_first_block", leave)
-    monkeypatch.setattr(factor, "fix_first_block", leave)
+    monkeypatch.setattr(factor, "_step", leave)
     monkeypatch.setattr(BlockForm, "from_pinj", from_pinj)
     w = factor.factorize_j(a)
     assert (w.provenance, w.fallback) == ("bfs-fallback", True)

@@ -1,3 +1,7 @@
+import os
+import pickle
+import subprocess
+import sys
 import time
 
 import pytest
@@ -88,6 +92,33 @@ def test_named_generators_are_in_the_semigroup():
 def test_spec_text_roundtrip():
     for text in ("eps:3", "sig1", "sig2", "gam:4", "del:1", "beta:1,5", "id"):
         assert GeneratorSpec.parse(text).text() == text
+
+
+def test_spec_hash_is_the_dataclass_hash():
+    # set and dict orders of specs stay those of the dataclass hash
+    for text in ("eps:3", "sig1", "sig2", "gam:4", "del:1", "beta:1,5", "id"):
+        spec = GeneratorSpec.parse(text)
+        assert hash(spec) == hash((spec.family, spec.i, spec.j))
+        assert pickle.loads(pickle.dumps(spec)) == spec
+
+
+def test_unpickled_spec_hashes_as_its_process_does():
+    # string hashes differ between processes, so a spec must not carry
+    # its hash across a pickle
+    code = (
+        "import pickle, sys\n"
+        "from fencemonoid.genfam import GeneratorSpec\n"
+        "spec = pickle.loads(sys.stdin.buffer.read())\n"
+        "print({spec: 1}.get(GeneratorSpec('eps', 3)))\n"
+    )
+    src = os.path.dirname(os.path.dirname(genfam.__file__))
+    env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED="12345")
+    proc = subprocess.run(
+        [sys.executable, "-c", code], input=pickle.dumps(GeneratorSpec("eps", 3)),
+        env=env, capture_output=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == [b"1"]
 
 
 def test_set_j_small_cases(table):
