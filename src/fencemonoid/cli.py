@@ -197,16 +197,20 @@ def _render_factorize(payload, out):
 def _verify_thm1(n):
     table = en.build(n, "IF")
     gens = genfam.set_j(n)
-    generated = len(en.saturate(n, en.reduce_generators(gens)))
+    generated = en.generated_size(n, gens)
     ok = generated == len(table)
     return ok, {"size": len(table), "generators": len(gens), "generated": generated}
 
 
 def _verify_thm2(n):
     table = en.build(n, "IF")
-    reached = en.saturate(n, genfam.set_g(n))
-    ok = reached.keys() == table.index.keys()
-    return ok, {"size": len(table), "generated": len(reached)}
+    gens = genfam.set_g(n)
+    # IF_n is closed under products, so the set its members generate lies
+    # in it, and has its size only when it is all of it
+    members = all(g in table for g in gens)
+    generated = en.generated_size(n, gens)
+    ok = members and generated == len(table)
+    return ok, {"size": len(table), "generated": generated}
 
 
 def _verify_least(n):

@@ -4,9 +4,14 @@ Builds the full symmetric inverse monoid on {1..n} (or its one-way /
 two-way fence-preserving subsemigroups), each up to its own size limit
 in :data:`MAX_N`, and computes principal ideals, irreducible elements,
 least generating sets and semigroup rank.  One product-saturation loop,
-:func:`saturate`, gives the set a generating set generates; the
-generation checks read only that set, and :func:`closure` wraps it in a
-table with one shortest discovery word per element.  The J-class
+:func:`saturate`, gives the set a generating set generates, and
+:func:`closure` wraps it in a table with one shortest discovery word
+per element.  Every generation check asks :func:`generated_size` for
+|<gens>| only: for a set closed under inverse it is the sum over the
+J-classes of |class|^2 |G| (:func:`inverse_orbit_size`, from the orbit
+of image sets and one small permutation group per class, after East,
+Egri-Nagy, Mitchell & Peresse, J. Symb. Comput. 92, 2019), so <gens>
+is never listed; other sets are saturated.  The J-class
 oracles work on table positions: :func:`principal_ideals` gives every
 principal ideal as a bitmask from one pass over the products, and
 :func:`ideal_j_classes` builds only the rank-keeping edges of its
@@ -261,7 +266,8 @@ def closure(n: int, gens, min_rank: int = 0) -> SemigroupTable:
     parents back to a generator.  With ``min_rank > 0`` the table is not
     closed, and each element kept has the same word as in the full
     closure.  A check that needs only the generated set should call
-    :func:`saturate`.
+    :func:`saturate`, and one that needs only its size
+    :func:`generated_size`.
     """
     parents = saturate(n, gens, min_rank)
     return SemigroupTable(
@@ -297,6 +303,118 @@ def reduce_generators(gens):
             layer = [g for g in layer if g.img not in reached]
         kept += layer
     return sorted(kept)
+
+
+def inverse_orbit_size(n: int, gens) -> int:
+    """|<gens>| for a set of partial injections closed under inverse,
+    from the orbit of its image sets, without listing <gens>.
+
+    This is the acting-semigroup method of East, Egri-Nagy, Mitchell &
+    Peresse, "Computing finite semigroups", J. Symb. Comput. 92 (2019),
+    after Linton, Pfeiffer, Robertson & Ruskuc, Math. Z. 228 (1998).
+    Since (g1...gk)^-1 = gk^-1...g1^-1, S = <gens> is an inverse
+    subsemigroup of I_n, where aa^-1 = id(dom a) and a^-1a = id(im a).
+
+    - Image sets, as n-bit masks, are acted on by A.g = (A & dom g)g,
+      and im(ag) = (im a).g, so the image sets of S are the orbit of
+      the generators' image sets.  Each is the domain and image of the
+      idempotent id_A = a^-1a of S, and these are all its idempotents.
+    - For A in the orbit and A inside dom g, id_A g in S maps A onto
+      A.g, so id_A and id_(A.g) are D-related; a word for an a in S
+      with domain A and image B walks such rank-keeping edges from A
+      to B.  Inverse closure makes the edges symmetric, so a breadth-
+      first search over them reaches exactly one D-class (= J-class,
+      as S is finite).  Its tree gives u_B in S mapping the class's
+      first set R onto each B in it.
+    - The H-class of id_R is the group G of elements with domain and
+      image R.  Any of them is a product id_R g1...gk along a closed
+      path of rank-keeping edges, which telescopes into Schreier
+      generators u_B g u_C^-1 (B.g = C), so these generate G.
+    - A D-class with N idempotents and maximal subgroup G has N^2 |G|
+      elements (Howie, Fundamentals of Semigroup Theory, 1995, ch. 5).
+
+    So |S| is the sum of |class|^2 |G| over the classes.  Closure under
+    inverse is checked literally on img tuples, and a generator whose
+    inverse is missing raises ValueError; no fence fact is read.
+    """
+    gen_list = sorted(set(gens))
+    if not gen_list:
+        raise ValueError("need at least one generator")
+    for g in gen_list:
+        if g.n != n:
+            raise ValueError(f"generator {g.encode()} has ambient size {g.n}, expected {n}")
+    imgs = {g.img for g in gen_list}
+    for g in gen_list:
+        if tuple(inverse_img(g.img)) not in imgs:
+            raise ValueError(f"the inverse of {g.encode()} is not among the generators")
+
+    padded_gens = [(0,) + g.img for g in gen_list]
+    bits = [0] + [1 << x for x in range(n)]  # image point -> its bit; 0 marks none
+
+    def mask(img):
+        return sum(map(bits.__getitem__, img))
+
+    seen = set(map(mask, imgs))  # image sets found so far
+    pending = list(seen)
+    placed: set[int] = set()  # image sets whose class is counted
+    size = 0
+    while pending:
+        root = pending.pop()
+        if root in placed:
+            continue
+        ident = tuple(x if root >> (x - 1) & 1 else 0 for x in range(1, n + 1))
+        zeros = ident.count(0)
+        # image set B -> padded inverse of u_B, the BFS tree's map root -> B
+        back = {root: (0,) + ident}
+        schreier = set()
+        frontier = [ident]
+        while frontier:
+            new = []
+            for u in frontier:
+                for p in map(multiplier(u), padded_gens):
+                    b = mask(p)
+                    if p.count(0) != zeros:  # rank drops: b lies in a lower class
+                        if b not in seen:
+                            seen.add(b)
+                            pending.append(b)
+                    elif b in back:
+                        schreier.add(multiplier(p)(back[b]))
+                    else:
+                        back[b] = (0,) + tuple(inverse_img(p))
+                        new.append(p)
+            frontier = new
+        seen.update(back)
+        placed.update(back)
+        padded_schreier = [(0,) + s for s in schreier if s != ident]
+        group = {ident}
+        frontier = [ident]
+        while frontier:
+            new = []
+            for x in frontier:
+                for y in map(multiplier(x), padded_schreier):
+                    if y not in group:
+                        group.add(y)
+                        new.append(y)
+            frontier = new
+        size += len(back) ** 2 * len(group)
+    return size
+
+
+def generated_size(n: int, gens) -> int:
+    """|<gens>|, computed from the generators :func:`reduce_generators`
+    keeps, R.
+
+    When ``gens`` is closed under inverse, R + R^-1 generates the same
+    semigroup (R inside gens = gens^-1 inside <R>), and its size comes
+    from :func:`inverse_orbit_size` without listing it.  Otherwise it is
+    the size of the :func:`saturate` of R.
+    """
+    gens = list(gens)
+    reduced = reduce_generators(gens)
+    imgs = {g.img for g in gens}
+    if all(tuple(inverse_img(img)) in imgs for img in imgs):
+        return inverse_orbit_size(n, reduced + [g.inverse() for g in reduced])
+    return len(saturate(n, reduced))
 
 
 def principal_ideals(table: SemigroupTable):
@@ -408,8 +526,8 @@ def ideal_j_classes(table: SemigroupTable, gens):
     left/right multiplication by elements of a generating set.  Any
     generating set will do, so the graph is built over
     :func:`reduce_generators` of ``gens``.  The generating property is
-    verified by saturation before use, so nothing beyond the definition of
-    an ideal is assumed.
+    verified by :func:`generated_size` before use, so nothing beyond the
+    definition of an ideal is assumed.
 
     No edge ``x -> x*g`` or ``x -> g*x`` raises rank, so an edge that
     lowers it lies on no cycle, and dropping it leaves every strongly
@@ -419,9 +537,10 @@ def ideal_j_classes(table: SemigroupTable, gens):
     the same classes from :func:`inverse_j_classes` at a fraction of the
     cost; this graph serves tables that are not, such as PFI_n.
     """
-    gens = reduce_generators(_check_subset(table, gens))
-    if len(saturate(table.n, gens)) != len(table):
+    gens = _check_subset(table, gens)
+    if generated_size(table.n, gens) != len(table):
         raise ValueError("oracle generators do not generate the table")
+    gens = reduce_generators(gens)
     groups: dict[int, list] = {}
     for pos, c in enumerate(_strong_components(_rank_keeping_rows(table, gens))):
         groups.setdefault(c, []).append(table.elements[pos])
@@ -509,15 +628,19 @@ def _check_subset(table, gens):
 
 
 def is_generating(table: SemigroupTable, gens) -> bool:
-    """True iff the set gens generates has the table's full size.
+    """True iff the set gens generates has the table's full size, by
+    :func:`generated_size`.
 
-    It is saturated from :func:`reduce_generators` of gens, which
-    generates the same set.
+    gens lies in the table, so that set lies in it too when the table
+    is closed under products; a table that is not, such as a floored
+    closure, could match the size spuriously and raises ValueError.
     """
+    if not table.closed:
+        raise ValueError("a generation check needs a table closed under products")
     gens = _check_subset(table, gens)
     if not gens:
         return False
-    return len(saturate(table.n, reduce_generators(gens))) == len(table)
+    return generated_size(table.n, gens) == len(table)
 
 
 def _irreducibles_within(layer):
@@ -549,13 +672,13 @@ def _irreducible_scan(table: SemigroupTable, need_generation: bool):
     scan then holds all the irreducibles.
 
     Starting from k = n-2, the scan of T_k comes first and its
-    irreducibles are tested for generation, checked by closure.  If they
-    generate, so does T_k, which contains them, and no closure of T_k is
-    needed.  Otherwise T_k itself is checked, unless it equals its
+    irreducibles are tested for generation by :func:`is_generating`.
+    If they generate, so does T_k, which contains them, and T_k needs
+    no check.  Otherwise T_k itself is checked, unless it equals its
     irreducibles; if it fails too, k steps down to the next rank present
     below k, or to 0, since T_j is T_k for every j in between.  T_0 is
     the whole table and needs no check; there the generation of the
-    irreducibles is decided by one closure when ``need_generation`` is
+    irreducibles is decided by one more check when ``need_generation`` is
     set and is None otherwise.  Valid only because the table is closed.
     """
     if not table.closed:

@@ -3,7 +3,7 @@ import io
 import json
 import time
 
-from fencemonoid import cli, factor, genfam, greens
+from fencemonoid import cli, factor, genfam, greens, pinj
 from fencemonoid import enumeration as en
 from fencemonoid.pinj import PartialInjection
 
@@ -234,6 +234,54 @@ def test_verify_thm1_n10_is_fast():
     assert code == 0
     assert "generated 137412\n" in out and "generators 288\n" in out
     assert elapsed < 15.0, f"{elapsed:.1f} s"
+
+
+def _untimed(code, out, err):
+    # timing_ms is the one JSON field that differs from run to run
+    if out.startswith("{"):
+        out = json.loads(out)
+        del out["timing_ms"]
+    return code, out, err
+
+
+def test_generation_claims_take_the_orbit_path(monkeypatch):
+    # every generation check of these claims is over a set closed under
+    # inverse, so none saturates the generated set; only the floored
+    # saturations of reduce_generators stay
+    argvs = [
+        ("verify", "--n", str(n), "--claim", claim, "--format", fmt)
+        for claim, n in (("thm1", 6), ("thm2", 6), ("least", 6), ("rank", 6), ("odd-neg", 7))
+        for fmt in ("text", "json")
+    ]
+    expected = [_untimed(*run(*argv)) for argv in argvs]
+    assert [code for code, _, _ in expected] == [0] * len(argvs)
+    real = en.saturate
+
+    def floored_only(n, gens, min_rank=0):
+        if min_rank <= 0:
+            raise AssertionError("a generation check saturated the generated set")
+        return real(n, gens, min_rank)
+
+    monkeypatch.setattr(en, "saturate", floored_only)
+    assert [_untimed(*run(*argv)) for argv in argvs] == expected
+
+
+def test_verify_thm2_violation(monkeypatch):
+    real = genfam.set_g
+    gam4 = genfam.gamma(6, 4)
+    outside = pinj.parse(ALPHA)  # in PFI_6, not in IF_6
+    for patched in (
+        lambda n: tuple(g for g in real(n) if g != gam4),
+        lambda n: real(n) + (outside,),
+    ):
+        monkeypatch.setattr(genfam, "set_g", patched)
+        code, out, _ = run("verify", "--n", "6", "--claim", "thm2", "--format", "json")
+        doc = json.loads(out)
+        assert code == 2 and doc["status"] == "violation"
+        assert doc["result"]["size"] == 612
+        assert doc["result"]["generated"] == len(en.saturate(6, patched(6)))
+    # without gam:4 the letters generate a proper subsemigroup
+    assert len(en.saturate(6, [g for g in real(6) if g != gam4])) < 612
 
 
 def test_verify_parity_guards():

@@ -213,6 +213,117 @@ def test_is_generating_not_subset(table):
         en.is_generating(table(3), [PartialInjection.identity(4)])
 
 
+def test_is_generating_refuses_table_not_closed():
+    # the floored closure holds only the rank >= n-2 layer, which set_j
+    # fills exactly: a size match against it proves nothing
+    for n in (4, 6):
+        floored = en.closure(n, genfam.set_j(n), n - 2)
+        assert not floored.closed and len(floored) == len(genfam.set_j(n))
+        with pytest.raises(ValueError, match="closed under products"):
+            en.is_generating(floored, genfam.set_j(n))
+
+
+def _with_inverses(gens):
+    return sorted(set(gens) | {g.inverse() for g in gens})
+
+
+def _orbit_cases(table):
+    """(n, inverse-closed generators) whose generated set is saturated
+    in reasonable time: the rank >= n-2 set, its reduction with inverses,
+    set_g, the rank layers and the irreducibles of IF_n."""
+    for n in range(1, 9):
+        tbl = table(n)
+        set_j = genfam.set_j(n)
+        yield n, set_j
+        yield n, _with_inverses(en.reduce_generators(set_j))
+        if n % 2 == 0:
+            yield n, genfam.set_g(n)
+        # below rank n-2 at n >= 7, test_orbit_size_of_low_rank_layers
+        for k in range(n + 1 if n <= 6 else 3):
+            yield n, [e for e in tbl if e.rank >= n - k]
+        yield n, en.irreducibles(tbl)
+
+
+def test_orbit_size_matches_saturation(table):
+    checked = 0
+    for n, gens in _orbit_cases(table):
+        expected = len(en.saturate(n, gens))
+        assert en.inverse_orbit_size(n, gens) == expected, (n, len(gens))
+        assert en.generated_size(n, gens) == expected, (n, len(gens))
+        checked += 1
+    assert checked >= 60
+
+
+def test_orbit_size_of_low_rank_layers(table):
+    # T_k contains T_(n-2) = set_j and lies in the closed table, so
+    # it generates what set_j generates; the saturation of all of T_k
+    # would take |IF_n| * |T_k| products
+    for n in (7, 8):
+        tbl = table(n)
+        expected = len(en.saturate(n, genfam.set_j(n)))
+        assert expected == len(tbl)
+        for k in range(n - 3, -1, -1):
+            assert en.generated_size(n, [e for e in tbl if e.rank >= k]) == expected, (n, k)
+    assert en.inverse_orbit_size(7, table(7).elements) == len(table(7))
+
+
+def test_orbit_size_of_every_inverse_pair(table):
+    # {a, a^-1} mostly generates a proper subsemigroup: a finite cyclic
+    # group, or the nilpotent powers of a down to the empty map
+    proper = 0
+    for n in range(1, 6):
+        for a in table(n):
+            gens = {a, a.inverse()}
+            size = en.inverse_orbit_size(n, gens)
+            assert size == len(en.saturate(n, gens)), a.encode()
+            proper += size < len(table(n))
+    assert proper > 200
+
+
+def _random_inverse_closed_sets():
+    rng = random.Random(1998)
+    for n in range(1, 6):
+        elements = en.build(n, "I").elements
+        perms = [e for e in elements if e.rank == n]
+        yield n, perms
+        for _ in range(30):
+            gens = rng.sample(elements, rng.randint(1, min(4, len(elements))))
+            yield n, _with_inverses(gens)
+            # a permutation group, possibly with partial maps added
+            group = rng.sample(perms, rng.randint(1, min(3, len(perms))))
+            yield n, _with_inverses(group)
+            yield n, _with_inverses(group + rng.sample(elements, 2))
+
+
+def test_orbit_size_of_random_inverse_closed_sets():
+    groups = 0
+    for n, gens in _random_inverse_closed_sets():
+        expected = len(en.saturate(n, gens))
+        assert en.inverse_orbit_size(n, gens) == expected, [g.encode() for g in gens]
+        assert en.generated_size(n, gens) == expected
+        groups += all(g.rank == n for g in gens) and expected > 2
+    assert groups >= 20
+
+
+def test_orbit_size_edge_cases():
+    empty, ident = PartialInjection.empty(4), PartialInjection.identity(4)
+    a = pinj.make(4, {(1, 2)})
+    # the empty map's class {empty} counts once, reached or given
+    assert en.inverse_orbit_size(4, [empty]) == 1
+    assert en.inverse_orbit_size(4, [empty, ident]) == 2
+    for gens in ([a, a.inverse()], [a, a.inverse(), empty], [a, a.inverse(), ident]):
+        assert en.inverse_orbit_size(4, gens) == len(en.saturate(4, gens))
+    for size in (en.inverse_orbit_size, en.generated_size, en.saturate):
+        with pytest.raises(ValueError, match="at least one generator"):
+            size(4, [])
+        with pytest.raises(ValueError, match="ambient size 4, expected 5"):
+            size(5, [ident])
+    with pytest.raises(ValueError, match=r"inverse of n=4:\[1>2\] is not among"):
+        en.inverse_orbit_size(4, [a, ident])
+    # without inverses, the size is the saturation's
+    assert en.generated_size(4, [a, ident]) == len(en.saturate(4, [a, ident])) == 3
+
+
 def test_irreducibles_smallest_case(table):
     assert set(en.irreducibles(table(2))) == set(genfam.set_g(2))
 
@@ -281,19 +392,16 @@ def test_irreducibles_match_full_scan(table):
 
 def test_irreducibles_skip_empty_rank_bands(monkeypatch, table):
     # a failed generation check steps straight to the next rank present,
-    # so {identity, empty map} at n = 6 needs one closure, not four
+    # so {identity, empty map} at n = 6 needs one check, not four
     tbl = en.closure(6, [PartialInjection.identity(6), PartialInjection.empty(6)])
     calls = []
-    real = en.saturate
+    real = en.generated_size
 
-    def spy(n, gens, min_rank=0):
-        # the unfloored saturations are the generation checks; the floored
-        # ones come from reduce_generators
-        if min_rank == 0:
-            calls.append(gens)
-        return real(n, gens, min_rank)
+    def spy(n, gens):
+        calls.append(gens)
+        return real(n, gens)
 
-    monkeypatch.setattr(en, "saturate", spy)
+    monkeypatch.setattr(en, "generated_size", spy)
     assert en.irreducibles(tbl) == _irreducibles_full_scan(tbl)
     assert len(calls) == 1
     calls.clear()
