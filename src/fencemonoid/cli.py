@@ -93,8 +93,6 @@ def cmd_greens(args) -> CommandResult:
         raise ValueError("give one or two element literals, or --classes")
     a = _parse_element(elts[0], args.n)
     b = _parse_element(elts[1], args.n)
-    fence.require_if(a)
-    fence.require_if(b)
 
     rels = ["R", "L", "H", "J"] if args.relation == "all" else [args.relation]
     verdicts = {}

@@ -25,12 +25,10 @@ results are byte-identical across runs.
 from __future__ import annotations
 
 import itertools
-import math
 from array import array
 from functools import reduce
 from operator import ne, or_
 
-from .fence import in_if, in_pfi
 from .greens import blocks
 from .pinj import PartialInjection, inverse_img, multiplier
 
@@ -96,11 +94,6 @@ class SemigroupTable:
         return letters
 
 
-def symmetric_inverse_size(n: int) -> int:
-    """|I_n| = sum_k C(n,k)^2 k!."""
-    return sum(math.comb(n, k) ** 2 * math.factorial(k) for k in range(n + 1))
-
-
 def _domains(n):
     pts = range(1, n + 1)
     return [dom for k in range(n + 1) for dom in itertools.combinations(pts, k)]
@@ -116,23 +109,6 @@ def _iter_imgs_for_domains(n, domains):
                 for x, y in zip(dom, perm):
                     img[x - 1] = y
                 yield tuple(img)
-
-
-def _filter_chunk(n, which, domains):
-    """Every map of I_n on the given domains, filtered by the membership
-    test of ``which``: the brute-force reference for :func:`place_blocks`."""
-    keep = []
-    for img in _iter_imgs_for_domains(n, domains):
-        a = PartialInjection(n, img)
-        if which == "I":
-            keep.append(img)
-        elif which == "PFI":
-            if in_pfi(a):
-                keep.append(img)
-        else:
-            if in_if(a):
-                keep.append(img)
-    return keep
 
 
 def _block_placements(n, start, length, two_way):
@@ -202,7 +178,7 @@ def build(n: int, which: str = "IF") -> SemigroupTable:
         raise TooLargeError(f"{which} is built for n in 1..{MAX_N[which]}, got {n}")
 
     if which == "I":
-        imgs = _filter_chunk(n, which, _domains(n))
+        imgs = list(_iter_imgs_for_domains(n, _domains(n)))
     else:
         imgs = place_blocks(n, _domains(n), two_way=which == "IF")
     imgs.sort()
@@ -217,6 +193,18 @@ def require_floor_within_limit(n: int, min_rank: int) -> None:
             f"a closure below rank n-2 = {n - 2} would enumerate IF_{n}; "
             f"IF is built for n in 1..{MAX_N['IF']}, got {n}"
         )
+
+
+def _generator_list(n: int, gens) -> list:
+    """``gens`` deduplicated and canonically sorted; an empty set, or a
+    generator of another ambient size than n, raises ValueError."""
+    gen_list = sorted(set(gens))
+    if not gen_list:
+        raise ValueError("need at least one generator")
+    for g in gen_list:
+        if g.n != n:
+            raise ValueError(f"generator {g.encode()} has ambient size {g.n}, expected {n}")
+    return gen_list
 
 
 def saturate(n: int, gens, min_rank: int = 0) -> dict:
@@ -235,12 +223,7 @@ def saturate(n: int, gens, min_rank: int = 0) -> dict:
     order, so each element kept has the same parent as in the full
     saturation.
     """
-    gen_list = sorted(set(gens))
-    if not gen_list:
-        raise ValueError("need at least one generator")
-    for g in gen_list:
-        if g.n != n:
-            raise ValueError(f"generator {g.encode()} has ambient size {g.n}, expected {n}")
+    gen_list = _generator_list(n, gens)
 
     padded_gens = [(0,) + g.img for g in gen_list]
     max_zeros = n - min_rank
@@ -337,12 +320,7 @@ def inverse_orbit_size(n: int, gens) -> int:
     inverse is checked literally on img tuples, and a generator whose
     inverse is missing raises ValueError; no fence fact is read.
     """
-    gen_list = sorted(set(gens))
-    if not gen_list:
-        raise ValueError("need at least one generator")
-    for g in gen_list:
-        if g.n != n:
-            raise ValueError(f"generator {g.encode()} has ambient size {g.n}, expected {n}")
+    gen_list = _generator_list(n, gens)
     imgs = {g.img for g in gen_list}
     for g in gen_list:
         if tuple(inverse_img(g.img)) not in imgs:
@@ -526,7 +504,7 @@ def ideal_j_classes(table: SemigroupTable, gens):
     left/right multiplication by elements of a generating set.  Any
     generating set will do, so the graph is built over
     :func:`reduce_generators` of ``gens``.  The generating property is
-    verified by :func:`generated_size` before use, so nothing beyond the
+    verified by :func:`is_generating` before use, so nothing beyond the
     definition of an ideal is assumed.
 
     No edge ``x -> x*g`` or ``x -> g*x`` raises rank, so an edge that
@@ -537,8 +515,8 @@ def ideal_j_classes(table: SemigroupTable, gens):
     the same classes from :func:`inverse_j_classes` at a fraction of the
     cost; this graph serves tables that are not, such as PFI_n.
     """
-    gens = _check_subset(table, gens)
-    if generated_size(table.n, gens) != len(table):
+    gens = list(gens)
+    if not is_generating(table, gens):
         raise ValueError("oracle generators do not generate the table")
     gens = reduce_generators(gens)
     groups: dict[int, list] = {}
@@ -619,14 +597,6 @@ def inverse_j_classes(table: SemigroupTable):
     return list(groups.values())
 
 
-def _check_subset(table, gens):
-    gens = list(gens)
-    for g in gens:
-        if g not in table:
-            raise NotSubsetError(f"{g.encode()} is not an element of the table")
-    return gens
-
-
 def is_generating(table: SemigroupTable, gens) -> bool:
     """True iff the set gens generates has the table's full size, by
     :func:`generated_size`.
@@ -637,7 +607,10 @@ def is_generating(table: SemigroupTable, gens) -> bool:
     """
     if not table.closed:
         raise ValueError("a generation check needs a table closed under products")
-    gens = _check_subset(table, gens)
+    gens = list(gens)
+    for g in gens:
+        if g not in table:
+            raise NotSubsetError(f"{g.encode()} is not an element of the table")
     if not gens:
         return False
     return generated_size(table.n, gens) == len(table)

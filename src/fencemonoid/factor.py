@@ -1,15 +1,18 @@
 """Constructive factorization into high-rank letters.
 
 Every two-way fence-preserving map factors into elements of rank at
-least n-2.  The pipeline mirrors the constructive argument: first
-repair parity (every domain point made congruent to its image mod 2)
-by near-identity rotations, then repeatedly align the lowest remaining
-image block and pin it down with interval shifts and reversal-shifts,
-until a partial identity remains; conjugating back by the inverted
-repair words yields the factorization.  Each step's postcondition is
-checked at runtime; any violation routes the element to a breadth-first
-fallback over the rank >= n-2 generators, and the produced word records
-which path was taken.
+least n-2.  The pipeline, :func:`_constructive`, mirrors the
+constructive argument.  :func:`_parity_repair` first makes every domain
+point congruent to its image mod 2 by near-identity rotations.  Then
+each :func:`_step` either aligns the current block, giving it the least
+remaining image (:func:`_align_dispatch`), or pins the aligned block
+down pointwise with an interval shift or reversal-shift (:func:`_pin`),
+until a partial identity remains, which is a word of point-deleted
+identities.  Conjugating back by the inverse words of the repairs
+yields the factorization.  Each step's postcondition is checked at
+runtime; any violation routes the element to a breadth-first fallback
+over the rank >= n-2 generators, and the produced word records which
+path was taken.
 
 The pipeline runs on img tuples.  Letters are folded with the
 :func:`~fencemonoid.pinj.multiplier` kernel, and one element is built
@@ -30,7 +33,7 @@ from . import genfam
 from .enumeration import closure, require_floor_within_limit
 from .fence import in_if, require_if
 from .genfam import GeneratorSpec, OddAmbientError, interval_map
-from .pinj import MAX_N, OutOfRangeError, PartialInjection, SizeMismatchError, multiplier
+from .pinj import MAX_N, PartialInjection, SizeMismatchError, multiplier
 
 
 class BadIndicesError(ValueError):
@@ -82,14 +85,6 @@ class Word:
 
     def __len__(self):
         return len(self.letters)
-
-    def inverse(self) -> "Word":
-        return Word(
-            self.n,
-            tuple(_invert_letter(l) for l in reversed(self.letters)),
-            provenance=self.provenance,
-            fallback=self.fallback,
-        )
 
     def text(self) -> str:
         parts = []
@@ -261,14 +256,6 @@ def build_shift_word(n: int, kind: str, m: int, p: int, k: int | None = None):
     return elt, Word(n, letters, provenance="constructive")
 
 
-def partial_identity_word(n: int, points) -> Word:
-    """Word of point-deleted identities evaluating to id on {1..n} minus Y."""
-    pts = sorted(set(points))
-    if pts and not (1 <= pts[0] and pts[-1] <= n):
-        raise OutOfRangeError(f"subset must lie in 1..{n}")
-    return Word(n, _eps_letters(n, pts), provenance="direct")
-
-
 # --- parity normalization ----------------------------------------------------
 
 
@@ -283,12 +270,18 @@ def _invert_all(letters) -> tuple:
 
 
 def _parity_repair(a: PartialInjection):
-    """The body of :func:`parity_normalize` for a member of the semigroup.
+    """Multiply a member of the semigroup by rank n-2 rotations until
+    every point matches its image mod 2.
 
     Returns (left, right, left_inv, right_inv, core): the rotation
     letters, the letters of their inverse words, and the core's img
-    tuple.  Each letter is inverted once, for the invertibility check,
-    and the inverses are handed on to the caller.
+    tuple, with core = eval(left) * a * eval(right) and
+    a = eval(left_inv) * core * eval(right_inv).  A mismatched point is
+    always an isolated domain point (its neighbours cannot be in the
+    domain), so each rotation repairs exactly one mismatch; even points
+    are repaired on the left first, then odd points on the right.  Each
+    letter is inverted once, for the invertibility check, and the
+    inverses are handed on to the caller.
     """
     n = a.n
     core = a.img
@@ -321,25 +314,6 @@ def _parity_repair(a: PartialInjection):
     return tuple(left), tuple(right), left_inv, right_inv, core
 
 
-def parity_normalize(a: PartialInjection):
-    """Multiply by rank n-2 rotations until every point matches its image mod 2.
-
-    Returns (left, right, core) with core = eval(left) * a * eval(right)
-    and a = eval(left)^-1 * core * eval(right)^-1.  A mismatched point is
-    always an isolated domain point (its neighbours cannot be in the
-    domain), so each rotation repairs exactly one mismatch; even points
-    are repaired on the left first, then odd points on the right.
-    """
-    require_if(a)
-    n = a.n
-    left, right, _, _, core = _parity_repair(a)
-    return (
-        Word(n, left, provenance="constructive"),
-        Word(n, right, provenance="constructive"),
-        PartialInjection(n, core),
-    )
-
-
 # --- block stage form --------------------------------------------------------
 
 
@@ -350,10 +324,6 @@ class _Block(NamedTuple):
     u: int
     asc: bool
 
-    @property
-    def fixed(self):
-        return self.asc and self.t == self.r
-
 
 @dataclass
 class BlockForm:
@@ -363,7 +333,9 @@ class BlockForm:
     directions; blocks before stage ``i`` (1-based) are pointwise fixed
     and lie below every remaining image.  ``low`` is the 0-based index of
     the remaining block with the least image, ``len(blocks)`` once every
-    block is fixed.
+    block is fixed.  Every leading fixed block is counted into the stage,
+    and the stage moves back only onto an unaligned form, so the current
+    block of an aligned form is never fixed.
     """
 
     elt: PartialInjection
@@ -451,13 +423,18 @@ def _case_next_block(bf: BlockForm, idx: int):
 
 
 def _align_dispatch(bf: BlockForm, depth: int):
-    """Case dispatch for one alignment step; returns (left, right) letters."""
+    """One alignment step on an unaligned form: (left, right) letters,
+    applied as eval(left) * elt * eval(right), that make the current
+    block's image the least among the remaining ones.
+
+    Dispatch tries the domain-side reversals, then the image-side
+    reversals, then the adjacent-block repair, first match wins; when
+    the minimal image belongs to a farther block, a reshaping reversal
+    brings it adjacent first.
+    """
     n = bf.elt.n
     idx = bf.i - 1
     k0 = bf.low
-    if k0 == idx:
-        return (), ()
-
     dom_mask = bf.elt.dom_mask()
     im_mask = bf.elt.im_mask()
     in_dom = lambda x: 1 <= x <= n and (dom_mask >> (x - 1)) & 1
@@ -504,25 +481,13 @@ def _align_dispatch(bf: BlockForm, depth: int):
     return lhs + (tau,), rhs
 
 
-def align_first_block(bf: BlockForm):
-    """Make the current block's image the least among the remaining ones.
-
-    Returns (w1, w2) to be applied as eval(w1) * elt * eval(w2); both
-    words invert letterwise.  Dispatch tries the domain-side reversals,
-    then the image-side reversals, then the adjacent-block repair,
-    first match wins; when the minimal image belongs to a farther
-    block, a reshaping reversal brings it adjacent first.
-    """
-    n = bf.elt.n
-    lhs, rhs = ((), ()) if bf.all_fixed else _align_dispatch(bf, 0)
-    return Word(n, lhs, provenance="constructive"), Word(n, rhs, provenance="constructive")
-
-
 def _pin(bf: BlockForm):
-    """The move that pins the aligned current block: (target, word, on_left).
+    """The shift or reversal-shift that pins the aligned current block
+    down pointwise: (target, word, on_left).
 
-    On the left the move is the target itself; on the right it is the
-    target's inverse.
+    The move acts on the left, as the target itself, when the block sits
+    at or above its image, and on the right, as the target's inverse,
+    otherwise.  The word's letters all have rank >= n-2.
     """
     n = bf.elt.n
     blk = bf.blocks[bf.i - 1]
@@ -545,25 +510,6 @@ def _pin(bf: BlockForm):
     else:
         elt, w = build_shift_word(n, "revshifteven", blk.r, blk.s - blk.r, d2 // 2)
     return elt, w, False
-
-
-def fix_first_block(bf: BlockForm):
-    """Pin the aligned block down pointwise with a shift / reversal-shift.
-
-    The repair acts on the left when the block sits at or above its
-    image and on the right otherwise; its word letters all have rank
-    >= n-2.
-    """
-    n = bf.elt.n
-    empty = Word(n, (), provenance="constructive")
-    if bf.all_fixed:
-        return empty, empty
-    if not bf.aligned:
-        raise MalformedBlockFormError("block image is not aligned yet")
-    if bf.blocks[bf.i - 1].fixed:
-        return empty, empty
-    _, w, on_left = _pin(bf)
-    return (w, empty) if on_left else (empty, w.inverse())
 
 
 # --- top-level factorization --------------------------------------------------
@@ -603,16 +549,15 @@ def _apply_step(core: PartialInjection, lhs, rhs, prefix) -> tuple:
 
 
 def _step(bf: BlockForm):
-    """One pipeline step: (lhs, rhs, lhs_inv, rhs_inv), applied to the
-    core as eval(lhs) * core * eval(rhs); ``lhs_inv`` and ``rhs_inv`` are
-    the letters of the inverse words, each letter inverted once.  A
-    right-side pin is applied as its target's inverse and enters the
-    inverse word as the shift word itself."""
+    """One pipeline step on a form with a block left to fix: (lhs, rhs,
+    lhs_inv, rhs_inv), applied to the core as eval(lhs) * core *
+    eval(rhs); ``lhs_inv`` and ``rhs_inv`` are the letters of the inverse
+    words, each letter inverted once.  An unaligned form is aligned, an
+    aligned one pinned.  A right-side pin is applied as its target's
+    inverse and enters the inverse word as the shift word itself."""
     if not bf.aligned:
         lhs, rhs = _align_dispatch(bf, 0)
         return lhs, rhs, _invert_all(lhs), _invert_all(rhs)
-    if bf.blocks[bf.i - 1].fixed:
-        return (), (), (), ()
     elt, w, on_left = _pin(bf)
     if on_left:
         return (elt,), (), _invert_all(w.letters), ()

@@ -1,6 +1,8 @@
 import pytest
 
 from fencemonoid import enumeration as en
+from fencemonoid.fence import in_if, in_pfi
+from fencemonoid.pinj import PartialInjection
 
 _cache = {}
 
@@ -36,5 +38,19 @@ def ideal_sets():
             frozenset(e for i, e in enumerate(tbl.elements) if m[pos] >> i & 1)
             for m in masks[tbl]
         )
+
+    return get
+
+
+@pytest.fixture(scope="session")
+def filter_oracle():
+    """filter_oracle(n, which): the sorted img of every map of I_n that
+    passes the membership test of ``which`` (PFI or IF), the brute-force
+    reference for ``enumeration.place_blocks``."""
+
+    def get(n, which):
+        test = {"PFI": in_pfi, "IF": in_if}[which]
+        imgs = en._iter_imgs_for_domains(n, en._domains(n))
+        return sorted(img for img in imgs if test(PartialInjection(n, img)))
 
     return get

@@ -168,7 +168,7 @@ def test_10_enumerator_sanity(table):
     report(10, "enumerator sanity (|I_n| matches, n<=7)", True)
 
 
-def test_11_cli_determinism_and_oracle():
+def test_11_cli_determinism_and_oracle(filter_oracle):
     def run():
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
@@ -176,7 +176,7 @@ def test_11_cli_determinism_and_oracle():
         assert code == 0
         return out.getvalue()
 
-    oracle = sorted(en._filter_chunk(6, "IF", en._domains(6)))
+    oracle = filter_oracle(6, "IF")
     lines = [f"count {len(oracle)}"] + [pinj.PartialInjection(6, img).encode() for img in oracle]
     ok = run() == run() == "\n".join(lines) + "\n"
     report(11, "byte-identical enumerate output, equal to the filter oracle", ok)

@@ -36,11 +36,11 @@ def test_enumerate_contains_counterexample():
     assert code == 0 and "contains false" in out
 
 
-def test_enumerate_matches_filter_oracle():
+def test_enumerate_matches_filter_oracle(filter_oracle):
     args = ["enumerate", "--n", "6", "--which", "IF", "--elements"]
     _, out1, _ = run(*args)
     _, out2, _ = run(*args)
-    oracle = sorted(en._filter_chunk(6, "IF", en._domains(6)))
+    oracle = filter_oracle(6, "IF")
     expected = [f"count {len(oracle)}"] + [PartialInjection(6, img).encode() for img in oracle]
     assert out1 == out2 == "\n".join(expected) + "\n"
 
@@ -107,6 +107,11 @@ def test_greens_classes_csv():
 def test_greens_rejects_non_if():
     code, _, err = run("greens", "--n", "6", ALPHA, ALPHA)
     assert code == 1 and "fence-preserving" in err
+    # a member first and a non-member second: the error names the second
+    for relation in ("all", "R", "J"):
+        code, out, err = run("greens", "--n", "6", "--relation", relation, "n=6:[1>1]", ALPHA)
+        assert (code, out) == (1, "")
+        assert err == f"error: {ALPHA} is not fence-preserving in both directions\n"
 
 
 def test_factorize_table_word():

@@ -1,5 +1,6 @@
 import contextlib
 import io
+import math
 import random
 
 import pytest
@@ -17,8 +18,10 @@ ALPHA = pinj.make(6, {(1, 3), (2, 2), (4, 6), (5, 5), (6, 4)})
 
 
 def test_build_sizes_match_formula(table):
+    # |I_n| = sum_k C(n,k)^2 k!
     for n in range(1, 6):
-        assert len(table(n, "I")) == en.symmetric_inverse_size(n)
+        size = sum(math.comb(n, k) ** 2 * math.factorial(k) for k in range(n + 1))
+        assert len(table(n, "I")) == size
 
 
 def test_build_if_small(table):
@@ -46,11 +49,11 @@ def test_build_deterministic():
     assert [e.encode() for e in a] == [e.encode() for e in b]
 
 
-def test_build_matches_filter_oracle(table):
+def test_build_matches_filter_oracle(table, filter_oracle):
     # block placement against the brute-force filter over all of I_n
     for which in ("PFI", "IF"):
         for n in range(1, 9):
-            oracle = sorted(en._filter_chunk(n, which, en._domains(n)))
+            oracle = filter_oracle(n, which)
             assert [e.img for e in table(n, which)] == oracle, (which, n)
 
 
@@ -58,10 +61,14 @@ def test_build_makes_no_membership_tests(monkeypatch):
     def refuse(a):
         pytest.fail(f"membership test called on {a.encode()}")
 
-    monkeypatch.setattr(en, "in_if", refuse)
-    monkeypatch.setattr(en, "in_pfi", refuse)
+    # enumeration binds no membership test of its own to call
+    bound = [name for name, v in vars(en).items() if getattr(v, "__module__", None) == fence.__name__]
+    assert bound == []
+    monkeypatch.setattr(fence, "in_if", refuse)
+    monkeypatch.setattr(fence, "in_pfi", refuse)
     assert len(en.build(6, "IF")) == 612
     assert len(en.build(6, "PFI")) == 1424
+    assert len(en.build(5, "I")) == 1546
 
 
 def test_build_huge_if():
@@ -556,8 +563,7 @@ def test_inverse_j_classes_read_no_fingerprint_or_fence_fact(monkeypatch, table)
 
     for mod, name in (
         (greens, "j_invariant"), (greens, "j_classes"), (greens, "blocks"),
-        (en, "blocks"), (fence, "in_if"), (fence, "in_pfi"), (en, "in_if"),
-        (en, "in_pfi"),
+        (en, "blocks"), (fence, "in_if"), (fence, "in_pfi"),
     ):
         monkeypatch.setattr(mod, name, refuse)
     assert [en.inverse_j_classes(tbl) for tbl in tables] == expected

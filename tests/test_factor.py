@@ -12,7 +12,7 @@ from fencemonoid.factor import (
     Word,
 )
 from fencemonoid.genfam import GeneratorSpec
-from fencemonoid.pinj import PartialInjection, SizeMismatchError
+from fencemonoid.pinj import PartialInjection, SizeMismatchError, inverse_img
 
 
 def _image_directions(start, length, t):
@@ -217,16 +217,19 @@ def test_builders_invert_letterwise():
             elt, word = factor.build_shift_word(n, kind, m, p, k)
         except (BadIndicesError, KindMismatchError):
             continue
-        assert factor.eval_word(word.inverse()) == elt.inverse()
+        assert factor.eval_word(Word(n, factor._invert_all(word.letters))) == elt.inverse()
         cases += 1
 
 
 def test_partial_identity_word():
-    assert factor.eval_word(factor.partial_identity_word(6, ())) == PartialInjection.identity(6)
-    w = factor.partial_identity_word(6, {3})
-    assert [l.text() for l in w.letters] == ["eps:3"]
-    w = factor.partial_identity_word(6, {1, 4})
-    assert factor.eval_word(w) == pinj.identity_on(6, {2, 3, 5, 6})
+    # the residual of the pipeline: point-deleted identities, one per
+    # point outside the domain; points outside 1..n are boundary
+    # neighbours of an interval move and delete nothing
+    assert factor._value(factor._eps_letters(6, ()), 6) == PartialInjection.identity(6).img
+    assert [l.text() for l in factor._eps_letters(6, [3])] == ["eps:3"]
+    letters = factor._eps_letters(6, [1, 4])
+    assert factor.eval_word(Word(6, letters)) == pinj.identity_on(6, {2, 3, 5, 6})
+    assert factor._eps_letters(6, [0, 2, 7]) == (GeneratorSpec("eps", 2),)
 
 
 def test_eval_word_empty_is_identity():
@@ -254,7 +257,7 @@ def test_eval_word_matches_object_fold(table):
         for a in _seeded_elements(n, n, 200):
             assert check(factor.factorize_j(a)) == a
             w = factor.factorize_g(a)
-            assert check(w) == a and check(w.inverse()) == a.inverse()
+            assert check(w) == a and check(Word(n, factor._invert_all(w.letters))) == a.inverse()
 
 
 def test_eval_word_rejects_letter_of_other_size():
@@ -279,33 +282,35 @@ def test_word_text_parse_roundtrip():
 
 def test_parity_normalize_noop_when_aligned():
     a = pinj.make(6, {(1, 3), (2, 4)})
-    left, right, core = factor.parity_normalize(a)
-    assert core == a and len(left) == 0 and len(right) == 0
+    assert factor._parity_repair(a) == ((), (), (), (), a.img)
 
 
 def test_parity_normalize_single_mismatch():
     a = pinj.make(6, {(4, 1)})
-    left, right, core = factor.parity_normalize(a)
-    assert not factor._mismatches(core.img)
+    left, right, _, _, img = factor._parity_repair(a)
+    core = PartialInjection(6, img)
+    assert not factor._mismatches(img)
     assert core.rank == 1
-    assert factor.eval_word(left) * a * factor.eval_word(right) == core
+    assert factor.eval_word(Word(6, left)) * a * factor.eval_word(Word(6, right)) == core
 
 
 def test_parity_normalize_empty_map():
-    left, right, core = factor.parity_normalize(PartialInjection.empty(5))
-    assert core == PartialInjection.empty(5)
-    assert len(left) == len(right) == 0
+    empty = PartialInjection.empty(5)
+    assert factor._parity_repair(empty) == ((), (), (), (), empty.img)
 
 
 def test_parity_normalize_exhaustive(table):
     for a in table(6):
-        left, right, core = factor.parity_normalize(a)
-        assert not factor._mismatches(core.img)
+        left, right, left_inv, right_inv, img = factor._parity_repair(a)
+        core = PartialInjection(6, img)
+        assert not factor._mismatches(img)
         assert core.rank == a.rank
+        assert _eval_word_by_objects(Word(6, left)) * a * _eval_word_by_objects(Word(6, right)) == core
+        assert (left_inv, right_inv) == (factor._invert_all(left), factor._invert_all(right))
         recon = (
-            factor.eval_word(left.inverse())
+            _eval_word_by_objects(Word(6, left_inv))
             * core
-            * factor.eval_word(right.inverse())
+            * _eval_word_by_objects(Word(6, right_inv))
         )
         assert recon == a
 
@@ -411,27 +416,46 @@ def test_block_form_errors_match_element_oracle(monkeypatch):
     check("n=6:[1>1 2>3 3>2]", "not parity-normalized")
 
 
-def test_apply_step_matches_object_products(table):
+def test_apply_step_matches_object_products(monkeypatch, table):
+    # every step of the pipeline for n <= 7, against the element
+    # products; along the way, the invariants the stepping rests on:
+    # alignment only ever sees an unaligned form, an aligned current
+    # block is never fixed, and each step's inverse letters evaluate to
+    # the inverses of its letters
+    dispatched = []
+    real = factor._align_dispatch
+
+    def dispatch(bf, depth):
+        dispatched.append(bf.aligned)
+        return real(bf, depth)
+
+    monkeypatch.setattr(factor, "_align_dispatch", dispatch)
     steps = 0
     for n in range(1, 8):
         for a in table(n):
             if a.rank >= n - 2:
                 continue
-            _, _, core = factor.parity_normalize(a)
+            core = PartialInjection(n, factor._parity_repair(a)[4])
             bf = BlockForm.from_pinj(core)
             for _ in range(2 * n + 4):
                 if bf.all_fixed:
                     break
-                w1, w2 = (factor.fix_first_block if bf.aligned else factor.align_first_block)(bf)
+                if bf.aligned:
+                    blk = bf.blocks[bf.i - 1]
+                    assert not (blk.asc and blk.t == blk.r)
+                lhs, rhs, lhs_inv, rhs_inv = factor._step(bf)
+                for letters, inverse in ((lhs, lhs_inv), (rhs, rhs_inv)):
+                    assert factor._value(inverse, n) == tuple(inverse_img(factor._value(letters, n)))
                 prefix = bf.blocks[: bf.i - 1]
                 points = [x for b in prefix for x in range(b.r, b.s + 1)]
-                new = factor._apply_step(core, w1.letters, w2.letters, prefix)
-                assert new == _old_apply_step(core, w1, w2, points)
+                new = factor._apply_step(core, lhs, rhs, prefix)
+                assert new == _old_apply_step(core, Word(n, lhs), Word(n, rhs), points)
                 core = PartialInjection(n, new)
                 bf = BlockForm.from_pinj(core)
                 steps += 1
             assert bf.all_fixed
-    assert steps > 1000
+    assert not any(dispatched)
+    assert (steps, len(dispatched)) == (4323, 1972)
     # a step that drops a point, and one that keeps the rank but moves
     # the fixed prefix
     core = pinj.identity_on(6, {1, 2, 5})
@@ -488,33 +512,46 @@ def test_factorize_sampled_n9_to_32():
                 assert all(factor._resolve(l, n) in gset for l in words[1].letters)
 
 
-def test_align_noop_when_already_aligned():
+def _refuse(*args):
+    pytest.fail("a step was taken that the form does not need")
+
+
+def test_align_noop_when_already_aligned(monkeypatch):
+    # an aligned form is pinned, never aligned again
     bf = BlockForm.from_pinj(pinj.make(6, {(1, 3), (2, 4)}))
-    w1, w2 = factor.align_first_block(bf)
-    assert len(w1) == 0 and len(w2) == 0
+    assert bf.aligned
+    monkeypatch.setattr(factor, "_align_dispatch", _refuse)
+    lhs, rhs, _, _ = factor._step(bf)
+    elt, _, on_left = factor._pin(bf)
+    assert (lhs, rhs) == (((elt,), ()) if on_left else ((), (elt.inverse(),)))
 
 
 def test_align_reversal_case():
     core = pinj.make(6, {(1, 3), (3, 5), (5, 1)})
     bf = BlockForm.from_pinj(core)
     assert not bf.aligned
-    w1, w2 = factor.align_first_block(bf)
-    new = factor.eval_word(w1) * core * factor.eval_word(w2)
+    lhs, rhs, _, _ = factor._step(bf)
+    new = factor.eval_word(Word(6, lhs)) * core * factor.eval_word(Word(6, rhs))
     assert new == pinj.make(6, {(1, 1), (3, 5), (5, 3)})
 
 
-def test_fix_noop_when_fixed():
-    bf = BlockForm.from_pinj(pinj.identity_on(6, {1, 2}))
-    w1, w2 = factor.fix_first_block(bf)
-    assert len(w1) == 0 and len(w2) == 0
+def test_fix_noop_when_fixed(monkeypatch):
+    # a form whose blocks are all fixed takes no step: its word is the
+    # residual partial identity alone
+    a = pinj.identity_on(6, {1, 2})
+    assert BlockForm.from_pinj(a).all_fixed
+    monkeypatch.setattr(factor, "_step", _refuse)
+    w = factor.factorize_j(a)
+    assert [l.text() for l in w.letters] == ["eps:3", "eps:4", "eps:5", "eps:6"]
+    assert (w.provenance, w.fallback) == ("constructive", False)
 
 
 def test_fix_pins_aligned_block():
     core = pinj.make(6, {(1, 3), (2, 4)})
     bf = BlockForm.from_pinj(core)
     assert bf.aligned
-    w1, w2 = factor.fix_first_block(bf)
-    new = factor.eval_word(w1) * core * factor.eval_word(w2)
+    lhs, rhs, _, _ = factor._step(bf)
+    new = factor.eval_word(Word(6, lhs)) * core * factor.eval_word(Word(6, rhs))
     assert new.img[0] == 1 and new.img[1] == 2
 
 
@@ -610,7 +647,7 @@ def test_word_inverse_of_factorization(table):
     rng = random.Random(13)
     for a in rng.sample(table(6).elements, 40):
         w = factor.factorize_j(a)
-        assert factor.eval_word(w.inverse()) == a.inverse()
+        assert factor.eval_word(Word(6, factor._invert_all(w.letters))) == a.inverse()
 
 
 def test_factorize_j_n7(table):

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import fencemonoid
@@ -82,3 +83,77 @@ def test_traced_benchmark_reports_every_layer_metric():
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout.splitlines()[-1]) == []
+
+
+# names that nothing in src/ calls, each kept on purpose
+UNCALLED_ALLOWED = {
+    "empty": "library constructor of the empty map",
+    "error": "argparse hook, called by ArgumentParser",
+    "ideal_j_classes": "oracle for the tests, traced by the benchmark",
+    "irreducibles": "oracle for the tests, traced by the benchmark",
+    "parse_word": "the inverse of Word.text: an input format, not a second path",
+}
+
+
+def _uncalled_definitions(sources):
+    """(file, line, name) of every function and class defined in
+    ``sources`` (file name -> source text) whose name is referenced
+    nowhere outside its own body and is not listed in an ``__all__``.
+    Dunder methods, called by the language, are skipped."""
+
+    def references(node):
+        names = []
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+                names.append(sub.id)
+            elif isinstance(sub, ast.Attribute):
+                names.append(sub.attr)
+        return names
+
+    trees = {name: ast.parse(text, filename=name) for name, text in sources.items()}
+    total = Counter()
+    exported = set()
+    for tree in trees.values():
+        total.update(references(tree))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+            ):
+                exported.update(ast.literal_eval(node.value))
+    found = []
+    for filename, tree in trees.items():
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            name = node.name
+            if name.startswith("__") and name.endswith("__") or name in exported:
+                continue
+            if total[name] == Counter(references(node))[name]:
+                found.append((filename, node.lineno, name))
+    return sorted(found)
+
+
+def test_every_src_definition_is_called():
+    # a function that only the tests call is a second path to keep in
+    # step with the first
+    planted = {
+        "a.py": (
+            "__all__ = ['exported']\n"
+            "def exported(): pass\n"
+            "def used(): return helper()\n"
+            "def helper(): return 1\n"
+            "def recursive(k): return recursive(k - 1)\n"
+            "class Box:\n"
+            "    def __len__(self): return 0\n"
+            "    def method(self): return 1\n"
+            "    @property\n"
+            "    def prop(self): return 2\n"
+        ),
+        "b.py": "x = used()\ny = Box().method()\n",
+    }
+    assert _uncalled_definitions(planted) == [("a.py", 5, "recursive"), ("a.py", 10, "prop")]
+    sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    found = _uncalled_definitions(sources)
+    assert [f"{f}:{line} {name}" for f, line, name in found if name not in UNCALLED_ALLOWED] == []
+    # and the allowlist holds only names that are still uncalled
+    assert {name for _, _, name in found} == set(UNCALLED_ALLOWED)
