@@ -503,9 +503,10 @@ def ideal_j_classes(table: SemigroupTable, gens):
     principal ideal, i.e. iff they are mutually reachable under one-step
     left/right multiplication by elements of a generating set.  Any
     generating set will do, so the graph is built over
-    :func:`reduce_generators` of ``gens``.  The generating property is
-    verified by :func:`is_generating` before use, so nothing beyond the
-    definition of an ideal is assumed.
+    :func:`reduce_generators` of ``gens``, which generates what ``gens``
+    does.  The generating property of that set is verified by
+    :func:`is_generating` before use, so nothing beyond the definition
+    of an ideal is assumed.
 
     No edge ``x -> x*g`` or ``x -> g*x`` raises rank, so an edge that
     lowers it lies on no cycle, and dropping it leaves every strongly
@@ -515,10 +516,9 @@ def ideal_j_classes(table: SemigroupTable, gens):
     the same classes from :func:`inverse_j_classes` at a fraction of the
     cost; this graph serves tables that are not, such as PFI_n.
     """
-    gens = list(gens)
+    gens = reduce_generators(gens)
     if not is_generating(table, gens):
         raise ValueError("oracle generators do not generate the table")
-    gens = reduce_generators(gens)
     groups: dict[int, list] = {}
     for pos, c in enumerate(_strong_components(_rank_keeping_rows(table, gens))):
         groups.setdefault(c, []).append(table.elements[pos])

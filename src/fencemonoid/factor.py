@@ -6,13 +6,15 @@ constructive argument.  :func:`_parity_repair` first makes every domain
 point congruent to its image mod 2 by near-identity rotations.  Then
 each :func:`_step` either aligns the current block, giving it the least
 remaining image (:func:`_align_dispatch`), or pins the aligned block
-down pointwise with an interval shift or reversal-shift (:func:`_pin`),
-until a partial identity remains, which is a word of point-deleted
-identities.  Conjugating back by the inverse words of the repairs
-yields the factorization.  Each step's postcondition is checked at
-runtime; any violation routes the element to a breadth-first fallback
-over the rank >= n-2 generators, and the produced word records which
-path was taken.
+down pointwise (:func:`_pin`), until a partial identity remains, which
+is a word of point-deleted identities.  A pin is one interval move: a
+shift for an ascending block, a reversal-shift for a descending one,
+on the left when the block's domain lies above its image (or level
+with it, descending) and on the right otherwise.  Conjugating back by
+the inverse words of the repairs yields the factorization.  Each step's
+postcondition is checked at runtime; any violation routes the element
+to a breadth-first fallback over the rank >= n-2 generators, and the
+produced word records which path was taken.
 
 The pipeline runs on img tuples.  Letters are folded with the
 :func:`~fencemonoid.pinj.multiplier` kernel, and one element is built
@@ -33,7 +35,7 @@ from . import genfam
 from .enumeration import closure, require_floor_within_limit
 from .fence import in_if, require_if
 from .genfam import GeneratorSpec, OddAmbientError, interval_map
-from .pinj import MAX_N, PartialInjection, SizeMismatchError, multiplier
+from .pinj import MAX_N, PartialInjection, SizeMismatchError, multiplier, parse
 
 
 class BadIndicesError(ValueError):
@@ -121,8 +123,6 @@ def eval_word(word: Word) -> PartialInjection:
 def parse_word(text: str) -> Word:
     """Inverse of :meth:`Word.text`; raw letters are bracketed and may
     contain spaces, so tokenization is bracket-aware."""
-    from . import pinj
-
     text = text.strip()
     head, _, rest = text.partition(":")
     if not head.startswith("w"):
@@ -139,7 +139,7 @@ def parse_word(text: str) -> Word:
                 if i == len(tokens):
                     raise ValueError(f"bad word literal: {text!r}")
                 tok += " " + tokens[i]
-            letters.append(pinj.parse(f"n={n}:{tok}"))
+            letters.append(parse(f"n={n}:{tok}"))
         else:
             letters.append(GeneratorSpec.parse(tok))
         i += 1
@@ -155,7 +155,7 @@ def _rev_elt(n: int, m: int, p: int) -> PartialInjection:
 
 
 @functools.lru_cache(maxsize=4096)
-def build_reversal(n: int, m: int, p: int):
+def build_reversal(n: int, m: int, p: int) -> PartialInjection:
     """The in-place interval reversal: a single rank >= n-2 letter, self-inverse.
 
     A pure function of (n, m, p), memoised, so its membership and rank
@@ -168,7 +168,7 @@ def build_reversal(n: int, m: int, p: int):
     elt = _rev_elt(n, m, p)
     if not (in_if(elt) and elt.rank >= n - 2):
         raise FactorizationError("reversal is not a high-rank element of the semigroup")
-    return elt, Word(n, (elt,), provenance="constructive")
+    return elt
 
 
 # one shared spec per point, so resolving a letter never compares specs
@@ -187,65 +187,52 @@ def _shift2k_letters(n, m, p, k):
     for i in range(k):
         mm = m + 2 * i
         if p % 2 == 0:
-            b1, _ = build_reversal(n, mm, p + 2)
-            b2, _ = build_reversal(n, mm + 2, p)
-            letters += [b1, b2, _EPS[mm]]
+            letters += [build_reversal(n, mm, p + 2), build_reversal(n, mm + 2, p), _EPS[mm]]
         else:
-            b3, _ = build_reversal(n, mm, p + 1)
-            b4, _ = build_reversal(n, mm + 1, p + 1)
-            letters += [b3, b4]
+            letters += [build_reversal(n, mm, p + 1), build_reversal(n, mm + 1, p + 1)]
     return tuple(letters)
 
 
-def _revshift_letters(n, m, p):
-    b1, _ = build_reversal(n, m, p + 1)
-    return (b1, _EPS[m])
+def build_shift_word(n: int, kind: str, m: int, p: int, k: int):
+    """Interval shifts and reversal-shifts, with their high-rank letters.
 
-
-def build_shift_word(n: int, kind: str, m: int, p: int, k: int | None = None):
-    """Interval shifts and reversal-shifts, with their high-rank words.
-
-    Kinds: ``shift2`` ([m, m+p] up by 2), ``shift2k`` (up by 2k),
-    ``revshift`` (reverse onto [m+1, m+p+1]), ``revshift2k`` (reverse
-    onto [m+2k-1, m+p+2k-1], p odd), ``revshifteven`` (reverse onto
-    [m+2k, m+p+2k], p even).  Returns (element, word); the word's
-    letters are reversals and point-deleted identities, each of rank
-    >= n-2, and evaluation is verified before returning.
+    Kinds: ``shift2k`` ([m, m+p] up by 2k), ``revshift2k`` (reverse onto
+    [m+2k-1, m+p+2k-1], p odd, k >= 1) and ``revshifteven`` (reverse
+    onto [m+2k, m+p+2k], p even; at k = 0 the in-place reversal, its
+    own one letter).  Returns (target, letters); the letters are
+    reversals and point-deleted identities, each of rank >= n-2, and
+    their product is verified to be the target before returning.
     """
     if m < 1 or p < 0:
         raise BadIndicesError(f"need m >= 1 and p >= 0, got m={m}, p={p}")
     kind = kind.lower()
-    if kind == "shift2":
-        kind, k = "shift2k", 1
-    elif kind == "revshift":
-        kind, k = "revshift2k", 1
-
     if kind == "shift2k":
-        if k is None or k < 0 or m + p + 2 * k > n:
+        if k < 0 or m + p + 2 * k > n:
             raise BadIndicesError(f"shift needs 0 <= k and m+p+2k <= n (m={m}, p={p}, k={k})")
         elt = interval_map(n, m, range(m + 2 * k, m + p + 2 * k + 1), 2 * k + 2)
         letters = _shift2k_letters(n, m, p, k)
     elif kind == "revshift2k":
         if p % 2 == 0:
             raise KindMismatchError(f"reversal-shift needs odd span, got p={p}")
-        if k is None or k < 1 or m + p + 2 * k - 1 > n:
+        if k < 1 or m + p + 2 * k - 1 > n:
             raise BadIndicesError(
                 f"reversal-shift needs 1 <= k and m+p+2k-1 <= n (m={m}, p={p}, k={k})"
             )
         elt = interval_map(n, m, range(m + p + 2 * k - 1, m + 2 * k - 2, -1), 2 * k + 1)
-        letters = _shift2k_letters(n, m, p, k - 1) + _revshift_letters(n, m + 2 * k - 2, p)
+        mm = m + 2 * k - 2
+        letters = _shift2k_letters(n, m, p, k - 1) + (build_reversal(n, mm, p + 1), _EPS[mm])
     elif kind == "revshifteven":
         if p % 2:
             raise KindMismatchError(f"even reversal-shift needs even span, got p={p}")
-        if k is None or k < 0 or m + p + 2 * k > n:
+        if k < 0 or m + p + 2 * k > n:
             raise BadIndicesError(
                 f"even reversal-shift needs 0 <= k and m+p+2k <= n (m={m}, p={p}, k={k})"
             )
         if k == 0:
-            return build_reversal(n, m, p)
+            rev = build_reversal(n, m, p)
+            return rev, (rev,)
         elt = interval_map(n, m, range(m + p + 2 * k, m + 2 * k - 1, -1), 2 * k + 2)
-        rev, _ = build_reversal(n, m + 2 * k, p)
-        letters = _shift2k_letters(n, m, p, k) + (rev,)
+        letters = _shift2k_letters(n, m, p, k) + (build_reversal(n, m + 2 * k, p),)
     else:
         raise KindMismatchError(f"unknown kind {kind!r}")
 
@@ -253,7 +240,7 @@ def build_shift_word(n: int, kind: str, m: int, p: int, k: int | None = None):
         raise FactorizationError(f"{kind} word does not evaluate to its target")
     if not in_if(elt):
         raise FactorizationError(f"{kind} target leaves the semigroup")
-    return elt, Word(n, letters, provenance="constructive")
+    return elt, letters
 
 
 # --- parity normalization ----------------------------------------------------
@@ -418,11 +405,11 @@ def _case_next_block(bf: BlockForm, idx: int):
     if nxt.r >= 3 and (dom_mask >> (nxt.r - 3)) & 1:
         raise FactorizationError("adjacent-block repair: blocked below next block")
     eta1 = _rev_elt(n, cur.r, nxt.s - 1 - cur.r)
-    _, eta2 = build_shift_word(n, "revshift", nxt.r - 1, nxt.s - nxt.r)
-    return (eta1,) + eta2.letters
+    _, letters = build_shift_word(n, "revshift2k", nxt.r - 1, nxt.s - nxt.r, 1)
+    return (eta1, *letters)
 
 
-def _align_dispatch(bf: BlockForm, depth: int):
+def _align_dispatch(bf: BlockForm):
     """One alignment step on an unaligned form: (left, right) letters,
     applied as eval(left) * elt * eval(right), that make the current
     block's image the least among the remaining ones.
@@ -430,7 +417,8 @@ def _align_dispatch(bf: BlockForm, depth: int):
     Dispatch tries the domain-side reversals, then the image-side
     reversals, then the adjacent-block repair, first match wins; when
     the minimal image belongs to a farther block, a reshaping reversal
-    brings it adjacent first.
+    brings it adjacent first, so the dispatch on the reshaped form ends
+    in a reversal case or the adjacent-block repair.
     """
     n = bf.elt.n
     idx = bf.i - 1
@@ -462,8 +450,6 @@ def _align_dispatch(bf: BlockForm, depth: int):
 
     # minimal image sits further away: reshape so it lands on the next
     # block, then dispatch again on the reshaped element
-    if depth > 0:
-        raise FactorizationError("far-block repair recursed")
     r_next = bf.blocks[idx + 1].r
     if (r_next - s_k) % 2 == 0:
         tau = _rev_elt(n, r_next, s_k - r_next)
@@ -477,39 +463,30 @@ def _align_dispatch(bf: BlockForm, depth: int):
     bf2 = BlockForm.from_pinj(reshaped)
     if bf2.i != bf.i or bf2.low != idx + 1:
         raise FactorizationError("far-block repair did not reduce to the adjacent case")
-    lhs, rhs = _align_dispatch(bf2, depth + 1)
+    lhs, rhs = _align_dispatch(bf2)
     return lhs + (tau,), rhs
 
 
 def _pin(bf: BlockForm):
-    """The shift or reversal-shift that pins the aligned current block
-    down pointwise: (target, word, on_left).
+    """The move that pins the aligned current block [r, s] -> [t, u]
+    down pointwise: (target, letters, on_left).
 
-    The move acts on the left, as the target itself, when the block sits
-    at or above its image, and on the right, as the target's inverse,
-    otherwise.  The word's letters all have rank >= n-2.
+    With d = r - t, the target moves the image block onto the domain
+    block and acts on the left when d > 0, or d = 0 on a descending
+    block; otherwise it moves the domain block onto the image and acts
+    on the right, as its inverse.  It is a shift by |d| for an ascending
+    block, else a reversal-shift (``revshift2k`` at odd |d|,
+    ``revshifteven`` at even |d|), with k = ceil(|d| / 2) either way (a
+    parity-normalized ascending block has even d).  Its letters have
+    rank >= n-2.
     """
-    n = bf.elt.n
     blk = bf.blocks[bf.i - 1]
     d = blk.r - blk.t
-    if blk.asc:
-        if d > 0:
-            return (*build_shift_word(n, "shift2k", blk.t, blk.u - blk.t, d // 2), True)
-        return (*build_shift_word(n, "shift2k", blk.r, blk.s - blk.r, -d // 2), False)
-    if d >= 0:
-        if d == 0:
-            elt, w = build_reversal(n, blk.t, blk.u - blk.t)
-        elif d % 2:
-            elt, w = build_shift_word(n, "revshift2k", blk.t, blk.u - blk.t, (d + 1) // 2)
-        else:
-            elt, w = build_shift_word(n, "revshifteven", blk.t, blk.u - blk.t, d // 2)
-        return elt, w, True
-    d2 = -d
-    if d2 % 2:
-        elt, w = build_shift_word(n, "revshift2k", blk.r, blk.s - blk.r, (d2 + 1) // 2)
-    else:
-        elt, w = build_shift_word(n, "revshifteven", blk.r, blk.s - blk.r, d2 // 2)
-    return elt, w, False
+    on_left = d > 0 or (d == 0 and not blk.asc)
+    m, p = (blk.t, blk.u - blk.t) if on_left else (blk.r, blk.s - blk.r)
+    d = abs(d)
+    kind = "shift2k" if blk.asc else "revshift2k" if d % 2 else "revshifteven"
+    return (*build_shift_word(bf.elt.n, kind, m, p, (d + 1) // 2), on_left)
 
 
 # --- top-level factorization --------------------------------------------------
@@ -524,13 +501,6 @@ def _j_closure(n: int, min_rank: int):
 @functools.lru_cache(maxsize=4096)
 def _is_high_rank_letter(elt: PartialInjection) -> bool:
     return elt.rank >= elt.n - 2 and in_if(elt)
-
-
-def factorize_bfs(table, a: PartialInjection) -> Word:
-    """The stored shortest discovery word of a closure table: the
-    independent oracle against which the constructive path is judged."""
-    letters = tuple(table.word_for(a))
-    return Word(a.n, letters, provenance="bfs")
 
 
 def _apply_step(core: PartialInjection, lhs, rhs, prefix) -> tuple:
@@ -556,12 +526,12 @@ def _step(bf: BlockForm):
     aligned one pinned.  A right-side pin is applied as its target's
     inverse and enters the inverse word as the shift word itself."""
     if not bf.aligned:
-        lhs, rhs = _align_dispatch(bf, 0)
+        lhs, rhs = _align_dispatch(bf)
         return lhs, rhs, _invert_all(lhs), _invert_all(rhs)
-    elt, w, on_left = _pin(bf)
+    elt, letters, on_left = _pin(bf)
     if on_left:
-        return (elt,), (), _invert_all(w.letters), ()
-    return (), (elt.inverse(),), (), w.letters
+        return (elt,), (), _invert_all(letters), ()
+    return (), (elt.inverse(),), (), letters
 
 
 def _constructive(a: PartialInjection) -> Word:
@@ -623,8 +593,9 @@ def factorize_j(a: PartialInjection) -> Word:
     try:
         return _constructive(a)
     except (FactorizationError, MalformedBlockFormError, BadIndicesError, KindMismatchError):
-        bfs = factorize_bfs(_j_closure(n, a.rank), a)
-        return Word(n, bfs.letters, provenance="bfs-fallback", fallback=True)
+        # the closure's stored shortest word: independent of the pipeline
+        letters = tuple(_j_closure(n, a.rank).word_for(a))
+        return Word(n, letters, provenance="bfs-fallback", fallback=True)
 
 
 def factorize_g(a: PartialInjection) -> Word:

@@ -104,6 +104,17 @@ def test_greens_classes_csv():
     assert len(lines) == 9  # 8 classes + header
 
 
+def test_greens_classes_refuses_elements_and_witness(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the table was built for a refused command")
+
+    monkeypatch.setattr(en, "build", refuse)
+    for extra in ([ALPHA], ["n=6:[1>1]", ALPHA], ["--witness"]):
+        code, out, err = run("greens", "--n", "6", "--classes", *extra)
+        assert (code, out) == (1, "")
+        assert err == "error: --classes takes no element literals and no --witness\n"
+
+
 def test_greens_rejects_non_if():
     code, _, err = run("greens", "--n", "6", ALPHA, ALPHA)
     assert code == 1 and "fence-preserving" in err
@@ -323,6 +334,23 @@ def test_json_schema():
 def test_csv_rejected_for_non_tabular():
     code, _, err = run("enumerate", "--n", "3", "--format", "csv")
     assert code == 1 and "tabular" in err
+
+
+def test_csv_refused_before_the_command_runs(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a table was built for a refused format")
+
+    monkeypatch.setattr(en, "build", refuse)
+    for argv in (
+        ("verify", "--claim", "regular", "--n", "8"),
+        ("enumerate", "--which", "I", "--n", "8"),
+        ("greens", "--n", "6", ALPHA),
+    ):
+        code, out, err = run(*argv, "--format", "csv")
+        assert (code, out) == (1, "")
+        assert err == (
+            "error: csv format is only available for tabular output (greens --classes)\n"
+        )
 
 
 def test_bad_element_literal():

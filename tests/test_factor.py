@@ -90,13 +90,14 @@ def _clear_caches():
 
 
 def test_reversal_example():
-    elt, word = factor.build_reversal(6, 2, 2)
+    elt = factor.build_reversal(6, 2, 2)
     assert elt == pinj.make(6, {(2, 4), (3, 3), (4, 2), (6, 6)})
-    assert len(word) == 1 and factor.eval_word(word) == elt
+    # the even reversal-shift by 0 is the reversal, its own one letter
+    assert factor.build_shift_word(6, "revshifteven", 2, 2, 0) == (elt, (elt,))
 
 
 def test_reversal_degenerate_point():
-    elt, _ = factor.build_reversal(6, 1, 0)
+    elt = factor.build_reversal(6, 1, 0)
     assert elt == pinj.identity_on(6, {1, 3, 4, 5, 6})
 
 
@@ -107,7 +108,7 @@ def test_reversal_is_self_inverse_random():
         n = rng.randint(2, 10)
         m = rng.randint(1, n)
         p = rng.randrange(0, n - m + 1, 2)
-        elt, _ = factor.build_reversal(n, m, p)
+        elt = factor.build_reversal(n, m, p)
         assert elt.inverse() == elt
         assert elt * elt == pinj.identity_on(n, elt.domain())
         hits += 1
@@ -121,28 +122,22 @@ def test_reversal_bad_indices():
 
 
 def test_shift_example():
-    elt, word = factor.build_shift_word(8, "shift2", 2, 2)
+    elt, letters = factor.build_shift_word(8, "shift2k", 2, 2, 1)
     assert elt == pinj.make(8, {(2, 4), (3, 5), (4, 6), (8, 8)})
-    assert factor.eval_word(word) == elt
+    assert factor.eval_word(Word(8, letters)) == elt
     # even span goes through a deleted point, so three letters
-    assert len(word) == 3
-
-
-def test_shift2k_base_matches_shift2():
-    a, _ = factor.build_shift_word(8, "shift2", 3, 1)
-    b, _ = factor.build_shift_word(8, "shift2k", 3, 1, 1)
-    assert a == b
+    assert len(letters) == 3
 
 
 def test_revshift_example():
-    elt, word = factor.build_shift_word(6, "revshift", 1, 1)
+    elt, letters = factor.build_shift_word(6, "revshift2k", 1, 1, 1)
     assert elt == pinj.make(6, {(1, 3), (2, 2), (5, 5), (6, 6)})
-    assert factor.eval_word(word) == elt
+    assert factor.eval_word(Word(6, letters)) == elt
 
 
 def test_shift_kind_mismatch():
     with pytest.raises(KindMismatchError):
-        factor.build_shift_word(8, "revshift", 1, 2)  # even span
+        factor.build_shift_word(8, "revshift2k", 1, 2, 1)  # even span
     with pytest.raises(KindMismatchError):
         factor.build_shift_word(8, "revshifteven", 1, 1, 1)  # odd span
     with pytest.raises(BadIndicesError):
@@ -214,10 +209,10 @@ def test_builders_invert_letterwise():
         k = rng.randint(1, 2)
         kind = rng.choice(("shift2k", "revshift2k", "revshifteven"))
         try:
-            elt, word = factor.build_shift_word(n, kind, m, p, k)
+            elt, letters = factor.build_shift_word(n, kind, m, p, k)
         except (BadIndicesError, KindMismatchError):
             continue
-        assert factor.eval_word(Word(n, factor._invert_all(word.letters))) == elt.inverse()
+        assert factor.eval_word(Word(n, factor._invert_all(letters))) == elt.inverse()
         cases += 1
 
 
@@ -268,7 +263,7 @@ def test_eval_word_rejects_letter_of_other_size():
 
 
 def test_word_text_parse_roundtrip():
-    elt, _ = factor.build_reversal(6, 2, 2)
+    elt = factor.build_reversal(6, 2, 2)
     w = Word(6, (elt, GeneratorSpec("eps", 2), GeneratorSpec("beta", 1, 5)))
     assert w.text() == "w6: [2>4 3>3 4>2 6>6] eps:2 beta:1,5"
     parsed = factor.parse_word(w.text())
@@ -416,21 +411,63 @@ def test_block_form_errors_match_element_oracle(monkeypatch):
     check("n=6:[1>1 2>3 3>2]", "not parity-normalized")
 
 
+def _old_pin(bf):
+    """The pin as seven hand-written move calls: the oracle for the
+    one-rule :func:`factor._pin`."""
+    n = bf.elt.n
+    blk = bf.blocks[bf.i - 1]
+    d = blk.r - blk.t
+    if blk.asc:
+        if d > 0:
+            return (*factor.build_shift_word(n, "shift2k", blk.t, blk.u - blk.t, d // 2), True)
+        return (*factor.build_shift_word(n, "shift2k", blk.r, blk.s - blk.r, -d // 2), False)
+    if d >= 0:
+        if d == 0:
+            elt = factor.build_reversal(n, blk.t, blk.u - blk.t)
+            letters = (elt,)
+        elif d % 2:
+            elt, letters = factor.build_shift_word(
+                n, "revshift2k", blk.t, blk.u - blk.t, (d + 1) // 2
+            )
+        else:
+            elt, letters = factor.build_shift_word(n, "revshifteven", blk.t, blk.u - blk.t, d // 2)
+        return elt, letters, True
+    d2 = -d
+    if d2 % 2:
+        elt, letters = factor.build_shift_word(n, "revshift2k", blk.r, blk.s - blk.r, (d2 + 1) // 2)
+    else:
+        elt, letters = factor.build_shift_word(n, "revshifteven", blk.r, blk.s - blk.r, d2 // 2)
+    return elt, letters, False
+
+
+FAR_BLOCK_CASES = (
+    "n=8:[1>5 2>6 4>8 7>1 8>2]",
+    "n=8:[1>7 2>8 5>5 7>1 8>2]",
+    "n=8:[1>7 2>8 4>4 7>1 8>2]",
+)
+
+
 def test_apply_step_matches_object_products(monkeypatch, table):
     # every step of the pipeline for n <= 7, against the element
     # products; along the way, the invariants the stepping rests on:
     # alignment only ever sees an unaligned form, an aligned current
-    # block is never fixed, and each step's inverse letters evaluate to
-    # the inverses of its letters
-    dispatched = []
+    # block is never fixed, each pin is the one the seven-branch oracle
+    # picks, and each step's inverse letters evaluate to the inverses of
+    # its letters
+    dispatched = []  # (aligned, nesting depth) at each entry
+    depth = [0]
     real = factor._align_dispatch
 
-    def dispatch(bf, depth):
-        dispatched.append(bf.aligned)
-        return real(bf, depth)
+    def dispatch(bf):
+        dispatched.append((bf.aligned, depth[0]))
+        depth[0] += 1
+        try:
+            return real(bf)
+        finally:
+            depth[0] -= 1
 
     monkeypatch.setattr(factor, "_align_dispatch", dispatch)
-    steps = 0
+    steps = pins = 0
     for n in range(1, 8):
         for a in table(n):
             if a.rank >= n - 2:
@@ -443,6 +480,8 @@ def test_apply_step_matches_object_products(monkeypatch, table):
                 if bf.aligned:
                     blk = bf.blocks[bf.i - 1]
                     assert not (blk.asc and blk.t == blk.r)
+                    assert factor._pin(bf) == _old_pin(bf)
+                    pins += 1
                 lhs, rhs, lhs_inv, rhs_inv = factor._step(bf)
                 for letters, inverse in ((lhs, lhs_inv), (rhs, rhs_inv)):
                     assert factor._value(inverse, n) == tuple(inverse_img(factor._value(letters, n)))
@@ -454,8 +493,17 @@ def test_apply_step_matches_object_products(monkeypatch, table):
                 bf = BlockForm.from_pinj(core)
                 steps += 1
             assert bf.all_fixed
-    assert not any(dispatched)
-    assert (steps, len(dispatched)) == (4323, 1972)
+    assert not any(aligned for aligned, _ in dispatched)
+    assert (steps, pins, len(dispatched)) == (4323, 2351, 1972)
+    # no far-block reshape below n = 8; the dispatch on a reshaped form
+    # (one level down) ends there, never reaching a second reshape
+    assert max(d for _, d in dispatched) == 0
+    for enc in FAR_BLOCK_CASES:
+        del dispatched[:]
+        w = factor.factorize_j(pinj.parse(enc))
+        assert not w.fallback
+        assert [d for _, d in dispatched].count(1) == 1
+        assert max(d for _, d in dispatched) == 1
     # a step that drops a point, and one that keeps the rank but moves
     # the fixed prefix
     core = pinj.identity_on(6, {1, 2, 5})
@@ -584,19 +632,28 @@ def test_factorize_rejects_non_if():
         factor.factorize_j(pinj.make(6, {(1, 3), (2, 2), (4, 6), (5, 5), (6, 4)}))
 
 
-def test_factorize_bfs_matches_table(table):
+def test_factorize_bfs_matches_table(monkeypatch, table):
+    # the fallback's word is the closure table's stored word, floored at
+    # the element's rank
     cl = factor._j_closure(4, 0)
     for g in cl.gens:
-        assert factor.factorize_bfs(cl, g).letters == (g,)
+        assert cl.word_for(g) == [g]
+
+    def decline(a):
+        raise factor.FactorizationError("declined")
+
+    monkeypatch.setattr(factor, "_constructive", decline)
     for a in table(4):
-        w = factor.factorize_bfs(cl, a)
+        w = factor.factorize_j(a)
         assert factor.eval_word(w) == a
+        if a.rank < 2:
+            assert (w.provenance, w.fallback) == ("bfs-fallback", True)
+            assert w.letters == tuple(factor._j_closure(4, a.rank).word_for(a))
 
 
 def test_factorize_bfs_eps2_length():
     cl = genfam._g_closure(6, 0)
-    w = factor.factorize_bfs(cl, genfam.epsilon(6, 2))
-    assert len(w) == 2
+    assert len(cl.word_for(genfam.epsilon(6, 2))) == 2
 
 
 def test_factorize_g_matches_full_closure_words(table):
@@ -664,11 +721,7 @@ def test_far_block_alignment_cases():
     # the only elements up to n=8 whose minimal image sits two or more
     # blocks away with every boundary repair blocked; they must still
     # factor constructively
-    for enc in (
-        "n=8:[1>5 2>6 4>8 7>1 8>2]",
-        "n=8:[1>7 2>8 5>5 7>1 8>2]",
-        "n=8:[1>7 2>8 4>4 7>1 8>2]",
-    ):
+    for enc in FAR_BLOCK_CASES:
         a = pinj.parse(enc)
         w = factor.factorize_j(a)
         assert not w.fallback
@@ -753,7 +806,7 @@ def test_bad_moves_raise_on_every_call():
         (BadIndicesError, factor.build_reversal, (6, 4, 4)),
         (BadIndicesError, factor.build_reversal, (6, 2, 3)),
         (BadIndicesError, factor.build_shift_word, (6, "shift2k", 3, 2, 2)),
-        (KindMismatchError, factor.build_shift_word, (8, "revshift", 1, 2)),
+        (KindMismatchError, factor.build_shift_word, (8, "revshift2k", 1, 2, 1)),
         (KindMismatchError, factor.build_shift_word, (8, "revshifteven", 1, 1, 1)),
         (KindMismatchError, factor.build_shift_word, (8, "twist", 1, 1, 1)),
     ]

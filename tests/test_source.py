@@ -157,3 +157,45 @@ def test_every_src_definition_is_called():
     assert [f"{f}:{line} {name}" for f, line, name in found if name not in UNCALLED_ALLOWED] == []
     # and the allowlist holds only names that are still uncalled
     assert {name for _, _, name in found} == set(UNCALLED_ALLOWED)
+
+
+# function-level imports, each kept on purpose: (file, function) -> reason
+LOCAL_IMPORTS_ALLOWED = {
+    ("genfam.py", "g_word_for"): "factor imports genfam, so genfam imports factor when called",
+}
+
+
+def _function_level_imports(sources):
+    """(file, function, line) of every import statement inside a
+    function body in ``sources`` (file name -> source text)."""
+    found = []
+    for filename, text in sources.items():
+        for node in ast.walk(ast.parse(text, filename=filename)):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for sub in ast.walk(node):
+                    if isinstance(sub, (ast.Import, ast.ImportFrom)):
+                        found.append((filename, node.name, sub.lineno))
+    return sorted(set(found))
+
+
+def test_no_function_level_imports_in_src():
+    # a module's dependencies are read at its head, except to break a cycle
+    planted = {
+        "a.py": (
+            "import os\n"
+            "def f():\n"
+            "    from . import b\n"
+            "    def g():\n"
+            "        import sys\n"
+            "    return g\n"
+        ),
+    }
+    assert _function_level_imports(planted) == [
+        ("a.py", "f", 3), ("a.py", "f", 5), ("a.py", "g", 5),
+    ]
+    sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    found = _function_level_imports(sources)
+    allowed = LOCAL_IMPORTS_ALLOWED
+    assert [f"{f}:{line} {name}" for f, name, line in found if (f, name) not in allowed] == []
+    # and the allowlist holds only imports that are still there
+    assert {(f, name) for f, name, _ in found} == set(LOCAL_IMPORTS_ALLOWED)
