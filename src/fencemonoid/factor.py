@@ -7,10 +7,11 @@ point congruent to its image mod 2 by near-identity rotations.  Then
 each :func:`_step` either aligns the current block, giving it the least
 remaining image (:func:`_align_dispatch`), or pins the aligned block
 down pointwise (:func:`_pin`), until a partial identity remains, which
-is a word of point-deleted identities.  A pin is one interval move: a
-shift for an ascending block, a reversal-shift for a descending one,
-on the left when the block's domain lies above its image (or level
-with it, descending) and on the right otherwise.  Conjugating back by
+is a word of point-deleted identities.  A pin is one interval move by
+the block's displacement, ascending or reversed as the block is, on the
+left when its domain lies above its image (or level with it,
+descending) and on the right otherwise.  Every reversal, in the moves
+and the alignments alike, is a :func:`build_reversal`.  Conjugating back by
 the inverse words of the repairs yields the factorization.  Each step's
 postcondition is checked at runtime; any violation routes the element
 to a breadth-first fallback over the rank >= n-2 generators, and the
@@ -34,15 +35,11 @@ from typing import NamedTuple
 from . import genfam
 from .enumeration import closure, require_floor_within_limit
 from .fence import in_if, require_if
-from .genfam import GeneratorSpec, OddAmbientError, interval_map
-from .pinj import MAX_N, PartialInjection, SizeMismatchError, multiplier, parse
+from .genfam import GeneratorSpec, OddAmbientError, Word, _value, interval_map
+from .pinj import MAX_N, PartialInjection, multiplier
 
 
 class BadIndicesError(ValueError):
-    pass
-
-
-class KindMismatchError(ValueError):
     pass
 
 
@@ -73,90 +70,19 @@ def _invert_letter(letter):
     return letter.inverse()
 
 
-@dataclass(frozen=True)
-class Word:
-    """A sequence of letters (generator specs or explicit maps) with an
-    evaluation contract: the product is taken left to right, and the
-    empty word denotes the identity."""
-
-    n: int
-    letters: tuple = ()
-    provenance: str = "direct"
-    fallback: bool = False
-    bfs_letters: int = 0
-
-    def __len__(self):
-        return len(self.letters)
-
-    def text(self) -> str:
-        parts = []
-        for l in self.letters:
-            if isinstance(l, GeneratorSpec):
-                parts.append(l.text())
-            else:
-                head, _, body = l.encode().partition(":")
-                parts.append(body)
-        return " ".join([f"w{self.n}:"] + parts)
-
-
-def _value(letters, n: int) -> tuple:
-    """The img tuple of the product of the letters, folded left to right
-    with the :func:`~fencemonoid.pinj.multiplier` kernel; () is the
-    identity.  An explicit letter of another ambient size raises
-    :class:`SizeMismatchError`, as the element product does."""
-    acc = tuple(range(1, n + 1))
-    named = genfam.named
-    for letter in letters:
-        elt = named(n, letter) if isinstance(letter, GeneratorSpec) else letter
-        if elt.n != n:
-            raise SizeMismatchError(f"ambient sizes differ: {n} != {elt.n}")
-        acc = multiplier(acc)((0,) + elt.img)
-    return acc
-
-
 def eval_word(word: Word) -> PartialInjection:
     """The product of the letters, folded over img tuples; one element is
     built at the end."""
     return PartialInjection(word.n, _value(word.letters, word.n))
 
 
-def parse_word(text: str) -> Word:
-    """Inverse of :meth:`Word.text`; raw letters are bracketed and may
-    contain spaces, so tokenization is bracket-aware."""
-    text = text.strip()
-    head, _, rest = text.partition(":")
-    if not head.startswith("w"):
-        raise ValueError(f"bad word literal: {text!r}")
-    n = int(head[1:])
-    letters = []
-    tokens = rest.split()
-    i = 0
-    while i < len(tokens):
-        tok = tokens[i]
-        if tok.startswith("["):
-            while not tok.endswith("]"):
-                i += 1
-                if i == len(tokens):
-                    raise ValueError(f"bad word literal: {text!r}")
-                tok += " " + tokens[i]
-            letters.append(parse(f"n={n}:{tok}"))
-        else:
-            letters.append(GeneratorSpec.parse(tok))
-        i += 1
-    return Word(n, tuple(letters))
-
-
 # --- interval-move builders ---------------------------------------------------
-
-
-def _rev_elt(n: int, m: int, p: int) -> PartialInjection:
-    """Reverse [m, m+p] in place (p even), drop m-1 and m+p+1, fix the rest."""
-    return interval_map(n, m, range(m + p, m - 1, -1))
 
 
 @functools.lru_cache(maxsize=4096)
 def build_reversal(n: int, m: int, p: int) -> PartialInjection:
-    """The in-place interval reversal: a single rank >= n-2 letter, self-inverse.
+    """Reverse [m, m+p] in place (p even), drop m-1 and m+p+1 and fix the
+    rest: a single rank >= n-2 letter, self-inverse.
 
     A pure function of (n, m, p), memoised, so its membership and rank
     checks run once per distinct reversal; bad indices are not cached
@@ -165,7 +91,7 @@ def build_reversal(n: int, m: int, p: int) -> PartialInjection:
         raise BadIndicesError(f"need 1 <= m, 0 <= p, m+p <= n; got m={m}, p={p}, n={n}")
     if p % 2:
         raise BadIndicesError(f"reversal needs an even interval span, got p={p}")
-    elt = _rev_elt(n, m, p)
+    elt = interval_map(n, m, range(m + p, m - 1, -1))
     if not (in_if(elt) and elt.rank >= n - 2):
         raise FactorizationError("reversal is not a high-rank element of the semigroup")
     return elt
@@ -193,53 +119,37 @@ def _shift2k_letters(n, m, p, k):
     return tuple(letters)
 
 
-def build_shift_word(n: int, kind: str, m: int, p: int, k: int):
-    """Interval shifts and reversal-shifts, with their high-rank letters.
+def build_shift_word(n: int, m: int, p: int, d: int, asc: bool):
+    """The interval move of [m, m+p] onto [m+d, m+p+d], ascending or
+    reversed, with its high-rank letters.
 
-    Kinds: ``shift2k`` ([m, m+p] up by 2k), ``revshift2k`` (reverse onto
-    [m+2k-1, m+p+2k-1], p odd, k >= 1) and ``revshifteven`` (reverse
-    onto [m+2k, m+p+2k], p even; at k = 0 the in-place reversal, its
-    own one letter).  Returns (target, letters); the letters are
-    reversals and point-deleted identities, each of rank >= n-2, and
-    their product is verified to be the target before returning.
+    Returns (target, letters); the letters are reversals and
+    point-deleted identities, each of rank >= n-2: shifts by 2 up to d,
+    then for a reversed move one reversal onto the target (with one more
+    deleted point at odd d).  Their product is verified to be the target
+    before returning.  A reversed move by 0 is the in-place reversal, its
+    own one letter.  An ascending move needs even d, a reversed one a
+    span p of d's parity.
     """
-    if m < 1 or p < 0:
-        raise BadIndicesError(f"need m >= 1 and p >= 0, got m={m}, p={p}")
-    kind = kind.lower()
-    if kind == "shift2k":
-        if k < 0 or m + p + 2 * k > n:
-            raise BadIndicesError(f"shift needs 0 <= k and m+p+2k <= n (m={m}, p={p}, k={k})")
-        elt = interval_map(n, m, range(m + 2 * k, m + p + 2 * k + 1), 2 * k + 2)
-        letters = _shift2k_letters(n, m, p, k)
-    elif kind == "revshift2k":
-        if p % 2 == 0:
-            raise KindMismatchError(f"reversal-shift needs odd span, got p={p}")
-        if k < 1 or m + p + 2 * k - 1 > n:
-            raise BadIndicesError(
-                f"reversal-shift needs 1 <= k and m+p+2k-1 <= n (m={m}, p={p}, k={k})"
-            )
-        elt = interval_map(n, m, range(m + p + 2 * k - 1, m + 2 * k - 2, -1), 2 * k + 1)
-        mm = m + 2 * k - 2
-        letters = _shift2k_letters(n, m, p, k - 1) + (build_reversal(n, mm, p + 1), _EPS[mm])
-    elif kind == "revshifteven":
-        if p % 2:
-            raise KindMismatchError(f"even reversal-shift needs even span, got p={p}")
-        if k < 0 or m + p + 2 * k > n:
-            raise BadIndicesError(
-                f"even reversal-shift needs 0 <= k and m+p+2k <= n (m={m}, p={p}, k={k})"
-            )
-        if k == 0:
-            rev = build_reversal(n, m, p)
-            return rev, (rev,)
-        elt = interval_map(n, m, range(m + p + 2 * k, m + 2 * k - 1, -1), 2 * k + 2)
-        letters = _shift2k_letters(n, m, p, k) + (build_reversal(n, m + 2 * k, p),)
-    else:
-        raise KindMismatchError(f"unknown kind {kind!r}")
-
+    if m < 1 or p < 0 or d < 0 or m + p + d > n:
+        raise BadIndicesError(f"need 1 <= m, 0 <= p, 0 <= d, m+p+d <= n (m={m}, p={p}, d={d})")
+    if asc and d % 2:
+        raise BadIndicesError(f"an ascending move needs an even displacement, got d={d}")
+    if not asc and d == 0:
+        rev = build_reversal(n, m, p)
+        return rev, (rev,)
+    letters = _shift2k_letters(n, m, p, d // 2)
+    values = range(m + d, m + p + d + 1) if asc else range(m + p + d, m + d - 1, -1)
+    if not asc:
+        if d % 2:
+            letters += (build_reversal(n, m + d - 1, p + 1), _EPS[m + d - 1])
+        else:
+            letters += (build_reversal(n, m + d, p),)
+    elt = interval_map(n, m, values, d + 2)
     if _value(letters, n) != elt.img:
-        raise FactorizationError(f"{kind} word does not evaluate to its target")
+        raise FactorizationError("interval move word does not evaluate to its target")
     if not in_if(elt):
-        raise FactorizationError(f"{kind} target leaves the semigroup")
+        raise FactorizationError("interval move target leaves the semigroup")
     return elt, letters
 
 
@@ -404,9 +314,23 @@ def _case_next_block(bf: BlockForm, idx: int):
     dom_mask = bf.elt.dom_mask()
     if nxt.r >= 3 and (dom_mask >> (nxt.r - 3)) & 1:
         raise FactorizationError("adjacent-block repair: blocked below next block")
-    eta1 = _rev_elt(n, cur.r, nxt.s - 1 - cur.r)
-    _, letters = build_shift_word(n, "revshift2k", nxt.r - 1, nxt.s - nxt.r, 1)
+    eta1 = build_reversal(n, cur.r, nxt.s - 1 - cur.r)
+    _, letters = build_shift_word(n, nxt.r - 1, nxt.s - nxt.r, 1, False)
     return (eta1, *letters)
+
+
+def _covering_reversal(n: int, mask: int, lo: int, hi: int):
+    """The reversal that covers [lo, hi]: [lo, hi] itself when its span is
+    even, else [lo-1, hi] when lo-2 is outside ``mask``, else [lo, hi+1]
+    when hi+2 is; None when neither end can widen."""
+    outside = lambda x: x < 1 or not (mask >> (x - 1)) & 1
+    if (hi - lo) % 2 == 0:
+        return build_reversal(n, lo, hi - lo)
+    if lo >= 2 and outside(lo - 2):
+        return build_reversal(n, lo - 1, hi - lo + 1)
+    if hi < n and outside(hi + 2):
+        return build_reversal(n, lo, hi - lo + 1)
+    return None
 
 
 def _align_dispatch(bf: BlockForm):
@@ -414,49 +338,37 @@ def _align_dispatch(bf: BlockForm):
     applied as eval(left) * elt * eval(right), that make the current
     block's image the least among the remaining ones.
 
-    Dispatch tries the domain-side reversals, then the image-side
-    reversals, then the adjacent-block repair, first match wins; when
-    the minimal image belongs to a farther block, a reshaping reversal
-    brings it adjacent first, so the dispatch on the reshaped form ends
-    in a reversal case or the adjacent-block repair.
+    Dispatch tries the covering reversal of [r, s'] on the domain side,
+    then of [t', u] on the image side (r and u of the current block, s'
+    and t' of the one with the least image), then the adjacent-block
+    repair, first match wins; when the minimal image belongs to a
+    farther block, a reshaping reversal brings it adjacent first, so the
+    dispatch on the reshaped form ends in a reversal case or the
+    adjacent-block repair.
     """
     n = bf.elt.n
     idx = bf.i - 1
-    k0 = bf.low
     dom_mask = bf.elt.dom_mask()
-    im_mask = bf.elt.im_mask()
-    in_dom = lambda x: 1 <= x <= n and (dom_mask >> (x - 1)) & 1
-    in_im = lambda x: 1 <= x <= n and (im_mask >> (x - 1)) & 1
-    r_i = bf.blocks[idx].r
-    u_i = bf.blocks[idx].u
-    s_k = bf.blocks[k0].s
-    t_k = bf.blocks[k0].t
+    cur, least = bf.blocks[idx], bf.blocks[bf.low]
+    rev = _covering_reversal(n, dom_mask, cur.r, least.s)
+    if rev is not None:
+        return (rev,), ()
+    rev = _covering_reversal(n, bf.elt.im_mask(), least.t, cur.u)
+    if rev is not None:
+        return (), (rev,)
 
-    if (r_i - s_k) % 2 == 0:
-        return (_rev_elt(n, r_i, s_k - r_i),), ()
-    if r_i >= 2 and not in_dom(r_i - 2):
-        return (_rev_elt(n, r_i - 1, s_k - r_i + 1),), ()
-    if s_k + 1 <= n and not in_dom(s_k + 2):
-        return (_rev_elt(n, r_i, s_k + 1 - r_i),), ()
-    if (u_i - t_k) % 2 == 0:
-        return (), (_rev_elt(n, t_k, u_i - t_k),)
-    if t_k >= 2 and not in_im(t_k - 2):
-        return (), (_rev_elt(n, t_k - 1, u_i - t_k + 1),)
-    if u_i + 1 <= n and not in_im(u_i + 2):
-        return (), (_rev_elt(n, t_k, u_i + 1 - t_k),)
-
-    if k0 == idx + 1:
+    if bf.low == idx + 1:
         return _case_next_block(bf, idx), ()
 
     # minimal image sits further away: reshape so it lands on the next
     # block, then dispatch again on the reshaped element
     r_next = bf.blocks[idx + 1].r
-    if (r_next - s_k) % 2 == 0:
-        tau = _rev_elt(n, r_next, s_k - r_next)
+    if (r_next - least.s) % 2 == 0:
+        tau = build_reversal(n, r_next, least.s - r_next)
     else:
-        if in_dom(r_next - 2):
+        if (dom_mask >> (r_next - 3)) & 1:
             raise FactorizationError("far-block repair: blocked below next block")
-        tau = _rev_elt(n, r_next - 1, s_k - r_next + 1)
+        tau = build_reversal(n, r_next - 1, least.s - r_next + 1)
     reshaped = tau * bf.elt
     if reshaped.rank != bf.elt.rank:
         raise FactorizationError("far-block repair lost domain points")
@@ -474,19 +386,15 @@ def _pin(bf: BlockForm):
     With d = r - t, the target moves the image block onto the domain
     block and acts on the left when d > 0, or d = 0 on a descending
     block; otherwise it moves the domain block onto the image and acts
-    on the right, as its inverse.  It is a shift by |d| for an ascending
-    block, else a reversal-shift (``revshift2k`` at odd |d|,
-    ``revshifteven`` at even |d|), with k = ceil(|d| / 2) either way (a
-    parity-normalized ascending block has even d).  Its letters have
-    rank >= n-2.
+    on the right, as its inverse.  Either way it is the interval move by
+    |d|, ascending or reversed as the block is (a parity-normalized
+    ascending block has even d).  Its letters have rank >= n-2.
     """
     blk = bf.blocks[bf.i - 1]
     d = blk.r - blk.t
     on_left = d > 0 or (d == 0 and not blk.asc)
     m, p = (blk.t, blk.u - blk.t) if on_left else (blk.r, blk.s - blk.r)
-    d = abs(d)
-    kind = "shift2k" if blk.asc else "revshift2k" if d % 2 else "revshifteven"
-    return (*build_shift_word(bf.elt.n, kind, m, p, (d + 1) // 2), on_left)
+    return (*build_shift_word(bf.elt.n, m, p, abs(d), blk.asc), on_left)
 
 
 # --- top-level factorization --------------------------------------------------
@@ -592,7 +500,7 @@ def factorize_j(a: PartialInjection) -> Word:
         return Word(n, (a,), provenance="letter")
     try:
         return _constructive(a)
-    except (FactorizationError, MalformedBlockFormError, BadIndicesError, KindMismatchError):
+    except (FactorizationError, MalformedBlockFormError, BadIndicesError):
         # the closure's stored shortest word: independent of the pipeline
         letters = tuple(_j_closure(n, a.rank).word_for(a))
         return Word(n, letters, provenance="bfs-fallback", fallback=True)
@@ -607,6 +515,7 @@ def factorize_g(a: PartialInjection) -> Word:
     """
     n = a.n
     if n % 2:
+        require_if(a)  # a non-member is refused as such at any n
         raise OddAmbientError(f"set_g factorization needs even n, got {n}")
     base = factorize_j(a)  # checks membership
     letters: list = []

@@ -6,7 +6,9 @@ suffix reversal-shifts del_i, and the two-point-deleted interval
 reversals beta_{i,j} are the building blocks of every factorization
 this package produces.  set_j collects all elements of rank >= n-2
 (a generating set for every n); set_g is {id, sig1, sig2} + gammas +
-deltas, the least generating set when n is even, of size n+1.
+deltas, the least generating set when n is even, of size n+1.  A
+:class:`Word` is a product of such letters (or of explicit maps), and
+:func:`_value` folds one into the img tuple it evaluates to.
 
 Every interval move, here and in :mod:`factor` (the reversals and
 shifts of the constructive factorization), is laid out by one builder,
@@ -22,7 +24,7 @@ from dataclasses import dataclass
 
 from .enumeration import NotMemberError, closure, place_blocks, require_floor_within_limit
 from .fence import in_if
-from .pinj import PartialInjection
+from .pinj import PartialInjection, SizeMismatchError, multiplier, parse
 
 
 class BadIndexError(ValueError):
@@ -170,6 +172,75 @@ def named(n: int, spec: GeneratorSpec) -> PartialInjection:
     return beta(n, spec.i, spec.j)
 
 
+# --- words -------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Word:
+    """A sequence of letters (generator specs or explicit maps) with an
+    evaluation contract: the product is taken left to right, and the
+    empty word denotes the identity."""
+
+    n: int
+    letters: tuple = ()
+    provenance: str = "direct"
+    fallback: bool = False
+    bfs_letters: int = 0
+
+    def __len__(self):
+        return len(self.letters)
+
+    def text(self) -> str:
+        parts = []
+        for l in self.letters:
+            if isinstance(l, GeneratorSpec):
+                parts.append(l.text())
+            else:
+                head, _, body = l.encode().partition(":")
+                parts.append(body)
+        return " ".join([f"w{self.n}:"] + parts)
+
+
+def _value(letters, n: int) -> tuple:
+    """The img tuple of the product of the letters, folded left to right
+    with the :func:`~fencemonoid.pinj.multiplier` kernel; () is the
+    identity.  An explicit letter of another ambient size raises
+    :class:`SizeMismatchError`, as the element product does."""
+    acc = tuple(range(1, n + 1))
+    for letter in letters:
+        elt = named(n, letter) if isinstance(letter, GeneratorSpec) else letter
+        if elt.n != n:
+            raise SizeMismatchError(f"ambient sizes differ: {n} != {elt.n}")
+        acc = multiplier(acc)((0,) + elt.img)
+    return acc
+
+
+def parse_word(text: str) -> Word:
+    """Inverse of :meth:`Word.text`; raw letters are bracketed and may
+    contain spaces, so tokenization is bracket-aware."""
+    text = text.strip()
+    head, _, rest = text.partition(":")
+    if not head.startswith("w"):
+        raise ValueError(f"bad word literal: {text!r}")
+    n = int(head[1:])
+    letters = []
+    tokens = rest.split()
+    i = 0
+    while i < len(tokens):
+        tok = tokens[i]
+        if tok.startswith("["):
+            while not tok.endswith("]"):
+                i += 1
+                if i == len(tokens):
+                    raise ValueError(f"bad word literal: {text!r}")
+                tok += " " + tokens[i]
+            letters.append(parse(f"n={n}:{tok}"))
+        else:
+            letters.append(GeneratorSpec.parse(tok))
+        i += 1
+    return Word(n, tuple(letters))
+
+
 def set_j(n: int):
     """All elements of rank >= n-2, built by direct high-rank generation.
 
@@ -192,10 +263,8 @@ def set_g(n: int):
     """{id, sig1, sig2} + all gammas + all deltas: n+1 elements, even n."""
     if n % 2:
         raise OddAmbientError(f"the distinguished generating set needs even n, got {n}")
-    gens = [PartialInjection.identity(n), sigma1(n), sigma2(n)]
-    gens += [gamma(n, i) for i in range(4, n + 1, 2)]
-    gens += [delta(n, i) for i in range(1, n - 2, 2)]
-    if len(set(gens)) != n + 1:
+    gens = _g_spec_lookup(n)  # element -> spec, so equal elements collapse
+    if len(gens) != n + 1:
         raise RuntimeError(f"set_g({n}) does not have n+1 distinct generators")
     return tuple(sorted(gens))
 
@@ -222,6 +291,7 @@ def _g_closure(n: int, min_rank: int):
 
 @functools.lru_cache(maxsize=8)
 def _g_spec_lookup(n: int):
+    """The n+1 distinguished generators of set_g, each mapped to its spec."""
     specs = [GeneratorSpec("id"), GeneratorSpec("sig1"), GeneratorSpec("sig2")]
     specs += [GeneratorSpec("gam", i) for i in range(4, n + 1, 2)]
     specs += [GeneratorSpec("del", i) for i in range(1, n - 2, 2)]
@@ -290,15 +360,11 @@ def g_word_for(n: int, target: PartialInjection):
     returned word records which path produced it.  Words are memoised
     per (n, target); a :class:`Word` is frozen, so sharing one is safe.
     """
-    from .factor import Word, eval_word
-
     if n % 2:
         raise OddAmbientError(f"set_g words need even n, got {n}")
     letters = _table_word(n, target)
-    if letters is not None:
-        word = Word(n, tuple(letters), provenance="table")
-        if eval_word(word) == target:
-            return word
+    if letters is not None and _value(letters, n) == target.img:
+        return Word(n, tuple(letters), provenance="table")
     table = _g_closure(n, min(target.rank, n - 2))
     if target not in table:
         raise NotMemberError(f"{target.encode()} is not generated by set_g({n})")

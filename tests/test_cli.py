@@ -3,7 +3,7 @@ import io
 import json
 import time
 
-from fencemonoid import cli, factor, genfam, greens, pinj
+from fencemonoid import cli, factor, fence, genfam, greens, pinj
 from fencemonoid import enumeration as en
 from fencemonoid.pinj import PartialInjection
 
@@ -91,6 +91,36 @@ def test_greens_witness():
     assert "witness verified true" in out
 
 
+def _count_in_if(monkeypatch, *modules):
+    """The arguments of every membership test made through the ``in_if``
+    bindings of ``modules``."""
+    seen = []
+    real = fence.in_if
+
+    def counted(a):
+        seen.append(a)
+        return real(a)
+
+    for mod in modules:
+        monkeypatch.setattr(mod, "in_if", counted)
+    return seen
+
+
+def test_greens_witness_tests_the_pair_once_for_the_witness(monkeypatch):
+    # the witness is asked for outright; a pair that is not J-related
+    # gets "witness none" from the refusal, not from a second J test
+    seen = _count_in_if(monkeypatch, fence, greens)
+    a = "n=6:[1>1 2>2]"
+    for b, tests, line in (
+        ("n=6:[5>5 6>6]", 12, "witness verified true\n"),
+        ("n=6:[1>1 3>3]", 10, "witness none (not J-related)\n"),
+    ):
+        del seen[:]
+        code, out, _ = run("greens", "--n", "6", a, b, "--witness")
+        assert code == 0 and line in out
+        assert len(seen) == tests
+
+
 def test_greens_reflexive_single_element():
     code, out, _ = run("greens", "--n", "6", "n=6:[1>1 2>2]", "--relation", "J")
     assert code == 0 and "J true" in out
@@ -176,6 +206,27 @@ def test_factorize_g_needs_even_n():
         "factorize", "--n", "5", "--element", "n=5:[1>1]", "--target", "G"
     )
     assert code == 1 and "even" in err
+
+
+def test_factorize_g_at_odd_n_refuses_a_non_member_as_such():
+    # membership is checked before the parity of the ambient size
+    for element, message in (
+        ("n=5:[1>2 2>1]", "n=5:[1>2 2>1] is not fence-preserving in both directions"),
+        ("n=5:[1>1]", "set_g factorization needs even n, got 5"),
+    ):
+        code, out, err = run("factorize", "--n", "5", "--element", element, "--target", "G")
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
+def test_factorize_tests_the_input_once(monkeypatch):
+    # the library call makes the one membership test of the input
+    seen = _count_in_if(monkeypatch, fence, factor)
+    for n, target, code in ((6, "J", 0), (6, "G", 0), (5, "G", 1)):
+        a = pinj.make(n, {(1, 3), (2, 4)})
+        del seen[:]
+        got, _, _ = run("factorize", "--n", str(n), "--element", a.encode(), "--target", target)
+        assert got == code
+        assert seen.count(a) == 1
 
 
 def test_verify_ok_claims():

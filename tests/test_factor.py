@@ -4,14 +4,8 @@ import pytest
 
 from fencemonoid import enumeration as en
 from fencemonoid import factor, fence, genfam, greens, pinj
-from fencemonoid.factor import (
-    BadIndicesError,
-    BlockForm,
-    KindMismatchError,
-    MalformedBlockFormError,
-    Word,
-)
-from fencemonoid.genfam import GeneratorSpec
+from fencemonoid.factor import BadIndicesError, BlockForm, MalformedBlockFormError
+from fencemonoid.genfam import GeneratorSpec, Word
 from fencemonoid.pinj import PartialInjection, SizeMismatchError, inverse_img
 
 
@@ -92,8 +86,8 @@ def _clear_caches():
 def test_reversal_example():
     elt = factor.build_reversal(6, 2, 2)
     assert elt == pinj.make(6, {(2, 4), (3, 3), (4, 2), (6, 6)})
-    # the even reversal-shift by 0 is the reversal, its own one letter
-    assert factor.build_shift_word(6, "revshifteven", 2, 2, 0) == (elt, (elt,))
+    # the reversed move by 0 is the reversal, its own one letter
+    assert factor.build_shift_word(6, 2, 2, 0, False) == (elt, (elt,))
 
 
 def test_reversal_degenerate_point():
@@ -122,7 +116,7 @@ def test_reversal_bad_indices():
 
 
 def test_shift_example():
-    elt, letters = factor.build_shift_word(8, "shift2k", 2, 2, 1)
+    elt, letters = factor.build_shift_word(8, 2, 2, 2, True)
     assert elt == pinj.make(8, {(2, 4), (3, 5), (4, 6), (8, 8)})
     assert factor.eval_word(Word(8, letters)) == elt
     # even span goes through a deleted point, so three letters
@@ -130,18 +124,101 @@ def test_shift_example():
 
 
 def test_revshift_example():
-    elt, letters = factor.build_shift_word(6, "revshift2k", 1, 1, 1)
+    elt, letters = factor.build_shift_word(6, 1, 1, 1, False)
     assert elt == pinj.make(6, {(1, 3), (2, 2), (5, 5), (6, 6)})
     assert factor.eval_word(Word(6, letters)) == elt
 
 
 def test_shift_kind_mismatch():
-    with pytest.raises(KindMismatchError):
-        factor.build_shift_word(8, "revshift2k", 1, 2, 1)  # even span
-    with pytest.raises(KindMismatchError):
-        factor.build_shift_word(8, "revshifteven", 1, 1, 1)  # odd span
+    # a reversed move whose span and displacement differ in parity is
+    # refused by the reversal's even-span check
+    with pytest.raises(BadIndicesError, match="even interval span"):
+        factor.build_shift_word(8, 1, 2, 1, False)  # even span, odd d
+    with pytest.raises(BadIndicesError, match="even interval span"):
+        factor.build_shift_word(8, 1, 1, 2, False)  # odd span, even d
+    with pytest.raises(BadIndicesError, match="even displacement"):
+        factor.build_shift_word(8, 1, 2, 1, True)
     with pytest.raises(BadIndicesError):
-        factor.build_shift_word(6, "shift2k", 3, 2, 2)  # m+p+2k > n
+        factor.build_shift_word(6, 3, 2, 4, True)  # m+p+d > n
+
+
+# the three-kind move builder that the displacement builder replaced,
+# kept as its oracle
+
+
+class _KindMismatchError(ValueError):
+    pass
+
+
+def _old_build_shift_word(n, kind, m, p, k):
+    if m < 1 or p < 0:
+        raise BadIndicesError(f"need m >= 1 and p >= 0, got m={m}, p={p}")
+    eps = factor._EPS
+    if kind == "shift2k":
+        if k < 0 or m + p + 2 * k > n:
+            raise BadIndicesError("shift needs 0 <= k and m+p+2k <= n")
+        elt = genfam.interval_map(n, m, range(m + 2 * k, m + p + 2 * k + 1), 2 * k + 2)
+        letters = factor._shift2k_letters(n, m, p, k)
+    elif kind == "revshift2k":
+        if p % 2 == 0:
+            raise _KindMismatchError(f"reversal-shift needs odd span, got p={p}")
+        if k < 1 or m + p + 2 * k - 1 > n:
+            raise BadIndicesError("reversal-shift needs 1 <= k and m+p+2k-1 <= n")
+        elt = genfam.interval_map(n, m, range(m + p + 2 * k - 1, m + 2 * k - 2, -1), 2 * k + 1)
+        mm = m + 2 * k - 2
+        letters = factor._shift2k_letters(n, m, p, k - 1)
+        letters += (factor.build_reversal(n, mm, p + 1), eps[mm])
+    elif kind == "revshifteven":
+        if p % 2:
+            raise _KindMismatchError(f"even reversal-shift needs even span, got p={p}")
+        if k < 0 or m + p + 2 * k > n:
+            raise BadIndicesError("even reversal-shift needs 0 <= k and m+p+2k <= n")
+        if k == 0:
+            rev = factor.build_reversal(n, m, p)
+            return rev, (rev,)
+        elt = genfam.interval_map(n, m, range(m + p + 2 * k, m + 2 * k - 1, -1), 2 * k + 2)
+        letters = factor._shift2k_letters(n, m, p, k) + (factor.build_reversal(n, m + 2 * k, p),)
+    else:
+        raise _KindMismatchError(f"unknown kind {kind!r}")
+    if genfam._value(letters, n) != elt.img:
+        raise factor.FactorizationError(f"{kind} word does not evaluate to its target")
+    if not fence.in_if(elt):
+        raise factor.FactorizationError(f"{kind} target leaves the semigroup")
+    return elt, letters
+
+
+def _old_move(n, m, p, d, asc):
+    """The move by d as the three-kind builder spells it: a shift by 2k,
+    or a reversal-shift of kind ``revshift2k`` (d = 2k - 1) or
+    ``revshifteven`` (d = 2k); it has no ascending move by an odd d."""
+    if asc:
+        if d % 2:
+            raise _KindMismatchError("no ascending move by an odd displacement")
+        return _old_build_shift_word(n, "shift2k", m, p, d // 2)
+    return _old_build_shift_word(n, "revshift2k" if d % 2 else "revshifteven", m, p, (d + 1) // 2)
+
+
+def _refusal(fn, *args):
+    try:
+        return fn(*args)
+    except (BadIndicesError, _KindMismatchError):
+        return "refused"
+
+
+def test_displacement_builder_matches_three_kinds():
+    # every move at n <= 12, bad indices around the edges included: the
+    # same target and letters as the three kinds, or both refuse
+    built = refused = 0
+    for n in range(1, 13):
+        for m in range(0, n + 2):
+            for p in range(-1, n + 1):
+                for d in range(n + 2):
+                    for asc in (True, False):
+                        got = _refusal(factor.build_shift_word, n, m, p, d, asc)
+                        assert got == _refusal(_old_move, n, m, p, d, asc)
+                        built += got != "refused"
+                        refused += got == "refused"
+    assert (built, refused) == (1477, 20555)
 
 
 # the per-point loops that genfam.interval_map replaced, kept as its oracle
@@ -171,30 +248,26 @@ def _loop_interval_elt(n, m, p, lo_gap, image_of):
 
 def test_interval_moves_match_loop_builders():
     # every valid index at n <= 32; build_shift_word also evaluates each
-    # shift's word against its target
+    # move's word against its target.  A reversal of odd span is refused.
     cases = 0
     for n in range(1, 33):
         for m in range(1, n + 1):
             for p in range(n - m + 1):
-                assert factor._rev_elt(n, m, p) == _loop_rev_elt(n, m, p)
-                room = n - m - p
-                targets = [
-                    ("shift2k", k, 2 * k + 2, lambda x, k=k: x + 2 * k)
-                    for k in range(room // 2 + 1)
-                ]
                 if p % 2:
-                    targets += [
-                        ("revshift2k", k, 2 * k + 1, lambda x, k=k: 2 * m + p + 2 * k - 1 - x)
-                        for k in range(1, (room + 1) // 2 + 1)
-                    ]
+                    with pytest.raises(BadIndicesError):
+                        factor.build_reversal(n, m, p)
                 else:
-                    targets += [
-                        ("revshifteven", k, 2 * k + 2, lambda x, k=k: 2 * m + p + 2 * k - x)
-                        for k in range(room // 2 + 1)
-                    ]
-                for kind, k, gap, image_of in targets:
-                    elt, _ = factor.build_shift_word(n, kind, m, p, k)
-                    assert elt == _loop_interval_elt(n, m, p, gap, image_of)
+                    assert factor.build_reversal(n, m, p) == _loop_rev_elt(n, m, p)
+                # ascending moves by even d, reversed ones by d of p's parity
+                targets = [
+                    (d, asc, (lambda x, d=d: x + d) if asc else (lambda x, d=d: 2 * m + p + d - x))
+                    for d in range(n - m - p + 1)
+                    for asc in (True, False)
+                    if (d if asc else d - p) % 2 == 0
+                ]
+                for d, asc, image_of in targets:
+                    elt, _ = factor.build_shift_word(n, m, p, d, asc)
+                    assert elt == _loop_interval_elt(n, m, p, d + 2, image_of)
                 cases += 1 + len(targets)
     assert cases == 59976
 
@@ -206,11 +279,11 @@ def test_builders_invert_letterwise():
         n = rng.choice((6, 7, 8, 9, 10))
         m = rng.randint(1, 4)
         p = rng.randint(0, 3)
-        k = rng.randint(1, 2)
-        kind = rng.choice(("shift2k", "revshift2k", "revshifteven"))
+        d = rng.randint(1, 4)
+        asc = rng.random() < 0.5
         try:
-            elt, letters = factor.build_shift_word(n, kind, m, p, k)
-        except (BadIndicesError, KindMismatchError):
+            elt, letters = factor.build_shift_word(n, m, p, d, asc)
+        except BadIndicesError:
             continue
         assert factor.eval_word(Word(n, factor._invert_all(letters))) == elt.inverse()
         cases += 1
@@ -220,7 +293,7 @@ def test_partial_identity_word():
     # the residual of the pipeline: point-deleted identities, one per
     # point outside the domain; points outside 1..n are boundary
     # neighbours of an interval move and delete nothing
-    assert factor._value(factor._eps_letters(6, ()), 6) == PartialInjection.identity(6).img
+    assert genfam._value(factor._eps_letters(6, ()), 6) == PartialInjection.identity(6).img
     assert [l.text() for l in factor._eps_letters(6, [3])] == ["eps:3"]
     letters = factor._eps_letters(6, [1, 4])
     assert factor.eval_word(Word(6, letters)) == pinj.identity_on(6, {2, 3, 5, 6})
@@ -266,13 +339,13 @@ def test_word_text_parse_roundtrip():
     elt = factor.build_reversal(6, 2, 2)
     w = Word(6, (elt, GeneratorSpec("eps", 2), GeneratorSpec("beta", 1, 5)))
     assert w.text() == "w6: [2>4 3>3 4>2 6>6] eps:2 beta:1,5"
-    parsed = factor.parse_word(w.text())
+    parsed = genfam.parse_word(w.text())
     assert factor.eval_word(parsed) == factor.eval_word(w)
-    assert factor.parse_word("w6:").letters == ()
+    assert genfam.parse_word("w6:").letters == ()
     # an unterminated raw letter is a bad literal, not an index error
     for text in ("w6: [1>1", "w6: eps:2 [2>4 3>3"):
         with pytest.raises(ValueError, match="bad word literal"):
-            factor.parse_word(text)
+            genfam.parse_word(text)
 
 
 def test_parity_normalize_noop_when_aligned():
@@ -412,32 +485,89 @@ def test_block_form_errors_match_element_oracle(monkeypatch):
 
 
 def _old_pin(bf):
-    """The pin as seven hand-written move calls: the oracle for the
-    one-rule :func:`factor._pin`."""
+    """The pin as seven hand-written calls of the three-kind builder: the
+    oracle for the one-rule :func:`factor._pin`."""
     n = bf.elt.n
     blk = bf.blocks[bf.i - 1]
     d = blk.r - blk.t
     if blk.asc:
         if d > 0:
-            return (*factor.build_shift_word(n, "shift2k", blk.t, blk.u - blk.t, d // 2), True)
-        return (*factor.build_shift_word(n, "shift2k", blk.r, blk.s - blk.r, -d // 2), False)
+            return (*_old_build_shift_word(n, "shift2k", blk.t, blk.u - blk.t, d // 2), True)
+        return (*_old_build_shift_word(n, "shift2k", blk.r, blk.s - blk.r, -d // 2), False)
     if d >= 0:
         if d == 0:
             elt = factor.build_reversal(n, blk.t, blk.u - blk.t)
             letters = (elt,)
         elif d % 2:
-            elt, letters = factor.build_shift_word(
+            elt, letters = _old_build_shift_word(
                 n, "revshift2k", blk.t, blk.u - blk.t, (d + 1) // 2
             )
         else:
-            elt, letters = factor.build_shift_word(n, "revshifteven", blk.t, blk.u - blk.t, d // 2)
+            elt, letters = _old_build_shift_word(n, "revshifteven", blk.t, blk.u - blk.t, d // 2)
         return elt, letters, True
     d2 = -d
     if d2 % 2:
-        elt, letters = factor.build_shift_word(n, "revshift2k", blk.r, blk.s - blk.r, (d2 + 1) // 2)
+        elt, letters = _old_build_shift_word(n, "revshift2k", blk.r, blk.s - blk.r, (d2 + 1) // 2)
     else:
-        elt, letters = factor.build_shift_word(n, "revshifteven", blk.r, blk.s - blk.r, d2 // 2)
+        elt, letters = _old_build_shift_word(n, "revshifteven", blk.r, blk.s - blk.r, d2 // 2)
     return elt, letters, False
+
+
+def _old_reversal_cases(bf):
+    """The six reversal branches that opened the alignment dispatch, with
+    the unchecked reversal: the oracle for the one covering rule of
+    :func:`factor._covering_reversal`.  (left, right) letters, or None
+    when no branch applies."""
+    n = bf.elt.n
+    idx = bf.i - 1
+    k0 = bf.low
+    dom_mask = bf.elt.dom_mask()
+    im_mask = bf.elt.im_mask()
+    in_dom = lambda x: 1 <= x <= n and (dom_mask >> (x - 1)) & 1
+    in_im = lambda x: 1 <= x <= n and (im_mask >> (x - 1)) & 1
+    r_i = bf.blocks[idx].r
+    u_i = bf.blocks[idx].u
+    s_k = bf.blocks[k0].s
+    t_k = bf.blocks[k0].t
+
+    if (r_i - s_k) % 2 == 0:
+        return (_loop_rev_elt(n, r_i, s_k - r_i),), ()
+    if r_i >= 2 and not in_dom(r_i - 2):
+        return (_loop_rev_elt(n, r_i - 1, s_k - r_i + 1),), ()
+    if s_k + 1 <= n and not in_dom(s_k + 2):
+        return (_loop_rev_elt(n, r_i, s_k + 1 - r_i),), ()
+    if (u_i - t_k) % 2 == 0:
+        return (), (_loop_rev_elt(n, t_k, u_i - t_k),)
+    if t_k >= 2 and not in_im(t_k - 2):
+        return (), (_loop_rev_elt(n, t_k - 1, u_i - t_k + 1),)
+    if u_i + 1 <= n and not in_im(u_i + 2):
+        return (), (_loop_rev_elt(n, t_k, u_i + 1 - t_k),)
+    return None
+
+
+def test_covering_reversal_matches_six_branches(table):
+    # every unaligned form for n <= 7: where a branch applies, the
+    # dispatch gives its letters, and where none does, neither side has a
+    # covering reversal
+    forms = covered = 0
+    for n in range(1, 8):
+        for a in table(n):
+            try:
+                bf = BlockForm.from_pinj(a)
+            except MalformedBlockFormError:
+                continue
+            if bf.aligned:
+                continue
+            cur, least = bf.blocks[bf.i - 1], bf.blocks[bf.low]
+            old = _old_reversal_cases(bf)
+            if old is None:
+                assert factor._covering_reversal(n, a.dom_mask(), cur.r, least.s) is None
+                assert factor._covering_reversal(n, a.im_mask(), least.t, cur.u) is None
+            else:
+                assert factor._align_dispatch(bf) == old
+                covered += 1
+            forms += 1
+    assert (forms, covered) == (648, 647)
 
 
 FAR_BLOCK_CASES = (
@@ -484,7 +614,8 @@ def test_apply_step_matches_object_products(monkeypatch, table):
                     pins += 1
                 lhs, rhs, lhs_inv, rhs_inv = factor._step(bf)
                 for letters, inverse in ((lhs, lhs_inv), (rhs, rhs_inv)):
-                    assert factor._value(inverse, n) == tuple(inverse_img(factor._value(letters, n)))
+                    value = genfam._value(letters, n)
+                    assert genfam._value(inverse, n) == tuple(inverse_img(value))
                 prefix = bf.blocks[: bf.i - 1]
                 points = [x for b in prefix for x in range(b.r, b.s + 1)]
                 new = factor._apply_step(core, lhs, rhs, prefix)
@@ -510,7 +641,7 @@ def test_apply_step_matches_object_products(monkeypatch, table):
     prefix = BlockForm.from_pinj(core).blocks[:1]
     for w1, message in (
         (Word(6, (GeneratorSpec("eps", 5),)), "lost domain points"),
-        (Word(6, (factor._rev_elt(6, 1, 2),)), "disturbed the fixed prefix"),
+        (Word(6, (factor.build_reversal(6, 1, 2),)), "disturbed the fixed prefix"),
     ):
         got = _outcome(factor._apply_step, core, w1.letters, (), prefix)
         assert got == _outcome(_old_apply_step, core, w1, Word(6), [1, 2])
@@ -732,7 +863,7 @@ def test_far_block_alignment_cases():
 def test_reversal_check_rejects_low_rank(monkeypatch):
     # a reversal memoised by an earlier call would hide the patch
     factor.build_reversal.cache_clear()
-    monkeypatch.setattr(factor, "_rev_elt", lambda n, m, p: PartialInjection.empty(n))
+    monkeypatch.setattr(factor, "interval_map", lambda n, m, values: PartialInjection.empty(n))
     try:
         with pytest.raises(factor.FactorizationError, match="high-rank"):
             factor.build_reversal(6, 2, 2)
@@ -741,12 +872,13 @@ def test_reversal_check_rejects_low_rank(monkeypatch):
 
 
 def test_shift_check_rejects_target_outside_semigroup(monkeypatch):
-    # shift2k with k=0 uses no reversal, so only the final membership check sees this
+    # an ascending move by 0 uses no reversal, so only the final
+    # membership check sees this
     factor.build_reversal.cache_clear()
     monkeypatch.setattr(factor, "in_if", lambda a: False)
     try:
         with pytest.raises(factor.FactorizationError, match="leaves the semigroup"):
-            factor.build_shift_word(8, "shift2k", 2, 2, 0)
+            factor.build_shift_word(8, 2, 2, 0, True)
     finally:
         factor.build_reversal.cache_clear()
 
@@ -805,10 +937,10 @@ def test_bad_moves_raise_on_every_call():
     bad = [
         (BadIndicesError, factor.build_reversal, (6, 4, 4)),
         (BadIndicesError, factor.build_reversal, (6, 2, 3)),
-        (BadIndicesError, factor.build_shift_word, (6, "shift2k", 3, 2, 2)),
-        (KindMismatchError, factor.build_shift_word, (8, "revshift2k", 1, 2, 1)),
-        (KindMismatchError, factor.build_shift_word, (8, "revshifteven", 1, 1, 1)),
-        (KindMismatchError, factor.build_shift_word, (8, "twist", 1, 1, 1)),
+        (BadIndicesError, factor.build_shift_word, (6, 3, 2, 4, True)),
+        (BadIndicesError, factor.build_shift_word, (8, 1, 2, 1, False)),
+        (BadIndicesError, factor.build_shift_word, (8, 1, 1, 2, False)),
+        (BadIndicesError, factor.build_shift_word, (8, 1, 2, 1, True)),
     ]
     for _ in range(3):
         factor.build_reversal(6, 2, 2)

@@ -141,9 +141,18 @@ def test_checked_rejects_escaping_generator():
 
 
 def test_set_g_rejects_repeated_generator(monkeypatch):
+    # set_g reads the memoised spec lookup, so its caches are cleared
+    # around the patch
+    caches = (genfam.named, genfam._g_spec_lookup)
     monkeypatch.setattr(genfam, "sigma2", genfam.sigma1)
-    with pytest.raises(RuntimeError, match="distinct"):
-        genfam.set_g(6)
+    for cached in caches:
+        cached.cache_clear()
+    try:
+        with pytest.raises(RuntimeError, match="distinct"):
+            genfam.set_g(6)
+    finally:
+        for cached in caches:
+            cached.cache_clear()
 
 
 def test_set_g_cardinality():
