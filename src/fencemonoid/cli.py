@@ -96,17 +96,12 @@ def cmd_greens(args) -> CommandResult:
     a = _parse_element(elts[0], args.n)
     b = _parse_element(elts[1], args.n)
 
+    verdicts = greens.relations(a, b)
     rels = ["R", "L", "H", "J"] if args.relation == "all" else [args.relation]
-    verdicts = {}
-    for rel in rels:
-        if rel in ("J", "D"):
-            verdicts[rel] = greens.are_j_related(a, b)
-        else:
-            verdicts[rel] = greens.green_test(rel, a, b)
     payload = {
         "first": a.encode(),
         "second": b.encode(),
-        "relations": verdicts,
+        "relations": {rel: verdicts["J" if rel == "D" else rel] for rel in rels},
         "invariants": {
             "first": greens.j_invariant(a).encode(),
             "second": greens.j_invariant(b).encode(),

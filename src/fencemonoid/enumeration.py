@@ -102,13 +102,11 @@ def _domains(n):
 def _iter_imgs_for_domains(n, domains):
     pts = range(1, n + 1)
     for dom in domains:
-        k = len(dom)
-        for image in itertools.combinations(pts, k):
-            for perm in itertools.permutations(image):
-                img = [0] * n
-                for x, y in zip(dom, perm):
-                    img[x - 1] = y
-                yield tuple(img)
+        for perm in itertools.permutations(pts, len(dom)):
+            img = [0] * n
+            for x, y in zip(dom, perm):
+                img[x - 1] = y
+            yield tuple(img)
 
 
 def _block_placements(n, start, length, two_way):
@@ -512,7 +510,8 @@ def ideal_j_classes(table: SemigroupTable, gens):
     lowers it lies on no cycle, and dropping it leaves every strongly
     connected component unchanged: the graph holds only the edges of
     :func:`_rank_keeping_rows`.  Returns the classes as sorted element
-    lists, ordered by least member.  A table closed under inverses gets
+    lists, ordered by least member: the table is in canonical order, so
+    each class fills in sorted.  A table closed under inverses gets
     the same classes from :func:`inverse_j_classes` at a fraction of the
     cost; this graph serves tables that are not, such as PFI_n.
     """
@@ -520,11 +519,9 @@ def ideal_j_classes(table: SemigroupTable, gens):
     if not is_generating(table, gens):
         raise ValueError("oracle generators do not generate the table")
     groups: dict[int, list] = {}
-    for pos, c in enumerate(_strong_components(_rank_keeping_rows(table, gens))):
-        groups.setdefault(c, []).append(table.elements[pos])
-    classes = [sorted(g) for g in groups.values()]
-    classes.sort(key=lambda cls: cls[0].key)
-    return classes
+    for c, elt in zip(_strong_components(_rank_keeping_rows(table, gens)), table.elements):
+        groups.setdefault(c, []).append(elt)
+    return list(groups.values())
 
 
 def union_roots(edges) -> dict:

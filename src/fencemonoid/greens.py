@@ -1,14 +1,13 @@
 """Green's relations on the inverse semigroup of two-way fence-preserving maps.
 
-R, L and H reduce to equality of domains / images, as in any inverse
-subsemigroup of the symmetric inverse monoid.  The J relation is finer
-than rank equality here: it is characterized by a fingerprint counting
-the maximal consecutive runs (blocks) of the domain by size, plus, for
-each odd size >= 3, how many of those blocks start at an odd position.
-Two elements are J-related iff their fingerprints agree, and a witness
-pair (g, d) with b = g*a*d can be constructed by matching blocks of
-equal size and mapping each block monotonically up or down according to
-the parity of the matched endpoints.
+One rule per relation.  R means equal domains, L equal images and H
+both, as in any inverse subsemigroup of the symmetric inverse monoid
+(Howie 1995, Prop. 5.1.2).  J means equal block fingerprints: counts of
+the domain's maximal consecutive runs (blocks) by size, plus, for each
+odd size >= 3, how many of those blocks start at an odd position.  D
+means J, as in any finite semigroup.  A witness pair (g, d) with
+b = g*a*d matches blocks of equal size and maps each monotonically up or
+down according to the parity of the matched endpoints.
 
 Everything here presumes maps that preserve the fence in both
 directions; whether the fingerprint criterion extends to the one-way
@@ -53,6 +52,12 @@ def blocks(n: int, points) -> BlockDecomposition:
     return tuple(out)
 
 
+def _keeps_start_parity(length: int) -> bool:
+    """Whether IF_n maps every block of this length onto an interval with
+    the block's start parity: odd lengths >= 3, not singletons or even."""
+    return length % 2 == 1 and length >= 3
+
+
 @dataclass(frozen=True)
 class JInvariant:
     """Complete J-class fingerprint: block counts by size, odd-start counts.
@@ -69,13 +74,10 @@ class JInvariant:
     def encode(self) -> str:
         """Canonical text: ``k:total[:odd]`` terms joined by ``;``, ascending k."""
         odd = dict(self.odd_starts)
-        terms = []
-        for k, cnt in self.sizes:
-            if k % 2 == 1 and k >= 3:
-                terms.append(f"{k}:{cnt}:{odd.get(k, 0)}")
-            else:
-                terms.append(f"{k}:{cnt}")
-        return ";".join(terms)
+        return ";".join(
+            f"{k}:{cnt}:{odd.get(k, 0)}" if _keeps_start_parity(k) else f"{k}:{cnt}"
+            for k, cnt in self.sizes
+        )
 
 
 def j_invariant(a: PartialInjection) -> JInvariant:
@@ -84,70 +86,33 @@ def j_invariant(a: PartialInjection) -> JInvariant:
     odd: dict[int, int] = defaultdict(int)
     for start, length in blocks(a.n, a.domain()):
         total[length] += 1
-        if length % 2 == 1 and length >= 3 and start % 2 == 1:
+        if _keeps_start_parity(length) and start % 2 == 1:
             odd[length] += 1
     sizes = tuple(sorted(total.items()))
-    odd_starts = tuple(
-        (k, odd.get(k, 0)) for k, _ in sizes if k % 2 == 1 and k >= 3
-    )
+    odd_starts = tuple((k, odd[k]) for k, _ in sizes if _keeps_start_parity(k))
     return JInvariant(sizes, odd_starts)
 
 
-def _check_pair(a: PartialInjection, b: PartialInjection) -> None:
+def relations(a: PartialInjection, b: PartialInjection) -> dict[str, bool]:
+    """R, L, H and J verdicts on a pair of one ambient size, both checked
+    to lie in IF_n, once.  D is J and has no entry of its own."""
     if a.n != b.n:
         raise SizeMismatchError(f"ambient sizes differ: {a.n} != {b.n}")
     require_if(a)
     require_if(b)
+    r = a.domain() == b.domain()
+    l = a.image() == b.image()
+    return {"R": r, "L": l, "H": r and l, "J": j_invariant(a) == j_invariant(b)}
 
 
-def green_test(rel: str, a: PartialInjection, b: PartialInjection) -> bool:
-    """Test R (equal domains), L (equal images), or H (both)."""
-    rel = rel.upper()
-    if rel not in ("R", "L", "H"):
-        raise ValueError(f"relation must be R, L or H, got {rel!r}")
-    _check_pair(a, b)
-    if rel == "R":
-        return a.domain() == b.domain()
-    if rel == "L":
-        return a.image() == b.image()
-    return a.domain() == b.domain() and a.image() == b.image()
-
-
-def are_j_related(a: PartialInjection, b: PartialInjection) -> bool:
-    """J-test via the block fingerprint.  D coincides with J here; see
-    :func:`are_d_related`."""
-    _check_pair(a, b)
-    return j_invariant(a) == j_invariant(b)
-
-
-# In a finite semigroup D = J; exposed as an alias, not a separate code path.
-are_d_related = are_j_related
-
-
-def _match_blocks(a: PartialInjection, b: PartialInjection):
-    """Pair up b's domain blocks with a's, size by size.
-
-    Within each size the match runs in ascending start order; for odd
-    sizes >= 3 the odd-start blocks are matched among themselves first,
-    which keeps the construction deterministic and parity-consistent.
-    """
-    by_size_a: dict[int, list[int]] = defaultdict(list)
-    by_size_b: dict[int, list[int]] = defaultdict(list)
-    for start, length in blocks(a.n, a.domain()):
-        by_size_a[length].append(start)
-    for start, length in blocks(b.n, b.domain()):
-        by_size_b[length].append(start)
-    pairs = []
-    for k, starts_b in sorted(by_size_b.items()):
-        starts_a = by_size_a[k]
-        if k % 2 == 1 and k >= 3:
-            for parity in (1, 0):
-                sb = [s for s in starts_b if s % 2 == parity]
-                sa = [s for s in starts_a if s % 2 == parity]
-                pairs.extend((k, i, l) for i, l in zip(sb, sa, strict=True))
-        else:
-            pairs.extend((k, i, l) for i, l in zip(starts_b, starts_a, strict=True))
-    return pairs
+def _block_order(x: PartialInjection) -> list[tuple[int, int]]:
+    """x's domain blocks by length, then, where the length keeps start
+    parity, odd starts first, then by start.  J-related elements list
+    blocks of one length and start parity at the same positions."""
+    return sorted(
+        blocks(x.n, x.domain()),
+        key=lambda blk: (blk[1], _keeps_start_parity(blk[1]) and blk[0] % 2 == 0, blk[0]),
+    )
 
 
 def j_witness(a: PartialInjection, b: PartialInjection):
@@ -157,17 +122,14 @@ def j_witness(a: PartialInjection, b: PartialInjection):
     when the starts share parity (or the block is a singleton) and
     descending otherwise; then d = a^-1 * g^-1 * b.
     """
-    if not are_j_related(a, b):
+    if not relations(a, b)["J"]:
         raise NotJRelatedError("elements are not J-related; no witness exists")
     n = a.n
     img = [0] * n
-    for k, i, l in _match_blocks(a, b):
-        if k == 1 or (i - l) % 2 == 0:
-            for r in range(k):
-                img[i + r - 1] = l + r
-        else:
-            for r in range(k):
-                img[i + r - 1] = l + k - (r + 1)
+    for (i, k), (l, _) in zip(_block_order(b), _block_order(a), strict=True):
+        up = k == 1 or (i - l) % 2 == 0
+        for r in range(k):
+            img[i + r - 1] = l + r if up else l + k - 1 - r
     g = PartialInjection(n, tuple(img))
     d = a.inverse() * g.inverse() * b
     if not (in_if(g) and in_if(d)):
@@ -182,8 +144,9 @@ def j_classes(table):
 
     :func:`j_invariant` reads only the domain, so it is computed once per
     distinct domain, keyed by the domain's pattern of defined slots, and
-    shared by every element with that domain.  Classes and their members
-    are ordered by canonical key, so output is deterministic across runs.
+    shared by every element with that domain.  The table is in canonical
+    order, so each class fills in sorted and the classes are met in order
+    of least member.
     """
     keys: dict[tuple, tuple] = {}
     fibers: dict[tuple, list[PartialInjection]] = defaultdict(list)
@@ -194,6 +157,4 @@ def j_classes(table):
             inv = j_invariant(elt)
             key = keys[dom] = (inv.sizes, inv.odd_starts)
         fibers[key].append(elt)
-    classes = [sorted(members) for members in fibers.values()]
-    classes.sort(key=lambda cls: cls[0].key)
-    return classes
+    return list(fibers.values())

@@ -43,7 +43,7 @@ def test_02_rank4_pair_not_j_related(table, ideal_sets):
     ok = (
         A6.rank == B6.rank == 4
         and greens.j_invariant(A6) != greens.j_invariant(B6)
-        and not greens.are_j_related(A6, B6)
+        and not greens.relations(A6, B6)["J"]
         and not oracle_related
     )
     report(2, "rank-4 pair split by block fingerprint", ok)
@@ -109,7 +109,7 @@ def test_07_witness_soundness(table):
         tbl = table(n)
         for a in tbl:
             for b in tbl:
-                if greens.are_j_related(a, b):
+                if greens.relations(a, b)["J"]:
                     g, d = greens.j_witness(a, b)
                     if not (fence.in_if(g) and fence.in_if(d) and g * a * d == b):
                         report(7, "witness soundness", False, f"n={n}")
@@ -118,7 +118,7 @@ def test_07_witness_soundness(table):
     checked = 0
     for _ in range(10_000):
         a, b = rng.choice(elements), rng.choice(elements)
-        if greens.are_j_related(a, b):
+        if greens.relations(a, b)["J"]:
             g, d = greens.j_witness(a, b)
             if g * a * d != b:
                 report(7, "witness soundness", False, "sampled pair at n=6")

@@ -107,16 +107,17 @@ def _count_in_if(monkeypatch, *modules):
 
 
 def test_greens_witness_tests_the_pair_once_for_the_witness(monkeypatch):
-    # the witness is asked for outright; a pair that is not J-related
-    # gets "witness none" from the refusal, not from a second J test
+    # the pair query checks each literal once; the witness checks the
+    # pair once more to refuse, and a built witness checks g and d
     seen = _count_in_if(monkeypatch, fence, greens)
     a = "n=6:[1>1 2>2]"
-    for b, tests, line in (
-        ("n=6:[5>5 6>6]", 12, "witness verified true\n"),
-        ("n=6:[1>1 3>3]", 10, "witness none (not J-related)\n"),
+    for b, flags, tests, line in (
+        ("n=6:[5>5 6>6]", [], 2, "J true\n"),
+        ("n=6:[5>5 6>6]", ["--witness"], 6, "witness verified true\n"),
+        ("n=6:[1>1 3>3]", ["--witness"], 4, "witness none (not J-related)\n"),
     ):
         del seen[:]
-        code, out, _ = run("greens", "--n", "6", a, b, "--witness")
+        code, out, _ = run("greens", "--n", "6", a, b, *flags)
         assert code == 0 and line in out
         assert len(seen) == tests
 

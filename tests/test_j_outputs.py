@@ -1,13 +1,17 @@
-"""Pinned output of the J layer: ``verify --claim jcrit`` and ``greens --classes``.
+"""Pinned output of the J layer: ``verify --claim jcrit``, ``greens
+--classes`` and ``greens`` pair queries.
 
 Each digest is the sha256 of stdout, with ``timing_ms`` dropped from the
-JSON document, which is the only part that changes from run to run.
+JSON document, which is the only part that changes from run to run.  A
+pair-query digest also covers each run's stderr and exit code.
 """
 
 import contextlib
+import functools
 import hashlib
 import io
 import json
+import random
 
 import pytest
 
@@ -53,6 +57,27 @@ CLASSES = {
 }
 
 
+# flags -> (text, json) over every pair of ``_pairs``
+PAIR_QUERIES = {
+    ("--relation", "all"): (
+        "1cf83a516a5a89ce490728381492fcbbd7efeb067ba3e1f7fcfd7ee199992cff",
+        "aea2de5aa3156ceef2761cd8b9855564803617b3d5ce47950378820a6051c8e0",
+    ),
+    ("--relation", "D"): (
+        "13976985b05cc1464f7031a131112ed95e85b4f9ba5740d0a1b98df83f3a3d96",
+        "ff7a6213ca5ee31829cb9518b429eafd0fdefd7e76eb11f6a45ee1e63707f828",
+    ),
+    ("--witness",): (
+        "60076cd46d8342dedd7e7047ff949e1ab97de94a247d03664a91c09273537379",
+        "94d1925f274966c6859cba8173c436217ce93b3c3350982e8c7a4a18ede848b2",
+    ),
+    ("--relation", "H", "--witness"): (
+        "8c318359263e4e57855b3649aa3a2cbf609060d070f8f07a9898d7a2ef418c8a",
+        "316e8db9db76eef0d99b130b4ae620732045d1c0866aee2b68ad1eed64ccd120",
+    ),
+}
+
+
 def run(*argv):
     out = io.StringIO()
     err = io.StringIO()
@@ -87,6 +112,46 @@ def test_greens_classes_output_pinned(n):
         for fmt in ("text", "json", "csv")
     )
     assert got == CLASSES[n]
+
+
+def _pairs(table):
+    """(--n, first, second) for every ordered pair of IF_3, 200 seeded
+    pairs of IF_6 (half of them drawn from one J-class), a J-related
+    pair at n = 32, a non-member and an ``--n`` mismatch."""
+    if3 = [e.encode() for e in table(3)]
+    pairs = [("3", a, b) for a in if3 for b in if3]
+    rng = random.Random(23)
+    elements = table(6).elements
+    classes = greens.j_classes(table(6))
+    for i in range(200):
+        a = rng.choice(elements)
+        pool = next(c for c in classes if a in c) if i % 2 else elements
+        pairs.append(("6", a.encode(), rng.choice(pool).encode()))
+    pairs += [
+        ("32", "n=32:[1>1 2>2 3>3 7>7 8>8 20>20]", "n=32:[9>31 10>30 11>29 25>7 26>6 14>14]"),
+        ("6", "n=6:[1>1]", "n=6:[1>3 2>2 4>6 5>5 6>4]"),
+        ("5", "n=6:[1>1]", "n=6:[1>1]"),
+    ]
+    return pairs
+
+
+@pytest.mark.parametrize("flags", sorted(PAIR_QUERIES))
+def test_greens_pair_output_pinned(monkeypatch, table, flags):
+    # one parser serves every run: building it is most of a run's cost
+    monkeypatch.setattr(cli, "_build_parser", functools.cache(cli._build_parser))
+    pairs = _pairs(table)
+    got = []
+    for fmt in ("text", "json"):
+        h = hashlib.sha256()
+        for n, a, b in pairs:
+            code, out, err = run("greens", "--n", n, a, b, *flags, "--format", fmt)
+            if fmt == "json" and code == 0:
+                doc = json.loads(out)
+                del doc["timing_ms"]
+                out = json.dumps(doc, sort_keys=True) + "\n"
+            h.update(f"{code}\0{out}\0{err}\0".encode())
+        got.append(h.hexdigest())
+    assert tuple(got) == PAIR_QUERIES[flags]
 
 
 @pytest.mark.parametrize(
