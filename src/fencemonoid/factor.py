@@ -19,10 +19,14 @@ produced word records which path was taken.
 
 The pipeline runs on img tuples.  Letters are folded with the
 :func:`~fencemonoid.pinj.multiplier` kernel, and one element is built
-per step, for its block form.  Each check runs once per value: the
-input's membership once, each step's result once, and the letter check
-once per distinct letter of the word.  Each explicit letter is inverted
-at most once per factorization.
+per step, for its block form.  Each check runs once: the input's
+membership once per factorization; each step result's membership is
+read from the scan that builds its block form; each interval move and
+each reversal is checked once per distinct move, and the letter check
+runs once per distinct letter.  Each distinct letter is inverted once,
+and a letter that is its own inverse, as every reversal is, serves as
+its own inverse.  Every memo is bounded, and the move memo holds keys
+only.
 """
 
 from __future__ import annotations
@@ -60,14 +64,19 @@ def _resolve(letter, n: int) -> PartialInjection:
     return letter
 
 
+@functools.lru_cache(maxsize=4096)
 def _invert_letter(letter):
+    """The inverse of a letter, built once per distinct letter.  A letter
+    that is its own inverse, as every reversal is, is returned itself,
+    so the memo holds no new element for it."""
     if isinstance(letter, GeneratorSpec):
         if letter.family == "sig1":
             return GeneratorSpec("sig2")
         if letter.family == "sig2":
             return GeneratorSpec("sig1")
         return letter  # id, eps, gam, del, beta are involutions
-    return letter.inverse()
+    inv = letter.inverse()
+    return letter if inv == letter else inv
 
 
 def eval_word(word: Word) -> PartialInjection:
@@ -119,6 +128,32 @@ def _shift2k_letters(n, m, p, k):
     return tuple(letters)
 
 
+def _move(n: int, m: int, p: int, d: int, asc: bool):
+    """The unchecked (target, letters) of :func:`build_shift_word` for a
+    move by d > 0, or an ascending one by 0."""
+    letters = _shift2k_letters(n, m, p, d // 2)
+    values = range(m + d, m + p + d + 1) if asc else range(m + p + d, m + d - 1, -1)
+    if not asc:
+        if d % 2:
+            letters += (build_reversal(n, m + d - 1, p + 1), _EPS[m + d - 1])
+        else:
+            letters += (build_reversal(n, m + d, p),)
+    return interval_map(n, m, values, d + 2), letters
+
+
+@functools.lru_cache(maxsize=4096)
+def _check_move(n: int, m: int, p: int, d: int, asc: bool) -> None:
+    """Verify the move once per key: its letters evaluate to its target,
+    and the target lies in the semigroup.  The memo holds the keys only
+    (a cache of whole moves held 0.8 MB); a failed check raises and is
+    not recorded."""
+    elt, letters = _move(n, m, p, d, asc)
+    if _value(letters, n) != elt.img:
+        raise FactorizationError("interval move word does not evaluate to its target")
+    if not in_if(elt):
+        raise FactorizationError("interval move target leaves the semigroup")
+
+
 def build_shift_word(n: int, m: int, p: int, d: int, asc: bool):
     """The interval move of [m, m+p] onto [m+d, m+p+d], ascending or
     reversed, with its high-rank letters.
@@ -126,10 +161,11 @@ def build_shift_word(n: int, m: int, p: int, d: int, asc: bool):
     Returns (target, letters); the letters are reversals and
     point-deleted identities, each of rank >= n-2: shifts by 2 up to d,
     then for a reversed move one reversal onto the target (with one more
-    deleted point at odd d).  Their product is verified to be the target
-    before returning.  A reversed move by 0 is the in-place reversal, its
-    own one letter.  An ascending move needs even d, a reversed one a
-    span p of d's parity.
+    deleted point at odd d).  That their product is the target, and the
+    target a member, is verified once per distinct move by
+    :func:`_check_move`.  A reversed move by 0 is the in-place reversal,
+    its own one letter.  An ascending move needs even d, a reversed one
+    a span p of d's parity.
     """
     if m < 1 or p < 0 or d < 0 or m + p + d > n:
         raise BadIndicesError(f"need 1 <= m, 0 <= p, 0 <= d, m+p+d <= n (m={m}, p={p}, d={d})")
@@ -138,19 +174,8 @@ def build_shift_word(n: int, m: int, p: int, d: int, asc: bool):
     if not asc and d == 0:
         rev = build_reversal(n, m, p)
         return rev, (rev,)
-    letters = _shift2k_letters(n, m, p, d // 2)
-    values = range(m + d, m + p + d + 1) if asc else range(m + p + d, m + d - 1, -1)
-    if not asc:
-        if d % 2:
-            letters += (build_reversal(n, m + d - 1, p + 1), _EPS[m + d - 1])
-        else:
-            letters += (build_reversal(n, m + d, p),)
-    elt = interval_map(n, m, values, d + 2)
-    if _value(letters, n) != elt.img:
-        raise FactorizationError("interval move word does not evaluate to its target")
-    if not in_if(elt):
-        raise FactorizationError("interval move target leaves the semigroup")
-    return elt, letters
+    _check_move(n, m, p, d, asc)
+    return _move(n, m, p, d, asc)
 
 
 # --- parity normalization ----------------------------------------------------
@@ -242,14 +267,26 @@ class BlockForm:
 
     @classmethod
     def from_pinj(cls, a: PartialInjection) -> "BlockForm":
-        if not in_if(a):
-            raise MalformedBlockFormError(f"{a.encode()} is not in the semigroup")
-        return cls._scan(a)
+        """The form of a member of the semigroup, from one scan of its img
+        for parity, domain runs and the monotone-interval test, which
+        also decides membership.
 
-    @classmethod
-    def _scan(cls, a: PartialInjection) -> "BlockForm":
-        """The form of a member of the semigroup: parity, domain runs and
-        the monotone-interval test from one scan of its img."""
+        Say every point is congruent to its image mod 2 and every block
+        (maximal domain run) maps onto an interval with step +1 or -1.
+        Two adjacent domain points lie in one block, so their images are
+        adjacent and the odd point, matching its image's parity, maps to
+        the odd image: the map preserves the fence.  Two adjacent image
+        points from one block have adjacent preimages of their own
+        parities, so the inverse preserves the fence on them; two from
+        different blocks never do, for points of different blocks are
+        never adjacent.  Such a form therefore lies in IF_n exactly when
+        no two image intervals touch or overlap, an O(#blocks) test on
+        an image bitmask; this is the characterization that
+        :func:`~fencemonoid.enumeration.place_blocks` builds IF_n from.
+        When the scan fails, :func:`~fencemonoid.fence.in_if` decides
+        membership, so the errors come in the order: not in the
+        semigroup, then parity, then shape.
+        """
         blocks = []
         lead = 0  # how many leading blocks are fixed pointwise
         unnormalized = malformed = False
@@ -273,10 +310,18 @@ class BlockForm:
             if v - last != step or step not in (1, -1):
                 malformed = True
             last = v
-        if unnormalized:
-            raise MalformedBlockFormError("element is not parity-normalized")
-        if malformed:
+        if unnormalized or malformed:
+            if not in_if(a):
+                raise MalformedBlockFormError(f"{a.encode()} is not in the semigroup")
+            if unnormalized:
+                raise MalformedBlockFormError("element is not parity-normalized")
             raise MalformedBlockFormError("block image is not a monotone interval")
+        image = 0  # the image intervals so far, bit v for point v
+        for b in blocks:
+            span = (2 << b.u) - (1 << b.t)
+            if image & (span << 1 | span | span >> 1):
+                raise MalformedBlockFormError(f"{a.encode()} is not in the semigroup")
+            image |= span
 
         # the stage: the latest one, at most one past the fixed lead, whose
         # remaining images all lie above the blocks before it.  A fixed
@@ -448,11 +493,8 @@ def _constructive(a: PartialInjection) -> Word:
     _, _, left_inv, right_inv, img = _parity_repair(a)
     head = [left_inv]  # the assembled word's chunks before the residual
     tail = [right_inv]  # and after it, last chunk first
-    if img == a.img:  # no repair: the input's membership is already checked
-        core, bf = a, BlockForm._scan(a)
-    else:
-        core = PartialInjection(n, img)
-        bf = BlockForm.from_pinj(core)
+    core = a if img == a.img else PartialInjection(n, img)
+    bf = BlockForm.from_pinj(core)
     for _ in range(2 * n + 4):
         if bf.all_fixed:
             break

@@ -93,40 +93,57 @@ def j_invariant(a: PartialInjection) -> JInvariant:
     return JInvariant(sizes, odd_starts)
 
 
+def _block_key(start: int, length: int) -> tuple[int, bool]:
+    """A domain block's part of the fingerprint: its length and, where
+    the length keeps start parity, whether it starts even.  The multiset
+    of a map's block keys is its :func:`j_invariant`."""
+    return length, _keeps_start_parity(length) and start % 2 == 0
+
+
+def _block_order(x: PartialInjection) -> list[tuple[int, int]]:
+    """x's domain blocks by key, then by start.  J-related elements list
+    blocks of one key at the same positions."""
+    return sorted(blocks(x.n, x.domain()), key=lambda blk: (_block_key(*blk), blk[0]))
+
+
+def _shape(order) -> list[tuple[int, bool]]:
+    """The keys of a block order; equal exactly for equal fingerprints."""
+    return [_block_key(*blk) for blk in order]
+
+
 def relations(a: PartialInjection, b: PartialInjection) -> dict[str, bool]:
     """R, L, H and J verdicts on a pair of one ambient size, both checked
-    to lie in IF_n, once.  D is J and has no entry of its own."""
+    to lie in IF_n, once.  J compares the sorted block keys, the
+    fingerprints without building them.  D is J and has no entry of its
+    own."""
     if a.n != b.n:
         raise SizeMismatchError(f"ambient sizes differ: {a.n} != {b.n}")
     require_if(a)
     require_if(b)
     r = a.domain() == b.domain()
     l = a.image() == b.image()
-    return {"R": r, "L": l, "H": r and l, "J": j_invariant(a) == j_invariant(b)}
-
-
-def _block_order(x: PartialInjection) -> list[tuple[int, int]]:
-    """x's domain blocks by length, then, where the length keeps start
-    parity, odd starts first, then by start.  J-related elements list
-    blocks of one length and start parity at the same positions."""
-    return sorted(
-        blocks(x.n, x.domain()),
-        key=lambda blk: (blk[1], _keeps_start_parity(blk[1]) and blk[0] % 2 == 0, blk[0]),
-    )
+    j = _shape(_block_order(a)) == _shape(_block_order(b))
+    return {"R": r, "L": l, "H": r and l, "J": j}
 
 
 def j_witness(a: PartialInjection, b: PartialInjection):
-    """Construct (g, d) with b = g*a*d, dom g = dom b, im g = dom a.
+    """Construct (g, d) with b = g*a*d, dom g = dom b, im g = dom a, for
+    members a and b of IF_n, as checked by :func:`relations`.
 
     Each matched block of b maps onto its partner block of a ascending
     when the starts share parity (or the block is a singleton) and
-    descending otherwise; then d = a^-1 * g^-1 * b.
+    descending otherwise; then d = a^-1 * g^-1 * b.  A pair whose block
+    keys differ is refused; the pair built is checked to lie in IF_n
+    and to carry a onto b.
     """
-    if not relations(a, b)["J"]:
+    if a.n != b.n:
+        raise SizeMismatchError(f"ambient sizes differ: {a.n} != {b.n}")
+    order_a, order_b = _block_order(a), _block_order(b)
+    if _shape(order_a) != _shape(order_b):
         raise NotJRelatedError("elements are not J-related; no witness exists")
     n = a.n
     img = [0] * n
-    for (i, k), (l, _) in zip(_block_order(b), _block_order(a), strict=True):
+    for (i, k), (l, _) in zip(order_b, order_a, strict=True):
         up = k == 1 or (i - l) % 2 == 0
         for r in range(k):
             img[i + r - 1] = l + r if up else l + k - 1 - r

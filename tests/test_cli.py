@@ -107,19 +107,23 @@ def _count_in_if(monkeypatch, *modules):
 
 
 def test_greens_witness_tests_the_pair_once_for_the_witness(monkeypatch):
-    # the pair query checks each literal once; the witness checks the
-    # pair once more to refuse, and a built witness checks g and d
+    # the pair query checks each literal once and fingerprints it once;
+    # the witness is refused on block keys without a second check, and a
+    # built witness checks g and d
     seen = _count_in_if(monkeypatch, fence, greens)
+    fingerprinted = []
+    real = greens.j_invariant
+    monkeypatch.setattr(greens, "j_invariant", lambda x: fingerprinted.append(x) or real(x))
     a = "n=6:[1>1 2>2]"
     for b, flags, tests, line in (
         ("n=6:[5>5 6>6]", [], 2, "J true\n"),
-        ("n=6:[5>5 6>6]", ["--witness"], 6, "witness verified true\n"),
-        ("n=6:[1>1 3>3]", ["--witness"], 4, "witness none (not J-related)\n"),
+        ("n=6:[5>5 6>6]", ["--witness"], 4, "witness verified true\n"),
+        ("n=6:[1>1 3>3]", ["--witness"], 2, "witness none (not J-related)\n"),
     ):
-        del seen[:]
+        del seen[:], fingerprinted[:]
         code, out, _ = run("greens", "--n", "6", a, b, *flags)
         assert code == 0 and line in out
-        assert len(seen) == tests
+        assert (len(seen), len(fingerprinted)) == (tests, 2)
 
 
 def test_greens_reflexive_single_element():

@@ -464,6 +464,46 @@ def test_block_form_scan_matches_element_oracle(table):
     assert normalized == 4128  # 2713 of them at n = 8
 
 
+def _touching(core):
+    """The images of ``core`` with the upper of each two neighbouring image
+    intervals pushed down until it touches the lower: the maps one step
+    outside IF_n, which pass the scan only when the push keeps parity."""
+    intervals = []  # (t, u, domain points) of each block, by image
+    for r, length in greens.blocks(len(core), [x for x, v in enumerate(core, 1) if v]):
+        vals = core[r - 1 : r - 1 + length]
+        intervals.append((min(vals), max(vals), range(r, r + length)))
+    intervals.sort()
+    for (_, u1, _), (t2, _, dom2) in zip(intervals, intervals[1:]):
+        img = list(core)
+        for x in dom2:
+            img[x - 1] -= t2 - u1 - 1
+        yield tuple(img)
+
+
+def test_block_form_membership_matches_element_oracle(table):
+    # membership is read from the scan, with in_if asked only when the
+    # scan fails.  Every map of I_n, n <= 6; every map of PFI_n, n <= 8,
+    # the only maps that pass the scan and reach the image-gap test; and
+    # seeded near-members past the exhaustive range, parity-normalized
+    # members with two image intervals pushed until they touch
+    elements = [a for n in range(1, 7) for a in table(n, "I")]
+    elements += [a for n in range(1, 9) for a in table(n, "PFI")]
+    for a in elements:
+        assert _outcome(_new_block_form, a) == _outcome(_old_block_form, a)
+    near = reached_gap_test = 0
+    for n in range(9, 33):
+        for a in _seeded_elements(2400 + n, n, 12):
+            core = factor._parity_repair(a)[4]
+            for img in _touching(core):
+                b = PartialInjection(n, img)
+                got = _outcome(_new_block_form, b)
+                assert got == _outcome(_old_block_form, b)
+                assert got == (MalformedBlockFormError, f"{b.encode()} is not in the semigroup")
+                near += 1
+                reached_gap_test += not _old_mismatches(b)
+    assert (near, reached_gap_test) == (810, 181)
+
+
 def test_block_form_errors_match_element_oracle(monkeypatch):
     def check(enc, message):
         a = pinj.parse(enc)
@@ -873,14 +913,48 @@ def test_reversal_check_rejects_low_rank(monkeypatch):
 
 def test_shift_check_rejects_target_outside_semigroup(monkeypatch):
     # an ascending move by 0 uses no reversal, so only the final
-    # membership check sees this
+    # membership check sees this; a move checked by an earlier call
+    # would hide the patch
     factor.build_reversal.cache_clear()
+    factor._check_move.cache_clear()
     monkeypatch.setattr(factor, "in_if", lambda a: False)
     try:
         with pytest.raises(factor.FactorizationError, match="leaves the semigroup"):
             factor.build_shift_word(8, 2, 2, 0, True)
     finally:
         factor.build_reversal.cache_clear()
+        factor._check_move.cache_clear()
+
+
+def test_failed_move_check_is_not_recorded(monkeypatch):
+    # the move memo records a key only once its check has passed (a move
+    # by 0 has no reversal letters, whose own check would fail first)
+    factor._check_move.cache_clear()
+    monkeypatch.setattr(factor, "in_if", lambda a: False)
+    for _ in range(3):
+        with pytest.raises(factor.FactorizationError, match="leaves the semigroup"):
+            factor.build_shift_word(8, 2, 2, 0, True)
+        assert factor._check_move.cache_info().currsize == 0
+    monkeypatch.undo()
+    first = factor.build_shift_word(8, 2, 2, 0, True)
+    assert factor.build_shift_word(8, 2, 2, 0, True) == first
+    info = factor._check_move.cache_info()
+    assert (info.currsize, info.hits, info.misses) == (1, 1, 4)
+
+
+def test_invert_letter_memo():
+    # a reversal is its own inverse and comes back as the same object;
+    # any other letter gets its true inverse, built once.  (A memo filled
+    # before a cleared reversal cache returns an equal, older object.)
+    factor._invert_letter.cache_clear()
+    rev = factor.build_reversal(8, 2, 4)
+    assert factor._invert_letter(rev) is rev
+    eta = genfam._eta_left(8, 4)
+    inv = factor._invert_letter(eta)
+    assert inv == eta.inverse() and inv != eta
+    assert factor._invert_letter(eta) is inv
+    assert factor._invert_letter(GeneratorSpec("sig1")) == GeneratorSpec("sig2")
+    assert factor._invert_letter(factor._EPS[3]) is factor._EPS[3]
 
 
 def test_step_leaving_semigroup_falls_back(monkeypatch):

@@ -6,7 +6,7 @@ import pytest
 from fencemonoid import enumeration as en
 from fencemonoid import fence, genfam, greens, pinj
 from fencemonoid.greens import NotJRelatedError
-from fencemonoid.pinj import PartialInjection
+from fencemonoid.pinj import PartialInjection, SizeMismatchError
 
 # the rank-4 pair of maps on {1..6} with equal rank but different block shape
 A6 = pinj.make(6, {(1, 2), (4, 6), (5, 5), (6, 4)})
@@ -86,6 +86,16 @@ def test_green_test_matches_one_sided_ideals(table, ideal_sets):
                 assert verdicts["L"] == (lsets[a] == lsets[b])
 
 
+def test_j_verdict_is_fingerprint_equality(table):
+    # relations compares sorted block keys; the fingerprint is the rule
+    for n in range(1, 6):
+        elements = table(n).elements
+        prints = [greens.j_invariant(a) for a in elements]
+        for a, pa in zip(elements, prints):
+            for b, pb in zip(elements, prints):
+                assert greens.relations(a, b)["J"] == (pa == pb)
+
+
 def test_section2_pair_not_j_related():
     assert A6.rank == B6.rank == 4
     assert not greens.relations(A6, B6)["J"]
@@ -128,6 +138,8 @@ def test_j_witness_reflexive_is_identity_pair():
 def test_j_witness_rejects_unrelated():
     with pytest.raises(NotJRelatedError):
         greens.j_witness(A6, B6)
+    with pytest.raises(SizeMismatchError):
+        greens.j_witness(pinj.identity_on(6, {1, 2}), pinj.identity_on(8, {7, 8}))
 
 
 def test_j_witness_sound_exhaustive(table):

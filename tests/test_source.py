@@ -24,10 +24,55 @@ def test_no_assert_statements_in_src():
     assert found == []
 
 
-def _unbounded_caches(source, filename):
-    """Line numbers of ``lru_cache(maxsize=None)`` and ``functools.cache``."""
+# a call of one of these on a container grows it
+_GROWING_METHODS = {"add", "append", "extend", "insert", "setdefault", "update"}
+_CONTAINER_NODES = (ast.Dict, ast.Set, ast.List, ast.DictComp, ast.SetComp, ast.ListComp)
+_CONTAINER_CALLS = {"dict", "set", "list", "defaultdict", "OrderedDict", "Counter"}
+
+
+def _module_containers(tree):
+    """Names that the module's top level binds to a dict, set or list."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, ast.Assign):
+            targets, value = node.targets, node.value
+        elif isinstance(node, ast.AnnAssign) and node.value is not None:
+            targets, value = [node.target], node.value
+        else:
+            continue
+        call = value.func if isinstance(value, ast.Call) else None
+        called = getattr(call, "attr", None) or getattr(call, "id", None)
+        if isinstance(value, _CONTAINER_NODES) or called in _CONTAINER_CALLS:
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return names
+
+
+def _grown_containers(tree):
+    """Line numbers where a function grows a module-level container: an
+    item stored into it or a growing method called on it."""
+    names = _module_containers(tree)
     found = []
-    for node in ast.walk(ast.parse(source, filename=filename)):
+    for func in ast.walk(tree):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        for node in ast.walk(func):
+            if isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Store):
+                target = node.value
+            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+                target = node.func.value if node.func.attr in _GROWING_METHODS else None
+            else:
+                continue
+            if isinstance(target, ast.Name) and target.id in names:
+                found.append(node.lineno)
+    return found
+
+
+def _unbounded_caches(source, filename):
+    """Line numbers of ``lru_cache(maxsize=None)``, ``functools.cache`` and
+    of every place a function grows a module-level dict, set or list."""
+    tree = ast.parse(source, filename=filename)
+    found = _grown_containers(tree)
+    for node in ast.walk(tree):
         if isinstance(node, ast.Attribute) and node.attr == "cache":
             if isinstance(node.value, ast.Name) and node.value.id == "functools":
                 found.append(node.lineno)
@@ -37,20 +82,31 @@ def _unbounded_caches(source, filename):
                 size = node.args[:1] + [k.value for k in node.keywords if k.arg == "maxsize"]
                 if any(isinstance(v, ast.Constant) and v.value is None for v in size):
                     found.append(node.lineno)
-    return found
+    return sorted(set(found))
 
 
 def test_no_unbounded_caches_in_src():
     # an unbounded cache keyed by n or by element grows for the life of
-    # the process
+    # the process, and so does a module-level container that a function
+    # fills; a bounded memo is an lru_cache with a size
     planted = (
         "import functools\n"
         "@functools.lru_cache(maxsize=None)\ndef f(n): return n\n"
         "@functools.lru_cache(None)\ndef g(n): return n\n"
         "@functools.cache\ndef h(n): return n\n"
         "@functools.lru_cache(maxsize=8)\ndef k(n): return n\n"
+        "MEMO = {}\nSEEN: set = set()\nORDER = []\nFIXED = {'a': 1}\n"
+        "def remember(key, local={}):\n"
+        "    MEMO[key] = local[key] = FIXED['a']\n"
+        "    SEEN.add(key)\n"
+        "    ORDER.append(key)\n"
+        "    ORDER.sort()\n"
+        "    return len(MEMO) + len(ORDER)\n"
+        "def forget(key):\n"
+        "    del MEMO[key]\n"
+        "    return FIXED.get(key, SEEN)\n"
     )
-    assert _unbounded_caches(planted, "planted.py") == [2, 4, 6]
+    assert _unbounded_caches(planted, "planted.py") == [2, 4, 6, 15, 16, 17]
     found = [
         f"{path.name}:{line}"
         for path in sorted(SRC.glob("*.py"))
