@@ -17,16 +17,22 @@ postcondition is checked at runtime; any violation routes the element
 to a breadth-first fallback over the rank >= n-2 generators, and the
 produced word records which path was taken.
 
-The pipeline runs on img tuples.  Letters are folded with the
-:func:`~fencemonoid.pinj.multiplier` kernel, and one element is built
-per step, for its block form.  Each check runs once: the input's
-membership once per factorization; each step result's membership is
-read from the scan that builds its block form; each interval move and
-each reversal is checked once per distinct move, and the letter check
-runs once per distinct letter.  Each distinct letter is inverted once,
-and a letter that is its own inverse, as every reversal is, serves as
-its own inverse.  Every memo is bounded, and the move memo holds keys
-only.
+The pipeline runs on img tuples.  Every product, the parity repair's
+included, is a :func:`~fencemonoid.genfam._value` fold over the
+:func:`~fencemonoid.pinj.translate_table` kernel: each memoised letter
+(a reversal, a named generator, an inverse) keeps its table, and a
+step's core, the input, a move target or a rotation gets a throwaway
+one.  One element is built per step, for its block form, whose scan
+also yields the domain and image masks that the alignment reads.  Each
+check runs once: the input's membership once per factorization; each
+step result's membership is read from the scan that builds its block
+form; each interval move and each reversal is checked once per distinct
+move, and the letter check runs once per distinct letter.  The residual
+check folds the eps letters once, and the assembled-word check folds
+the residual core in their place.  Each distinct letter is inverted
+once, and a letter that is its own inverse, as every reversal is,
+serves as its own inverse.  Every memo is bounded, and the move memo
+holds keys only.
 """
 
 from __future__ import annotations
@@ -40,7 +46,7 @@ from . import genfam
 from .enumeration import closure, require_floor_within_limit
 from .fence import in_if, require_if
 from .genfam import GeneratorSpec, OddAmbientError, Word, _value, interval_map
-from .pinj import MAX_N, PartialInjection, multiplier
+from .pinj import MAX_N, PartialInjection, with_table
 
 
 class BadIndicesError(ValueError):
@@ -66,9 +72,9 @@ def _resolve(letter, n: int) -> PartialInjection:
 
 @functools.lru_cache(maxsize=4096)
 def _invert_letter(letter):
-    """The inverse of a letter, built once per distinct letter.  A letter
-    that is its own inverse, as every reversal is, is returned itself,
-    so the memo holds no new element for it."""
+    """The inverse of a letter, built once per distinct letter, with its
+    translate table.  A letter that is its own inverse, as every reversal
+    is, is returned itself, so the memo holds no new element for it."""
     if isinstance(letter, GeneratorSpec):
         if letter.family == "sig1":
             return GeneratorSpec("sig2")
@@ -76,7 +82,7 @@ def _invert_letter(letter):
             return GeneratorSpec("sig1")
         return letter  # id, eps, gam, del, beta are involutions
     inv = letter.inverse()
-    return letter if inv == letter else inv
+    return letter if inv == letter else with_table(inv)
 
 
 def eval_word(word: Word) -> PartialInjection:
@@ -93,9 +99,9 @@ def build_reversal(n: int, m: int, p: int) -> PartialInjection:
     """Reverse [m, m+p] in place (p even), drop m-1 and m+p+1 and fix the
     rest: a single rank >= n-2 letter, self-inverse.
 
-    A pure function of (n, m, p), memoised, so its membership and rank
-    checks run once per distinct reversal; bad indices are not cached
-    and raise on every call."""
+    A pure function of (n, m, p), memoised with its translate table, so
+    its membership and rank checks run once per distinct reversal; bad
+    indices are not cached and raise on every call."""
     if m < 1 or p < 0 or m + p > n:
         raise BadIndicesError(f"need 1 <= m, 0 <= p, m+p <= n; got m={m}, p={p}, n={n}")
     if p % 2:
@@ -103,7 +109,7 @@ def build_reversal(n: int, m: int, p: int) -> PartialInjection:
     elt = interval_map(n, m, range(m + p, m - 1, -1))
     if not (in_if(elt) and elt.rank >= n - 2):
         raise FactorizationError("reversal is not a high-rank element of the semigroup")
-    return elt
+    return with_table(elt)
 
 
 # one shared spec per point, so resolving a letter never compares specs
@@ -203,37 +209,38 @@ def _parity_repair(a: PartialInjection):
     domain), so each rotation repairs exactly one mismatch; even points
     are repaired on the left first, then odd points on the right.  Each
     letter is inverted once, for the invertibility check, and the
-    inverses are handed on to the caller.
+    inverses are handed on to the caller.  Every product is a
+    :func:`_value` fold.
     """
     n = a.n
-    core = a.img
+    core = a
     left: list = []
     right: list = []
-    mism = _mismatches(core)
+    mism = _mismatches(a.img)
     for _ in range(n + 1):
         if not mism:
             break
         evens = [x for x in mism if x % 2 == 0]
         if evens:
             eta = genfam._eta_left(n, evens[0])
-            new = multiplier(eta.img)((0,) + core)
+            new = _value((eta, core), n)
             left.insert(0, eta)
         else:
-            eta = genfam._eta_right(n, core[mism[0] - 1])
-            new = multiplier(core)((0,) + eta.img)
+            eta = genfam._eta_right(n, core.img[mism[0] - 1])
+            new = _value((core, eta), n)
             right.append(eta)
         new_mism = _mismatches(new)
-        if new.count(0) != core.count(0) or len(new_mism) != len(mism) - 1:
+        if new.count(0) != core.img.count(0) or len(new_mism) != len(mism) - 1:
             raise FactorizationError("parity repair did not reduce the mismatch count")
-        core, mism = new, new_mism
+        core, mism = PartialInjection(n, new), new_mism
     else:
         raise FactorizationError("parity repair did not converge")
 
     left_inv = _invert_all(left)
     right_inv = _invert_all(right)
-    if _value((*left_inv, PartialInjection(n, core), *right_inv), n) != a.img:
+    if _value((*left_inv, core, *right_inv), n) != a.img:
         raise FactorizationError("parity repair is not invertible on this element")
-    return tuple(left), tuple(right), left_inv, right_inv, core
+    return tuple(left), tuple(right), left_inv, right_inv, core.img
 
 
 # --- block stage form --------------------------------------------------------
@@ -247,6 +254,11 @@ class _Block(NamedTuple):
     asc: bool
 
 
+# the C-level tuple constructor: _Block(...) would run the namedtuple's
+# Python __new__ once per block
+_new_block = functools.partial(tuple.__new__, _Block)
+
+
 @dataclass
 class BlockForm:
     """Stage data for the block-fixing pipeline.
@@ -257,13 +269,17 @@ class BlockForm:
     the remaining block with the least image, ``len(blocks)`` once every
     block is fixed.  Every leading fixed block is counted into the stage,
     and the stage moves back only onto an unaligned form, so the current
-    block of an aligned form is never fixed.
+    block of an aligned form is never fixed.  ``dom_mask`` and
+    ``im_mask`` hold the domain and the image, bit x-1 for point x, as
+    the scan found them.
     """
 
     elt: PartialInjection
     blocks: list = field(default_factory=list)
     i: int = 1
     low: int = 0
+    dom_mask: int = 0
+    im_mask: int = 0
 
     @classmethod
     def from_pinj(cls, a: PartialInjection) -> "BlockForm":
@@ -297,7 +313,7 @@ class BlockForm:
                     if lead == len(blocks) and step >= 0 and first == r:
                         lead += 1
                     t, u = (first, last) if step >= 0 else (last, first)
-                    blocks.append(_Block(r, x - 1, t, u, step >= 0))
+                    blocks.append(_new_block((r, x - 1, t, u, step >= 0)))
                     r = 0
                 continue
             if (x - v) % 2:
@@ -316,12 +332,13 @@ class BlockForm:
             if unnormalized:
                 raise MalformedBlockFormError("element is not parity-normalized")
             raise MalformedBlockFormError("block image is not a monotone interval")
-        image = 0  # the image intervals so far, bit v for point v
+        image = domain = 0  # the intervals so far, bit v for point v
         for b in blocks:
             span = (2 << b.u) - (1 << b.t)
             if image & (span << 1 | span | span >> 1):
                 raise MalformedBlockFormError(f"{a.encode()} is not in the semigroup")
             image |= span
+            domain |= (2 << b.s) - (1 << b.r)
 
         # the stage: the latest one, at most one past the fixed lead, whose
         # remaining images all lie above the blocks before it.  A fixed
@@ -332,7 +349,7 @@ class BlockForm:
         low = min(range(lead, len(blocks)), key=lambda l: blocks[l].t, default=len(blocks))
         while low < len(blocks) and i > 1 and blocks[i - 2].s >= blocks[low].t:
             i -= 1
-        return cls(a, blocks, i, low)
+        return cls(a, blocks, i, low, domain >> 1, image >> 1)
 
     @property
     def all_fixed(self):
@@ -356,8 +373,7 @@ def _case_next_block(bf: BlockForm, idx: int):
         raise FactorizationError("adjacent-block repair: domain/image corner mismatch")
     if (nxt.r - nxt.s) % 2 == 0:
         raise FactorizationError("adjacent-block repair: unexpected span parity")
-    dom_mask = bf.elt.dom_mask()
-    if nxt.r >= 3 and (dom_mask >> (nxt.r - 3)) & 1:
+    if nxt.r >= 3 and (bf.dom_mask >> (nxt.r - 3)) & 1:
         raise FactorizationError("adjacent-block repair: blocked below next block")
     eta1 = build_reversal(n, cur.r, nxt.s - 1 - cur.r)
     _, letters = build_shift_word(n, nxt.r - 1, nxt.s - nxt.r, 1, False)
@@ -393,12 +409,11 @@ def _align_dispatch(bf: BlockForm):
     """
     n = bf.elt.n
     idx = bf.i - 1
-    dom_mask = bf.elt.dom_mask()
     cur, least = bf.blocks[idx], bf.blocks[bf.low]
-    rev = _covering_reversal(n, dom_mask, cur.r, least.s)
+    rev = _covering_reversal(n, bf.dom_mask, cur.r, least.s)
     if rev is not None:
         return (rev,), ()
-    rev = _covering_reversal(n, bf.elt.im_mask(), least.t, cur.u)
+    rev = _covering_reversal(n, bf.im_mask, least.t, cur.u)
     if rev is not None:
         return (), (rev,)
 
@@ -411,7 +426,7 @@ def _align_dispatch(bf: BlockForm):
     if (r_next - least.s) % 2 == 0:
         tau = build_reversal(n, r_next, least.s - r_next)
     else:
-        if (dom_mask >> (r_next - 3)) & 1:
+        if (bf.dom_mask >> (r_next - 3)) & 1:
             raise FactorizationError("far-block repair: blocked below next block")
         tau = build_reversal(n, r_next - 1, least.s - r_next + 1)
     reshaped = tau * bf.elt
@@ -518,9 +533,14 @@ def _constructive(a: PartialInjection) -> Word:
     if _value(eps, n) != core.img:
         raise FactorizationError("residual core is not a partial identity")
 
-    letters = (*itertools.chain(*head), *eps, *itertools.chain(*reversed(tail)))
-    if _value(letters, n) != a.img:
+    # the eps letters multiply to the core, as just checked, so by
+    # associativity the assembled word is checked with the core in their
+    # place
+    before = tuple(itertools.chain(*head))
+    after = tuple(itertools.chain(*reversed(tail)))
+    if _value((*before, core, *after), n) != a.img:
         raise FactorizationError("assembled word does not evaluate to the input")
+    letters = (*before, *eps, *after)
     for letter in set(letters):
         if not _is_high_rank_letter(_resolve(letter, n)):
             raise FactorizationError("assembled word contains a low-rank letter")

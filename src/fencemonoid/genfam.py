@@ -8,7 +8,8 @@ this package produces.  set_j collects all elements of rank >= n-2
 (a generating set for every n); set_g is {id, sig1, sig2} + gammas +
 deltas, the least generating set when n is even, of size n+1.  A
 :class:`Word` is a product of such letters (or of explicit maps), and
-:func:`_value` folds one into the img tuple it evaluates to.
+:func:`_value` folds one into the img tuple it evaluates to, on bytes
+through :func:`~fencemonoid.pinj.translate_table`.
 
 Every interval move, here and in :mod:`factor` (the reversals and
 shifts of the constructive factorization), is laid out by one builder,
@@ -21,10 +22,11 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .enumeration import NotMemberError, closure, place_blocks, require_floor_within_limit
 from .fence import in_if
-from .pinj import PartialInjection, SizeMismatchError, multiplier, parse
+from .pinj import PartialInjection, SizeMismatchError, parse, translate_table, with_table
 
 
 class BadIndexError(ValueError):
@@ -110,26 +112,31 @@ def beta(n: int, i: int, j: int) -> PartialInjection:
 _FAMILIES = ("id", "sig1", "sig2", "eps", "gam", "del", "beta")
 
 
-@dataclass(frozen=True)
-class GeneratorSpec:
-    """Symbolic reference to a named generator; serializes as e.g. ``gam:4``."""
+class GeneratorSpec(tuple):
+    """Symbolic reference to a named generator; serializes as e.g. ``gam:4``.
 
-    family: str
-    i: int | None = None
-    j: int | None = None
+    The tuple (family, i, j), so it hashes and compares at C level, as
+    that tuple: a spec equals the plain tuple of its fields.  Only the
+    constructor validates the family.
+    """
 
-    def __post_init__(self):
-        if self.family not in _FAMILIES:
-            raise BadIndexError(f"unknown family {self.family!r}")
-        # the dataclass hash, computed once: specs key the ``named`` cache
-        object.__setattr__(self, "_hash", hash((self.family, self.i, self.j)))
+    __slots__ = ()
 
-    def __hash__(self):
-        return self._hash
+    def __new__(cls, family: str, i: int | None = None, j: int | None = None):
+        if family not in _FAMILIES:
+            raise BadIndexError(f"unknown family {family!r}")
+        return tuple.__new__(cls, (family, i, j))
+
+    family = property(itemgetter(0))
+    i = property(itemgetter(1))
+    j = property(itemgetter(2))
 
     def __reduce__(self):
-        # rebuilt through __init__, so a copy hashes as its own process does
-        return type(self), (self.family, self.i, self.j)
+        # rebuilt through __new__, so a copy is validated as a new spec is
+        return type(self), tuple(self)
+
+    def __repr__(self):
+        return f"GeneratorSpec(family={self.family!r}, i={self.i!r}, j={self.j!r})"
 
     def text(self) -> str:
         if self.family == "beta":
@@ -154,22 +161,25 @@ def named(n: int, spec: GeneratorSpec) -> PartialInjection:
     """Realize a generator spec as a concrete map on {1..n}.
 
     Cached: specs and maps are immutable, and a factorization resolves
-    the same few letters many times.
+    the same few letters many times.  Each map keeps its translate table
+    for :func:`_value`.
     """
     fam = spec.family
     if fam == "id":
-        return PartialInjection.identity(n)
-    if fam == "sig1":
-        return sigma1(n)
-    if fam == "sig2":
-        return sigma2(n)
-    if fam == "eps":
-        return epsilon(n, spec.i)
-    if fam == "gam":
-        return gamma(n, spec.i)
-    if fam == "del":
-        return delta(n, spec.i)
-    return beta(n, spec.i, spec.j)
+        elt = PartialInjection.identity(n)
+    elif fam == "sig1":
+        elt = sigma1(n)
+    elif fam == "sig2":
+        elt = sigma2(n)
+    elif fam == "eps":
+        elt = epsilon(n, spec.i)
+    elif fam == "gam":
+        elt = gamma(n, spec.i)
+    elif fam == "del":
+        elt = delta(n, spec.i)
+    else:
+        elt = beta(n, spec.i, spec.j)
+    return with_table(elt)
 
 
 # --- words -------------------------------------------------------------------
@@ -202,17 +212,23 @@ class Word:
 
 
 def _value(letters, n: int) -> tuple:
-    """The img tuple of the product of the letters, folded left to right
-    with the :func:`~fencemonoid.pinj.multiplier` kernel; () is the
-    identity.  An explicit letter of another ambient size raises
-    :class:`SizeMismatchError`, as the element product does."""
-    acc = tuple(range(1, n + 1))
+    """The img tuple of the product of the letters; () is the identity.
+
+    The fold runs on bytes with the
+    :func:`~fencemonoid.pinj.translate_table` kernel: from the identity,
+    each letter translates the running img through its table.  A
+    memoised letter (a generator from :func:`named`, a reversal or an
+    inverse from :mod:`factor`) keeps its table; any other operand gets
+    a throwaway one, so no caller's element keeps a table.  A letter of
+    another ambient size raises :class:`SizeMismatchError`, as the
+    element product does."""
+    acc = bytes(range(1, n + 1))
     for letter in letters:
         elt = named(n, letter) if isinstance(letter, GeneratorSpec) else letter
         if elt.n != n:
             raise SizeMismatchError(f"ambient sizes differ: {n} != {elt.n}")
-        acc = multiplier(acc)((0,) + elt.img)
-    return acc
+        acc = acc.translate(elt._table or translate_table(elt.img))
+    return tuple(acc)
 
 
 def parse_word(text: str) -> Word:

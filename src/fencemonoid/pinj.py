@@ -4,13 +4,21 @@ Elements act on the right: ``x(a*b) = (xa)b``, so products read left to
 right.  An element is stored as a fixed-length tuple ``img`` where
 ``img[x-1]`` is the image of ``x`` and 0 means "undefined".  Values are
 immutable and freely shareable.
+
+Products have two kernels, one per access pattern.  :func:`multiplier`
+serves one left factor met by many right factors, as an img tuple each:
+the bulk products of :mod:`enumeration` and ``PartialInjection.__mul__``.
+:func:`translate_table` serves a word folded left to right, one letter
+at a time, as bytes: ``acc.translate(translate_table(b))`` is ``acc``
+times ``b``.  A letter folded many times keeps its table
+(:func:`with_table`); any other operand is given a throwaway one.
 """
 
 from __future__ import annotations
 
 from operator import itemgetter
 
-MAX_N = 32
+MAX_N = 32  # below 256: a translate table holds points as byte values
 
 
 class OutOfRangeError(ValueError):
@@ -35,16 +43,18 @@ class PartialInjection:
     ``img`` is a length-n tuple of small ints; slot x-1 holds the image of
     x, with 0 as the "undefined" sentinel.  Instances compare and hash by
     (n, img) and sort by img, which gives the canonical total order used
-    for deterministic enumeration.
+    for deterministic enumeration.  ``_table`` is None except on the
+    memoised letters that :func:`with_table` gave a translate table.
     """
 
-    __slots__ = ("n", "img", "_hash")
+    __slots__ = ("n", "img", "_hash", "_table")
 
     def __init__(self, n: int, img: tuple[int, ...]):
         # Trusted fast constructor: callers guarantee injectivity/range.
         self.n = n
         self.img = img
         self._hash = None
+        self._table = None
 
     @classmethod
     def make(cls, n: int, pairs) -> "PartialInjection":
@@ -174,6 +184,24 @@ def multiplier(img: tuple[int, ...]):
         (v,) = img
         return lambda padded: (padded[v],)
     return itemgetter(*img)
+
+
+def translate_table(img: tuple[int, ...]) -> bytes:
+    """The fold kernel: ``acc.translate(translate_table(b))`` is the img of
+    ``acc*b``, as bytes, for an img ``acc`` held as bytes.
+
+    Slot ``v`` of the 256-byte table holds the image of ``v`` under ``b``
+    and slot 0 keeps "undefined" undefined; the slots past n are never
+    read.  Points are byte values, so n stays below 256 (:data:`MAX_N`).
+    """
+    return bytes((0, *img)).ljust(256, b"\0")
+
+
+def with_table(a: PartialInjection) -> PartialInjection:
+    """``a`` with its translate table kept on it, for a memoised letter
+    that many words fold; returns ``a``."""
+    a._table = translate_table(a.img)
+    return a
 
 
 def inverse_img(img) -> list:

@@ -331,6 +331,12 @@ def test_eval_word_matches_object_fold(table):
 def test_eval_word_rejects_letter_of_other_size():
     with pytest.raises(SizeMismatchError):
         factor.eval_word(Word(6, (PartialInjection.identity(8),)))
+    # a letter that keeps its translate table is checked as any other
+    tabled = (genfam.named(8, GeneratorSpec("eps", 2)), factor.build_reversal(8, 2, 2))
+    assert all(letter._table is not None for letter in tabled)
+    for letter in tabled:
+        with pytest.raises(SizeMismatchError):
+            factor.eval_word(Word(6, (GeneratorSpec("eps", 1), letter)))
     with pytest.raises(SizeMismatchError):
         _eval_word_by_objects(Word(6, (PartialInjection.identity(8),)))
 
@@ -403,7 +409,8 @@ def _old_mismatches(a):
 
 
 def _old_block_form(a):
-    """(blocks, stage, least-image position) by way of ``greens.blocks``."""
+    """(blocks, stage, least-image position, domain and image masks) by
+    way of ``greens.blocks``."""
     if not fence.in_if(a):
         raise MalformedBlockFormError(f"{a.encode()} is not in the semigroup")
     if _old_mismatches(a):
@@ -430,7 +437,7 @@ def _old_block_form(a):
             break
     rest = range(stage - 1, len(blocks))
     low = min(rest, key=lambda l: blocks[l][2]) if rest else len(blocks)
-    return blocks, stage, low
+    return blocks, stage, low, a.dom_mask(), a.im_mask()
 
 
 def _old_apply_step(core, w1, w2, prefix_points):
@@ -452,7 +459,7 @@ def _outcome(fn, *args):
 
 def _new_block_form(a):
     bf = BlockForm.from_pinj(a)
-    return [tuple(b) for b in bf.blocks], bf.i, bf.low
+    return [tuple(b) for b in bf.blocks], bf.i, bf.low, bf.dom_mask, bf.im_mask
 
 
 def test_block_form_scan_matches_element_oracle(table):
@@ -955,6 +962,52 @@ def test_invert_letter_memo():
     assert factor._invert_letter(eta) is inv
     assert factor._invert_letter(GeneratorSpec("sig1")) == GeneratorSpec("sig2")
     assert factor._invert_letter(factor._EPS[3]) is factor._EPS[3]
+
+
+def test_factorization_leaves_no_table_on_its_input():
+    # translate tables are kept only on memoised letters; the input, and
+    # a high-rank input that is its own one-letter word, are folded
+    # through throwaway tables
+    low = pinj.parse("n=8:[1>5 2>6 4>8 7>1 8>2]")
+    high = pinj.parse("n=8:[1>1 3>5 4>4 5>3 7>7 8>8]")
+    assert high.rank >= 6
+    for factorize in (factor.factorize_j, factor.factorize_g):
+        assert factor.eval_word(factorize(low)) == low
+        word = factorize(high)
+        assert factor.eval_word(word) == high
+        if factorize is factor.factorize_j:
+            assert word.letters == (high,) and word.letters[0] is high
+    assert low._table is None and high._table is None
+    # the memoised letters of a word do keep theirs
+    word = factor.factorize_j(low)
+    assert all(factor._resolve(l, 8)._table is not None for l in word.letters)
+
+
+def test_corrupted_eps_word_leaves_through_the_fallback(monkeypatch, table):
+    # the assembled-word check folds the residual core in place of its
+    # eps letters, so the residual check alone guards them: with one eps
+    # letter dropped, every constructive word fails a check and the
+    # element is factored by the counted BFS fallback
+    real = factor._eps_letters
+    monkeypatch.setattr(factor, "_eps_letters", lambda n, points: real(n, points)[1:])
+    errors = []
+    real_constructive = factor._constructive
+
+    def constructive(a):
+        try:
+            return real_constructive(a)
+        except factor.FactorizationError as exc:
+            errors.append(str(exc))
+            raise
+
+    monkeypatch.setattr(factor, "_constructive", constructive)
+    elements = [a for n in range(1, 7) for a in table(n) if a.rank < n - 2]
+    for a in elements:
+        w = factor.factorize_j(a)
+        assert (w.provenance, w.fallback) == ("bfs-fallback", True)
+        assert _eval_word_by_objects(w) == a
+    assert len(errors) == len(elements)
+    assert "residual core is not a partial identity" in errors
 
 
 def test_step_leaving_semigroup_falls_back(monkeypatch):

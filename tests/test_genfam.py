@@ -1,5 +1,6 @@
 import os
 import pickle
+import random
 import subprocess
 import sys
 import time
@@ -95,11 +96,83 @@ def test_spec_text_roundtrip():
 
 
 def test_spec_hash_is_the_dataclass_hash():
-    # set and dict orders of specs stay those of the dataclass hash
+    # set and dict orders of specs stay those of the former dataclass
+    # hash, the hash of the field tuple
     for text in ("eps:3", "sig1", "sig2", "gam:4", "del:1", "beta:1,5", "id"):
         spec = GeneratorSpec.parse(text)
         assert hash(spec) == hash((spec.family, spec.i, spec.j))
         assert pickle.loads(pickle.dumps(spec)) == spec
+
+
+def test_unknown_family_is_refused():
+    for make in (lambda: GeneratorSpec("rho", 3), lambda: GeneratorSpec.parse("rho:3")):
+        with pytest.raises(BadIndexError, match="unknown family 'rho'"):
+            make()
+    # an unpickled spec is validated as a new one is
+    forged = pickle.dumps(GeneratorSpec("eps", 3)).replace(b"eps", b"rho")
+    with pytest.raises(BadIndexError):
+        pickle.loads(forged)
+
+
+def test_spec_equals_the_plain_tuple_of_its_fields():
+    # a spec is the tuple (family, i, j): it hashes and compares as that
+    # tuple, at C level, so it equals the plain tuple and keys the same
+    # dict slot; it never equals an element
+    spec = GeneratorSpec("eps", 3)
+    assert spec == ("eps", 3, None) and hash(spec) == hash(("eps", 3, None))
+    assert {("eps", 3, None): 1}[spec] == 1
+    assert spec != GeneratorSpec("eps", 4)
+    assert spec != genfam.named(6, spec) and genfam.named(6, spec) != spec
+    assert (spec.family, spec.i, spec.j) == ("eps", 3, None)
+    assert repr(spec) == "GeneratorSpec(family='eps', i=3, j=None)"
+    with pytest.raises(AttributeError):
+        spec.family = "gam"
+
+
+def _multiplier_fold(letters, n):
+    """The fold on the bulk kernel: one ``multiplier`` product per letter."""
+    acc = tuple(range(1, n + 1))
+    for letter in letters:
+        acc = pinj.multiplier(acc)((0,) + letter.img)
+    return acc
+
+
+def test_translate_fold_matches_multiplier_fold_and_object_product():
+    # seeded words of partial injections for every n up to MAX_N, n = 1
+    # (the one-slot case of ``multiplier``) included; half the letters
+    # keep a table, the rest are folded through throwaway ones
+    rng = random.Random(25)
+    for n in range(1, pinj.MAX_N + 1):
+        for _ in range(20):
+            letters = []
+            for _ in range(rng.randint(0, 12)):
+                k = rng.randint(n // 2, n)
+                img = [0] * n
+                for x, v in zip(rng.sample(range(1, n + 1), k), rng.sample(range(1, n + 1), k)):
+                    img[x - 1] = v
+                letter = PartialInjection(n, tuple(img))
+                letters.append(pinj.with_table(letter) if rng.random() < 0.5 else letter)
+            value = genfam._value(letters, n)
+            assert type(value) is tuple
+            assert value == _multiplier_fold(letters, n)
+            product = PartialInjection.identity(n)
+            for letter in letters:
+                product = product * letter
+            assert value == product.img
+    # the same with generator specs, resolved through ``named``
+    specs = [GeneratorSpec("sig1"), GeneratorSpec("gam", 6), GeneratorSpec("eps", 2),
+             GeneratorSpec("del", 3), GeneratorSpec("beta", 1, 5), GeneratorSpec("sig2")]
+    elements = [genfam.named(8, s) for s in specs]
+    assert genfam._value(specs, 8) == _multiplier_fold(elements, 8)
+
+
+def test_translate_tables_hold_byte_values():
+    # a table slot holds a point as one byte
+    assert pinj.MAX_N < 256
+    img = tuple(range(pinj.MAX_N, 0, -1))
+    table = pinj.translate_table(img)
+    assert len(table) == 256 and table[0] == 0 and tuple(table[1 : pinj.MAX_N + 1]) == img
+    assert not any(table[pinj.MAX_N + 1 :])
 
 
 def test_unpickled_spec_hashes_as_its_process_does():
