@@ -11,28 +11,32 @@ is a word of point-deleted identities.  A pin is one interval move by
 the block's displacement, ascending or reversed as the block is, on the
 left when its domain lies above its image (or level with it,
 descending) and on the right otherwise.  Every reversal, in the moves
-and the alignments alike, is a :func:`build_reversal`.  Conjugating back by
-the inverse words of the repairs yields the factorization.  Each step's
-postcondition is checked at runtime; any violation routes the element
-to a breadth-first fallback over the rank >= n-2 generators, and the
-produced word records which path was taken.
+and the alignments alike, is a :func:`build_reversal`.  A step is a pair
+of letter words, and every letter the steps apply, a reversal or a
+point-deleted identity, is its own inverse, so a step's inverse is its
+words reversed; the rotations of the repair come paired with their
+inverses.  Conjugating back by the inverse words yields the
+factorization.  Each step's postcondition is checked at runtime; any
+violation routes the element to a breadth-first fallback over the
+rank >= n-2 generators, and the produced word records which path was
+taken.
 
 The pipeline runs on img tuples.  Every product, the parity repair's
-included, is a :func:`~fencemonoid.genfam._value` fold over the
+and the far-block reshape's included, is a
+:func:`~fencemonoid.genfam._value` fold over the
 :func:`~fencemonoid.pinj.translate_table` kernel: each memoised letter
-(a reversal, a named generator, an inverse) keeps its table, and a
-step's core, the input, a move target or a rotation gets a throwaway
-one.  One element is built per step, for its block form, whose scan
-also yields the domain and image masks that the alignment reads.  Each
-check runs once: the input's membership once per factorization; each
-step result's membership is read from the scan that builds its block
-form; each interval move and each reversal is checked once per distinct
-move, and the letter check runs once per distinct letter.  The residual
-check folds the eps letters once, and the assembled-word check folds
-the residual core in their place.  Each distinct letter is inverted
-once, and a letter that is its own inverse, as every reversal is,
-serves as its own inverse.  Every memo is bounded, and the move memo
-holds keys only.
+(a reversal, a named generator, a rotation) keeps its table, and a
+step's core or the input gets a throwaway one.  No letter is inverted
+and no move target is built per step: a target is built only by the
+check of its move.  One element is built per step, for its block form,
+whose scan also yields the domain and image masks that the alignment
+reads.  Each check runs once: the input's membership once per
+factorization; each step result's membership is read from the scan
+that builds its block form; each interval move and each reversal is
+checked once per distinct move, and the letter check runs once per
+distinct letter.  The residual check folds the eps letters once, and
+the assembled-word check folds the residual core in their place.
+Every memo is bounded, and the move memo holds keys only.
 """
 
 from __future__ import annotations
@@ -68,21 +72,6 @@ def _resolve(letter, n: int) -> PartialInjection:
     if isinstance(letter, GeneratorSpec):
         return genfam.named(n, letter)
     return letter
-
-
-@functools.lru_cache(maxsize=4096)
-def _invert_letter(letter):
-    """The inverse of a letter, built once per distinct letter, with its
-    translate table.  A letter that is its own inverse, as every reversal
-    is, is returned itself, so the memo holds no new element for it."""
-    if isinstance(letter, GeneratorSpec):
-        if letter.family == "sig1":
-            return GeneratorSpec("sig2")
-        if letter.family == "sig2":
-            return GeneratorSpec("sig1")
-        return letter  # id, eps, gam, del, beta are involutions
-    inv = letter.inverse()
-    return letter if inv == letter else with_table(inv)
 
 
 def eval_word(word: Word) -> PartialInjection:
@@ -134,54 +123,52 @@ def _shift2k_letters(n, m, p, k):
     return tuple(letters)
 
 
-def _move(n: int, m: int, p: int, d: int, asc: bool):
-    """The unchecked (target, letters) of :func:`build_shift_word` for a
-    move by d > 0, or an ascending one by 0."""
+def _move_letters(n: int, m: int, p: int, d: int, asc: bool) -> tuple:
+    """The unchecked letters of :func:`build_shift_word` for a move by
+    d > 0, or an ascending one by 0."""
     letters = _shift2k_letters(n, m, p, d // 2)
-    values = range(m + d, m + p + d + 1) if asc else range(m + p + d, m + d - 1, -1)
-    if not asc:
-        if d % 2:
-            letters += (build_reversal(n, m + d - 1, p + 1), _EPS[m + d - 1])
-        else:
-            letters += (build_reversal(n, m + d, p),)
-    return interval_map(n, m, values, d + 2), letters
+    if asc:
+        return letters
+    if d % 2:
+        return letters + (build_reversal(n, m + d - 1, p + 1), _EPS[m + d - 1])
+    return letters + (build_reversal(n, m + d, p),)
 
 
 @functools.lru_cache(maxsize=4096)
 def _check_move(n: int, m: int, p: int, d: int, asc: bool) -> None:
     """Verify the move once per key: its letters evaluate to its target,
-    and the target lies in the semigroup.  The memo holds the keys only
-    (a cache of whole moves held 0.8 MB); a failed check raises and is
-    not recorded."""
-    elt, letters = _move(n, m, p, d, asc)
-    if _value(letters, n) != elt.img:
+    and the target lies in the semigroup.  The target is built here
+    only; the memo holds the keys (a cache of whole moves held 0.8 MB),
+    and a failed check raises and is not recorded."""
+    values = range(m + d, m + p + d + 1) if asc else range(m + p + d, m + d - 1, -1)
+    elt = interval_map(n, m, values, d + 2)
+    if _value(_move_letters(n, m, p, d, asc), n) != elt.img:
         raise FactorizationError("interval move word does not evaluate to its target")
     if not in_if(elt):
         raise FactorizationError("interval move target leaves the semigroup")
 
 
-def build_shift_word(n: int, m: int, p: int, d: int, asc: bool):
-    """The interval move of [m, m+p] onto [m+d, m+p+d], ascending or
-    reversed, with its high-rank letters.
+def build_shift_word(n: int, m: int, p: int, d: int, asc: bool) -> tuple:
+    """The high-rank letters of the interval move of [m, m+p] onto
+    [m+d, m+p+d], ascending or reversed.
 
-    Returns (target, letters); the letters are reversals and
-    point-deleted identities, each of rank >= n-2: shifts by 2 up to d,
-    then for a reversed move one reversal onto the target (with one more
-    deleted point at odd d).  That their product is the target, and the
-    target a member, is verified once per distinct move by
-    :func:`_check_move`.  A reversed move by 0 is the in-place reversal,
-    its own one letter.  An ascending move needs even d, a reversed one
-    a span p of d's parity.
+    The letters are reversals and point-deleted identities, each of rank
+    >= n-2 and its own inverse: shifts by 2 up to d, then for a reversed
+    move one reversal onto the target (with one more deleted point at
+    odd d).  So the reversed letters evaluate to the target's inverse.
+    That the letters multiply to the target, and the target is a member,
+    is verified once per distinct move by :func:`_check_move`.  A
+    reversed move by 0 is the in-place reversal, its own one letter.  An
+    ascending move needs even d, a reversed one a span p of d's parity.
     """
     if m < 1 or p < 0 or d < 0 or m + p + d > n:
         raise BadIndicesError(f"need 1 <= m, 0 <= p, 0 <= d, m+p+d <= n (m={m}, p={p}, d={d})")
     if asc and d % 2:
         raise BadIndicesError(f"an ascending move needs an even displacement, got d={d}")
     if not asc and d == 0:
-        rev = build_reversal(n, m, p)
-        return rev, (rev,)
+        return (build_reversal(n, m, p),)
     _check_move(n, m, p, d, asc)
-    return _move(n, m, p, d, asc)
+    return _move_letters(n, m, p, d, asc)
 
 
 # --- parity normalization ----------------------------------------------------
@@ -192,43 +179,46 @@ def _mismatches(img: tuple):
     return [x for x, v in enumerate(img, 1) if v and (x - v) % 2]
 
 
-def _invert_all(letters) -> tuple:
-    """The letters of the inverse word: each letter inverted, in reverse."""
-    return tuple(_invert_letter(l) for l in reversed(letters))
+@functools.lru_cache(maxsize=1024)
+def _rotation(n: int, a: int, left: bool) -> tuple:
+    """A parity-repair rotation and its inverse, each with its translate
+    table: (``_eta_left(n, a)``, ``_eta_right(n, a)``) to apply on the
+    left, the pair swapped on the right."""
+    pair = with_table(genfam._eta_left(n, a)), with_table(genfam._eta_right(n, a))
+    return pair if left else pair[::-1]
 
 
 def _parity_repair(a: PartialInjection):
     """Multiply a member of the semigroup by rank n-2 rotations until
     every point matches its image mod 2.
 
-    Returns (left, right, left_inv, right_inv, core): the rotation
-    letters, the letters of their inverse words, and the core's img
-    tuple, with core = eval(left) * a * eval(right) and
+    Returns (left_inv, right_inv, core): the letters of the rotation
+    words' inverses and the core's img tuple, with
     a = eval(left_inv) * core * eval(right_inv).  A mismatched point is
     always an isolated domain point (its neighbours cannot be in the
     domain), so each rotation repairs exactly one mismatch; even points
     are repaired on the left first, then odd points on the right.  Each
-    letter is inverted once, for the invertibility check, and the
-    inverses are handed on to the caller.  Every product is a
-    :func:`_value` fold.
+    rotation comes with its inverse from :func:`_rotation`, and the
+    invertibility check folds the inverses back onto the core.  Every
+    product is a :func:`_value` fold.
     """
     n = a.n
     core = a
-    left: list = []
-    right: list = []
+    left_inv: list = []
+    right_inv: list = []
     mism = _mismatches(a.img)
     for _ in range(n + 1):
         if not mism:
             break
         evens = [x for x in mism if x % 2 == 0]
         if evens:
-            eta = genfam._eta_left(n, evens[0])
+            eta, inv = _rotation(n, evens[0], True)
             new = _value((eta, core), n)
-            left.insert(0, eta)
+            left_inv.append(inv)
         else:
-            eta = genfam._eta_right(n, core.img[mism[0] - 1])
+            eta, inv = _rotation(n, core.img[mism[0] - 1], False)
             new = _value((core, eta), n)
-            right.append(eta)
+            right_inv.insert(0, inv)
         new_mism = _mismatches(new)
         if new.count(0) != core.img.count(0) or len(new_mism) != len(mism) - 1:
             raise FactorizationError("parity repair did not reduce the mismatch count")
@@ -236,11 +226,9 @@ def _parity_repair(a: PartialInjection):
     else:
         raise FactorizationError("parity repair did not converge")
 
-    left_inv = _invert_all(left)
-    right_inv = _invert_all(right)
     if _value((*left_inv, core, *right_inv), n) != a.img:
         raise FactorizationError("parity repair is not invertible on this element")
-    return tuple(left), tuple(right), left_inv, right_inv, core.img
+    return tuple(left_inv), tuple(right_inv), core.img
 
 
 # --- block stage form --------------------------------------------------------
@@ -376,8 +364,7 @@ def _case_next_block(bf: BlockForm, idx: int):
     if nxt.r >= 3 and (bf.dom_mask >> (nxt.r - 3)) & 1:
         raise FactorizationError("adjacent-block repair: blocked below next block")
     eta1 = build_reversal(n, cur.r, nxt.s - 1 - cur.r)
-    _, letters = build_shift_word(n, nxt.r - 1, nxt.s - nxt.r, 1, False)
-    return (eta1, *letters)
+    return (eta1, *build_shift_word(n, nxt.r - 1, nxt.s - nxt.r, 1, False))
 
 
 def _covering_reversal(n: int, mask: int, lo: int, hi: int):
@@ -429,7 +416,7 @@ def _align_dispatch(bf: BlockForm):
         if (bf.dom_mask >> (r_next - 3)) & 1:
             raise FactorizationError("far-block repair: blocked below next block")
         tau = build_reversal(n, r_next - 1, least.s - r_next + 1)
-    reshaped = tau * bf.elt
+    reshaped = PartialInjection(n, _value((tau, bf.elt), n))
     if reshaped.rank != bf.elt.rank:
         raise FactorizationError("far-block repair lost domain points")
     bf2 = BlockForm.from_pinj(reshaped)
@@ -441,20 +428,20 @@ def _align_dispatch(bf: BlockForm):
 
 def _pin(bf: BlockForm):
     """The move that pins the aligned current block [r, s] -> [t, u]
-    down pointwise: (target, letters, on_left).
+    down pointwise: (letters, on_left).
 
-    With d = r - t, the target moves the image block onto the domain
-    block and acts on the left when d > 0, or d = 0 on a descending
-    block; otherwise it moves the domain block onto the image and acts
-    on the right, as its inverse.  Either way it is the interval move by
-    |d|, ascending or reversed as the block is (a parity-normalized
-    ascending block has even d).  Its letters have rank >= n-2.
+    With d = r - t, the move takes the image block onto the domain block
+    and acts on the left when d > 0, or d = 0 on a descending block;
+    otherwise it takes the domain block onto the image and acts on the
+    right, as its inverse.  Either way it is the interval move by |d|,
+    ascending or reversed as the block is (a parity-normalized ascending
+    block has even d).  Its letters have rank >= n-2.
     """
     blk = bf.blocks[bf.i - 1]
     d = blk.r - blk.t
     on_left = d > 0 or (d == 0 and not blk.asc)
     m, p = (blk.t, blk.u - blk.t) if on_left else (blk.r, blk.s - blk.r)
-    return (*build_shift_word(bf.elt.n, m, p, abs(d), blk.asc), on_left)
+    return build_shift_word(bf.elt.n, m, p, abs(d), blk.asc), on_left
 
 
 # --- top-level factorization --------------------------------------------------
@@ -487,25 +474,22 @@ def _apply_step(core: PartialInjection, lhs, rhs, prefix) -> tuple:
 
 
 def _step(bf: BlockForm):
-    """One pipeline step on a form with a block left to fix: (lhs, rhs,
-    lhs_inv, rhs_inv), applied to the core as eval(lhs) * core *
-    eval(rhs); ``lhs_inv`` and ``rhs_inv`` are the letters of the inverse
-    words, each letter inverted once.  An unaligned form is aligned, an
-    aligned one pinned.  A right-side pin is applied as its target's
-    inverse and enters the inverse word as the shift word itself."""
+    """One pipeline step on a form with a block left to fix: (lhs, rhs),
+    letters applied to the core as eval(lhs) * core * eval(rhs).  An
+    unaligned form is aligned, an aligned one pinned; a right-side pin
+    applies the move's letters reversed, which evaluate to its target's
+    inverse.  Every letter is its own inverse, so each word reversed is
+    the step's inverse word."""
     if not bf.aligned:
-        lhs, rhs = _align_dispatch(bf)
-        return lhs, rhs, _invert_all(lhs), _invert_all(rhs)
-    elt, letters, on_left = _pin(bf)
-    if on_left:
-        return (elt,), (), _invert_all(letters), ()
-    return (), (elt.inverse(),), (), letters
+        return _align_dispatch(bf)
+    letters, on_left = _pin(bf)
+    return (letters, ()) if on_left else ((), letters[::-1])
 
 
 def _constructive(a: PartialInjection) -> Word:
     """The block pipeline for a member of the semigroup of rank < n-2."""
     n = a.n
-    _, _, left_inv, right_inv, img = _parity_repair(a)
+    left_inv, right_inv, img = _parity_repair(a)
     head = [left_inv]  # the assembled word's chunks before the residual
     tail = [right_inv]  # and after it, last chunk first
     core = a if img == a.img else PartialInjection(n, img)
@@ -514,10 +498,10 @@ def _constructive(a: PartialInjection) -> Word:
         if bf.all_fixed:
             break
         aligning = not bf.aligned
-        lhs, rhs, lhs_inv, rhs_inv = _step(bf)
+        lhs, rhs = _step(bf)
         core = PartialInjection(n, _apply_step(core, lhs, rhs, bf.blocks[: bf.i - 1]))
-        head.append(lhs_inv)
-        tail.append(rhs_inv)
+        head.append(lhs[::-1])
+        tail.append(rhs[::-1])
         bf2 = BlockForm.from_pinj(core)
         # an alignment step may incidentally fix its block, advancing the
         # stage outright; otherwise it must leave the stage aligned

@@ -76,6 +76,17 @@ def _eval_word_by_objects(word):
     return result
 
 
+def _inverse_letters(letters):
+    """The letters of the inverse word: in reverse order, sig1 and sig2
+    swapped, any other spec kept (id, eps, gam, del and beta are
+    involutions) and each explicit letter inverted."""
+    swap = {"sig1": GeneratorSpec("sig2"), "sig2": GeneratorSpec("sig1")}
+    return tuple(
+        swap.get(l.family, l) if isinstance(l, GeneratorSpec) else l.inverse()
+        for l in reversed(letters)
+    )
+
+
 def _clear_caches():
     for mod in (factor, genfam):
         for value in vars(mod).values():
@@ -87,7 +98,7 @@ def test_reversal_example():
     elt = factor.build_reversal(6, 2, 2)
     assert elt == pinj.make(6, {(2, 4), (3, 3), (4, 2), (6, 6)})
     # the reversed move by 0 is the reversal, its own one letter
-    assert factor.build_shift_word(6, 2, 2, 0, False) == (elt, (elt,))
+    assert factor.build_shift_word(6, 2, 2, 0, False) == (elt,)
 
 
 def test_reversal_degenerate_point():
@@ -116,17 +127,19 @@ def test_reversal_bad_indices():
 
 
 def test_shift_example():
-    elt, letters = factor.build_shift_word(8, 2, 2, 2, True)
-    assert elt == pinj.make(8, {(2, 4), (3, 5), (4, 6), (8, 8)})
+    letters = factor.build_shift_word(8, 2, 2, 2, True)
+    elt = pinj.make(8, {(2, 4), (3, 5), (4, 6), (8, 8)})
     assert factor.eval_word(Word(8, letters)) == elt
+    assert factor.eval_word(Word(8, letters[::-1])) == elt.inverse()
     # even span goes through a deleted point, so three letters
     assert len(letters) == 3
 
 
 def test_revshift_example():
-    elt, letters = factor.build_shift_word(6, 1, 1, 1, False)
-    assert elt == pinj.make(6, {(1, 3), (2, 2), (5, 5), (6, 6)})
+    letters = factor.build_shift_word(6, 1, 1, 1, False)
+    elt = pinj.make(6, {(1, 3), (2, 2), (5, 5), (6, 6)})
     assert factor.eval_word(Word(6, letters)) == elt
+    assert factor.eval_word(Word(6, letters[::-1])) == elt.inverse()
 
 
 def test_shift_kind_mismatch():
@@ -198,6 +211,10 @@ def _old_move(n, m, p, d, asc):
     return _old_build_shift_word(n, "revshift2k" if d % 2 else "revshifteven", m, p, (d + 1) // 2)
 
 
+def _old_move_letters(n, m, p, d, asc):
+    return _old_move(n, m, p, d, asc)[1]
+
+
 def _refusal(fn, *args):
     try:
         return fn(*args)
@@ -207,7 +224,8 @@ def _refusal(fn, *args):
 
 def test_displacement_builder_matches_three_kinds():
     # every move at n <= 12, bad indices around the edges included: the
-    # same target and letters as the three kinds, or both refuse
+    # same letters as the three kinds, which check them against their
+    # targets, or both refuse
     built = refused = 0
     for n in range(1, 13):
         for m in range(0, n + 2):
@@ -215,7 +233,7 @@ def test_displacement_builder_matches_three_kinds():
                 for d in range(n + 2):
                     for asc in (True, False):
                         got = _refusal(factor.build_shift_word, n, m, p, d, asc)
-                        assert got == _refusal(_old_move, n, m, p, d, asc)
+                        assert got == _refusal(_old_move_letters, n, m, p, d, asc)
                         built += got != "refused"
                         refused += got == "refused"
     assert (built, refused) == (1477, 20555)
@@ -247,8 +265,9 @@ def _loop_interval_elt(n, m, p, lo_gap, image_of):
 
 
 def test_interval_moves_match_loop_builders():
-    # every valid index at n <= 32; build_shift_word also evaluates each
-    # move's word against its target.  A reversal of odd span is refused.
+    # every valid index at n <= 32: each move's letters evaluate to the
+    # loop-built target and, reversed, to its inverse.  A reversal of odd
+    # span is refused.
     cases = 0
     for n in range(1, 33):
         for m in range(1, n + 1):
@@ -266,27 +285,12 @@ def test_interval_moves_match_loop_builders():
                     if (d if asc else d - p) % 2 == 0
                 ]
                 for d, asc, image_of in targets:
-                    elt, _ = factor.build_shift_word(n, m, p, d, asc)
-                    assert elt == _loop_interval_elt(n, m, p, d + 2, image_of)
+                    letters = factor.build_shift_word(n, m, p, d, asc)
+                    elt = _loop_interval_elt(n, m, p, d + 2, image_of)
+                    assert genfam._value(letters, n) == elt.img
+                    assert genfam._value(letters[::-1], n) == tuple(inverse_img(elt.img))
                 cases += 1 + len(targets)
     assert cases == 59976
-
-
-def test_builders_invert_letterwise():
-    rng = random.Random(12)
-    cases = 0
-    while cases < 60:
-        n = rng.choice((6, 7, 8, 9, 10))
-        m = rng.randint(1, 4)
-        p = rng.randint(0, 3)
-        d = rng.randint(1, 4)
-        asc = rng.random() < 0.5
-        try:
-            elt, letters = factor.build_shift_word(n, m, p, d, asc)
-        except BadIndicesError:
-            continue
-        assert factor.eval_word(Word(n, factor._invert_all(letters))) == elt.inverse()
-        cases += 1
 
 
 def test_partial_identity_word():
@@ -325,7 +329,7 @@ def test_eval_word_matches_object_fold(table):
         for a in _seeded_elements(n, n, 200):
             assert check(factor.factorize_j(a)) == a
             w = factor.factorize_g(a)
-            assert check(w) == a and check(Word(n, factor._invert_all(w.letters))) == a.inverse()
+            assert check(w) == a and check(Word(n, _inverse_letters(w.letters))) == a.inverse()
 
 
 def test_eval_word_rejects_letter_of_other_size():
@@ -356,12 +360,13 @@ def test_word_text_parse_roundtrip():
 
 def test_parity_normalize_noop_when_aligned():
     a = pinj.make(6, {(1, 3), (2, 4)})
-    assert factor._parity_repair(a) == ((), (), (), (), a.img)
+    assert factor._parity_repair(a) == ((), (), a.img)
 
 
 def test_parity_normalize_single_mismatch():
     a = pinj.make(6, {(4, 1)})
-    left, right, _, _, img = factor._parity_repair(a)
+    left_inv, right_inv, img = factor._parity_repair(a)
+    left, right = _inverse_letters(left_inv), _inverse_letters(right_inv)
     core = PartialInjection(6, img)
     assert not factor._mismatches(img)
     assert core.rank == 1
@@ -370,17 +375,19 @@ def test_parity_normalize_single_mismatch():
 
 def test_parity_normalize_empty_map():
     empty = PartialInjection.empty(5)
-    assert factor._parity_repair(empty) == ((), (), (), (), empty.img)
+    assert factor._parity_repair(empty) == ((), (), empty.img)
 
 
 def test_parity_normalize_exhaustive(table):
     for a in table(6):
-        left, right, left_inv, right_inv, img = factor._parity_repair(a)
+        left_inv, right_inv, img = factor._parity_repair(a)
+        left, right = _inverse_letters(left_inv), _inverse_letters(right_inv)
         core = PartialInjection(6, img)
         assert not factor._mismatches(img)
         assert core.rank == a.rank
         assert _eval_word_by_objects(Word(6, left)) * a * _eval_word_by_objects(Word(6, right)) == core
-        assert (left_inv, right_inv) == (factor._invert_all(left), factor._invert_all(right))
+        # each inverse letter is a memoised rotation's partner
+        assert all(l._table is not None for l in left_inv + right_inv)
         recon = (
             _eval_word_by_objects(Word(6, left_inv))
             * core
@@ -500,7 +507,7 @@ def test_block_form_membership_matches_element_oracle(table):
     near = reached_gap_test = 0
     for n in range(9, 33):
         for a in _seeded_elements(2400 + n, n, 12):
-            core = factor._parity_repair(a)[4]
+            core = factor._parity_repair(a)[-1]
             for img in _touching(core):
                 b = PartialInjection(n, img)
                 got = _outcome(_new_block_form, b)
@@ -629,8 +636,8 @@ def test_apply_step_matches_object_products(monkeypatch, table):
     # products; along the way, the invariants the stepping rests on:
     # alignment only ever sees an unaligned form, an aligned current
     # block is never fixed, each pin is the one the seven-branch oracle
-    # picks, and each step's inverse letters evaluate to the inverses of
-    # its letters
+    # picks, and each step's words reversed evaluate to the inverses of
+    # its words
     dispatched = []  # (aligned, nesting depth) at each entry
     depth = [0]
     real = factor._align_dispatch
@@ -649,7 +656,7 @@ def test_apply_step_matches_object_products(monkeypatch, table):
         for a in table(n):
             if a.rank >= n - 2:
                 continue
-            core = PartialInjection(n, factor._parity_repair(a)[4])
+            core = PartialInjection(n, factor._parity_repair(a)[-1])
             bf = BlockForm.from_pinj(core)
             for _ in range(2 * n + 4):
                 if bf.all_fixed:
@@ -657,12 +664,12 @@ def test_apply_step_matches_object_products(monkeypatch, table):
                 if bf.aligned:
                     blk = bf.blocks[bf.i - 1]
                     assert not (blk.asc and blk.t == blk.r)
-                    assert factor._pin(bf) == _old_pin(bf)
+                    assert factor._pin(bf) == _old_pin(bf)[1:]
                     pins += 1
-                lhs, rhs, lhs_inv, rhs_inv = factor._step(bf)
-                for letters, inverse in ((lhs, lhs_inv), (rhs, rhs_inv)):
+                lhs, rhs = factor._step(bf)
+                for letters in (lhs, rhs):
                     value = genfam._value(letters, n)
-                    assert genfam._value(inverse, n) == tuple(inverse_img(value))
+                    assert genfam._value(letters[::-1], n) == tuple(inverse_img(value))
                 prefix = bf.blocks[: bf.i - 1]
                 points = [x for b in prefix for x in range(b.r, b.s + 1)]
                 new = factor._apply_step(core, lhs, rhs, prefix)
@@ -695,20 +702,20 @@ def test_apply_step_matches_object_products(monkeypatch, table):
         assert got == (factor.FactorizationError, f"pipeline step {message}")
 
 
-def test_uninverted_letters_leave_through_the_fallback(monkeypatch, table):
-    # the runtime checks guard the letter inversions: with every letter
-    # left as it is, each element whose word needs a letter that is not
-    # its own inverse fails a check and is factored by the counted BFS
-    # fallback; the rest keep their words
-    real = factor._invert_letter
+def test_corrupted_rotation_partner_leaves_through_the_fallback(monkeypatch, table):
+    # the parity repair's invertibility check guards the rotation
+    # inverses: with each rotation's partner replaced by the rotation
+    # itself, every element that needs a rotation fails a check and is
+    # factored by the counted BFS fallback; the rest keep their words
+    real = factor._rotation
     elements = [a for n in range(1, 8) for a in table(n)]
     words, affected = [], []
     for a in elements:
         seen = []
-        monkeypatch.setattr(factor, "_invert_letter", lambda l: seen.append(l) or real(l))
+        monkeypatch.setattr(factor, "_rotation", lambda *key: seen.append(key) or real(*key))
         words.append(factor.factorize_j(a))
-        affected.append(any(real(l) != l for l in seen))
-    monkeypatch.setattr(factor, "_invert_letter", lambda l: l)
+        affected.append(bool(seen))
+    monkeypatch.setattr(factor, "_rotation", lambda *key: (real(*key)[0],) * 2)
     for a, word, hit in zip(elements, words, affected):
         w = factor.factorize_j(a)
         if hit:
@@ -747,16 +754,16 @@ def test_align_noop_when_already_aligned(monkeypatch):
     bf = BlockForm.from_pinj(pinj.make(6, {(1, 3), (2, 4)}))
     assert bf.aligned
     monkeypatch.setattr(factor, "_align_dispatch", _refuse)
-    lhs, rhs, _, _ = factor._step(bf)
-    elt, _, on_left = factor._pin(bf)
-    assert (lhs, rhs) == (((elt,), ()) if on_left else ((), (elt.inverse(),)))
+    lhs, rhs = factor._step(bf)
+    letters, on_left = factor._pin(bf)
+    assert (lhs, rhs) == ((letters, ()) if on_left else ((), letters[::-1]))
 
 
 def test_align_reversal_case():
     core = pinj.make(6, {(1, 3), (3, 5), (5, 1)})
     bf = BlockForm.from_pinj(core)
     assert not bf.aligned
-    lhs, rhs, _, _ = factor._step(bf)
+    lhs, rhs = factor._step(bf)
     new = factor.eval_word(Word(6, lhs)) * core * factor.eval_word(Word(6, rhs))
     assert new == pinj.make(6, {(1, 1), (3, 5), (5, 3)})
 
@@ -776,7 +783,7 @@ def test_fix_pins_aligned_block():
     core = pinj.make(6, {(1, 3), (2, 4)})
     bf = BlockForm.from_pinj(core)
     assert bf.aligned
-    lhs, rhs, _, _ = factor._step(bf)
+    lhs, rhs = factor._step(bf)
     new = factor.eval_word(Word(6, lhs)) * core * factor.eval_word(Word(6, rhs))
     assert new.img[0] == 1 and new.img[1] == 2
 
@@ -882,7 +889,7 @@ def test_word_inverse_of_factorization(table):
     rng = random.Random(13)
     for a in rng.sample(table(6).elements, 40):
         w = factor.factorize_j(a)
-        assert factor.eval_word(Word(6, factor._invert_all(w.letters))) == a.inverse()
+        assert factor.eval_word(Word(6, _inverse_letters(w.letters))) == a.inverse()
 
 
 def test_factorize_j_n7(table):
@@ -949,19 +956,51 @@ def test_failed_move_check_is_not_recorded(monkeypatch):
     assert (info.currsize, info.hits, info.misses) == (1, 1, 4)
 
 
-def test_invert_letter_memo():
-    # a reversal is its own inverse and comes back as the same object;
-    # any other letter gets its true inverse, built once.  (A memo filled
-    # before a cleared reversal cache returns an equal, older object.)
-    factor._invert_letter.cache_clear()
-    rev = factor.build_reversal(8, 2, 4)
-    assert factor._invert_letter(rev) is rev
-    eta = genfam._eta_left(8, 4)
-    inv = factor._invert_letter(eta)
-    assert inv == eta.inverse() and inv != eta
-    assert factor._invert_letter(eta) is inv
-    assert factor._invert_letter(GeneratorSpec("sig1")) == GeneratorSpec("sig2")
-    assert factor._invert_letter(factor._EPS[3]) is factor._EPS[3]
+def test_rotation_memo():
+    # for every even n <= 32 and every even point a the repair can move,
+    # the two directions are mutual inverses, swapped between the sides;
+    # a repeat call returns the same memoised pair, each letter with its
+    # table
+    factor._rotation.cache_clear()
+    pairs = {}
+    for n in range(2, 33, 2):
+        for a in range(2, n + 1, 2):
+            for left in (True, False):
+                eta, inv = pairs[n, a, left] = factor._rotation(n, a, left)
+                assert inv == eta.inverse() and eta == inv.inverse() and inv != eta
+                assert (eta, inv) == factor._rotation(n, a, not left)[::-1]
+            assert factor._rotation(n, a, True)[0] == genfam._eta_left(n, a)
+    assert len(pairs) == 272
+    for key, pair in pairs.items():
+        again = factor._rotation(*key)
+        assert again is pair and all(l._table is not None for l in again)
+
+
+def test_no_per_step_builds(monkeypatch, table):
+    # once the memos are warm, a factorization builds no move target, no
+    # rotation and no inverse: a second pass over IF_6 and IF_7 makes no
+    # inverse and no interval_map call
+    elements = [a for n in (6, 7) for a in table(n)]
+    for a in elements:
+        factor.factorize_j(a)
+    calls = {"inverse": 0, "interval_map": 0}
+    real_inverse = PartialInjection.inverse
+    real_map = genfam.interval_map
+
+    def inverse(self):
+        calls["inverse"] += 1
+        return real_inverse(self)
+
+    def interval_map(*args):
+        calls["interval_map"] += 1
+        return real_map(*args)
+
+    monkeypatch.setattr(PartialInjection, "inverse", inverse)
+    monkeypatch.setattr(genfam, "interval_map", interval_map)
+    monkeypatch.setattr(factor, "interval_map", interval_map)
+    for a in elements:
+        assert not factor.factorize_j(a).fallback
+    assert calls == {"inverse": 0, "interval_map": 0}
 
 
 def test_factorization_leaves_no_table_on_its_input():
@@ -1019,7 +1058,7 @@ def test_step_leaving_semigroup_falls_back(monkeypatch):
     assert not fence.in_if(swap)
 
     def leave(bf):
-        return (swap,), (), (), ()
+        return (swap,), ()
 
     rejected = []
     real = BlockForm.from_pinj
