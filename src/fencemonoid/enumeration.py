@@ -16,9 +16,10 @@ oracles work on table positions: :func:`principal_ideals` gives every
 principal ideal as a bitmask from one pass over the products, and
 :func:`ideal_j_classes` builds only the rank-keeping edges of its
 Cayley graph.  For a table closed under inverses,
-:func:`inverse_j_classes` needs no Cayley graph: one union-find
-(:func:`union_roots`) over the domains and images of its elements
-gives the same classes.  All outputs are canonically sorted, so
+:func:`inverse_j_classes` needs no Cayley graph: a graph on the domains
+of its elements gives the same classes.  Both take the strongly
+connected components of their graph from one Kosaraju search,
+:func:`_strong_components`.  All outputs are canonically sorted, so
 results are byte-identical across runs.
 """
 
@@ -421,51 +422,48 @@ def principal_ideals(table: SemigroupTable):
 
 
 def _strong_components(succ) -> list[int]:
-    """Component number of each node of the graph ``succ`` (node ->
-    successor list), by iterative Tarjan."""
-    n_nodes = len(succ)
-    disc = [-1] * n_nodes
-    low = [0] * n_nodes
-    on_stack = [False] * n_nodes
-    stack: list[int] = []
-    comp = [-1] * n_nodes
-    counter = 0
-    ncomp = 0
-    for root in range(n_nodes):
-        if disc[root] != -1:
+    """Strongly connected components of the graph ``succ`` (node ->
+    successor list, over nodes ``0..len(succ)-1``), as one member node
+    of each node's component.
+
+    Kosaraju's two searches (Sharir, Comput. Math. Appl. 7, 1981), on
+    explicit stacks: a depth-first search lists the nodes in order of
+    finishing, and a search of the reversed graph from each unlabelled
+    node, latest finisher first, labels exactly that node's component.
+    """
+    size = len(succ)
+    pred: list[list[int]] = [[] for _ in range(size)]
+    for v, row in enumerate(succ):
+        for w in row:
+            pred[w].append(v)
+    finished: list[int] = []
+    seen = [False] * size
+    for root in range(size):
+        if seen[root]:
             continue
-        work = [(root, 0)]
+        seen[root] = True
+        work = [(root, iter(succ[root]))]
         while work:
-            v, pi = work[-1]
-            if pi == 0:
-                disc[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack[v] = True
-            recurse = False
-            for i in range(pi, len(succ[v])):
-                w = succ[v][i]
-                if disc[w] == -1:
-                    work[-1] = (v, i + 1)
-                    work.append((w, 0))
-                    recurse = True
+            v, rest = work[-1]
+            for w in rest:
+                if not seen[w]:
+                    seen[w] = True
+                    work.append((w, iter(succ[w])))
                     break
-                if on_stack[w]:
-                    low[v] = min(low[v], disc[w])
-            if recurse:
-                continue
-            if low[v] == disc[v]:
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp[w] = ncomp
-                    if w == v:
-                        break
-                ncomp += 1
-            work.pop()
-            if work:
-                u, _ = work[-1]
-                low[u] = min(low[u], low[v])
+            else:
+                work.pop()
+                finished.append(v)
+    comp = [-1] * size
+    for root in reversed(finished):
+        if comp[root] != -1:
+            continue
+        comp[root] = root
+        stack = [root]
+        while stack:
+            for w in pred[stack.pop()]:
+                if comp[w] == -1:
+                    comp[w] = root
+                    stack.append(w)
     return comp
 
 
@@ -509,11 +507,12 @@ def ideal_j_classes(table: SemigroupTable, gens):
     No edge ``x -> x*g`` or ``x -> g*x`` raises rank, so an edge that
     lowers it lies on no cycle, and dropping it leaves every strongly
     connected component unchanged: the graph holds only the edges of
-    :func:`_rank_keeping_rows`.  Returns the classes as sorted element
-    lists, ordered by least member: the table is in canonical order, so
-    each class fills in sorted.  A table closed under inverses gets
-    the same classes from :func:`inverse_j_classes` at a fraction of the
-    cost; this graph serves tables that are not, such as PFI_n.
+    :func:`_rank_keeping_rows`, and :func:`_strong_components` splits
+    it.  Returns the classes as sorted element lists, ordered by least
+    member: the table is in canonical order, so each class fills in
+    sorted.  A table closed under inverses gets the same classes from
+    :func:`inverse_j_classes` at a fraction of the cost; this graph
+    serves tables that are not, such as PFI_n.
     """
     gens = reduce_generators(gens)
     if not is_generating(table, gens):
@@ -522,31 +521,6 @@ def ideal_j_classes(table: SemigroupTable, gens):
     for c, elt in zip(_strong_components(_rank_keeping_rows(table, gens)), table.elements):
         groups.setdefault(c, []).append(elt)
     return list(groups.values())
-
-
-def union_roots(edges) -> dict:
-    """Component root of every node of the undirected graph ``edges``
-    (an iterable of node pairs), as node -> root.
-
-    A union-find with path halving over hashable nodes.  Two nodes share
-    a root iff they lie in one connected component; in a symmetric
-    directed graph those are its strongly connected components.
-    """
-    parent: dict = {}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for u, v in edges:
-        parent.setdefault(u, u)
-        parent.setdefault(v, v)
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[ru] = rv
-    return {x: find(x) for x in parent}
 
 
 def inverse_j_classes(table: SemigroupTable):
@@ -559,8 +533,10 @@ def inverse_j_classes(table: SemigroupTable):
     products and inverses is an inverse subsemigroup of I_n, where
     aa^-1 = id(dom a) and a^-1a = id(im a).  So a R b iff dom a = dom b,
     a L b iff im a = im b, and a J b iff dom a and dom b lie in one
-    component of the graph on domains with one edge, dom a -- im a, per
+    component of the graph on domains with one edge, dom a -> im a, per
     element: each edge joins two D-related idempotents, and D = R o L.
+    The edge of a^-1 reverses the edge of a, so this graph is symmetric
+    and :func:`_strong_components` gives its connected components.
 
     Closure under inverse is checked literally on img tuples; closure
     under products is taken from the table's ``closed`` flag.  For
@@ -578,19 +554,21 @@ def inverse_j_classes(table: SemigroupTable):
     index = table.index
     bits = [1 << x for x in range(n)]
     doms = [sum(itertools.compress(bits, img)) for img in imgs]
-    edges = set()
+    # nodes are the domains that occur, not all 2^n masks
+    number = {dom: i for i, dom in enumerate(dict.fromkeys(doms))}
+    succ: list[set] = [set() for _ in number]
     for img, dom in zip(imgs, doms):
         pos = index.get(tuple(inverse_img(img)))
         if pos is None:
             elt = PartialInjection(n, img).encode()
             raise ValueError(f"the inverse of {elt} is not in the table")
-        edges.add((dom, doms[pos]))  # im a = dom a^-1
-    root = union_roots(edges)
+        succ[number[dom]].add(number[doms[pos]])  # im a = dom a^-1
+    comp = dict(zip(number, _strong_components(succ)))
     # the elements are in canonical order, so each class fills in sorted
     # and the classes are met in order of least member
     groups: dict[int, list] = {}
-    for r, elt in zip(map(root.__getitem__, doms), table.elements):
-        groups.setdefault(r, []).append(elt)
+    for c, elt in zip(map(comp.__getitem__, doms), table.elements):
+        groups.setdefault(c, []).append(elt)
     return list(groups.values())
 
 

@@ -101,8 +101,8 @@ def build_reversal(n: int, m: int, p: int) -> PartialInjection:
     return with_table(elt)
 
 
-# one shared spec per point, so resolving a letter never compares specs
-# field by field
+# one shared spec per point, so a letter reuses its spec instead of
+# running GeneratorSpec's validating constructor
 _EPS = (None,) + tuple(GeneratorSpec("eps", i) for i in range(1, MAX_N + 1))
 
 

@@ -2,6 +2,7 @@ import contextlib
 import io
 import math
 import random
+import tracemalloc
 
 import pytest
 
@@ -569,36 +570,101 @@ def test_inverse_j_classes_read_no_fingerprint_or_fence_fact(monkeypatch, table)
     assert [en.inverse_j_classes(tbl) for tbl in tables] == expected
 
 
-def test_union_roots_joins_connected_nodes():
-    roots = en.union_roots([(1, 2), (3, 4), (2, 5), (6, 6), (4, 3)])
-    assert set(roots) == {1, 2, 3, 4, 5, 6}
-    assert roots[1] == roots[2] == roots[5]
-    assert roots[3] == roots[4]
-    assert len({roots[1], roots[3], roots[6]}) == 3
-    assert en.union_roots([]) == {}
-    # a long chain stays one component
-    chain = en.union_roots((i, i + 1) for i in range(1000))
-    assert len(set(chain.values())) == 1
-    # random graphs, against components found by breadth-first search
+def _components_partition(comp):
+    """The partition that a node -> label list gives, after checking that
+    every label is a node of its own component."""
+    groups = {}
+    for node, label in enumerate(comp):
+        assert comp[label] == label
+        groups.setdefault(label, set()).add(node)
+    return set(map(frozenset, groups.values()))
+
+
+def _reachable(succ, start):
+    seen, frontier = {start}, [start]
+    while frontier:
+        frontier = [w for x in frontier for w in succ[x] if w not in seen]
+        seen.update(frontier)
+    return seen
+
+
+def test_strong_components_match_reachability():
+    # hand-built symmetric graph over nodes 0..6, node 0 isolated
+    succ = [[], [2], [1, 5], [4], [3], [2], [6]]
+    comp = en._strong_components(succ)
+    assert comp[1] == comp[2] == comp[5]
+    assert comp[3] == comp[4]
+    assert len({comp[0], comp[1], comp[3], comp[6]}) == 4
+    assert en._strong_components([]) == []
+    # a long undirected chain stays one component
+    chain = [[w for w in (v - 1, v + 1) if 0 <= w < 1000] for v in range(1000)]
+    assert len(set(en._strong_components(chain))) == 1
+    # a directed path of 1000 nodes splits into 1000 components and a
+    # directed cycle is one; a recursive search would pass the default
+    # recursion limit on either
+    path = [[v + 1] for v in range(999)] + [[]]
+    assert len(set(en._strong_components(path))) == 1000
+    cycle = [[(v + 1) % 1000] for v in range(1000)]
+    assert len(set(en._strong_components(cycle))) == 1
+    # random undirected graphs as symmetric successor lists, against
+    # components found by breadth-first search
     rng = random.Random(5)
     for _ in range(200):
-        edges = [(rng.randrange(30), rng.randrange(30)) for _ in range(rng.randrange(40))]
-        adjacent = {}
-        for u, v in edges:
-            adjacent.setdefault(u, set()).add(v)
-            adjacent.setdefault(v, set()).add(u)
-        components = set()
-        for start in adjacent:
-            seen, frontier = {start}, [start]
-            while frontier:
-                frontier = [w for x in frontier for w in adjacent[x] - seen]
-                seen.update(frontier)
-            components.add(frozenset(seen))
-        roots = en.union_roots(edges)
-        grouped = {}
-        for node, root in roots.items():
-            grouped.setdefault(root, set()).add(node)
-        assert set(map(frozenset, grouped.values())) == components
+        adjacent = [set() for _ in range(30)]
+        for _ in range(rng.randrange(40)):
+            u, v = rng.randrange(30), rng.randrange(30)
+            adjacent[u].add(v)
+            adjacent[v].add(u)
+        succ = [sorted(row) for row in adjacent]
+        components = {frozenset(_reachable(succ, v)) for v in range(30)}
+        assert _components_partition(en._strong_components(succ)) == components
+    # random directed graphs, against brute-force mutual reachability
+    rng = random.Random(6)
+    for _ in range(300):
+        size = rng.randrange(1, 25)
+        succ = [[] for _ in range(size)]
+        for _ in range(rng.randrange(3 * size)):
+            succ[rng.randrange(size)].append(rng.randrange(size))
+        reach = [_reachable(succ, v) for v in range(size)]
+        components = {
+            frozenset(w for w in reach[v] if v in reach[w]) for v in range(size)
+        }
+        assert _components_partition(en._strong_components(succ)) == components
+
+
+def test_ideal_j_classes_follow_edge_direction_on_pfi(table):
+    # PFI_n is not inverse: rank-keeping edges leave J-classes, so
+    # components that ignored direction (3, 4, 5, 6, 7 of them) would fail
+    counts = []
+    for n in range(2, 7):
+        tbl = table(n, "PFI")
+        high = [e for e in tbl.elements if e.rank >= n - 2]
+        classes = en.ideal_j_classes(tbl, high)
+        counts.append(len(classes))
+        if n <= 5:
+            _, _, jsets = en.principal_ideals(tbl)
+            size = len(tbl)
+            related = {
+                tuple(j for j in range(size) if jsets[i] >> j & jsets[j] >> i & 1)
+                for i in range(size)
+            }
+            got = sorted(tuple(map(tbl.position, cls)) for cls in classes)
+            assert got == sorted(related), n
+    assert counts == [3, 6, 11, 20, 38]
+
+
+def test_inverse_j_classes_number_only_the_domains_that_occur():
+    n = 20
+    tbl = en.closure(n, [PartialInjection.identity(n), genfam.epsilon(n, 1)])
+    tracemalloc.start()
+    try:
+        classes = en.inverse_j_classes(tbl)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(classes) == 2
+    # a list over all 2^20 domain masks alone would take megabytes
+    assert peak < 1 << 20
 
 
 def test_regular_elements_match_full_scan(table):
