@@ -606,7 +606,7 @@ def _irreducibles_within(layer):
     return tuple(e for e in layer if e.img not in reducible)
 
 
-def _irreducible_scan(table: SemigroupTable, need_generation: bool):
+def _irreducible_scan(table: SemigroupTable):
     """(irreducibles, whether they generate the table).
 
     Let T_k be the elements of rank >= k.  Since rank(ab) <= min(rank a,
@@ -625,9 +625,9 @@ def _irreducible_scan(table: SemigroupTable, need_generation: bool):
     no check.  Otherwise T_k itself is checked, unless it equals its
     irreducibles; if it fails too, k steps down to the next rank present
     below k, or to 0, since T_j is T_k for every j in between.  T_0 is
-    the whole table and needs no check; there the generation of the
-    irreducibles is decided by one more check when ``need_generation`` is
-    set and is None otherwise.  Valid only because the table is closed.
+    the whole table and needs no check; there the irreducibles generate
+    when they are the whole table, and one more check decides it
+    otherwise.  Valid only because the table is closed.
     """
     if not table.closed:
         raise ValueError("irreducibles are only meaningful for a closed table")
@@ -637,7 +637,7 @@ def _irreducible_scan(table: SemigroupTable, need_generation: bool):
         layer = [e for e in table.elements if e.rank >= k]
         irr = _irreducibles_within(layer)
         if k == 0:
-            return irr, is_generating(table, irr) if need_generation else None
+            return irr, len(irr) == len(layer) or is_generating(table, irr)
         if is_generating(table, irr):
             return irr, True
         if len(irr) < len(layer) and is_generating(table, layer):
@@ -649,7 +649,7 @@ def irreducibles(table: SemigroupTable):
     """Elements that are not a product of two others, as a canonically
     sorted tuple; see :func:`_irreducible_scan` for the rank-stratified
     scan."""
-    return _irreducible_scan(table, need_generation=False)[0]
+    return _irreducible_scan(table)[0]
 
 
 def least_generating_set(table: SemigroupTable):
@@ -659,7 +659,7 @@ def least_generating_set(table: SemigroupTable):
     the least one exactly when they generate; otherwise no generating
     set can be contained in all others.
     """
-    irr, generates = _irreducible_scan(table, need_generation=True)
+    irr, generates = _irreducible_scan(table)
     return irr if generates else None
 
 
@@ -671,7 +671,7 @@ def semigroup_rank(table: SemigroupTable):
     descent: starting from the whole table, repeatedly drop the
     largest-key element whose removal keeps generation.
     """
-    irr, generates = _irreducible_scan(table, need_generation=True)
+    irr, generates = _irreducible_scan(table)
     if generates:
         return ("exact", len(irr))
     lo = len(irr)

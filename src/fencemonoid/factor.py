@@ -32,9 +32,10 @@ check of its move.  One element is built per step, for its block form,
 whose scan also yields the domain and image masks that the alignment
 reads.  Each check runs once: the input's membership once per
 factorization; each step result's membership is read from the scan
-that builds its block form; each interval move and each reversal is
-checked once per distinct move, and the letter check runs once per
-distinct letter.  The residual check folds the eps letters once, and
+that builds its block form; each interval move is checked once per
+distinct move, and each letter once, by the letter gate
+:func:`~fencemonoid.genfam.checked_letter` where it is made, so no word
+checks its letters.  The residual check folds the eps letters once, and
 the assembled-word check folds the residual core in their place.
 Every memo is bounded, and the move memo holds keys only.
 """
@@ -49,8 +50,10 @@ from typing import NamedTuple
 from . import genfam
 from .enumeration import closure, require_floor_within_limit
 from .fence import in_if, require_if
-from .genfam import GeneratorSpec, OddAmbientError, Word, _value, interval_map
-from .pinj import MAX_N, PartialInjection, with_table
+from .genfam import (
+    FactorizationError, GeneratorSpec, OddAmbientError, Word, _value, checked_letter, interval_map,
+)
+from .pinj import MAX_N, PartialInjection
 
 
 class BadIndicesError(ValueError):
@@ -59,10 +62,6 @@ class BadIndicesError(ValueError):
 
 class MalformedBlockFormError(ValueError):
     pass
-
-
-class FactorizationError(RuntimeError):
-    """Internal postcondition failure; triggers the BFS fallback."""
 
 
 # --- words ------------------------------------------------------------------
@@ -88,17 +87,15 @@ def build_reversal(n: int, m: int, p: int) -> PartialInjection:
     """Reverse [m, m+p] in place (p even), drop m-1 and m+p+1 and fix the
     rest: a single rank >= n-2 letter, self-inverse.
 
-    A pure function of (n, m, p), memoised with its translate table, so
-    its membership and rank checks run once per distinct reversal; bad
-    indices are not cached and raise on every call."""
+    A pure function of (n, m, p), memoised once it has passed the letter
+    gate :func:`~fencemonoid.genfam.checked_letter`, so its rank and
+    membership checks run once per distinct reversal; bad indices and a
+    refused letter are not cached and raise on every call."""
     if m < 1 or p < 0 or m + p > n:
         raise BadIndicesError(f"need 1 <= m, 0 <= p, m+p <= n; got m={m}, p={p}, n={n}")
     if p % 2:
         raise BadIndicesError(f"reversal needs an even interval span, got p={p}")
-    elt = interval_map(n, m, range(m + p, m - 1, -1))
-    if not (in_if(elt) and elt.rank >= n - 2):
-        raise FactorizationError("reversal is not a high-rank element of the semigroup")
-    return with_table(elt)
+    return checked_letter(interval_map(n, m, range(m + p, m - 1, -1)))
 
 
 # one shared spec per point, so a letter reuses its spec instead of
@@ -181,10 +178,10 @@ def _mismatches(img: tuple):
 
 @functools.lru_cache(maxsize=1024)
 def _rotation(n: int, a: int, left: bool) -> tuple:
-    """A parity-repair rotation and its inverse, each with its translate
-    table: (``_eta_left(n, a)``, ``_eta_right(n, a)``) to apply on the
-    left, the pair swapped on the right."""
-    pair = with_table(genfam._eta_left(n, a)), with_table(genfam._eta_right(n, a))
+    """A parity-repair rotation and its inverse, each passed once through
+    the letter gate: (``_eta_left(n, a)``, ``_eta_right(n, a)``) to apply
+    on the left, the pair swapped on the right."""
+    pair = checked_letter(genfam._eta_left(n, a)), checked_letter(genfam._eta_right(n, a))
     return pair if left else pair[::-1]
 
 
@@ -453,11 +450,6 @@ def _j_closure(n: int, min_rank: int):
     return closure(n, genfam.set_j(n), min_rank)
 
 
-@functools.lru_cache(maxsize=4096)
-def _is_high_rank_letter(elt: PartialInjection) -> bool:
-    return elt.rank >= elt.n - 2 and in_if(elt)
-
-
 def _apply_step(core: PartialInjection, lhs, rhs, prefix) -> tuple:
     """The img tuple of eval(lhs) * core * eval(rhs), for one step.  The
     blocks in ``prefix`` are fixed pointwise in the core and must stay
@@ -524,11 +516,7 @@ def _constructive(a: PartialInjection) -> Word:
     after = tuple(itertools.chain(*reversed(tail)))
     if _value((*before, core, *after), n) != a.img:
         raise FactorizationError("assembled word does not evaluate to the input")
-    letters = (*before, *eps, *after)
-    for letter in set(letters):
-        if not _is_high_rank_letter(_resolve(letter, n)):
-            raise FactorizationError("assembled word contains a low-rank letter")
-    return Word(n, letters, provenance="constructive")
+    return Word(n, (*before, *eps, *after), provenance="constructive")
 
 
 def factorize_j(a: PartialInjection) -> Word:

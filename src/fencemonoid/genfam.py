@@ -14,7 +14,8 @@ through :func:`~fencemonoid.pinj.translate_table`.
 Every interval move, here and in :mod:`factor` (the reversals and
 shifts of the constructive factorization), is laid out by one builder,
 :func:`interval_map`: fixed prefix, at most one dropped point, the
-moved interval, a gap of dropped points, fixed suffix.
+moved interval, a gap of dropped points, fixed suffix.  Every letter
+is checked and given its table by one gate, :func:`checked_letter`.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from operator import itemgetter
 
 from .enumeration import NotMemberError, closure, place_blocks, require_floor_within_limit
 from .fence import in_if
-from .pinj import PartialInjection, SizeMismatchError, parse, translate_table, with_table
+from .pinj import PartialInjection, SizeMismatchError, parse, translate_table
 
 
 class BadIndexError(ValueError):
@@ -37,9 +38,21 @@ class OddAmbientError(ValueError):
     pass
 
 
-def _checked(a: PartialInjection) -> PartialInjection:
+class FactorizationError(RuntimeError):
+    """A letter or a factorization step failed its check; inside
+    :func:`~fencemonoid.factor.factorize_j` it triggers the BFS fallback."""
+
+
+def checked_letter(a: PartialInjection) -> PartialInjection:
+    """The letter gate: ``a`` with its translate table kept on it, once
+    ``a`` is shown to have rank >= n-2 and to lie in IF_n; raises
+    :class:`FactorizationError` otherwise.  Every memoised letter, named
+    generator, reversal or rotation, passes here once, where it is made."""
+    if a.rank < a.n - 2:
+        raise FactorizationError(f"letter {a.encode()} is not high-rank")
     if not in_if(a):
-        raise RuntimeError(f"constructed generator {a.encode()} escapes the semigroup")
+        raise FactorizationError(f"letter {a.encode()} escapes the semigroup")
+    a._table = translate_table(a.img)
     return a
 
 
@@ -62,26 +75,28 @@ def epsilon(n: int, i: int) -> PartialInjection:
     """Identity on {1..n} minus {i}: the rank n-1 idempotents."""
     if not 1 <= i <= n:
         raise BadIndexError(f"epsilon index must be in 1..{n}, got {i}")
-    return interval_map(n, i + 1, (), 1)  # the empty move at i+1 drops only i
+    return checked_letter(interval_map(n, i + 1, (), 1))  # the empty move at i+1 drops only i
 
 
 def sigma1(n: int) -> PartialInjection:
     """1 -> n, x -> x-2 for 3 <= x <= n; undefined at 2.  Rank n-1, even n only."""
     if n % 2 or n < 2:
         raise OddAmbientError(f"sigma1 needs even ambient size, got {n}")
-    return _checked(_eta_left(n, n))
+    return checked_letter(_eta_left(n, n))
 
 
 def sigma2(n: int) -> PartialInjection:
     """The inverse of sigma1: x -> x+2 for x <= n-2, n -> 1."""
-    return sigma1(n).inverse()
+    if n % 2 or n < 2:
+        raise OddAmbientError(f"sigma2 needs even ambient size, got {n}")
+    return checked_letter(_eta_right(n, n))
 
 
 def gamma(n: int, i: int) -> PartialInjection:
     """Reverse {1..i-1} in place, fix {i+1..n}; undefined at i.  i even, 4 <= i <= n."""
     if i % 2 or not 4 <= i <= n:
         raise BadIndexError(f"gamma index must be even in 4..{n}, got {i}")
-    return _checked(interval_map(n, 1, range(i - 1, 0, -1)))
+    return checked_letter(interval_map(n, 1, range(i - 1, 0, -1)))
 
 
 def delta(n: int, i: int) -> PartialInjection:
@@ -94,7 +109,7 @@ def delta(n: int, i: int) -> PartialInjection:
         raise OddAmbientError(f"delta needs even ambient size, got {n}")
     if i % 2 == 0 or not 1 <= i <= n - 3:
         raise BadIndexError(f"delta index must be odd in 1..{n - 3}, got {i}")
-    return _checked(interval_map(n, i + 1, range(n, i, -1)))
+    return checked_letter(interval_map(n, i + 1, range(n, i, -1)))
 
 
 def beta(n: int, i: int, j: int) -> PartialInjection:
@@ -106,7 +121,7 @@ def beta(n: int, i: int, j: int) -> PartialInjection:
         raise BadIndexError(f"beta needs 1 <= i < j <= {n}, got ({i}, {j})")
     if (j - i) % 2:
         raise BadIndexError(f"beta indices must share parity, got ({i}, {j})")
-    return _checked(interval_map(n, i + 1, range(j - 1, i, -1)))
+    return checked_letter(interval_map(n, i + 1, range(j - 1, i, -1)))
 
 
 _FAMILIES = ("id", "sig1", "sig2", "eps", "gam", "del", "beta")
@@ -161,25 +176,23 @@ def named(n: int, spec: GeneratorSpec) -> PartialInjection:
     """Realize a generator spec as a concrete map on {1..n}.
 
     Cached: specs and maps are immutable, and a factorization resolves
-    the same few letters many times.  Each map keeps its translate table
-    for :func:`_value`.
+    the same few letters many times.  Each map, made through
+    :func:`checked_letter`, keeps its translate table for :func:`_value`.
     """
     fam = spec.family
     if fam == "id":
-        elt = PartialInjection.identity(n)
-    elif fam == "sig1":
-        elt = sigma1(n)
-    elif fam == "sig2":
-        elt = sigma2(n)
-    elif fam == "eps":
-        elt = epsilon(n, spec.i)
-    elif fam == "gam":
-        elt = gamma(n, spec.i)
-    elif fam == "del":
-        elt = delta(n, spec.i)
-    else:
-        elt = beta(n, spec.i, spec.j)
-    return with_table(elt)
+        return checked_letter(PartialInjection.identity(n))
+    if fam == "sig1":
+        return sigma1(n)
+    if fam == "sig2":
+        return sigma2(n)
+    if fam == "eps":
+        return epsilon(n, spec.i)
+    if fam == "gam":
+        return gamma(n, spec.i)
+    if fam == "del":
+        return delta(n, spec.i)
+    return beta(n, spec.i, spec.j)
 
 
 # --- words -------------------------------------------------------------------

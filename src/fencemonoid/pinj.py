@@ -10,8 +10,9 @@ serves one left factor met by many right factors, as an img tuple each:
 the bulk products of :mod:`enumeration` and ``PartialInjection.__mul__``.
 :func:`translate_table` serves a word folded left to right, one letter
 at a time, as bytes: ``acc.translate(translate_table(b))`` is ``acc``
-times ``b``.  A letter folded many times keeps its table
-(:func:`with_table`); any other operand is given a throwaway one.
+times ``b``.  A letter folded many times keeps the table its gate gave
+it (:func:`~fencemonoid.genfam.checked_letter`); any other operand is
+given a throwaway one.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ class PartialInjection:
     x, with 0 as the "undefined" sentinel.  Instances compare and hash by
     (n, img) and sort by img, which gives the canonical total order used
     for deterministic enumeration.  ``_table`` is None except on the
-    memoised letters that :func:`with_table` gave a translate table.
+    letters :func:`~fencemonoid.genfam.checked_letter` gave a table.
     """
 
     __slots__ = ("n", "img", "_hash", "_table")
@@ -195,13 +196,6 @@ def translate_table(img: tuple[int, ...]) -> bytes:
     read.  Points are byte values, so n stays below 256 (:data:`MAX_N`).
     """
     return bytes((0, *img)).ljust(256, b"\0")
-
-
-def with_table(a: PartialInjection) -> PartialInjection:
-    """``a`` with its translate table kept on it, for a memoised letter
-    that many words fold; returns ``a``."""
-    a._table = translate_table(a.img)
-    return a
 
 
 def inverse_img(img) -> list:

@@ -727,20 +727,49 @@ def test_corrupted_rotation_partner_leaves_through_the_fallback(monkeypatch, tab
     assert sum(affected) == 1654 and len(elements) == 3161
 
 
+def test_escaping_rotation_is_refused_and_falls_back(monkeypatch, table):
+    # the rotations pass the letter gate where they are made: with
+    # _eta_left planted to swap 1 and 2, _rotation refuses it, and
+    # exactly the elements that need a rotation are factored by the BFS
+    # fallback; the rest keep their words
+    elements = [a for n in range(1, 8) for a in table(n)]
+    needs = [a.rank < a.n - 2 and bool(factor._mismatches(a.img)) for a in elements]
+    words = [factor.factorize_j(a) for a in elements]
+    factor._rotation.cache_clear()  # memoised rotations would hide the plant
+    monkeypatch.setattr(genfam, "_eta_left", lambda n, a: PartialInjection(n, (2, 1, *range(3, n + 1))))
+    with pytest.raises(factor.FactorizationError, match="escapes"):
+        factor._rotation(6, 2, True)
+    for a, word, need in zip(elements, words, needs):
+        w = factor.factorize_j(a)
+        if need:
+            assert (w.provenance, w.fallback) == ("bfs-fallback", True)
+            assert _eval_word_by_objects(w) == a
+        else:
+            assert (w.text(), w.provenance, w.fallback) == (word.text(), word.provenance, False)
+    assert factor._rotation.cache_info().currsize == 0
+    assert sum(needs) == 1654
+
+
 def test_factorize_sampled_n9_to_32():
-    # properties on random samples past the exhaustive range
+    # properties on random samples past the exhaustive range: no
+    # fallback, every word evaluates back, and every letter has rank
+    # >= n-2 and lies in IF_n; every letter that is not the input itself
+    # passed the letter gate, which gave it its table
     for n in range(9, 33):
         gset = set(genfam.set_g(n)) if n % 2 == 0 else ()
         for a in _seeded_elements(900 + n, n, 40):
             words = [factor.factorize_j(a)]
             if gset:
                 words.append(factor.factorize_g(a))
+            assert words[0].provenance == ("letter" if a.rank >= n - 2 else "constructive")
             for w in words:
                 assert not w.fallback
                 assert _eval_word_by_objects(w) == a
                 for letter in set(w.letters):
                     elt = factor._resolve(letter, n)
                     assert elt.rank >= n - 2 and _old_in_if(elt)
+                    if w.provenance != "letter":
+                        assert elt._table == pinj.translate_table(elt.img)
             if gset:
                 assert all(factor._resolve(l, n) in gset for l in words[1].letters)
 
@@ -978,14 +1007,16 @@ def test_rotation_memo():
 
 def test_no_per_step_builds(monkeypatch, table):
     # once the memos are warm, a factorization builds no move target, no
-    # rotation and no inverse: a second pass over IF_6 and IF_7 makes no
-    # inverse and no interval_map call
+    # rotation and no inverse, and checks no letter: a second pass over
+    # IF_6 and IF_7 makes no inverse, no interval_map and no letter gate
+    # call
     elements = [a for n in (6, 7) for a in table(n)]
     for a in elements:
         factor.factorize_j(a)
-    calls = {"inverse": 0, "interval_map": 0}
+    calls = {"inverse": 0, "interval_map": 0, "checked_letter": 0}
     real_inverse = PartialInjection.inverse
     real_map = genfam.interval_map
+    real_gate = genfam.checked_letter
 
     def inverse(self):
         calls["inverse"] += 1
@@ -995,12 +1026,17 @@ def test_no_per_step_builds(monkeypatch, table):
         calls["interval_map"] += 1
         return real_map(*args)
 
+    def checked_letter(a):
+        calls["checked_letter"] += 1
+        return real_gate(a)
+
     monkeypatch.setattr(PartialInjection, "inverse", inverse)
-    monkeypatch.setattr(genfam, "interval_map", interval_map)
-    monkeypatch.setattr(factor, "interval_map", interval_map)
+    for mod in (genfam, factor):
+        monkeypatch.setattr(mod, "interval_map", interval_map)
+        monkeypatch.setattr(mod, "checked_letter", checked_letter)
     for a in elements:
         assert not factor.factorize_j(a).fallback
-    assert calls == {"inverse": 0, "interval_map": 0}
+    assert calls == {"inverse": 0, "interval_map": 0, "checked_letter": 0}
 
 
 def test_factorization_leaves_no_table_on_its_input():

@@ -137,21 +137,34 @@ def _multiplier_fold(letters, n):
     return acc
 
 
+def _random_letter(rng, n):
+    """A seeded member of IF_n of rank >= n-2, through the letter gate:
+    a random domain of that size and a random placement of its blocks."""
+    dom = tuple(sorted(rng.sample(range(1, n + 1), rng.randint(max(n - 2, 0), n))))
+    return genfam.checked_letter(PartialInjection(n, rng.choice(en.place_blocks(n, [dom]))))
+
+
 def test_translate_fold_matches_multiplier_fold_and_object_product():
-    # seeded words of partial injections for every n up to MAX_N, n = 1
-    # (the one-slot case of ``multiplier``) included; half the letters
-    # keep a table, the rest are folded through throwaway ones
+    # seeded words for every n up to MAX_N, n = 1 (the one-slot case of
+    # ``multiplier``) included; half the letters are high-rank members
+    # that keep the table the letter gate gave them, the rest partial
+    # injections folded through throwaway tables
     rng = random.Random(25)
     for n in range(1, pinj.MAX_N + 1):
         for _ in range(20):
             letters = []
             for _ in range(rng.randint(0, 12)):
-                k = rng.randint(n // 2, n)
-                img = [0] * n
-                for x, v in zip(rng.sample(range(1, n + 1), k), rng.sample(range(1, n + 1), k)):
-                    img[x - 1] = v
-                letter = PartialInjection(n, tuple(img))
-                letters.append(pinj.with_table(letter) if rng.random() < 0.5 else letter)
+                if rng.random() < 0.5:
+                    letter = _random_letter(rng, n)
+                    assert letter._table == pinj.translate_table(letter.img)
+                else:
+                    k = rng.randint(n // 2, n)
+                    img = [0] * n
+                    for x, v in zip(rng.sample(range(1, n + 1), k), rng.sample(range(1, n + 1), k)):
+                        img[x - 1] = v
+                    letter = PartialInjection(n, tuple(img))
+                    assert letter._table is None
+                letters.append(letter)
             value = genfam._value(letters, n)
             assert type(value) is tuple
             assert value == _multiplier_fold(letters, n)
@@ -207,10 +220,33 @@ def test_set_j_equals_high_rank_filter(table):
         assert genfam.set_j(n) == expected
 
 
-def test_checked_rejects_escaping_generator():
+def test_letter_gate_refuses_escaping_and_low_rank_maps():
+    # the gate raises, so it holds under python -O; a refused map keeps
+    # no table, an accepted one is returned with its table
     swap = pinj.make(2, {(1, 2), (2, 1)})
-    with pytest.raises(RuntimeError, match="escapes"):
-        genfam._checked(swap)
+    low = PartialInjection.empty(3)
+    for a, message in ((swap, "escapes"), (low, "high-rank")):
+        with pytest.raises(RuntimeError, match=message):
+            genfam.checked_letter(a)
+        assert a._table is None
+    with pytest.raises(factor.FactorizationError):
+        genfam.checked_letter(swap)
+    a = pinj.make(3, {(1, 1), (3, 3)})
+    assert genfam.checked_letter(a) is a and a._table == pinj.translate_table(a.img)
+
+
+def test_constructors_refuse_an_escaping_map(monkeypatch):
+    # every family constructor called directly passes its map through
+    # the gate: with the interval builder planted to swap 1 and 2, each
+    # refuses its map
+    monkeypatch.setattr(genfam, "interval_map", lambda n, *args: PartialInjection(n, (2, 1, *range(3, n + 1))))
+    constructors = (
+        lambda: genfam.sigma1(6), lambda: genfam.sigma2(6), lambda: genfam.gamma(6, 4),
+        lambda: genfam.delta(6, 1), lambda: genfam.beta(6, 1, 5), lambda: genfam.epsilon(6, 2),
+    )
+    for construct in constructors:
+        with pytest.raises(RuntimeError, match="escapes"):
+            construct()
 
 
 def test_set_g_rejects_repeated_generator(monkeypatch):
