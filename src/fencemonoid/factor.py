@@ -28,12 +28,19 @@ and the far-block reshape's included, is a
 (a reversal, a named generator, a rotation) keeps its table, and a
 step's core or the input gets a throwaway one.  No letter is inverted
 and no move target is built per step: a target is built only by the
-check of its move.  One element is built per step, for its block form,
-whose scan also yields the domain and image masks that the alignment
-reads.  Each check runs once: the input's membership once per
-factorization; each step result's membership is read from the scan
-that builds its block form; each interval move is checked once per
-distinct move, and each letter once, by the letter gate
+check of its move.  One element is built per step, for its block form.
+The input's form comes from one scan of its img
+(:meth:`BlockForm.from_pinj`), which also decides membership and yields
+the domain and image masks that the alignment reads.  A pin or a
+domain-side covering reversal, nearly every step, changes one window of
+the img, so its form is predicted in closed form and the folded product
+checked against the prediction (:func:`_predicted_form`); any other
+step, and any product that misses its prediction, is scanned as the
+input is.  Each check runs once: the input's membership once per
+factorization; each step result's membership from its scan or, for a
+predicted form, from the parity and image-touch tests on the blocks
+the step changed; each interval move is checked once per distinct
+move, and each letter once, by the letter gate
 :func:`~fencemonoid.genfam.checked_letter` where it is made, so no word
 checks its letters.  The residual check folds the eps letters once, and
 the assembled-word check folds the residual core in their place.
@@ -244,6 +251,32 @@ class _Block(NamedTuple):
 _new_block = functools.partial(tuple.__new__, _Block)
 
 
+def _stage(blocks: list, lead: int) -> tuple:
+    """(i, low) of the blocks, given that the first ``lead`` are fixed
+    pointwise.
+
+    The lead first runs on over every further fixed block.  The stage is
+    the latest one, at most one past that lead, whose remaining images
+    all lie above the blocks before it.  A fixed block the stage moves
+    back over ends at or above the least image, and its image (its own
+    points) is disjoint from that one, so it lies wholly above: ``low``
+    stands."""
+    nb = len(blocks)
+    while lead < nb and blocks[lead].r == blocks[lead].t and blocks[lead].asc:
+        lead += 1
+    if lead == nb:
+        return nb + 1, nb
+    low = lead
+    for l in range(lead + 1, nb):
+        if blocks[l].t < blocks[low].t:
+            low = l
+    i = lead + 1
+    t = blocks[low].t
+    while i > 1 and blocks[i - 2].s >= t:
+        i -= 1
+    return i, low
+
+
 @dataclass
 class BlockForm:
     """Stage data for the block-fixing pipeline.
@@ -256,7 +289,8 @@ class BlockForm:
     and the stage moves back only onto an unaligned form, so the current
     block of an aligned form is never fixed.  ``dom_mask`` and
     ``im_mask`` hold the domain and the image, bit x-1 for point x, as
-    the scan found them.
+    the scan found them or a step's closed form
+    (:func:`_predicted_form`) carried them over.
     """
 
     elt: PartialInjection
@@ -289,14 +323,11 @@ class BlockForm:
         semigroup, then parity, then shape.
         """
         blocks = []
-        lead = 0  # how many leading blocks are fixed pointwise
         unnormalized = malformed = False
         r = first = last = step = 0  # the open run's start, end images and step
         for x, v in enumerate(a.img + (0,), 1):  # the trailing 0 ends the last run
             if not v:
                 if r:
-                    if lead == len(blocks) and step >= 0 and first == r:
-                        lead += 1
                     t, u = (first, last) if step >= 0 else (last, first)
                     blocks.append(_new_block((r, x - 1, t, u, step >= 0)))
                     r = 0
@@ -324,17 +355,7 @@ class BlockForm:
                 raise MalformedBlockFormError(f"{a.encode()} is not in the semigroup")
             image |= span
             domain |= (2 << b.s) - (1 << b.r)
-
-        # the stage: the latest one, at most one past the fixed lead, whose
-        # remaining images all lie above the blocks before it.  A fixed
-        # block the stage moves back over ends at or above the least
-        # image, and its image (its own points) is disjoint from that one,
-        # so it lies wholly above: ``low`` stands.
-        i = lead + 1
-        low = min(range(lead, len(blocks)), key=lambda l: blocks[l].t, default=len(blocks))
-        while low < len(blocks) and i > 1 and blocks[i - 2].s >= blocks[low].t:
-            i -= 1
-        return cls(a, blocks, i, low, domain >> 1, image >> 1)
+        return cls(a, blocks, *_stage(blocks, 0), domain >> 1, image >> 1)
 
     @property
     def all_fixed(self):
@@ -364,18 +385,25 @@ def _case_next_block(bf: BlockForm, idx: int):
     return (eta1, *build_shift_word(n, nxt.r - 1, nxt.s - nxt.r, 1, False))
 
 
-def _covering_reversal(n: int, mask: int, lo: int, hi: int):
-    """The reversal that covers [lo, hi]: [lo, hi] itself when its span is
-    even, else [lo-1, hi] when lo-2 is outside ``mask``, else [lo, hi+1]
-    when hi+2 is; None when neither end can widen."""
+def _covering_span(n: int, mask: int, lo: int, hi: int):
+    """The interval a reversal covering [lo, hi] reverses: [lo, hi]
+    itself when its span is even, else [lo-1, hi] when lo-2 is outside
+    ``mask``, else [lo, hi+1] when hi+2 is; None when neither end can
+    widen."""
     outside = lambda x: x < 1 or not (mask >> (x - 1)) & 1
     if (hi - lo) % 2 == 0:
-        return build_reversal(n, lo, hi - lo)
+        return lo, hi
     if lo >= 2 and outside(lo - 2):
-        return build_reversal(n, lo - 1, hi - lo + 1)
+        return lo - 1, hi
     if hi < n and outside(hi + 2):
-        return build_reversal(n, lo, hi - lo + 1)
+        return lo, hi + 1
     return None
+
+
+def _covering_reversal(n: int, mask: int, lo: int, hi: int):
+    """The reversal of :func:`_covering_span`, or None."""
+    span = _covering_span(n, mask, lo, hi)
+    return span and build_reversal(n, span[0], span[1] - span[0])
 
 
 def _align_dispatch(bf: BlockForm):
@@ -435,10 +463,15 @@ def _pin(bf: BlockForm):
     block has even d).  Its letters have rank >= n-2.
     """
     blk = bf.blocks[bf.i - 1]
-    d = blk.r - blk.t
-    on_left = d > 0 or (d == 0 and not blk.asc)
+    on_left = _pins_left(blk)
     m, p = (blk.t, blk.u - blk.t) if on_left else (blk.r, blk.s - blk.r)
-    return build_shift_word(bf.elt.n, m, p, abs(d), blk.asc), on_left
+    return build_shift_word(bf.elt.n, m, p, abs(blk.r - blk.t), blk.asc), on_left
+
+
+def _pins_left(blk: _Block) -> bool:
+    """Whether the pin of ``blk`` acts on the left: its domain lies above
+    its image, or level with it, descending."""
+    return blk.r > blk.t or (blk.r == blk.t and not blk.asc)
 
 
 # --- top-level factorization --------------------------------------------------
@@ -450,19 +483,92 @@ def _j_closure(n: int, min_rank: int):
     return closure(n, genfam.set_j(n), min_rank)
 
 
-def _apply_step(core: PartialInjection, lhs, rhs, prefix) -> tuple:
-    """The img tuple of eval(lhs) * core * eval(rhs), for one step.  The
-    blocks in ``prefix`` are fixed pointwise in the core and must stay
-    so.  Membership and parity normalization of the result are checked
-    by the ``BlockForm.from_pinj`` that :func:`_constructive` builds from
-    it next."""
+# identity images and undefined ones, sliced for the windows of the
+# predicted steps
+_ID = tuple(range(MAX_N + 1))
+_ZERO = (0,) * MAX_N
+
+
+def _predicted_form(bf: BlockForm, new: tuple):
+    """The form of a step's product ``new`` in closed form, or None.
+
+    Two step kinds change one window of the core's img and leave the
+    rest as it is.  A pin of the aligned block [r, s] -> [t, u] on the
+    left sends [t, u] onto itself and clears the rest of [t-1, s+1]; one
+    on the right sends [r, s] onto itself.  The domain-side covering
+    reversal of [lo, hi] reverses that slice and clears lo-1 and hi+1,
+    mirroring the blocks inside: [r, s] -> [t, u] becomes
+    [lo+hi-s, lo+hi-r] -> [t, u], in the other direction unless it is a
+    single point.  The prediction is read from the form alone.  It is
+    taken when ``new`` is the predicted img, the window lies above the
+    fixed prefix (which ``new`` then keeps), and each changed block
+    keeps parity and an image interval clear of the others; the form is
+    then the one ``BlockForm.from_pinj`` finds for ``new``.  Any other
+    step or product gives None.  A mask of [lo, hi] is
+    ``(1 << hi) - (1 << lo - 1)``, bit x-1 for point x.
+    """
+    elt, blocks, idx = bf.elt, bf.blocks, bf.i - 1
+    n, old, im = elt.n, elt.img, bf.im_mask
+    nxt = blocks.copy()
+    if bf.low == idx:  # aligned: a pin
+        r, s, t, u, _ = cur = blocks[idx]
+        cleared = (1 << s) - (1 << r - 1)  # the block's domain
+        if _pins_left(cur):
+            lo, hi = max(t - 1, 1), min(s + 1, n)
+            window = _ZERO[: t - lo] + _ID[t : u + 1] + _ZERO[: hi - u]
+        else:
+            lo, hi = r, s
+            window = _ID[r : s + 1]
+            im = im & ~((1 << u) - (1 << t - 1)) | cleared
+            t, u = r, s
+        nxt[idx] = _new_block((t, u, t, u, True))
+        changed = nxt[idx : idx + 1]
+        lead = idx + 1
+    else:
+        span = _covering_span(n, bf.dom_mask, blocks[idx].r, blocks[bf.low].s)
+        if span is None:
+            return None
+        a, b = span
+        lo, hi = max(a - 1, 1), min(b + 1, n)
+        window = _ZERO[: a - lo] + old[a - 1 : b][::-1] + _ZERO[: hi - b]
+        cleared = (1 << b) - (1 << a - 1)
+        changed = nxt[idx : bf.low + 1] = [
+            _new_block((a + b - x.s, a + b - x.r, x.t, x.u, x.asc != (x.r < x.s)))
+            for x in reversed(blocks[idx : bf.low + 1])
+        ]
+        lead = idx
+    if new != old[: lo - 1] + window + old[hi:] or (idx and blocks[idx - 1].s >= lo):
+        return None
+    dom = bf.dom_mask & ~cleared
+    for r, s, t, u, asc in changed:
+        own = (1 << u) - (1 << t - 1)
+        if (r - (t if asc else u)) % 2 or im & ~own & (own << 1 | own | own >> 1):
+            return None
+        dom |= (1 << s) - (1 << r - 1)
+    return BlockForm(PartialInjection(n, new), nxt, *_stage(nxt, lead), dom, im)
+
+
+def _next_form(bf: BlockForm, lhs, rhs) -> BlockForm:
+    """The form of eval(lhs) * core * eval(rhs), for one step on the core
+    of ``bf``.
+
+    The letters are folded as they are, and the product must keep the
+    core's rank.  A pin or domain-side covering reversal whose product is
+    the predicted one gets its form in closed form
+    (:func:`_predicted_form`).  Any other product must leave the fixed
+    prefix as it was, and its form comes from ``BlockForm.from_pinj``,
+    which checks membership and parity normalization."""
+    core = bf.elt
     new = _value((*lhs, core, *rhs), core.n)
     if new.count(0) != core.img.count(0):
         raise FactorizationError("pipeline step lost domain points")
-    for b in prefix:
+    form = _predicted_form(bf, new)
+    if form is not None:
+        return form
+    for b in bf.blocks[: bf.i - 1]:
         if new[b.r - 1 : b.s] != core.img[b.r - 1 : b.s]:
             raise FactorizationError("pipeline step disturbed the fixed prefix")
-    return new
+    return BlockForm.from_pinj(PartialInjection(core.n, new))
 
 
 def _step(bf: BlockForm):
@@ -491,10 +597,9 @@ def _constructive(a: PartialInjection) -> Word:
             break
         aligning = not bf.aligned
         lhs, rhs = _step(bf)
-        core = PartialInjection(n, _apply_step(core, lhs, rhs, bf.blocks[: bf.i - 1]))
         head.append(lhs[::-1])
         tail.append(rhs[::-1])
-        bf2 = BlockForm.from_pinj(core)
+        bf2 = _next_form(bf, lhs, rhs)
         # an alignment step may incidentally fix its block, advancing the
         # stage outright; otherwise it must leave the stage aligned
         if aligning and not (bf2.i > bf.i or bf2.aligned):
@@ -505,6 +610,7 @@ def _constructive(a: PartialInjection) -> Word:
     else:
         raise FactorizationError("block pipeline did not converge")
 
+    core = bf.elt
     eps = _eps_letters(n, [x for x, v in enumerate(core.img, 1) if not v])
     if _value(eps, n) != core.img:
         raise FactorizationError("residual core is not a partial identity")

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -670,9 +671,8 @@ def test_apply_step_matches_object_products(monkeypatch, table):
                 for letters in (lhs, rhs):
                     value = genfam._value(letters, n)
                     assert genfam._value(letters[::-1], n) == tuple(inverse_img(value))
-                prefix = bf.blocks[: bf.i - 1]
-                points = [x for b in prefix for x in range(b.r, b.s + 1)]
-                new = factor._apply_step(core, lhs, rhs, prefix)
+                points = [x for b in bf.blocks[: bf.i - 1] for x in range(b.r, b.s + 1)]
+                new = factor._next_form(bf, lhs, rhs).elt.img
                 assert new == _old_apply_step(core, Word(n, lhs), Word(n, rhs), points)
                 core = PartialInjection(n, new)
                 bf = BlockForm.from_pinj(core)
@@ -691,14 +691,15 @@ def test_apply_step_matches_object_products(monkeypatch, table):
         assert max(d for _, d in dispatched) == 1
     # a step that drops a point, and one that keeps the rank but moves
     # the fixed prefix
-    core = pinj.identity_on(6, {1, 2, 5})
-    prefix = BlockForm.from_pinj(core).blocks[:1]
+    core = pinj.parse("n=8:[1>1 2>2 5>7]")
+    bf = BlockForm.from_pinj(core)
+    assert (bf.i, bf.aligned) == (2, True)
     for w1, message in (
-        (Word(6, (GeneratorSpec("eps", 5),)), "lost domain points"),
-        (Word(6, (factor.build_reversal(6, 1, 2),)), "disturbed the fixed prefix"),
+        (Word(8, (GeneratorSpec("eps", 5),)), "lost domain points"),
+        (Word(8, (factor.build_reversal(8, 1, 2),)), "disturbed the fixed prefix"),
     ):
-        got = _outcome(factor._apply_step, core, w1.letters, (), prefix)
-        assert got == _outcome(_old_apply_step, core, w1, Word(6), [1, 2])
+        got = _outcome(lambda *step: factor._next_form(*step).elt.img, bf, w1.letters, ())
+        assert got == _outcome(_old_apply_step, core, w1, Word(8), [1, 2])
         assert got == (factor.FactorizationError, f"pipeline step {message}")
 
 
@@ -1113,6 +1114,191 @@ def test_step_leaving_semigroup_falls_back(monkeypatch):
     assert factor.eval_word(w) == a
     ((elt, message),) = rejected
     assert not fence.in_if(elt) and "not in the semigroup" in message
+
+
+def _form_fields(bf):
+    return [tuple(b) for b in bf.blocks], bf.i, bf.low, bf.dom_mask, bf.im_mask, bf.elt.img
+
+
+def _step_kind(bf):
+    """"pin", "domain" (a domain-side covering reversal) or "other" (an
+    image-side reversal, the adjacent-block repair or a far-block
+    reshape): the step the pipeline takes on ``bf``, read from the form."""
+    if bf.aligned:
+        return "pin"
+    cur, least = bf.blocks[bf.i - 1], bf.blocks[bf.low]
+    return "other" if factor._covering_span(bf.elt.n, bf.dom_mask, cur.r, least.s) is None else "domain"
+
+
+def _record_predictions(monkeypatch):
+    """Wrap the closed form: the list of (form, product, predicted form
+    or None) of every call."""
+    calls = []
+    real = factor._predicted_form
+
+    def predicted(bf, new):
+        form = real(bf, new)
+        calls.append((bf, new, form))
+        return form
+
+    monkeypatch.setattr(factor, "_predicted_form", predicted)
+    return calls
+
+
+def test_closed_form_steps_match_the_scan(monkeypatch, table):
+    # the scan is the oracle of the closed form: at every step of
+    # factorize_j over IF_n, n <= 8, and 100 seeded elements each at
+    # n = 16 and n = 32, a predicted form equals the scan of the folded
+    # core in every field, and every pin and domain-side covering
+    # reversal is predicted
+    calls = _record_predictions(monkeypatch)
+    elements = [a for n in range(1, 9) for a in table(n)]
+    elements += _seeded_elements(1600, 16, 100) + _seeded_elements(3200, 32, 100)
+    for a in elements:
+        assert not factor.factorize_j(a).fallback
+    kinds = Counter()
+    for bf, new, form in calls:
+        kind = _step_kind(bf)
+        kinds[kind, form is not None] += 1
+        if form is not None:
+            assert _form_fields(form) == _form_fields(BlockForm.from_pinj(PartialInjection(bf.elt.n, new)))
+    assert kinds == {("pin", True): 10892, ("domain", True): 9248, ("other", False): 531}
+
+
+def test_closed_form_refuses_forms_that_break_its_tests():
+    # no step of a form the scan built can fail the parity, image-touch or
+    # prefix test of the closed form, so each is shown on a hand-built
+    # form: the product the closed form predicts is refused, and the scan
+    # of that product fails too where the product is no member
+    B = factor._Block
+
+    def form(img, blocks, i, low):
+        elt = PartialInjection(len(img), img)
+        return BlockForm(elt, [B(*b) for b in blocks], i, low, elt.dom_mask(), elt.im_mask())
+
+    cases = [
+        # a reversal of [2, 4] mirrors 2 -> 5 onto 4 -> 5, breaking parity
+        (form((0, 5, 0, 2, 0, 0, 0), [(2, 2, 5, 5, True), (4, 4, 2, 2, True)], 1, 1),
+         (0, 2, 0, 5, 0, 0, 0), "not parity-normalized"),
+        # a pin on the right brings the image of 1 next to the image 2 of 4
+        (form((3, 0, 0, 2, 0, 0), [(1, 1, 3, 3, True), (4, 4, 2, 2, True)], 1, 0),
+         (1, 0, 0, 2, 0, 0), "not in the semigroup"),
+        # a reversal of [2, 4] clears 1, a point of the fixed prefix
+        (form((1, 6, 0, 4, 0, 0, 0), [(1, 1, 1, 1, True), (2, 2, 6, 6, True), (4, 4, 4, 4, True)], 2, 2),
+         (0, 4, 0, 6, 0, 0, 0), None),
+    ]
+    for bf, new, message in cases:
+        assert factor._predicted_form(bf, new) is None
+        got = _outcome(_new_block_form, PartialInjection(bf.elt.n, new))
+        if message is not None:
+            assert got[0] is MalformedBlockFormError and message in got[1]
+
+
+def _outcome_of_factorization(monkeypatch, a):
+    """(error the pipeline raised or None, fallback flag, word text)."""
+    errors = []
+    real = factor._constructive
+
+    def constructive(elt):
+        try:
+            return real(elt)
+        except (factor.FactorizationError, MalformedBlockFormError, BadIndicesError) as exc:
+            errors.append((type(exc), str(exc)))
+            raise
+
+    with monkeypatch.context() as m:
+        m.setattr(factor, "_constructive", constructive)
+        w = factor.factorize_j(a)
+    return (errors or None), w.fallback, w.text()
+
+
+@pytest.mark.parametrize("kind, swap, counts", [
+    ("pin", "reversed", (1758, 55)),
+    ("pin", "identity", (1758, 1758)),
+    ("domain", "identity", (1630, 1630)),
+], ids=["pin-reversed", "pin-identity", "domain-identity"])
+def test_planted_step_letters_miss_the_closed_form(monkeypatch, table, kind, swap, counts):
+    # the letters of every pin, or the letter of every domain-side
+    # covering reversal, swapped for other valid letters: the pin's word
+    # reversed (the identity where that is the same word), or the
+    # identity.  Over IF_1..IF_7 the closed form accepts no planted
+    # product, and every outcome (the pipeline's error, the fallback
+    # flag, the word) is the one of the scan alone, which is how every
+    # step was checked before the closed form.  ``counts`` are the
+    # fallbacks and the planted steps whose product reached the closed
+    # form
+    real_step = factor._step
+    planted = []
+
+    def swapped(n, letters):
+        if swap == "reversed" and letters != letters[::-1]:
+            return letters[::-1]
+        return (genfam.named(n, GeneratorSpec("id")),)
+
+    def step(bf):
+        lhs, rhs = real_step(bf)
+        if _step_kind(bf) != kind:
+            return lhs, rhs
+        planted.append(bf)
+        n = bf.elt.n
+        return (swapped(n, lhs), rhs) if lhs else (lhs, swapped(n, rhs))
+
+    monkeypatch.setattr(factor, "_step", step)
+    calls = _record_predictions(monkeypatch)
+    elements = [a for n in range(1, 8) for a in table(n)]
+    with_closed_form = [_outcome_of_factorization(monkeypatch, a) for a in elements]
+    planted_ids = {id(bf) for bf in planted}  # the forms stay alive in both lists
+    reached = [form for bf, _, form in calls if id(bf) in planted_ids]
+    assert not any(reached)
+    monkeypatch.setattr(factor, "_predicted_form", lambda bf, new: None)
+    assert [_outcome_of_factorization(monkeypatch, a) for a in elements] == with_closed_form
+    fallbacks = sum(fallback for _, fallback, _ in with_closed_form)
+    assert (fallbacks, len(reached)) == counts
+
+
+def test_only_unpredicted_steps_are_scanned(monkeypatch):
+    # on 100 seeded elements at n = 32 the scan runs once per input form,
+    # once per step that is neither a pin nor a domain-side covering
+    # reversal, and once more inside each far-block reshape; a step sent
+    # back to the scan would raise the count
+    scans = [0]
+    real_scan = BlockForm.from_pinj
+
+    def from_pinj(elt):
+        scans[0] += 1
+        return real_scan(elt)
+
+    kinds = Counter()
+    real_step = factor._step
+
+    def step(bf):
+        kinds[_step_kind(bf)] += 1
+        return real_step(bf)
+
+    reshapes = [0]
+    real_dispatch = factor._align_dispatch
+    depth = [0]
+
+    def dispatch(bf):
+        reshapes[0] += depth[0] == 1
+        depth[0] += 1
+        try:
+            return real_dispatch(bf)
+        finally:
+            depth[0] -= 1
+
+    elements = _seeded_elements(3200, 32, 100)
+    monkeypatch.setattr(BlockForm, "from_pinj", from_pinj)
+    monkeypatch.setattr(factor, "_step", step)
+    monkeypatch.setattr(factor, "_align_dispatch", dispatch)
+    inputs = 0
+    for a in elements:
+        w = factor.factorize_j(a)
+        assert not w.fallback
+        inputs += w.provenance == "constructive"
+    assert scans[0] == inputs + kinds["other"] + reshapes[0]
+    assert (scans[0], inputs, kinds["other"], reshapes[0]) == (113, 89, 24, 0)
+    assert (kinds["pin"], kinds["domain"]) == (370, 288)
 
 
 def test_cold_and_warm_caches_agree(table):
