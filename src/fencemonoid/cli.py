@@ -59,7 +59,8 @@ def cmd_enumerate(args) -> CommandResult:
     return CommandResult("ok", payload)
 
 
-def _render_enumerate(payload, out):
+def _render_enumerate(result, out):
+    payload = result.payload
     out.write(f"count {payload['count']}\n")
     if "contains" in payload:
         out.write(f"contains {str(payload['contains']).lower()}\n")
@@ -121,7 +122,8 @@ def cmd_greens(args) -> CommandResult:
     return CommandResult("ok", payload)
 
 
-def _render_greens(payload, out):
+def _render_greens(result, out):
+    payload = result.payload
     if "classes" in payload:
         out.write(f"count {payload['count']}\n")
         for row in payload["classes"]:
@@ -175,7 +177,8 @@ def cmd_factorize(args) -> CommandResult:
     return CommandResult("ok", payload)
 
 
-def _render_factorize(payload, out):
+def _render_factorize(result, out):
+    payload = result.payload
     out.write(f"word {payload['word']}\n")
     out.write(f"length {payload['length']}\n")
     out.write(f"fallback {str(payload['fallback']).lower()}\n")
@@ -242,23 +245,21 @@ def _verify_jcrit(n):
     table = en.build(n, "IF")
     crit = greens.j_classes(table)
     if n <= 5:
-        # literal oracle: every two-sided principal ideal, from one bulk pass
+        # literal oracle: a J b iff S^1aS^1 = S^1bS^1, and b in S^1aS^1
+        # puts S^1bS^1 inside S^1aS^1, so the J-classes are the fibres of
+        # the two-sided principal ideals, from one bulk pass
         _, _, jsets = en.principal_ideals(table)
-        fiber = [0] * len(table)
-        for c, cls in enumerate(crit):
-            for a in cls:
-                fiber[table.position(a)] = c
-        for i, a in enumerate(table.elements):
-            for j, b in enumerate(table.elements):
-                criterion = fiber[i] == fiber[j]
-                oracle = (jsets[i] >> j) & (jsets[j] >> i) & 1 == 1
-                if criterion != oracle:
-                    return False, {
-                        "counterexample": [a.encode(), b.encode()],
-                        "criterion": criterion,
-                        "oracle": oracle,
-                    }
-        return True, {"classes": len(crit), "pairs": len(table) ** 2}
+        oracle = en.fibres(jsets, table.elements)
+        if crit == oracle:
+            return True, {"classes": len(crit), "pairs": len(table) ** 2}
+        # the pair an all-pairs scan meets first: the first element whose two
+        # classes differ, and the least member of their symmetric difference
+        crit_of, oracle_of = ({a: s for s in map(set, cs) for a in s} for cs in (crit, oracle))
+        a = next(a for a in table.elements if crit_of[a] != oracle_of[a])
+        b = min(crit_of[a] ^ oracle_of[a])  # elements sort in table order
+        criterion = b in crit_of[a]
+        pair = [a.encode(), b.encode()]
+        return False, {"counterexample": pair, "criterion": criterion, "oracle": not criterion}
     # oracle: D = J in the inverse semigroup IF_n, whose R- and L-classes
     # are fixed by domain and image; it reads no fingerprint and no fence
     # fact (see inverse_j_classes)
@@ -302,8 +303,9 @@ def cmd_verify(args) -> CommandResult:
     return CommandResult("ok" if ok else "violation", payload)
 
 
-def _render_verify(payload, out, status):
-    out.write(f"claim {payload['claim']}: {status}\n")
+def _render_verify(result, out):
+    payload = result.payload
+    out.write(f"claim {payload['claim']}: {result.status}\n")
     for key in sorted(payload):
         if key != "claim":
             out.write(f"{key} {json.dumps(payload[key])}\n")
@@ -369,10 +371,7 @@ def _emit(args, result: CommandResult) -> None:
     elif args.format == "csv":
         _greens_csv(result.payload, sys.stdout)
     else:
-        if args.command == "verify":
-            _render_verify(result.payload, sys.stdout, result.status)
-        else:
-            args.render(result.payload, sys.stdout)
+        args.render(result, sys.stdout)
 
 
 def main(argv=None) -> int:

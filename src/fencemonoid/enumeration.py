@@ -9,7 +9,8 @@ least generating sets and semigroup rank.  One product-saturation loop,
 per element.  Every generation check asks :func:`generated_size` for
 |<gens>| only: for a set closed under inverse it is the sum over the
 J-classes of |class|^2 |G| (:func:`inverse_orbit_size`, from the orbit
-of image sets and one small permutation group per class, after East,
+of image sets and one small permutation group per class, which
+:func:`saturate` closes; after East,
 Egri-Nagy, Mitchell & Peresse, J. Symb. Comput. 92, 2019), so <gens>
 is never listed; other sets are saturated.  The J-class
 oracles work on table positions: :func:`principal_ideals` gives every
@@ -19,8 +20,10 @@ Cayley graph.  For a table closed under inverses,
 :func:`inverse_j_classes` needs no Cayley graph: a graph on the domains
 of its elements gives the same classes.  Both take the strongly
 connected components of their graph from one Kosaraju search,
-:func:`_strong_components`.  All outputs are canonically sorted, so
-results are byte-identical across runs.
+:func:`_strong_components`, and group the elements by component with
+:func:`fibres`; the literal check of ``verify --claim jcrit`` at n <= 5
+groups them by two-sided ideal mask the same way.  All outputs are
+canonically sorted, so results are byte-identical across runs.
 """
 
 from __future__ import annotations
@@ -362,17 +365,9 @@ def inverse_orbit_size(n: int, gens) -> int:
             frontier = new
         seen.update(back)
         placed.update(back)
-        padded_schreier = [(0,) + s for s in schreier if s != ident]
-        group = {ident}
-        frontier = [ident]
-        while frontier:
-            new = []
-            for x in frontier:
-                for y in map(multiplier(x), padded_schreier):
-                    if y not in group:
-                        group.add(y)
-                        new.append(y)
-            frontier = new
+        # a semigroup of permutations of R is a group, so id_R and the
+        # Schreier generators saturate to G
+        group = saturate(n, [PartialInjection(n, s) for s in schreier | {ident}])
         size += len(back) ** 2 * len(group)
     return size
 
@@ -419,6 +414,17 @@ def principal_ideals(table: SemigroupTable):
     left = tuple(sum(map(bits.__getitem__, found)) for found in left_members)
     two_sided = tuple(reduce(or_, map(right.__getitem__, found)) for found in left_members)
     return right, left, two_sided
+
+
+def fibres(labels, elements) -> list[list]:
+    """``elements`` grouped by their ``labels`` (one each, in order), as
+    lists in order of first member.  Over a table's canonical order each
+    class is sorted and the classes come in order of least member, so two
+    partitions of one table are equal exactly when their lists are."""
+    groups: dict = {}
+    for label, elt in zip(labels, elements):
+        groups.setdefault(label, []).append(elt)
+    return list(groups.values())
 
 
 def _strong_components(succ) -> list[int]:
@@ -517,10 +523,7 @@ def ideal_j_classes(table: SemigroupTable, gens):
     gens = reduce_generators(gens)
     if not is_generating(table, gens):
         raise ValueError("oracle generators do not generate the table")
-    groups: dict[int, list] = {}
-    for c, elt in zip(_strong_components(_rank_keeping_rows(table, gens)), table.elements):
-        groups.setdefault(c, []).append(elt)
-    return list(groups.values())
+    return fibres(_strong_components(_rank_keeping_rows(table, gens)), table.elements)
 
 
 def inverse_j_classes(table: SemigroupTable):
@@ -564,12 +567,7 @@ def inverse_j_classes(table: SemigroupTable):
             raise ValueError(f"the inverse of {elt} is not in the table")
         succ[number[dom]].add(number[doms[pos]])  # im a = dom a^-1
     comp = dict(zip(number, _strong_components(succ)))
-    # the elements are in canonical order, so each class fills in sorted
-    # and the classes are met in order of least member
-    groups: dict[int, list] = {}
-    for c, elt in zip(map(comp.__getitem__, doms), table.elements):
-        groups.setdefault(c, []).append(elt)
-    return list(groups.values())
+    return fibres(map(comp.__getitem__, doms), table.elements)
 
 
 def is_generating(table: SemigroupTable, gens) -> bool:

@@ -16,6 +16,7 @@ import random
 import pytest
 
 from fencemonoid import cli, greens
+from fencemonoid import enumeration as en
 
 # n -> (text, json)
 JCRIT = {
@@ -154,21 +155,86 @@ def test_greens_pair_output_pinned(monkeypatch, table, flags):
     assert tuple(got) == PAIR_QUERIES[flags]
 
 
+def _pair_scan(n):
+    """``verify --claim jcrit`` at n <= 5 as the all-pairs scan the fibre
+    comparison replaced: the pairs in table order, each tested for
+    same-class under the criterion and for mutual two-sided ideal
+    membership, stopping at the first that disagree."""
+    table = en.build(n, "IF")
+    crit = greens.j_classes(table)
+    _, _, jsets = en.principal_ideals(table)
+    fiber = [0] * len(table)
+    for c, cls in enumerate(crit):
+        for a in cls:
+            fiber[table.position(a)] = c
+    for i, a in enumerate(table.elements):
+        for j, b in enumerate(table.elements):
+            criterion = fiber[i] == fiber[j]
+            oracle = (jsets[i] >> j) & (jsets[j] >> i) & 1 == 1
+            if criterion != oracle:
+                return False, {
+                    "counterexample": [a.encode(), b.encode()],
+                    "criterion": criterion,
+                    "oracle": oracle,
+                }
+    return True, {"classes": len(crit), "pairs": len(table) ** 2}
+
+
+def _by_image(table):
+    classes = {}
+    for a in table.elements:
+        classes.setdefault(a.image(), []).append(a)
+    return list(classes.values())
+
+
+def _split_largest(j_classes):
+    """``j_classes`` with its largest class split into halves."""
+
+    def planted(table):
+        classes = j_classes(table)
+        k = max(range(len(classes)), key=lambda k: len(classes[k]))
+        half = len(classes[k]) // 2
+        if not half:
+            return classes
+        return classes[:k] + [classes[k][:half], classes[k][half:]] + classes[k + 1:]
+
+    return planted
+
+
+def _planting(attr, value):
+    """Monkeypatch ``greens.<attr>`` with ``value``."""
+    return lambda monkeypatch: monkeypatch.setattr(greens, attr, value)
+
+
 @pytest.mark.parametrize(
-    "fingerprint, pair, criterion, oracle",
+    "plant, pair, criterion, oracle",
     [
         # rank alone merges the two rank-2 maps of different J-classes
-        (lambda a: greens.JInvariant(((a.rank, 1),), ()),
+        (_planting("j_invariant", lambda a: greens.JInvariant(((a.rank, 1),), ())),
          ["n=4:[3>1 4>2]", "n=4:[2>1 4>3]"], True, False),
         # the domain itself splits one J-class into its R-classes
-        (lambda a: greens.JInvariant(tuple((x, 1) for x in a.domain()), ()),
+        (_planting("j_invariant",
+                   lambda a: greens.JInvariant(tuple((x, 1) for x in a.domain()), ())),
          ["n=4:[4>1]", "n=4:[3>1]"], False, True),
+        # the image splits one J-class into its L-classes
+        (_planting("j_classes", _by_image), ["n=4:[4>1]", "n=4:[4>2]"], False, True),
+        # one class split in two
+        (_planting("j_classes", _split_largest(greens.j_classes)),
+         ["n=4:[2>1 4>3]", "n=4:[1>1 3>4]"], False, True),
+        # unplanted: the criterion holds
+        (None, None, None, None),
     ],
 )
 def test_jcrit_reports_first_counterexample_in_table_order(
-    monkeypatch, fingerprint, pair, criterion, oracle
+    monkeypatch, plant, pair, criterion, oracle
 ):
-    monkeypatch.setattr(greens, "j_invariant", fingerprint)
+    if plant is not None:
+        plant(monkeypatch)
+    # the fibre comparison returns exactly what the all-pairs scan does
+    for n in range(1, 6):
+        assert cli._verify_jcrit(n) == _pair_scan(n), n
+    if pair is None:
+        return
     code, out, err = run("verify", "--n", "4", "--claim", "jcrit")
     assert (code, err) == (2, "")
     assert out == (
