@@ -77,15 +77,11 @@ def cmd_greens(args) -> CommandResult:
             raise ValueError("--classes takes no element literals and no --witness")
         table = en.build(args.n, "IF")
         classes = greens.j_classes(table)
-        rows = [
-            {
-                "class": idx,
-                "invariant": greens.j_invariant(cls[0]).encode(),
-                "size": len(cls),
-                "representative": cls[0].encode(),
-            }
-            for idx, cls in enumerate(classes)
-        ]
+        rows = []
+        for idx, cls in enumerate(classes):
+            least = pinj.PartialInjection(args.n, tuple(cls[0]))
+            inv, rep = greens.j_invariant(least).encode(), least.encode()
+            rows.append({"class": idx, "invariant": inv, "size": len(cls), "representative": rep})
         return CommandResult("ok", {"count": len(table), "classes": rows})
 
     if len(args.elements) == 1:
@@ -231,7 +227,7 @@ def _verify_rank(n):
 
 def _verify_odd_neg(n):
     table = en.build(n, "IF")
-    high = [a for a in table if a.rank >= n - 1]
+    high = [pinj.PartialInjection(n, tuple(img)) for img in table.imgs if img.count(0) <= 1]
     generates = en.is_generating(table, high)
     least = en.least_generating_set(table)
     ok = not generates and least is None
@@ -249,16 +245,16 @@ def _verify_jcrit(n):
         # puts S^1bS^1 inside S^1aS^1, so the J-classes are the fibres of
         # the two-sided principal ideals, from one bulk pass
         _, _, jsets = en.principal_ideals(table)
-        oracle = en.fibres(jsets, table.elements)
+        oracle = en.fibres(jsets, table.imgs)
         if crit == oracle:
             return True, {"classes": len(crit), "pairs": len(table) ** 2}
         # the pair an all-pairs scan meets first: the first element whose two
         # classes differ, and the least member of their symmetric difference
         crit_of, oracle_of = ({a: s for s in map(set, cs) for a in s} for cs in (crit, oracle))
-        a = next(a for a in table.elements if crit_of[a] != oracle_of[a])
-        b = min(crit_of[a] ^ oracle_of[a])  # elements sort in table order
+        a = next(a for a in table.imgs if crit_of[a] != oracle_of[a])
+        b = min(crit_of[a] ^ oracle_of[a])  # images sort in table order
         criterion = b in crit_of[a]
-        pair = [a.encode(), b.encode()]
+        pair = [pinj.PartialInjection(n, tuple(img)).encode() for img in (a, b)]
         return False, {"counterexample": pair, "criterion": criterion, "oracle": not criterion}
     # oracle: D = J in the inverse semigroup IF_n, whose R- and L-classes
     # are fixed by domain and image; it reads no fingerprint and no fence

@@ -2,39 +2,39 @@
 
 Builds the full symmetric inverse monoid on {1..n} (or its one-way /
 two-way fence-preserving subsemigroups), each up to its own size limit
-in :data:`MAX_N`, and computes principal ideals, irreducible elements,
-least generating sets and semigroup rank.  One product-saturation loop,
-:func:`saturate`, gives the set a generating set generates, and
+in :data:`MAX_N`, as a sorted table of bytes images, and computes
+principal ideals, irreducible elements, least generating sets and
+semigroup rank.  Every bulk product is one ``bytes.translate`` through
+:func:`~fencemonoid.pinj.translate_table`.  One product-saturation
+loop, :func:`saturate`, gives the set a generating set generates, and
 :func:`closure` wraps it in a table with one shortest discovery word
 per element.  Every generation check asks :func:`generated_size` for
 |<gens>| only: for a set closed under inverse it is the sum over the
 J-classes of |class|^2 |G| (:func:`inverse_orbit_size`, from the orbit
-of image sets and one small permutation group per class, which
-:func:`saturate` closes; after East,
+of image sets and one small permutation group per class; after East,
 Egri-Nagy, Mitchell & Peresse, J. Symb. Comput. 92, 2019), so <gens>
-is never listed; other sets are saturated.  The J-class
-oracles work on table positions: :func:`principal_ideals` gives every
+is never listed; other sets are saturated.  The J-class oracles work
+on table positions and images: :func:`principal_ideals` gives every
 principal ideal as a bitmask from one pass over the products, and
 :func:`ideal_j_classes` builds only the rank-keeping edges of its
 Cayley graph.  For a table closed under inverses,
 :func:`inverse_j_classes` needs no Cayley graph: a graph on the domains
 of its elements gives the same classes.  Both take the strongly
-connected components of their graph from one Kosaraju search,
-:func:`_strong_components`, and group the elements by component with
-:func:`fibres`; the literal check of ``verify --claim jcrit`` at n <= 5
-groups them by two-sided ideal mask the same way.  All outputs are
-canonically sorted, so results are byte-identical across runs.
+connected components of their graph from one Kosaraju search and group
+the images by component with :func:`fibres`, as the literal check of
+``verify --claim jcrit`` at n <= 5 groups them by two-sided ideal mask.
+All outputs are canonically sorted, so results are byte-identical.
 """
 
 from __future__ import annotations
 
 import itertools
 from array import array
-from functools import reduce
+from functools import cached_property, reduce
 from operator import ne, or_
 
 from .greens import blocks
-from .pinj import PartialInjection, inverse_img, multiplier
+from .pinj import DEFINED, PartialInjection, inverse_img, translate_table
 
 # largest n each kind is built for: |I_9| is 17.6M maps, |IF_10| 137,412
 MAX_N = {"I": 8, "PFI": 10, "IF": 10}
@@ -55,33 +55,40 @@ class NotSubsetError(ValueError):
 class SemigroupTable:
     """A canonically sorted set of partial injections with product access.
 
-    ``elements`` are sorted by canonical key and pairwise distinct.  For
+    ``imgs`` holds the bytes images of the elements, sorted and pairwise
+    distinct: bytes of one length sort as the img tuples do, so this is
+    the canonical order.  ``index`` maps each image to its position, and
+    ``elements`` gives the elements as objects, built on first use.  For
     closure-built tables, ``gens`` holds the declared generators and each
     element carries one shortest discovery word over them, retrievable
     via :meth:`word_for`.
     """
 
-    def __init__(self, n, elements, closed, gens=None, parents=None):
+    def __init__(self, n, imgs, closed, gens=None, parents=None):
         self.n = n
-        self.elements = tuple(elements)
-        self.index = {e.img: i for i, e in enumerate(self.elements)}
+        self.imgs = imgs
+        self.index = dict(zip(imgs, range(len(imgs))))
         self.closed = closed
         self.gens = tuple(gens) if gens is not None else None
         # img -> (parent img or None, generator position), as saturate returns
         self._parents = parents
 
+    @cached_property
+    def elements(self) -> tuple[PartialInjection, ...]:
+        return tuple(PartialInjection(self.n, tuple(img)) for img in self.imgs)
+
     def __len__(self):
-        return len(self.elements)
+        return len(self.imgs)
 
     def __iter__(self):
         return iter(self.elements)
 
     def __contains__(self, elt):
-        return isinstance(elt, PartialInjection) and elt.img in self.index
+        return isinstance(elt, PartialInjection) and bytes(elt.img) in self.index
 
     def position(self, elt: PartialInjection) -> int:
         try:
-            return self.index[elt.img]
+            return self.index[bytes(elt.img)]
         except KeyError:
             raise NotMemberError(f"{elt.encode()} is not in the table") from None
 
@@ -89,8 +96,7 @@ class SemigroupTable:
         """Shortest discovery word for an element, as generator letters."""
         if self._parents is None or self.gens is None:
             raise ValueError("table was not built by closure; no words recorded")
-        self.position(elt)
-        img, letters = elt.img, []
+        img, letters = self.imgs[self.position(elt)], []
         while img is not None:
             img, gen = self._parents[img]
             letters.append(self.gens[gen])
@@ -110,7 +116,7 @@ def _iter_imgs_for_domains(n, domains):
             img = [0] * n
             for x, y in zip(dom, perm):
                 img[x - 1] = y
-            yield tuple(img)
+            yield bytes(img)
 
 
 def _block_placements(n, start, length, two_way):
@@ -128,15 +134,15 @@ def _block_placements(n, start, length, two_way):
         mask = full << (t - 1)
         blocked = mask | mask << 1 | mask >> 1 if two_way else mask
         if length == 1 or (t - start) % 2 == 0:
-            out.append((mask, blocked, tuple(range(t, t + length))))
+            out.append((mask, blocked, bytes(range(t, t + length))))
         if length > 1 and (t + length - 1 - start) % 2 == 0:
-            out.append((mask, blocked, tuple(range(t + length - 1, t - 1, -1))))
+            out.append((mask, blocked, bytes(range(t + length - 1, t - 1, -1))))
     return out
 
 
 def place_blocks(n, domains, two_way=True):
-    """Images of every map in IF_n (PFI_n when not ``two_way``) with one of
-    the given domains, unsorted.
+    """Bytes images of every map in IF_n (PFI_n when not ``two_way``) with
+    one of the given domains, unsorted.
 
     A map is fence-preserving exactly when each maximal domain block maps
     monotonically onto an interval as :func:`_block_placements` allows and
@@ -144,24 +150,25 @@ def place_blocks(n, domains, two_way=True):
     two intervals are adjacent.  Each block is placed in turn on the image
     points still free, so every map generated is a member.
     """
-    placements = {}
+    placements = {}  # (first unplaced point, start, length) -> placements, padded
     imgs = []
     for dom in domains:
-        states = [(0, ())]
+        states = [(0, b"")]
         pos = 1
         for start, length in blocks(n, dom):
-            key = (start, length)
+            key = (pos, start, length)
             if key not in placements:
-                placements[key] = _block_placements(n, start, length, two_way)
-            pad = (0,) * (start - pos)
+                pad = bytes(start - pos)
+                found = _block_placements(n, start, length, two_way)
+                placements[key] = [(mask, blocked, pad + values) for mask, blocked, values in found]
             states = [
-                (used | blocked, prefix + pad + values)
+                (used | blocked, prefix + values)
                 for used, prefix in states
                 for mask, blocked, values in placements[key]
                 if not used & mask
             ]
             pos = start + length
-        tail = (0,) * (n + 1 - pos)
+        tail = bytes(n + 1 - pos)
         imgs.extend(prefix + tail for _, prefix in states)
     return imgs
 
@@ -184,7 +191,7 @@ def build(n: int, which: str = "IF") -> SemigroupTable:
     else:
         imgs = place_blocks(n, _domains(n), two_way=which == "IF")
     imgs.sort()
-    return SemigroupTable(n, [PartialInjection(n, img) for img in imgs], closed=True)
+    return SemigroupTable(n, imgs, closed=True)
 
 
 def require_floor_within_limit(n: int, min_rank: int) -> None:
@@ -210,7 +217,7 @@ def _generator_list(n: int, gens) -> list:
 
 
 def saturate(n: int, gens, min_rank: int = 0) -> dict:
-    """The set ``gens`` generates, as img -> (parent img or None,
+    """The set ``gens`` generates, as bytes img -> (parent img or None,
     generator position) in discovery order.
 
     Frontier-based product saturation: each round multiplies the frontier
@@ -227,16 +234,16 @@ def saturate(n: int, gens, min_rank: int = 0) -> dict:
     """
     gen_list = _generator_list(n, gens)
 
-    padded_gens = [(0,) + g.img for g in gen_list]
+    tables = [translate_table(g.img) for g in gen_list]
     max_zeros = n - min_rank
     parents = {
-        g.img: (None, gi) for gi, g in enumerate(gen_list) if g.img.count(0) <= max_zeros
+        bytes(g.img): (None, gi) for gi, g in enumerate(gen_list) if g.img.count(0) <= max_zeros
     }
     frontier = sorted(parents)
     while frontier:
         new = []
         for x in frontier:
-            for gi, p in enumerate(map(multiplier(x), padded_gens)):
+            for gi, p in enumerate(map(x.translate, tables)):
                 if p not in parents and p.count(0) <= max_zeros:
                     parents[p] = (x, gi)
                     new.append(p)
@@ -256,11 +263,7 @@ def closure(n: int, gens, min_rank: int = 0) -> SemigroupTable:
     """
     parents = saturate(n, gens, min_rank)
     return SemigroupTable(
-        n,
-        [PartialInjection(n, img) for img in sorted(parents)],
-        closed=min_rank <= 0,
-        gens=sorted(set(gens)),
-        parents=parents,
+        n, sorted(parents), closed=min_rank <= 0, gens=sorted(set(gens)), parents=parents
     )
 
 
@@ -285,7 +288,7 @@ def reduce_generators(gens):
         layer = [g for g in gen_list if g.rank == r]
         if kept:
             reached = saturate(gen_list[0].n, kept, min_rank=r)
-            layer = [g for g in layer if g.img not in reached]
+            layer = [g for g in layer if bytes(g.img) not in reached]
         kept += layer
     return sorted(kept)
 
@@ -300,7 +303,8 @@ def inverse_orbit_size(n: int, gens) -> int:
     Since (g1...gk)^-1 = gk^-1...g1^-1, S = <gens> is an inverse
     subsemigroup of I_n, where aa^-1 = id(dom a) and a^-1a = id(im a).
 
-    - Image sets, as n-bit masks, are acted on by A.g = (A & dom g)g,
+    - Image sets, keyed by the set of an image's bytes (with 0 in it
+      exactly when rank < n), are acted on by A.g = (A & dom g)g,
       and im(ag) = (im a).g, so the image sets of S are the orbit of
       the generators' image sets.  Each is the domain and image of the
       idempotent id_A = a^-1a of S, and these are all its idempotents.
@@ -319,72 +323,73 @@ def inverse_orbit_size(n: int, gens) -> int:
       elements (Howie, Fundamentals of Semigroup Theory, 1995, ch. 5).
 
     So |S| is the sum of |class|^2 |G| over the classes.  Closure under
-    inverse is checked literally on img tuples, and a generator whose
-    inverse is missing raises ValueError; no fence fact is read.
+    inverse is checked literally on bytes images, and a generator whose
+    inverse is missing raises ValueError; no fence fact is read.  The
+    orbit runs on bytes images, the Schreier products included.
     """
     gen_list = _generator_list(n, gens)
-    imgs = {g.img for g in gen_list}
+    imgs = {bytes(g.img) for g in gen_list}
     for g in gen_list:
-        if tuple(inverse_img(g.img)) not in imgs:
+        if inverse_img(g.img) not in imgs:
             raise ValueError(f"the inverse of {g.encode()} is not among the generators")
 
-    padded_gens = [(0,) + g.img for g in gen_list]
-    bits = [0] + [1 << x for x in range(n)]  # image point -> its bit; 0 marks none
-
-    def mask(img):
-        return sum(map(bits.__getitem__, img))
-
-    seen = set(map(mask, imgs))  # image sets found so far
+    tables = [translate_table(g.img) for g in gen_list]
+    seen = set(map(frozenset, imgs))  # image sets found so far
     pending = list(seen)
-    placed: set[int] = set()  # image sets whose class is counted
+    placed: set[frozenset] = set()  # image sets whose class is counted
     size = 0
     while pending:
         root = pending.pop()
         if root in placed:
             continue
-        ident = tuple(x if root >> (x - 1) & 1 else 0 for x in range(1, n + 1))
+        ident = bytes(x if x in root else 0 for x in range(1, n + 1))
         zeros = ident.count(0)
-        # image set B -> padded inverse of u_B, the BFS tree's map root -> B
-        back = {root: (0,) + ident}
+        # image set B -> table of the inverse of u_B, the BFS tree's map root -> B
+        back = {root: translate_table(ident)}
         schreier = set()
         frontier = [ident]
         while frontier:
             new = []
             for u in frontier:
-                for p in map(multiplier(u), padded_gens):
-                    b = mask(p)
+                for p in map(u.translate, tables):
+                    b = frozenset(p)
                     if p.count(0) != zeros:  # rank drops: b lies in a lower class
                         if b not in seen:
                             seen.add(b)
                             pending.append(b)
                     elif b in back:
-                        schreier.add(multiplier(p)(back[b]))
+                        schreier.add(p.translate(back[b]))
                     else:
-                        back[b] = (0,) + tuple(inverse_img(p))
+                        back[b] = translate_table(inverse_img(p))
                         new.append(p)
             frontier = new
         seen.update(back)
         placed.update(back)
         # a semigroup of permutations of R is a group, so id_R and the
         # Schreier generators saturate to G
-        group = saturate(n, [PartialInjection(n, s) for s in schreier | {ident}])
+        group = saturate(n, [PartialInjection(n, tuple(s)) for s in schreier | {ident}])
         size += len(back) ** 2 * len(group)
     return size
 
 
 def generated_size(n: int, gens) -> int:
-    """|<gens>|, computed from the generators :func:`reduce_generators`
-    keeps, R.
+    """|<gens>|, by :func:`_reduced_size` from the generators
+    :func:`reduce_generators` keeps."""
+    gens = list(gens)
+    return _reduced_size(n, reduce_generators(gens), gens)
+
+
+def _reduced_size(n: int, reduced, gens) -> int:
+    """|<gens>| from R = ``reduced``, a subset of ``gens`` that generates
+    the same semigroup.
 
     When ``gens`` is closed under inverse, R + R^-1 generates the same
     semigroup (R inside gens = gens^-1 inside <R>), and its size comes
     from :func:`inverse_orbit_size` without listing it.  Otherwise it is
     the size of the :func:`saturate` of R.
     """
-    gens = list(gens)
-    reduced = reduce_generators(gens)
-    imgs = {g.img for g in gens}
-    if all(tuple(inverse_img(img)) in imgs for img in imgs):
+    imgs = {bytes(g.img) for g in gens}
+    if all(inverse_img(img) in imgs for img in imgs):
         return inverse_orbit_size(n, reduced + [g.inverse() for g in reduced])
     return len(saturate(n, reduced))
 
@@ -403,10 +408,10 @@ def principal_ideals(table: SemigroupTable):
     """
     if not table.closed:
         raise ValueError("principal ideals need a closed table")
-    imgs = [e.img for e in table.elements]
-    padded = [(0,) + b for b in imgs]
+    imgs = table.imgs
+    tables = [translate_table(b) for b in imgs]
     position = table.index.__getitem__
-    rows = [tuple(map(position, map(multiplier(a), padded))) for a in imgs]
+    rows = [tuple(map(position, map(a.translate, tables))) for a in imgs]
     bits = [1 << i for i in range(len(imgs))]
     right_members = [set(row) | {i} for i, row in enumerate(rows)]
     left_members = [set(col) | {j} for j, col in enumerate(zip(*rows))]
@@ -478,22 +483,27 @@ def _rank_keeping_rows(table: SemigroupTable, gens) -> list[array]:
     table position, holding only the edges that keep rank.
 
     ``x*g`` keeps x's rank iff im x is inside dom g, and ``g*x`` iff
-    dom x is inside im g; both are tested on bitmasks before the product
-    is formed, so no rank-lowering product is computed.
+    dom x is inside im g; both are tested on bitmasks, read once per
+    image, before the product is formed, so no rank-lowering product is
+    computed.  The left products ``g*x`` share one translate table of x.
     """
     index = table.index
-    right_gens: dict[int, list] = {}  # im x -> padded g with im x inside dom g
-    left_muls: dict[int, list] = {}  # dom x -> multiplier(g) with dom x inside im g
+    bits = [1 << x for x in range(table.n)]
+    point_bits = [0] + bits  # image point -> its bit; 0 marks none
+    right_parts = [(g.dom_mask(), translate_table(g.img)) for g in gens]
+    left_parts = [(g.im_mask(), bytes(g.img)) for g in gens]
+    right_tables: dict[int, list] = {}  # im x -> tables of g with im x inside dom g
+    left_imgs: dict[int, list] = {}  # dom x -> images of g with dom x inside im g
     succ: list[array] = []  # 4-byte entries: the rows hold up to |S| * 2|gens| edges
-    for x in table.elements:
-        im, dom = x.im_mask(), x.dom_mask()
-        if im not in right_gens:
-            right_gens[im] = [(0,) + g.img for g in gens if not im & ~g.dom_mask()]
-        if dom not in left_muls:
-            left_muls[dom] = [multiplier(g.img) for g in gens if not dom & ~g.im_mask()]
-        padded_x = (0,) + x.img
-        row = {index[p] for p in map(multiplier(x.img), right_gens[im])}
-        row.update(index[mul(padded_x)] for mul in left_muls[dom])
+    for x in table.imgs:
+        im, dom = sum(map(point_bits.__getitem__, x)), sum(itertools.compress(bits, x))
+        if im not in right_tables:
+            right_tables[im] = [table for dom_g, table in right_parts if not im & ~dom_g]
+        if dom not in left_imgs:
+            left_imgs[dom] = [img for im_g, img in left_parts if not dom & ~im_g]
+        left = map(bytes.translate, left_imgs[dom], itertools.repeat(translate_table(x)))
+        row = set(map(index.__getitem__, map(x.translate, right_tables[im])))
+        row.update(map(index.__getitem__, left))
         succ.append(array("i", sorted(row)))
     return succ
 
@@ -506,24 +516,25 @@ def ideal_j_classes(table: SemigroupTable, gens):
     left/right multiplication by elements of a generating set.  Any
     generating set will do, so the graph is built over
     :func:`reduce_generators` of ``gens``, which generates what ``gens``
-    does.  The generating property of that set is verified by
-    :func:`is_generating` before use, so nothing beyond the definition
-    of an ideal is assumed.
+    does.  The generating property of that set is verified, as
+    :func:`is_generating` does but on the one reduction, before use, so
+    nothing beyond the definition of an ideal is assumed.
 
     No edge ``x -> x*g`` or ``x -> g*x`` raises rank, so an edge that
     lowers it lies on no cycle, and dropping it leaves every strongly
     connected component unchanged: the graph holds only the edges of
     :func:`_rank_keeping_rows`, and :func:`_strong_components` splits
-    it.  Returns the classes as sorted element lists, ordered by least
-    member: the table is in canonical order, so each class fills in
-    sorted.  A table closed under inverses gets the same classes from
+    it.  Returns the classes as sorted lists of bytes images, ordered by
+    least member: the table is in canonical order, so each class fills
+    in sorted.  A table closed under inverses gets the same classes from
     :func:`inverse_j_classes` at a fraction of the cost; this graph
     serves tables that are not, such as PFI_n.
     """
-    gens = reduce_generators(gens)
-    if not is_generating(table, gens):
+    gens = _members(table, gens)
+    reduced = reduce_generators(gens)
+    if not (gens and _reduced_size(table.n, reduced, gens) == len(table)):
         raise ValueError("oracle generators do not generate the table")
-    return fibres(_strong_components(_rank_keeping_rows(table, gens)), table.elements)
+    return fibres(_strong_components(_rank_keeping_rows(table, reduced)), table.imgs)
 
 
 def inverse_j_classes(table: SemigroupTable):
@@ -541,67 +552,65 @@ def inverse_j_classes(table: SemigroupTable):
     The edge of a^-1 reverses the edge of a, so this graph is symmetric
     and :func:`_strong_components` gives its connected components.
 
-    Closure under inverse is checked literally on img tuples; closure
+    Closure under inverse is checked literally on bytes images; closure
     under products is taken from the table's ``closed`` flag.  For
     ``build(n, "IF")`` it holds: if a and b preserve the fence, so does
     ab, and so does its inverse b^-1 a^-1 when a^-1 and b^-1 do, so the
     composite of two maps that preserve the fence both ways does too.
     No fingerprint and no fence fact is read, so the partition tests the
     J criterion without assuming it.  Returns the classes as sorted
-    element lists, ordered by least member.
+    lists of bytes images, ordered by least member.
     """
     if not table.closed:
         raise ValueError("J-classes from domains and images need a table closed under products")
-    n = table.n
-    imgs = [e.img for e in table.elements]
+    imgs = table.imgs
     index = table.index
-    bits = [1 << x for x in range(n)]
-    doms = [sum(itertools.compress(bits, img)) for img in imgs]
-    # nodes are the domains that occur, not all 2^n masks
+    doms = [img.translate(DEFINED) for img in imgs]
+    # nodes are the domains that occur, not all 2^n subsets
     number = {dom: i for i, dom in enumerate(dict.fromkeys(doms))}
     succ: list[set] = [set() for _ in number]
     for img, dom in zip(imgs, doms):
-        pos = index.get(tuple(inverse_img(img)))
+        pos = index.get(inverse_img(img))
         if pos is None:
-            elt = PartialInjection(n, img).encode()
+            elt = PartialInjection(table.n, tuple(img)).encode()
             raise ValueError(f"the inverse of {elt} is not in the table")
         succ[number[dom]].add(number[doms[pos]])  # im a = dom a^-1
     comp = dict(zip(number, _strong_components(succ)))
-    return fibres(map(comp.__getitem__, doms), table.elements)
+    return fibres(map(comp.__getitem__, doms), table.imgs)
 
 
-def is_generating(table: SemigroupTable, gens) -> bool:
-    """True iff the set gens generates has the table's full size, by
-    :func:`generated_size`.
-
-    gens lies in the table, so that set lies in it too when the table
-    is closed under products; a table that is not, such as a floored
-    closure, could match the size spuriously and raises ValueError.
-    """
+def _members(table: SemigroupTable, gens) -> list:
+    """``gens`` as a list, each checked to lie in the table, so that the
+    set they generate does too.  A table not closed under products, such
+    as a floored closure, could match its size spuriously: ValueError."""
     if not table.closed:
         raise ValueError("a generation check needs a table closed under products")
     gens = list(gens)
     for g in gens:
         if g not in table:
             raise NotSubsetError(f"{g.encode()} is not an element of the table")
-    if not gens:
-        return False
-    return generated_size(table.n, gens) == len(table)
+    return gens
+
+
+def is_generating(table: SemigroupTable, gens) -> bool:
+    """True iff the set gens generates, inside the table by :func:`_members`,
+    has the table's full size, by :func:`generated_size`."""
+    gens = _members(table, gens)
+    return bool(gens) and generated_size(table.n, gens) == len(table)
 
 
 def _irreducibles_within(layer):
-    """The elements of ``layer`` that are not a product of two other
-    elements of ``layer``, in ``layer``'s order."""
-    top = [e.img for e in layer]
-    padded_top = [(0,) + b for b in top]
+    """The bytes images of ``layer`` that are not a product of two other
+    images of ``layer``, in ``layer``'s order."""
+    tables = [translate_table(b) for b in layer]
     reducible = set()
-    for a in top:
-        products = list(map(multiplier(a), padded_top))
+    for a in layer:
+        products = list(map(a.translate, tables))
         # products a*b that differ from b, then from a
-        row = set(itertools.compress(products, map(ne, products, top)))
+        row = set(itertools.compress(products, map(ne, products, layer)))
         row.discard(a)
         reducible |= row
-    return tuple(e for e in layer if e.img not in reducible)
+    return [b for b in layer if b not in reducible]
 
 
 def _irreducible_scan(table: SemigroupTable):
@@ -630,17 +639,19 @@ def _irreducible_scan(table: SemigroupTable):
     if not table.closed:
         raise ValueError("irreducibles are only meaningful for a closed table")
     n = table.n
+    ranks = [n - img.count(0) for img in table.imgs]
     k = max(n - 2, 0)
     while True:
-        layer = [e for e in table.elements if e.rank >= k]
-        irr = _irreducibles_within(layer)
+        layer = [img for img, r in zip(table.imgs, ranks) if r >= k]
+        irr = tuple(PartialInjection(n, tuple(b)) for b in _irreducibles_within(layer))
         if k == 0:
             return irr, len(irr) == len(layer) or is_generating(table, irr)
         if is_generating(table, irr):
             return irr, True
-        if len(irr) < len(layer) and is_generating(table, layer):
-            return irr, False
-        k = max((e.rank for e in table.elements if e.rank < k), default=0)
+        if len(irr) < len(layer):
+            if is_generating(table, [PartialInjection(n, tuple(b)) for b in layer]):
+                return irr, False
+        k = max((r for r in ranks if r < k), default=0)
 
 
 def irreducibles(table: SemigroupTable):
@@ -693,7 +704,7 @@ def regular_elements(table: SemigroupTable):
     intersecting per-pair index sets; a has no witness when none holds
     them all.  The least candidate is confirmed with the literal product.
     """
-    imgs = [e.img for e in table.elements]
+    imgs = table.imgs
     holders: dict[tuple[int, int], set[int]] = {}
     for pos, img in enumerate(imgs):
         for x, v in enumerate(img, start=1):
@@ -706,9 +717,9 @@ def regular_elements(table: SemigroupTable):
         needed = [holders.get((v, x), set()) for x, v in enumerate(a, start=1) if v]
         candidates = min(needed, key=len).intersection(*needed) if needed else everyone
         if candidates:
-            elt = PartialInjection(n, a)
-            ax = multiplier(a)((0,) + imgs[min(candidates)])
-            if multiplier(ax)((0,) + a) != a:
+            elt = PartialInjection(n, tuple(a))
+            ax = a.translate(translate_table(imgs[min(candidates)]))
+            if ax.translate(translate_table(a)) != a:
                 raise RuntimeError(f"regular witness for {elt.encode()} failed its check")
             out.append(elt)
     return tuple(out)

@@ -285,7 +285,7 @@ def set_j(n: int):
         for k in range(3)
         for omit in itertools.combinations(pts, k)
     ]
-    return tuple(sorted(PartialInjection(n, img) for img in place_blocks(n, domains)))
+    return tuple(PartialInjection(n, tuple(img)) for img in sorted(place_blocks(n, domains)))
 
 
 def set_g(n: int):

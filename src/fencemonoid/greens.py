@@ -20,7 +20,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 
 from .fence import in_if, require_if
-from .pinj import OutOfRangeError, PartialInjection, SizeMismatchError
+from .pinj import DEFINED, OutOfRangeError, PartialInjection, SizeMismatchError
 
 
 class NotJRelatedError(ValueError):
@@ -157,21 +157,21 @@ def j_witness(a: PartialInjection, b: PartialInjection):
 
 
 def j_classes(table):
-    """Partition a table's elements into J-classes (fingerprint fibers).
+    """Partition a table's bytes images into J-classes (fingerprint fibers).
 
     :func:`j_invariant` reads only the domain, so it is computed once per
-    distinct domain, keyed by the domain's pattern of defined slots, and
-    shared by every element with that domain.  The table is in canonical
-    order, so each class fills in sorted and the classes are met in order
-    of least member.
+    distinct domain, keyed by the domain's pattern of defined slots, on
+    the first element met with that domain, and shared by every image
+    with that domain.  The table is in canonical order, so each class
+    fills in sorted and the classes are met in order of least member.
     """
-    keys: dict[tuple, tuple] = {}
-    fibers: dict[tuple, list[PartialInjection]] = defaultdict(list)
-    for elt in table.elements:
-        dom = tuple(map(bool, elt.img))
+    keys: dict[bytes, tuple] = {}
+    fibers: dict[tuple, list[bytes]] = defaultdict(list)
+    for img in table.imgs:
+        dom = img.translate(DEFINED)
         key = keys.get(dom)
         if key is None:
-            inv = j_invariant(elt)
+            inv = j_invariant(PartialInjection(table.n, tuple(img)))
             key = keys[dom] = (inv.sizes, inv.odd_starts)
-        fibers[key].append(elt)
+        fibers[key].append(img)
     return list(fibers.values())

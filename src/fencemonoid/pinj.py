@@ -5,21 +5,24 @@ right.  An element is stored as a fixed-length tuple ``img`` where
 ``img[x-1]`` is the image of ``x`` and 0 means "undefined".  Values are
 immutable and freely shareable.
 
-Products have two kernels, one per access pattern.  :func:`multiplier`
-serves one left factor met by many right factors, as an img tuple each:
-the bulk products of :mod:`enumeration` and ``PartialInjection.__mul__``.
-:func:`translate_table` serves a word folded left to right, one letter
-at a time, as bytes: ``acc.translate(translate_table(b))`` is ``acc``
-times ``b``.  A letter folded many times keeps the table its gate gave
-it (:func:`~fencemonoid.genfam.checked_letter`); any other operand is
+Every product has one kernel, :func:`translate_table`: with the left
+factor's img held as bytes, ``a.translate(translate_table(b))`` is the
+img of ``a*b``.  The bulk products of :mod:`enumeration` run on the
+bytes images of a table and build each right factor's table once; a
+word folds left to right, one letter at a time.  A letter folded many
+times keeps the table its gate gave it
+(:func:`~fencemonoid.genfam.checked_letter`); any other operand is
 given a throwaway one.
 """
 
 from __future__ import annotations
 
-from operator import itemgetter
-
 MAX_N = 32  # below 256: a translate table holds points as byte values
+
+# per n: the points 1..n as bytes, and n zeros followed by them
+_POINTS = [(bytes(range(1, n + 1)), bytes(n) + bytes(range(1, n + 1))) for n in range(MAX_N + 1)]
+# a bytes img translated through this table is its pattern of defined slots
+DEFINED = b"\0" + b"\1" * 255
 
 
 class OutOfRangeError(ValueError):
@@ -131,7 +134,8 @@ class PartialInjection:
             return NotImplemented
         if self.n != other.n:
             raise SizeMismatchError(f"ambient sizes differ: {self.n} != {other.n}")
-        return PartialInjection(self.n, multiplier(self.img)((0,) + other.img))
+        table = other._table or translate_table(other.img)
+        return PartialInjection(self.n, tuple(bytes(self.img).translate(table)))
 
     def inverse(self) -> "PartialInjection":
         return PartialInjection(self.n, tuple(inverse_img(self.img)))
@@ -172,39 +176,24 @@ class PartialInjection:
         return f"<pinj {self.encode()}>"
 
 
-def multiplier(img: tuple[int, ...]):
-    """The product kernel: ``multiplier(a)((0,) + b)`` is the img of ``a*b``.
-
-    With ``b`` padded by a leading 0, slot ``v`` holds the image of ``v``
-    under ``b`` and slot 0 keeps "undefined" undefined, so the product is
-    a C-level ``itemgetter`` lookup of ``a``'s values.  Building the
-    getter once and calling it on many padded right factors is the bulk
-    form.  ``itemgetter`` of one index returns a scalar, so n = 1 wraps it.
-    """
-    if len(img) == 1:
-        (v,) = img
-        return lambda padded: (padded[v],)
-    return itemgetter(*img)
-
-
-def translate_table(img: tuple[int, ...]) -> bytes:
-    """The fold kernel: ``acc.translate(translate_table(b))`` is the img of
-    ``acc*b``, as bytes, for an img ``acc`` held as bytes.
+def translate_table(img) -> bytes:
+    """The product kernel: ``acc.translate(translate_table(b))`` is the
+    img of ``acc*b``, as bytes, for an img ``acc`` held as bytes and an
+    img ``b`` given as bytes or a tuple.
 
     Slot ``v`` of the 256-byte table holds the image of ``v`` under ``b``
     and slot 0 keeps "undefined" undefined; the slots past n are never
     read.  Points are byte values, so n stays below 256 (:data:`MAX_N`).
     """
-    return bytes((0, *img)).ljust(256, b"\0")
+    return (b"\0" + bytes(img)).ljust(256, b"\0")
 
 
-def inverse_img(img) -> list:
-    """The inverse kernel: the img of the inverse map, as a plain list."""
-    inv = [0] * (len(img) + 1)  # slot 0 collects the undefined points
-    for x, v in enumerate(img, 1):
-        inv[v] = x
-    del inv[0]
-    return inv
+def inverse_img(img) -> bytes:
+    """The inverse kernel: the img of the inverse map, as bytes, for an img
+    given as bytes or a tuple.  The table ``maketrans`` builds sends every
+    point to 0, then each image point back to its source."""
+    points, unset = _POINTS[len(img)]
+    return points.translate(bytes.maketrans(points + bytes(img), unset))
 
 
 def parse(text: str) -> PartialInjection:

@@ -3,6 +3,7 @@ import pytest
 from fencemonoid import enumeration as en
 from fencemonoid.fence import in_if, in_pfi
 from fencemonoid.pinj import PartialInjection
+from tuple_kernel import i_imgs
 
 _cache = {}
 
@@ -46,11 +47,12 @@ def ideal_sets():
 def filter_oracle():
     """filter_oracle(n, which): the sorted img of every map of I_n that
     passes the membership test of ``which`` (PFI or IF), the brute-force
-    reference for ``enumeration.place_blocks``."""
+    reference for ``enumeration.place_blocks``; every map of I_n for I."""
 
     def get(n, which):
+        if which == "I":
+            return sorted(i_imgs(n))
         test = {"PFI": in_pfi, "IF": in_if}[which]
-        imgs = en._iter_imgs_for_domains(n, en._domains(n))
-        return sorted(img for img in imgs if test(PartialInjection(n, img)))
+        return sorted(img for img in i_imgs(n) if test(PartialInjection(n, img)))
 
     return get

@@ -255,9 +255,9 @@ def test_verify_jcrit_detects_rank_only_partition(monkeypatch):
     # rank merges J-classes from n = 4 on; the n >= 6 oracle must see it
     def by_rank(table):
         classes = {}
-        for a in table.elements:
-            classes.setdefault(a.rank, []).append(a)
-        return sorted(classes.values(), key=lambda cls: cls[0].key)
+        for img, a in zip(table.imgs, table.elements):
+            classes.setdefault(a.rank, []).append(img)
+        return sorted(classes.values(), key=lambda cls: cls[0])
 
     monkeypatch.setattr(greens, "j_classes", by_rank)
     code, out, _ = run("verify", "--n", "6", "--claim", "jcrit", "--format", "json")

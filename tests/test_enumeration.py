@@ -13,7 +13,9 @@ from fencemonoid.enumeration import (
     NotSubsetError,
     TooLargeError,
 )
-from fencemonoid.pinj import PartialInjection, multiplier
+from fencemonoid.pinj import PartialInjection
+import tuple_kernel as slow
+from tuple_kernel import multiplier
 
 ALPHA = pinj.make(6, {(1, 3), (2, 2), (4, 6), (5, 5), (6, 4)})
 
@@ -51,11 +53,14 @@ def test_build_deterministic():
 
 
 def test_build_matches_filter_oracle(table, filter_oracle):
-    # block placement against the brute-force filter over all of I_n
-    for which in ("PFI", "IF"):
-        for n in range(1, 9):
+    # block placement against the brute-force filter over all of I_n, and
+    # I_n against its tuple listing: the sorted bytes images are the
+    # sorted img tuples, so the elements come in the oracle's order
+    for which, top in (("I", 6), ("PFI", 8), ("IF", 8)):
+        for n in range(1, top + 1):
             oracle = filter_oracle(n, which)
             assert [e.img for e in table(n, which)] == oracle, (which, n)
+            assert table(n, which).imgs == list(map(bytes, oracle)), (which, n)
 
 
 def test_build_makes_no_membership_tests(monkeypatch):
@@ -132,7 +137,7 @@ def test_floored_closure_words_match_full():
             floored = en.closure(n, gens, k)
             assert floored.closed == (k == 0)
             assert floored.elements == tuple(e for e in full if e.rank >= k)
-            assert en.saturate(n, gens, k).keys() == {e.img for e in floored}
+            assert en.saturate(n, gens, k).keys() == {bytes(e.img) for e in floored}
             for a in floored:
                 assert floored.word_for(a) == full.word_for(a)
     ident, empty = PartialInjection.identity(4), PartialInjection.empty(4)
@@ -470,7 +475,7 @@ def _unpruned_rows(table, gens):
     """Successor rows of the two-sided Cayley graph with every edge, rank-
     lowering ones included: the row builder the rank-keeping one replaced."""
     imgs = [e.img for e in table.elements]
-    index = table.index
+    index = {img: i for i, img in enumerate(imgs)}
     gen_muls = [multiplier(g.img) for g in gens]
     padded_gens = [(0,) + g.img for g in gens]
     succ = []
@@ -521,7 +526,7 @@ def test_inverse_j_classes_match_all_pairs_principal_ideals(table):
             for i in range(size)
         ]
         oracle = sorted(set(related))
-        got = sorted(tuple(map(tbl.position, cls)) for cls in en.inverse_j_classes(tbl))
+        got = sorted(tuple(map(tbl.index.__getitem__, cls)) for cls in en.inverse_j_classes(tbl))
         assert got == oracle, n
 
 
@@ -648,7 +653,7 @@ def test_ideal_j_classes_follow_edge_direction_on_pfi(table):
                 tuple(j for j in range(size) if jsets[i] >> j & jsets[j] >> i & 1)
                 for i in range(size)
             }
-            got = sorted(tuple(map(tbl.position, cls)) for cls in classes)
+            got = sorted(tuple(map(tbl.index.__getitem__, cls)) for cls in classes)
             assert got == sorted(related), n
     assert counts == [3, 6, 11, 20, 38]
 
@@ -673,6 +678,89 @@ def test_regular_elements_match_full_scan(table):
         assert en.regular_elements(tbl) == _regular_full_scan(tbl)
     for tbl in _low_rank_closures():
         assert en.regular_elements(tbl) == _regular_full_scan(tbl)
+
+
+def _kernel_cases(table):
+    """(n, generators) for the bulk consumers: set_j and set_g, the rank
+    layers of IF_n for n <= 6, and the reduced set_j with inverses."""
+    for n in range(1, 9):
+        yield n, genfam.set_j(n)
+        yield n, _with_inverses(en.reduce_generators(genfam.set_j(n)))
+        if n % 2 == 0:
+            yield n, genfam.set_g(n)
+        if n <= 6:
+            for k in range(n + 1):
+                yield n, [e for e in table(n) if e.rank >= k]
+
+
+def test_saturate_matches_tuple_kernel(table):
+    # the same parents in the same discovery order, floored or not
+    for n, gens in _kernel_cases(table):
+        for k in sorted({0, max(n - 2, 0), n}):
+            got = [
+                (tuple(img), (parent if parent is None else tuple(parent), gi))
+                for img, (parent, gi) in en.saturate(n, gens, k).items()
+            ]
+            assert got == list(slow.saturate(n, gens, k).items()), (n, len(gens), k)
+
+
+def test_orbit_size_matches_tuple_kernel(table):
+    cases = list(_kernel_cases(table)) + list(_random_inverse_closed_sets())
+    for n, gens in cases:
+        if all(g.inverse() in set(gens) for g in gens):
+            assert en.inverse_orbit_size(n, gens) == slow.inverse_orbit_size(n, gens), n
+
+
+def test_principal_ideals_match_tuple_kernel(table):
+    tables = [table(n) for n in range(1, 7)] + [table(n, "PFI") for n in range(1, 6)]
+    for tbl in tables + _low_rank_closures():
+        assert en.principal_ideals(tbl) == slow.principal_ideals(tbl)
+
+
+def test_rank_keeping_rows_match_tuple_kernel(table):
+    cases = [(table(n), en.reduce_generators(genfam.set_j(n))) for n in range(1, 9)]
+    for n in range(1, 7):
+        pfi = table(n, "PFI")
+        cases.append((pfi, [e for e in pfi.elements if e.rank >= n - 2]))
+    for tbl, gens in cases:
+        got = [list(row) for row in en._rank_keeping_rows(tbl, gens)]
+        assert got == slow.rank_keeping_rows(tbl, gens), (tbl.n, len(tbl))
+
+
+def test_irreducibles_within_match_tuple_kernel(table):
+    tables = [table(n) for n in range(1, 7)] + [table(n, "PFI") for n in range(1, 6)]
+    for tbl in tables + _low_rank_closures():
+        for k in range(tbl.n + 1):
+            layer = [img for img in tbl.imgs if tbl.n - img.count(0) >= k]
+            got = [tuple(img) for img in en._irreducibles_within(layer)]
+            assert got == slow.irreducibles_within(list(map(tuple, layer))), (tbl.n, k)
+
+
+def test_regular_elements_match_tuple_kernel(table):
+    tables = [table(n, "PFI") for n in range(1, 8)] + [table(n) for n in range(1, 9)]
+    for tbl in tables + _low_rank_closures():
+        assert en.regular_elements(tbl) == slow.regular_elements(tbl), (tbl.n, len(tbl))
+
+
+def test_ideal_j_classes_reduce_the_generators_once(monkeypatch, table):
+    # the reduced set goes straight to the size check: one reduction, and
+    # its two floored saturations, at n = 8
+    calls = {"reduce": 0, "floored": 0}
+    real_reduce, real_saturate = en.reduce_generators, en.saturate
+
+    def reduce(gens):
+        calls["reduce"] += 1
+        return real_reduce(gens)
+
+    def saturate(n, gens, min_rank=0):
+        calls["floored"] += min_rank > 0
+        return real_saturate(n, gens, min_rank)
+
+    monkeypatch.setattr(en, "reduce_generators", reduce)
+    monkeypatch.setattr(en, "saturate", saturate)
+    classes = en.ideal_j_classes(table(8), genfam.set_j(8))
+    assert len(classes) == 42
+    assert calls == {"reduce": 1, "floored": 2}
 
 
 def test_least_generating_set_even(table):

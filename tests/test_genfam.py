@@ -12,6 +12,7 @@ from fencemonoid import factor, fence, genfam, pinj
 from fencemonoid.enumeration import TooLargeError
 from fencemonoid.genfam import BadIndexError, GeneratorSpec, OddAmbientError
 from fencemonoid.pinj import PartialInjection
+from tuple_kernel import multiplier
 
 
 def test_sigma1_map():
@@ -133,7 +134,7 @@ def _multiplier_fold(letters, n):
     """The fold on the bulk kernel: one ``multiplier`` product per letter."""
     acc = tuple(range(1, n + 1))
     for letter in letters:
-        acc = pinj.multiplier(acc)((0,) + letter.img)
+        acc = multiplier(acc)((0,) + letter.img)
     return acc
 
 
@@ -141,7 +142,8 @@ def _random_letter(rng, n):
     """A seeded member of IF_n of rank >= n-2, through the letter gate:
     a random domain of that size and a random placement of its blocks."""
     dom = tuple(sorted(rng.sample(range(1, n + 1), rng.randint(max(n - 2, 0), n))))
-    return genfam.checked_letter(PartialInjection(n, rng.choice(en.place_blocks(n, [dom]))))
+    img = tuple(rng.choice(en.place_blocks(n, [dom])))
+    return genfam.checked_letter(PartialInjection(n, img))
 
 
 def test_translate_fold_matches_multiplier_fold_and_object_product():

@@ -17,6 +17,7 @@ import pytest
 
 from fencemonoid import cli, greens
 from fencemonoid import enumeration as en
+from fencemonoid.pinj import PartialInjection
 
 # n -> (text, json)
 JCRIT = {
@@ -122,12 +123,12 @@ def _pairs(table):
     if3 = [e.encode() for e in table(3)]
     pairs = [("3", a, b) for a in if3 for b in if3]
     rng = random.Random(23)
-    elements = table(6).elements
+    elements, imgs = table(6).elements, table(6).imgs
     classes = greens.j_classes(table(6))
     for i in range(200):
         a = rng.choice(elements)
-        pool = next(c for c in classes if a in c) if i % 2 else elements
-        pairs.append(("6", a.encode(), rng.choice(pool).encode()))
+        pool = next(c for c in classes if bytes(a.img) in c) if i % 2 else imgs
+        pairs.append(("6", a.encode(), PartialInjection(6, tuple(rng.choice(pool))).encode()))
     pairs += [
         ("32", "n=32:[1>1 2>2 3>3 7>7 8>8 20>20]", "n=32:[9>31 10>30 11>29 25>7 26>6 14>14]"),
         ("6", "n=6:[1>1]", "n=6:[1>3 2>2 4>6 5>5 6>4]"),
@@ -166,7 +167,7 @@ def _pair_scan(n):
     fiber = [0] * len(table)
     for c, cls in enumerate(crit):
         for a in cls:
-            fiber[table.position(a)] = c
+            fiber[table.index[a]] = c
     for i, a in enumerate(table.elements):
         for j, b in enumerate(table.elements):
             criterion = fiber[i] == fiber[j]
@@ -182,8 +183,8 @@ def _pair_scan(n):
 
 def _by_image(table):
     classes = {}
-    for a in table.elements:
-        classes.setdefault(a.image(), []).append(a)
+    for img, a in zip(table.imgs, table.elements):
+        classes.setdefault(a.image(), []).append(img)
     return list(classes.values())
 
 

@@ -10,6 +10,7 @@ from fencemonoid.pinj import (
     PartialInjection,
     SizeMismatchError,
 )
+from tuple_kernel import multiplier
 
 COUNTEREXAMPLE_PAIRS = {(1, 3), (2, 2), (4, 6), (5, 5), (6, 4)}
 
@@ -185,5 +186,6 @@ def test_product_kernel_matches_formula(table):
         for a in elements:
             for b in elements:
                 expected = _product_by_formula(a.img, b.img)
-                assert pinj.multiplier(a.img)((0,) + b.img) == expected
+                assert multiplier(a.img)((0,) + b.img) == expected
+                assert tuple(bytes(a.img).translate(pinj.translate_table(b.img))) == expected
                 assert (a * b).img == expected

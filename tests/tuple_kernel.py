@@ -1,0 +1,179 @@
+"""The slow path, kept as the oracle for the bytes kernel.
+
+The product kernel here is a C-level ``itemgetter`` over img tuples, and
+every bulk consumer of :mod:`fencemonoid.enumeration` is restated on it:
+saturation, the image-set orbit, principal ideals, rank-keeping Cayley
+rows, irreducibles within a layer, regular elements and the listing of
+I_n.  Each works on img tuples and reads nothing from a table but its
+elements, so the tests can require the bytes versions to give the same
+results in the same order.
+"""
+
+import itertools
+from functools import reduce
+from operator import itemgetter, ne, or_
+
+from fencemonoid.pinj import PartialInjection
+
+
+def multiplier(img):
+    """``multiplier(a)((0,) + b)`` is the img of ``a*b``.
+
+    With ``b`` padded by a leading 0, slot ``v`` holds the image of ``v``
+    under ``b`` and slot 0 keeps "undefined" undefined, so the product is
+    an ``itemgetter`` lookup of ``a``'s values.  ``itemgetter`` of one
+    index returns a scalar, so n = 1 wraps it.
+    """
+    if len(img) == 1:
+        (v,) = img
+        return lambda padded: (padded[v],)
+    return itemgetter(*img)
+
+
+def _inverse(img):
+    """The img of the inverse map, point by point."""
+    inv = [0] * (len(img) + 1)  # slot 0 collects the undefined points
+    for x, v in enumerate(img, 1):
+        inv[v] = x
+    return tuple(inv[1:])
+
+
+def i_imgs(n):
+    """The img of every partial injection of {1..n}, unsorted."""
+    pts = range(1, n + 1)
+    for k in range(n + 1):
+        for dom in itertools.combinations(pts, k):
+            for perm in itertools.permutations(pts, k):
+                img = [0] * n
+                for x, y in zip(dom, perm):
+                    img[x - 1] = y
+                yield tuple(img)
+
+
+def saturate(n, gens, min_rank=0):
+    """img -> (parent img or None, generator position), in discovery order."""
+    gen_list = sorted(set(gens))
+    padded_gens = [(0,) + g.img for g in gen_list]
+    max_zeros = n - min_rank
+    parents = {
+        g.img: (None, gi) for gi, g in enumerate(gen_list) if g.img.count(0) <= max_zeros
+    }
+    frontier = sorted(parents)
+    while frontier:
+        new = []
+        for x in frontier:
+            for gi, p in enumerate(map(multiplier(x), padded_gens)):
+                if p not in parents and p.count(0) <= max_zeros:
+                    parents[p] = (x, gi)
+                    new.append(p)
+        frontier = sorted(new)
+    return parents
+
+
+def inverse_orbit_size(n, gens):
+    """|<gens>| for an inverse-closed set, from the orbit of image sets."""
+    gen_list = sorted(set(gens))
+    padded_gens = [(0,) + g.img for g in gen_list]
+    bits = [0] + [1 << x for x in range(n)]
+
+    def mask(img):
+        return sum(map(bits.__getitem__, img))
+
+    seen = {mask(g.img) for g in gen_list}
+    pending = list(seen)
+    placed = set()
+    size = 0
+    while pending:
+        root = pending.pop()
+        if root in placed:
+            continue
+        ident = tuple(x if root >> (x - 1) & 1 else 0 for x in range(1, n + 1))
+        zeros = ident.count(0)
+        back = {root: (0,) + ident}
+        schreier = set()
+        frontier = [ident]
+        while frontier:
+            new = []
+            for u in frontier:
+                for p in map(multiplier(u), padded_gens):
+                    b = mask(p)
+                    if p.count(0) != zeros:
+                        if b not in seen:
+                            seen.add(b)
+                            pending.append(b)
+                    elif b in back:
+                        schreier.add(multiplier(p)(back[b]))
+                    else:
+                        back[b] = (0,) + _inverse(p)
+                        new.append(p)
+            frontier = new
+        seen.update(back)
+        placed.update(back)
+        group = saturate(n, [PartialInjection(n, s) for s in schreier | {ident}])
+        size += len(back) ** 2 * len(group)
+    return size
+
+
+def principal_ideals(table):
+    """(right, left, two_sided) position bitmasks, from every product."""
+    imgs = [e.img for e in table.elements]
+    padded = [(0,) + b for b in imgs]
+    position = {img: i for i, img in enumerate(imgs)}.__getitem__
+    rows = [tuple(map(position, map(multiplier(a), padded))) for a in imgs]
+    bits = [1 << i for i in range(len(imgs))]
+    right_members = [set(row) | {i} for i, row in enumerate(rows)]
+    left_members = [set(col) | {j} for j, col in enumerate(zip(*rows))]
+    right = tuple(sum(map(bits.__getitem__, found)) for found in right_members)
+    left = tuple(sum(map(bits.__getitem__, found)) for found in left_members)
+    two_sided = tuple(reduce(or_, map(right.__getitem__, found)) for found in left_members)
+    return right, left, two_sided
+
+
+def rank_keeping_rows(table, gens):
+    """Sorted successor positions of each element under ``x*g`` and
+    ``g*x`` for the generators g that keep its rank."""
+    imgs = [e.img for e in table.elements]
+    index = {img: i for i, img in enumerate(imgs)}
+    succ = []
+    for x in table.elements:
+        im, dom = x.im_mask(), x.dom_mask()
+        right = [(0,) + g.img for g in gens if not im & ~g.dom_mask()]
+        left = [multiplier(g.img) for g in gens if not dom & ~g.im_mask()]
+        padded_x = (0,) + x.img
+        row = {index[p] for p in map(multiplier(x.img), right)}
+        row.update(index[mul(padded_x)] for mul in left)
+        succ.append(sorted(row))
+    return succ
+
+
+def irreducibles_within(top):
+    """The imgs of ``top`` that are no product of two others in it."""
+    padded_top = [(0,) + b for b in top]
+    reducible = set()
+    for a in top:
+        products = list(map(multiplier(a), padded_top))
+        row = set(itertools.compress(products, map(ne, products, top)))
+        row.discard(a)
+        reducible |= row
+    return [b for b in top if b not in reducible]
+
+
+def regular_elements(table):
+    """Elements a with an x in the table extending a's inverse, each
+    confirmed by the literal product a*x*a == a."""
+    imgs = [e.img for e in table.elements]
+    holders = {}
+    for pos, img in enumerate(imgs):
+        for x, v in enumerate(img, start=1):
+            if v:
+                holders.setdefault((x, v), set()).add(pos)
+    everyone = set(range(len(imgs)))
+    out = []
+    for a in imgs:
+        needed = [holders.get((v, x), set()) for x, v in enumerate(a, start=1) if v]
+        candidates = min(needed, key=len).intersection(*needed) if needed else everyone
+        if candidates:
+            ax = multiplier(a)((0,) + imgs[min(candidates)])
+            if multiplier(ax)((0,) + a) == a:
+                out.append(PartialInjection(table.n, a))
+    return tuple(out)
