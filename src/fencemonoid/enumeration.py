@@ -330,7 +330,7 @@ def inverse_orbit_size(n: int, gens) -> int:
     gen_list = _generator_list(n, gens)
     imgs = {bytes(g.img) for g in gen_list}
     for g in gen_list:
-        if inverse_img(g.img) not in imgs:
+        if inverse_img(bytes(g.img)) not in imgs:
             raise ValueError(f"the inverse of {g.encode()} is not among the generators")
 
     tables = [translate_table(g.img) for g in gen_list]
@@ -698,28 +698,24 @@ def semigroup_rank(table: SemigroupTable):
 def regular_elements(table: SemigroupTable):
     """Elements a with some x in the table satisfying a*x*a == a.
 
-    a*x*a == a holds exactly when x maps each point y of im a to its
-    preimage under a, i.e. when x extends a's inverse.  So the candidates
-    for x are the elements holding every (y, a^-1(y)) pair, found by
-    intersecting per-pair index sets; a has no witness when none holds
-    them all.  The least candidate is confirmed with the literal product.
+    In a subsemigroup S of I_n, a is regular iff a^-1 lies in S.  If
+    a*x*a == a, then y = x*a*x lies in S with a*y*a = a and y*a*y = y,
+    an inverse of a; inverses in I_n are unique (Howie, Fundamentals of
+    Semigroup Theory, 1995, Thm 5.1.1), so y = a^-1.  Conversely
+    a*a^-1*a = a.  So one pass looks each inverse up in the table and
+    confirms each hit with the literal product.  Closure under products
+    is taken from the table's ``closed`` flag; a table that is not
+    closed, such as a floored closure, raises ValueError.
     """
-    imgs = table.imgs
-    holders: dict[tuple[int, int], set[int]] = {}
-    for pos, img in enumerate(imgs):
-        for x, v in enumerate(img, start=1):
-            if v:
-                holders.setdefault((x, v), set()).add(pos)
-    everyone = set(range(len(imgs)))
-    n = table.n
+    if not table.closed:
+        raise ValueError("regular elements need a table closed under products")
+    index = table.index
     out = []
-    for a in imgs:
-        needed = [holders.get((v, x), set()) for x, v in enumerate(a, start=1) if v]
-        candidates = min(needed, key=len).intersection(*needed) if needed else everyone
-        if candidates:
-            elt = PartialInjection(n, tuple(a))
-            ax = a.translate(translate_table(imgs[min(candidates)]))
-            if ax.translate(translate_table(a)) != a:
+    for a in table.imgs:
+        inv = inverse_img(a)
+        if inv in index:
+            elt = PartialInjection(table.n, tuple(a))
+            if a.translate(translate_table(inv)).translate(translate_table(a)) != a:
                 raise RuntimeError(f"regular witness for {elt.encode()} failed its check")
             out.append(elt)
     return tuple(out)

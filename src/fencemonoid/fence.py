@@ -57,7 +57,7 @@ def membership(a: PartialInjection) -> Membership:
     """Classify a map as NotPFI, PFIOnly (one direction), or IF (both)."""
     if not preserves_fence(a):
         return Membership.NOT_PFI
-    if not _preserves(inverse_img(a.img)):
+    if not _preserves(inverse_img(bytes(a.img))):
         return Membership.PFI_ONLY
     return Membership.IF
 
@@ -70,7 +70,7 @@ def in_if(a: PartialInjection) -> bool:
     """Both directions preserve the fence.  The inverse is tested as a
     plain list of images; no inverse element is built."""
     img = a.img
-    return _preserves(img) and _preserves(inverse_img(img))
+    return _preserves(img) and _preserves(inverse_img(bytes(img)))
 
 
 def require_if(a: PartialInjection) -> None:

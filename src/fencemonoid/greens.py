@@ -16,7 +16,7 @@ directions; whether the fingerprint criterion extends to the one-way
 
 from __future__ import annotations
 
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 
 from .fence import in_if, require_if
@@ -81,22 +81,21 @@ class JInvariant:
 
 
 def j_invariant(a: PartialInjection) -> JInvariant:
-    """Fingerprint of a's domain blocks; constant exactly on J-classes."""
-    total: dict[int, int] = defaultdict(int)
-    odd: dict[int, int] = defaultdict(int)
-    for start, length in blocks(a.n, a.domain()):
-        total[length] += 1
-        if _keeps_start_parity(length) and start % 2 == 1:
-            odd[length] += 1
-    sizes = tuple(sorted(total.items()))
-    odd_starts = tuple((k, odd[k]) for k, _ in sizes if _keeps_start_parity(k))
+    """Fingerprint of a's domain blocks, counted from their
+    :func:`_block_key`; constant exactly on J-classes."""
+    keys = _shape(_block_order(a))
+    # the keys ascend by length, so the counts come out ascending
+    sizes = tuple(Counter(length for length, _ in keys).items())
+    even = Counter(length for length, starts_even in keys if starts_even)
+    odd_starts = tuple((k, cnt - even[k]) for k, cnt in sizes if _keeps_start_parity(k))
     return JInvariant(sizes, odd_starts)
 
 
 def _block_key(start: int, length: int) -> tuple[int, bool]:
     """A domain block's part of the fingerprint: its length and, where
-    the length keeps start parity, whether it starts even.  The multiset
-    of a map's block keys is its :func:`j_invariant`."""
+    the length keeps start parity, whether it starts even.  This is the
+    one place the start parity is read: the multiset of a map's block
+    keys is its J fingerprint, and :func:`j_invariant` counts it."""
     return length, _keeps_start_parity(length) and start % 2 == 0
 
 
@@ -106,9 +105,10 @@ def _block_order(x: PartialInjection) -> list[tuple[int, int]]:
     return sorted(blocks(x.n, x.domain()), key=lambda blk: (_block_key(*blk), blk[0]))
 
 
-def _shape(order) -> list[tuple[int, bool]]:
-    """The keys of a block order; equal exactly for equal fingerprints."""
-    return [_block_key(*blk) for blk in order]
+def _shape(order) -> tuple[tuple[int, bool], ...]:
+    """The keys of a block order, ascending as the order sorts by key;
+    equal exactly for equal fingerprints."""
+    return tuple(_block_key(*blk) for blk in order)
 
 
 def relations(a: PartialInjection, b: PartialInjection) -> dict[str, bool]:
@@ -159,11 +159,12 @@ def j_witness(a: PartialInjection, b: PartialInjection):
 def j_classes(table):
     """Partition a table's bytes images into J-classes (fingerprint fibers).
 
-    :func:`j_invariant` reads only the domain, so it is computed once per
-    distinct domain, keyed by the domain's pattern of defined slots, on
-    the first element met with that domain, and shared by every image
-    with that domain.  The table is in canonical order, so each class
-    fills in sorted and the classes are met in order of least member.
+    The fingerprint reads only the domain, so the sorted block keys are
+    computed once per distinct domain, keyed by the domain's pattern of
+    defined slots, on the first element met with that domain, and shared
+    by every image with that domain.  The table is in canonical order,
+    so each class fills in sorted and the classes are met in order of
+    least member.
     """
     keys: dict[bytes, tuple] = {}
     fibers: dict[tuple, list[bytes]] = defaultdict(list)
@@ -171,7 +172,6 @@ def j_classes(table):
         dom = img.translate(DEFINED)
         key = keys.get(dom)
         if key is None:
-            inv = j_invariant(PartialInjection(table.n, tuple(img)))
-            key = keys[dom] = (inv.sizes, inv.odd_starts)
+            key = keys[dom] = _shape(_block_order(PartialInjection(table.n, tuple(img))))
         fibers[key].append(img)
     return list(fibers.values())

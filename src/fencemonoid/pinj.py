@@ -138,7 +138,7 @@ class PartialInjection:
         return PartialInjection(self.n, tuple(bytes(self.img).translate(table)))
 
     def inverse(self) -> "PartialInjection":
-        return PartialInjection(self.n, tuple(inverse_img(self.img)))
+        return PartialInjection(self.n, tuple(inverse_img(bytes(self.img))))
 
     def is_partial_identity(self) -> bool:
         return all(v == 0 or v == x for x, v in enumerate(self.img, start=1))
@@ -188,12 +188,13 @@ def translate_table(img) -> bytes:
     return (b"\0" + bytes(img)).ljust(256, b"\0")
 
 
-def inverse_img(img) -> bytes:
-    """The inverse kernel: the img of the inverse map, as bytes, for an img
-    given as bytes or a tuple.  The table ``maketrans`` builds sends every
-    point to 0, then each image point back to its source."""
+def inverse_img(img: bytes) -> bytes:
+    """The inverse kernel: the img of the inverse map, for an img held as
+    bytes; callers holding a tuple convert it.  The table ``maketrans``
+    builds sends every point to 0, then each image point back to its
+    source."""
     points, unset = _POINTS[len(img)]
-    return points.translate(bytes.maketrans(points + bytes(img), unset))
+    return points.translate(bytes.maketrans(points + img, unset))
 
 
 def parse(text: str) -> PartialInjection:

@@ -742,6 +742,30 @@ def test_regular_elements_match_tuple_kernel(table):
         assert en.regular_elements(tbl) == slow.regular_elements(tbl), (tbl.n, len(tbl))
 
 
+def test_regular_elements_refuse_table_not_closed():
+    # a floored closure of set_j and its inverses is the rank >= n-2
+    # layer of IF_n: every member's inverse is in it, yet products fall out
+    n = 5
+    floored = en.closure(n, _with_inverses(genfam.set_j(n)), n - 2)
+    assert not floored.closed
+    assert all(pinj.inverse_img(img) in floored.index for img in floored.imgs)
+    with pytest.raises(ValueError, match="closed under products"):
+        en.regular_elements(floored)
+
+
+def test_regular_elements_confirm_each_inverse_with_the_product(monkeypatch, table):
+    # an inverse lookup that answers with the next member's image finds
+    # it in the table, and the literal product a*x*a == a refuses it
+    tbl = table(4, "PFI")
+
+    def next_member(img):
+        return tbl.imgs[(tbl.index[img] + 1) % len(tbl)]
+
+    monkeypatch.setattr(en, "inverse_img", next_member)
+    with pytest.raises(RuntimeError, match="failed its check"):
+        en.regular_elements(tbl)
+
+
 def test_ideal_j_classes_reduce_the_generators_once(monkeypatch, table):
     # the reduced set goes straight to the size check: one reduction, and
     # its two floored saturations, at n = 8

@@ -289,7 +289,7 @@ def test_interval_moves_match_loop_builders():
                     letters = factor.build_shift_word(n, m, p, d, asc)
                     elt = _loop_interval_elt(n, m, p, d + 2, image_of)
                     assert genfam._value(letters, n) == elt.img
-                    assert genfam._value(letters[::-1], n) == tuple(inverse_img(elt.img))
+                    assert genfam._value(letters[::-1], n) == tuple(inverse_img(bytes(elt.img)))
                 cases += 1 + len(targets)
     assert cases == 59976
 
@@ -670,7 +670,7 @@ def test_apply_step_matches_object_products(monkeypatch, table):
                 lhs, rhs = factor._step(bf)
                 for letters in (lhs, rhs):
                     value = genfam._value(letters, n)
-                    assert genfam._value(letters[::-1], n) == tuple(inverse_img(value))
+                    assert genfam._value(letters[::-1], n) == tuple(inverse_img(bytes(value)))
                 points = [x for b in bf.blocks[: bf.i - 1] for x in range(b.r, b.s + 1)]
                 new = factor._next_form(bf, lhs, rhs).elt.img
                 assert new == _old_apply_step(core, Word(n, lhs), Word(n, rhs), points)

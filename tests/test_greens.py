@@ -189,10 +189,11 @@ def _j_classes_per_element(table):
 def test_j_classes_match_per_element_fibering(monkeypatch, table):
     for n in range(1, 10):
         assert greens.j_classes(table(n)) == _j_classes_per_element(table(n)), n
-    # one fingerprint per distinct domain: every subset of {1..8} is one
+    # one block decomposition per distinct domain: every subset of
+    # {1..8} is one
     calls = []
-    real = greens.j_invariant
-    monkeypatch.setattr(greens, "j_invariant", lambda a: calls.append(a) or real(a))
+    real = greens.blocks
+    monkeypatch.setattr(greens, "blocks", lambda n, points: calls.append(n) or real(n, points))
     greens.j_classes(table(8))
     assert len(calls) == 2**8
 

@@ -211,11 +211,10 @@ def _planting(attr, value):
     "plant, pair, criterion, oracle",
     [
         # rank alone merges the two rank-2 maps of different J-classes
-        (_planting("j_invariant", lambda a: greens.JInvariant(((a.rank, 1),), ())),
+        (_planting("_shape", lambda order: (sum(length for _, length in order),)),
          ["n=4:[3>1 4>2]", "n=4:[2>1 4>3]"], True, False),
         # the domain itself splits one J-class into its R-classes
-        (_planting("j_invariant",
-                   lambda a: greens.JInvariant(tuple((x, 1) for x in a.domain()), ())),
+        (_planting("_shape", lambda order: tuple(sorted(order))),
          ["n=4:[4>1]", "n=4:[3>1]"], False, True),
         # the image splits one J-class into its L-classes
         (_planting("j_classes", _by_image), ["n=4:[4>1]", "n=4:[4>2]"], False, True),

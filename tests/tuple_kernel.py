@@ -6,7 +6,8 @@ saturation, the image-set orbit, principal ideals, rank-keeping Cayley
 rows, irreducibles within a layer, regular elements and the listing of
 I_n.  Each works on img tuples and reads nothing from a table but its
 elements, so the tests can require the bytes versions to give the same
-results in the same order.
+results in the same order.  Regular elements keep the per-pair index
+search that the inverse lookup of the bytes version replaced.
 """
 
 import itertools
@@ -159,8 +160,9 @@ def irreducibles_within(top):
 
 
 def regular_elements(table):
-    """Elements a with an x in the table extending a's inverse, each
-    confirmed by the literal product a*x*a == a."""
+    """Elements a with an x in the table extending a's inverse, found by
+    intersecting the sets of elements that hold each (point, image) pair
+    of a's inverse, each confirmed by the literal product a*x*a == a."""
     imgs = [e.img for e in table.elements]
     holders = {}
     for pos, img in enumerate(imgs):
