@@ -79,7 +79,7 @@ def cmd_greens(args) -> CommandResult:
         classes = greens.j_classes(table)
         rows = []
         for idx, cls in enumerate(classes):
-            least = pinj.PartialInjection(args.n, tuple(cls[0]))
+            least = pinj.PartialInjection(args.n, cls[0])
             inv, rep = greens.j_invariant(least).encode(), least.encode()
             rows.append({"class": idx, "invariant": inv, "size": len(cls), "representative": rep})
         return CommandResult("ok", {"count": len(table), "classes": rows})
@@ -227,7 +227,7 @@ def _verify_rank(n):
 
 def _verify_odd_neg(n):
     table = en.build(n, "IF")
-    high = [pinj.PartialInjection(n, tuple(img)) for img in table.imgs if img.count(0) <= 1]
+    high = [pinj.PartialInjection(n, img) for img in table.imgs if img.count(0) <= 1]
     generates = en.is_generating(table, high)
     least = en.least_generating_set(table)
     ok = not generates and least is None
@@ -254,7 +254,7 @@ def _verify_jcrit(n):
         a = next(a for a in table.imgs if crit_of[a] != oracle_of[a])
         b = min(crit_of[a] ^ oracle_of[a])  # images sort in table order
         criterion = b in crit_of[a]
-        pair = [pinj.PartialInjection(n, tuple(img)).encode() for img in (a, b)]
+        pair = [pinj.PartialInjection(n, img).encode() for img in (a, b)]
         return False, {"counterexample": pair, "criterion": criterion, "oracle": not criterion}
     # oracle: D = J in the inverse semigroup IF_n, whose R- and L-classes
     # are fixed by domain and image; it reads no fingerprint and no fence

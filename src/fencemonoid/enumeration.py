@@ -55,13 +55,12 @@ class NotSubsetError(ValueError):
 class SemigroupTable:
     """A canonically sorted set of partial injections with product access.
 
-    ``imgs`` holds the bytes images of the elements, sorted and pairwise
-    distinct: bytes of one length sort as the img tuples do, so this is
-    the canonical order.  ``index`` maps each image to its position, and
-    ``elements`` gives the elements as objects, built on first use.  For
-    closure-built tables, ``gens`` holds the declared generators and each
-    element carries one shortest discovery word over them, retrievable
-    via :meth:`word_for`.
+    ``imgs`` holds the elements' bytes images, sorted (the canonical
+    order) and pairwise distinct.  ``index`` maps each image to its
+    position, and ``elements`` gives the elements as objects, built on
+    first use.  For closure-built tables, ``gens`` holds the declared
+    generators and each element carries one shortest discovery word over
+    them, retrievable via :meth:`word_for`.
     """
 
     def __init__(self, n, imgs, closed, gens=None, parents=None):
@@ -75,7 +74,7 @@ class SemigroupTable:
 
     @cached_property
     def elements(self) -> tuple[PartialInjection, ...]:
-        return tuple(PartialInjection(self.n, tuple(img)) for img in self.imgs)
+        return tuple(PartialInjection(self.n, img) for img in self.imgs)
 
     def __len__(self):
         return len(self.imgs)
@@ -84,11 +83,11 @@ class SemigroupTable:
         return iter(self.elements)
 
     def __contains__(self, elt):
-        return isinstance(elt, PartialInjection) and bytes(elt.img) in self.index
+        return isinstance(elt, PartialInjection) and elt.raw in self.index
 
     def position(self, elt: PartialInjection) -> int:
         try:
-            return self.index[bytes(elt.img)]
+            return self.index[elt.raw]
         except KeyError:
             raise NotMemberError(f"{elt.encode()} is not in the table") from None
 
@@ -234,11 +233,9 @@ def saturate(n: int, gens, min_rank: int = 0) -> dict:
     """
     gen_list = _generator_list(n, gens)
 
-    tables = [translate_table(g.img) for g in gen_list]
+    tables = [translate_table(g.raw) for g in gen_list]
     max_zeros = n - min_rank
-    parents = {
-        bytes(g.img): (None, gi) for gi, g in enumerate(gen_list) if g.img.count(0) <= max_zeros
-    }
+    parents = {g.raw: (None, gi) for gi, g in enumerate(gen_list) if g.raw.count(0) <= max_zeros}
     frontier = sorted(parents)
     while frontier:
         new = []
@@ -288,7 +285,7 @@ def reduce_generators(gens):
         layer = [g for g in gen_list if g.rank == r]
         if kept:
             reached = saturate(gen_list[0].n, kept, min_rank=r)
-            layer = [g for g in layer if bytes(g.img) not in reached]
+            layer = [g for g in layer if g.raw not in reached]
         kept += layer
     return sorted(kept)
 
@@ -328,12 +325,12 @@ def inverse_orbit_size(n: int, gens) -> int:
     orbit runs on bytes images, the Schreier products included.
     """
     gen_list = _generator_list(n, gens)
-    imgs = {bytes(g.img) for g in gen_list}
+    imgs = {g.raw for g in gen_list}
     for g in gen_list:
-        if inverse_img(bytes(g.img)) not in imgs:
+        if inverse_img(g.raw) not in imgs:
             raise ValueError(f"the inverse of {g.encode()} is not among the generators")
 
-    tables = [translate_table(g.img) for g in gen_list]
+    tables = [translate_table(g.raw) for g in gen_list]
     seen = set(map(frozenset, imgs))  # image sets found so far
     pending = list(seen)
     placed: set[frozenset] = set()  # image sets whose class is counted
@@ -367,7 +364,7 @@ def inverse_orbit_size(n: int, gens) -> int:
         placed.update(back)
         # a semigroup of permutations of R is a group, so id_R and the
         # Schreier generators saturate to G
-        group = saturate(n, [PartialInjection(n, tuple(s)) for s in schreier | {ident}])
+        group = saturate(n, [PartialInjection(n, s) for s in schreier | {ident}])
         size += len(back) ** 2 * len(group)
     return size
 
@@ -388,7 +385,7 @@ def _reduced_size(n: int, reduced, gens) -> int:
     from :func:`inverse_orbit_size` without listing it.  Otherwise it is
     the size of the :func:`saturate` of R.
     """
-    imgs = {bytes(g.img) for g in gens}
+    imgs = {g.raw for g in gens}
     if all(inverse_img(img) in imgs for img in imgs):
         return inverse_orbit_size(n, reduced + [g.inverse() for g in reduced])
     return len(saturate(n, reduced))
@@ -490,8 +487,8 @@ def _rank_keeping_rows(table: SemigroupTable, gens) -> list[array]:
     index = table.index
     bits = [1 << x for x in range(table.n)]
     point_bits = [0] + bits  # image point -> its bit; 0 marks none
-    right_parts = [(g.dom_mask(), translate_table(g.img)) for g in gens]
-    left_parts = [(g.im_mask(), bytes(g.img)) for g in gens]
+    right_parts = [(g.dom_mask(), translate_table(g.raw)) for g in gens]
+    left_parts = [(g.im_mask(), g.raw) for g in gens]
     right_tables: dict[int, list] = {}  # im x -> tables of g with im x inside dom g
     left_imgs: dict[int, list] = {}  # dom x -> images of g with dom x inside im g
     succ: list[array] = []  # 4-byte entries: the rows hold up to |S| * 2|gens| edges
@@ -572,7 +569,7 @@ def inverse_j_classes(table: SemigroupTable):
     for img, dom in zip(imgs, doms):
         pos = index.get(inverse_img(img))
         if pos is None:
-            elt = PartialInjection(table.n, tuple(img)).encode()
+            elt = PartialInjection(table.n, img).encode()
             raise ValueError(f"the inverse of {elt} is not in the table")
         succ[number[dom]].add(number[doms[pos]])  # im a = dom a^-1
     comp = dict(zip(number, _strong_components(succ)))
@@ -643,13 +640,13 @@ def _irreducible_scan(table: SemigroupTable):
     k = max(n - 2, 0)
     while True:
         layer = [img for img, r in zip(table.imgs, ranks) if r >= k]
-        irr = tuple(PartialInjection(n, tuple(b)) for b in _irreducibles_within(layer))
+        irr = tuple(PartialInjection(n, b) for b in _irreducibles_within(layer))
         if k == 0:
             return irr, len(irr) == len(layer) or is_generating(table, irr)
         if is_generating(table, irr):
             return irr, True
         if len(irr) < len(layer):
-            if is_generating(table, [PartialInjection(n, tuple(b)) for b in layer]):
+            if is_generating(table, [PartialInjection(n, b) for b in layer]):
                 return irr, False
         k = max((r for r in ranks if r < k), default=0)
 
@@ -686,7 +683,7 @@ def semigroup_rank(table: SemigroupTable):
     lo = len(irr)
     target = len(table)
     current = set(table.elements)
-    for g in sorted(current, key=lambda e: e.key, reverse=True):
+    for g in sorted(current, key=lambda e: e.raw, reverse=True):
         trial = current - {g}
         if trial and len(saturate(table.n, trial)) == target:
             current = trial
@@ -714,7 +711,7 @@ def regular_elements(table: SemigroupTable):
     for a in table.imgs:
         inv = inverse_img(a)
         if inv in index:
-            elt = PartialInjection(table.n, tuple(a))
+            elt = PartialInjection(table.n, a)
             if a.translate(translate_table(inv)).translate(translate_table(a)) != a:
                 raise RuntimeError(f"regular witness for {elt.encode()} failed its check")
             out.append(elt)

@@ -21,19 +21,19 @@ violation routes the element to a breadth-first fallback over the
 rank >= n-2 generators, and the produced word records which path was
 taken.
 
-The pipeline runs on img tuples.  Every product, the parity repair's
-and the far-block reshape's included, is a
+The pipeline runs on bytes images, the elements' own format.  Every
+product, the parity repair's and the far-block reshape's included, is a
 :func:`~fencemonoid.genfam._value` fold over the
 :func:`~fencemonoid.pinj.translate_table` kernel: each memoised letter
 (a reversal, a named generator, a rotation) keeps its table, and a
 step's core or the input gets a throwaway one.  No letter is inverted
 and no move target is built per step: a target is built only by the
 check of its move.  One element is built per step, for its block form.
-The input's form comes from one scan of its img
+The input's form comes from one scan of its image
 (:meth:`BlockForm.from_pinj`), which also decides membership and yields
 the domain and image masks that the alignment reads.  A pin or a
 domain-side covering reversal, nearly every step, changes one window of
-the img, so its form is predicted in closed form and the folded product
+the image, so its form is predicted in closed form and the folded product
 checked against the prediction (:func:`_predicted_form`); any other
 step, and any product that misses its prediction, is scanned as the
 input is.  Each check runs once: the input's membership once per
@@ -81,8 +81,8 @@ def _resolve(letter, n: int) -> PartialInjection:
 
 
 def eval_word(word: Word) -> PartialInjection:
-    """The product of the letters, folded over img tuples; one element is
-    built at the end."""
+    """The product of the letters, folded over bytes images; one element
+    is built at the end."""
     return PartialInjection(word.n, _value(word.letters, word.n))
 
 
@@ -146,7 +146,7 @@ def _check_move(n: int, m: int, p: int, d: int, asc: bool) -> None:
     and a failed check raises and is not recorded."""
     values = range(m + d, m + p + d + 1) if asc else range(m + p + d, m + d - 1, -1)
     elt = interval_map(n, m, values, d + 2)
-    if _value(_move_letters(n, m, p, d, asc), n) != elt.img:
+    if _value(_move_letters(n, m, p, d, asc), n) != elt.raw:
         raise FactorizationError("interval move word does not evaluate to its target")
     if not in_if(elt):
         raise FactorizationError("interval move target leaves the semigroup")
@@ -178,7 +178,7 @@ def build_shift_word(n: int, m: int, p: int, d: int, asc: bool) -> tuple:
 # --- parity normalization ----------------------------------------------------
 
 
-def _mismatches(img: tuple):
+def _mismatches(img: bytes):
     """The domain points whose image differs from them mod 2, ascending."""
     return [x for x, v in enumerate(img, 1) if v and (x - v) % 2]
 
@@ -197,7 +197,7 @@ def _parity_repair(a: PartialInjection):
     every point matches its image mod 2.
 
     Returns (left_inv, right_inv, core): the letters of the rotation
-    words' inverses and the core's img tuple, with
+    words' inverses and the core's bytes image, with
     a = eval(left_inv) * core * eval(right_inv).  A mismatched point is
     always an isolated domain point (its neighbours cannot be in the
     domain), so each rotation repairs exactly one mismatch; even points
@@ -210,7 +210,7 @@ def _parity_repair(a: PartialInjection):
     core = a
     left_inv: list = []
     right_inv: list = []
-    mism = _mismatches(a.img)
+    mism = _mismatches(a.raw)
     for _ in range(n + 1):
         if not mism:
             break
@@ -220,19 +220,19 @@ def _parity_repair(a: PartialInjection):
             new = _value((eta, core), n)
             left_inv.append(inv)
         else:
-            eta, inv = _rotation(n, core.img[mism[0] - 1], False)
+            eta, inv = _rotation(n, core.raw[mism[0] - 1], False)
             new = _value((core, eta), n)
             right_inv.insert(0, inv)
         new_mism = _mismatches(new)
-        if new.count(0) != core.img.count(0) or len(new_mism) != len(mism) - 1:
+        if new.count(0) != core.raw.count(0) or len(new_mism) != len(mism) - 1:
             raise FactorizationError("parity repair did not reduce the mismatch count")
         core, mism = PartialInjection(n, new), new_mism
     else:
         raise FactorizationError("parity repair did not converge")
 
-    if _value((*left_inv, core, *right_inv), n) != a.img:
+    if _value((*left_inv, core, *right_inv), n) != a.raw:
         raise FactorizationError("parity repair is not invertible on this element")
-    return tuple(left_inv), tuple(right_inv), core.img
+    return tuple(left_inv), tuple(right_inv), core.raw
 
 
 # --- block stage form --------------------------------------------------------
@@ -302,7 +302,7 @@ class BlockForm:
 
     @classmethod
     def from_pinj(cls, a: PartialInjection) -> "BlockForm":
-        """The form of a member of the semigroup, from one scan of its img
+        """The form of a member of the semigroup, from one scan of its image
         for parity, domain runs and the monotone-interval test, which
         also decides membership.
 
@@ -325,7 +325,7 @@ class BlockForm:
         blocks = []
         unnormalized = malformed = False
         r = first = last = step = 0  # the open run's start, end images and step
-        for x, v in enumerate(a.img + (0,), 1):  # the trailing 0 ends the last run
+        for x, v in enumerate(a.raw + b"\0", 1):  # the trailing 0 ends the last run
             if not v:
                 if r:
                     t, u = (first, last) if step >= 0 else (last, first)
@@ -485,14 +485,14 @@ def _j_closure(n: int, min_rank: int):
 
 # identity images and undefined ones, sliced for the windows of the
 # predicted steps
-_ID = tuple(range(MAX_N + 1))
-_ZERO = (0,) * MAX_N
+_ID = bytes(range(MAX_N + 1))
+_ZERO = bytes(MAX_N)
 
 
-def _predicted_form(bf: BlockForm, new: tuple):
+def _predicted_form(bf: BlockForm, new: bytes):
     """The form of a step's product ``new`` in closed form, or None.
 
-    Two step kinds change one window of the core's img and leave the
+    Two step kinds change one window of the core's image and leave the
     rest as it is.  A pin of the aligned block [r, s] -> [t, u] on the
     left sends [t, u] onto itself and clears the rest of [t-1, s+1]; one
     on the right sends [r, s] onto itself.  The domain-side covering
@@ -500,7 +500,7 @@ def _predicted_form(bf: BlockForm, new: tuple):
     mirroring the blocks inside: [r, s] -> [t, u] becomes
     [lo+hi-s, lo+hi-r] -> [t, u], in the other direction unless it is a
     single point.  The prediction is read from the form alone.  It is
-    taken when ``new`` is the predicted img, the window lies above the
+    taken when ``new`` is the predicted image, the window lies above the
     fixed prefix (which ``new`` then keeps), and each changed block
     keeps parity and an image interval clear of the others; the form is
     then the one ``BlockForm.from_pinj`` finds for ``new``.  Any other
@@ -508,7 +508,7 @@ def _predicted_form(bf: BlockForm, new: tuple):
     ``(1 << hi) - (1 << lo - 1)``, bit x-1 for point x.
     """
     elt, blocks, idx = bf.elt, bf.blocks, bf.i - 1
-    n, old, im = elt.n, elt.img, bf.im_mask
+    n, old, im = elt.n, elt.raw, bf.im_mask
     nxt = blocks.copy()
     if bf.low == idx:  # aligned: a pin
         r, s, t, u, _ = cur = blocks[idx]
@@ -560,13 +560,13 @@ def _next_form(bf: BlockForm, lhs, rhs) -> BlockForm:
     which checks membership and parity normalization."""
     core = bf.elt
     new = _value((*lhs, core, *rhs), core.n)
-    if new.count(0) != core.img.count(0):
+    if new.count(0) != core.raw.count(0):
         raise FactorizationError("pipeline step lost domain points")
     form = _predicted_form(bf, new)
     if form is not None:
         return form
     for b in bf.blocks[: bf.i - 1]:
-        if new[b.r - 1 : b.s] != core.img[b.r - 1 : b.s]:
+        if new[b.r - 1 : b.s] != core.raw[b.r - 1 : b.s]:
             raise FactorizationError("pipeline step disturbed the fixed prefix")
     return BlockForm.from_pinj(PartialInjection(core.n, new))
 
@@ -590,7 +590,7 @@ def _constructive(a: PartialInjection) -> Word:
     left_inv, right_inv, img = _parity_repair(a)
     head = [left_inv]  # the assembled word's chunks before the residual
     tail = [right_inv]  # and after it, last chunk first
-    core = a if img == a.img else PartialInjection(n, img)
+    core = a if img == a.raw else PartialInjection(n, img)
     bf = BlockForm.from_pinj(core)
     for _ in range(2 * n + 4):
         if bf.all_fixed:
@@ -611,8 +611,8 @@ def _constructive(a: PartialInjection) -> Word:
         raise FactorizationError("block pipeline did not converge")
 
     core = bf.elt
-    eps = _eps_letters(n, [x for x, v in enumerate(core.img, 1) if not v])
-    if _value(eps, n) != core.img:
+    eps = _eps_letters(n, [x for x, v in enumerate(core.raw, 1) if not v])
+    if _value(eps, n) != core.raw:
         raise FactorizationError("residual core is not a partial identity")
 
     # the eps letters multiply to the core, as just checked, so by
@@ -620,7 +620,7 @@ def _constructive(a: PartialInjection) -> Word:
     # place
     before = tuple(itertools.chain(*head))
     after = tuple(itertools.chain(*reversed(tail)))
-    if _value((*before, core, *after), n) != a.img:
+    if _value((*before, core, *after), n) != a.raw:
         raise FactorizationError("assembled word does not evaluate to the input")
     return Word(n, (*before, *eps, *after), provenance="constructive")
 
@@ -671,6 +671,6 @@ def factorize_g(a: PartialInjection) -> Word:
         fallback=base.fallback,
         bfs_letters=misses,
     )
-    if _value(word.letters, n) != a.img:
+    if _value(word.letters, n) != a.raw:
         raise FactorizationError("generator expansion does not evaluate to the input")
     return word

@@ -50,14 +50,14 @@ def _preserves(img) -> bool:
 
 def preserves_fence(a: PartialInjection) -> bool:
     """Forward fence-preservation: x <_f y implies xa <_f ya on the domain."""
-    return _preserves(a.img)
+    return _preserves(a.raw)
 
 
 def membership(a: PartialInjection) -> Membership:
     """Classify a map as NotPFI, PFIOnly (one direction), or IF (both)."""
     if not preserves_fence(a):
         return Membership.NOT_PFI
-    if not _preserves(inverse_img(bytes(a.img))):
+    if not _preserves(inverse_img(a.raw)):
         return Membership.PFI_ONLY
     return Membership.IF
 
@@ -67,10 +67,11 @@ def in_pfi(a: PartialInjection) -> bool:
 
 
 def in_if(a: PartialInjection) -> bool:
-    """Both directions preserve the fence.  The inverse is tested as a
-    plain list of images; no inverse element is built."""
-    img = a.img
-    return _preserves(img) and _preserves(inverse_img(bytes(img)))
+    """Both directions preserve the fence.  The inverse is tested as its
+    bytes image from :func:`~fencemonoid.pinj.inverse_img`; no inverse
+    element is built."""
+    img = a.raw
+    return _preserves(img) and _preserves(inverse_img(img))
 
 
 def require_if(a: PartialInjection) -> None:

@@ -8,8 +8,8 @@ this package produces.  set_j collects all elements of rank >= n-2
 (a generating set for every n); set_g is {id, sig1, sig2} + gammas +
 deltas, the least generating set when n is even, of size n+1.  A
 :class:`Word` is a product of such letters (or of explicit maps), and
-:func:`_value` folds one into the img tuple it evaluates to, on bytes
-through :func:`~fencemonoid.pinj.translate_table`.
+:func:`_value` folds one into the bytes image it evaluates to, through
+:func:`~fencemonoid.pinj.translate_table`.
 
 Every interval move, here and in :mod:`factor` (the reversals and
 shifts of the constructive factorization), is laid out by one builder,
@@ -52,7 +52,7 @@ def checked_letter(a: PartialInjection) -> PartialInjection:
         raise FactorizationError(f"letter {a.encode()} is not high-rank")
     if not in_if(a):
         raise FactorizationError(f"letter {a.encode()} escapes the semigroup")
-    a._table = translate_table(a.img)
+    a._table = translate_table(a.raw)
     return a
 
 
@@ -224,12 +224,12 @@ class Word:
         return " ".join([f"w{self.n}:"] + parts)
 
 
-def _value(letters, n: int) -> tuple:
-    """The img tuple of the product of the letters; () is the identity.
+def _value(letters, n: int) -> bytes:
+    """The bytes image of the product of the letters; () is the identity.
 
-    The fold runs on bytes with the
-    :func:`~fencemonoid.pinj.translate_table` kernel: from the identity,
-    each letter translates the running img through its table.  A
+    The fold runs on the :func:`~fencemonoid.pinj.translate_table`
+    kernel: from the identity, each letter translates the running image
+    through its table.  A
     memoised letter (a generator from :func:`named`, a reversal or an
     inverse from :mod:`factor`) keeps its table; any other operand gets
     a throwaway one, so no caller's element keeps a table.  A letter of
@@ -240,8 +240,8 @@ def _value(letters, n: int) -> tuple:
         elt = named(n, letter) if isinstance(letter, GeneratorSpec) else letter
         if elt.n != n:
             raise SizeMismatchError(f"ambient sizes differ: {n} != {elt.n}")
-        acc = acc.translate(elt._table or translate_table(elt.img))
-    return tuple(acc)
+        acc = acc.translate(elt._table or translate_table(elt.raw))
+    return acc
 
 
 def parse_word(text: str) -> Word:
@@ -285,7 +285,7 @@ def set_j(n: int):
         for k in range(3)
         for omit in itertools.combinations(pts, k)
     ]
-    return tuple(PartialInjection(n, tuple(img)) for img in sorted(place_blocks(n, domains)))
+    return tuple(PartialInjection(n, img) for img in sorted(place_blocks(n, domains)))
 
 
 def set_g(n: int):
@@ -392,7 +392,7 @@ def g_word_for(n: int, target: PartialInjection):
     if n % 2:
         raise OddAmbientError(f"set_g words need even n, got {n}")
     letters = _table_word(n, target)
-    if letters is not None and _value(letters, n) == target.img:
+    if letters is not None and _value(letters, n) == target.raw:
         return Word(n, tuple(letters), provenance="table")
     table = _g_closure(n, min(target.rank, n - 2))
     if target not in table:

@@ -147,7 +147,7 @@ def j_witness(a: PartialInjection, b: PartialInjection):
         up = k == 1 or (i - l) % 2 == 0
         for r in range(k):
             img[i + r - 1] = l + r if up else l + k - 1 - r
-    g = PartialInjection(n, tuple(img))
+    g = PartialInjection(n, img)
     d = a.inverse() * g.inverse() * b
     if not (in_if(g) and in_if(d)):
         raise RuntimeError("witness pair leaves the semigroup")
@@ -172,6 +172,6 @@ def j_classes(table):
         dom = img.translate(DEFINED)
         key = keys.get(dom)
         if key is None:
-            key = keys[dom] = _shape(_block_order(PartialInjection(table.n, tuple(img))))
+            key = keys[dom] = _shape(_block_order(PartialInjection(table.n, img)))
         fibers[key].append(img)
     return list(fibers.values())

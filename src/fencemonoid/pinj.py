@@ -1,15 +1,16 @@
 """Exact arithmetic of partial injective self-maps of {1..n}.
 
 Elements act on the right: ``x(a*b) = (xa)b``, so products read left to
-right.  An element is stored as a fixed-length tuple ``img`` where
-``img[x-1]`` is the image of ``x`` and 0 means "undefined".  Values are
-immutable and freely shareable.
+right.  An element is stored as its bytes image ``raw``, of length n,
+where ``raw[x-1]`` is the image of ``x`` and 0 means "undefined"; this
+is the one element format.  Values are immutable and freely shareable.
 
-Every product has one kernel, :func:`translate_table`: with the left
-factor's img held as bytes, ``a.translate(translate_table(b))`` is the
-img of ``a*b``.  The bulk products of :mod:`enumeration` run on the
-bytes images of a table and build each right factor's table once; a
-word folds left to right, one letter at a time.  A letter folded many
+Every product has one kernel, :func:`translate_table`: for bytes
+images ``a`` and ``b``, ``a.translate(translate_table(b))`` is the
+image of ``a*b``, and :func:`inverse_img` is the inverse kernel.  The
+bulk products of :mod:`enumeration` run on the bytes images of a table
+and build each right factor's table once; a word folds left to right,
+one letter at a time.  A letter folded many
 times keeps the table its gate gave it
 (:func:`~fencemonoid.genfam.checked_letter`); any other operand is
 given a throwaway one.
@@ -44,21 +45,29 @@ class SizeMismatchError(ValueError):
 class PartialInjection:
     """A partial injective map on {1..n}.
 
-    ``img`` is a length-n tuple of small ints; slot x-1 holds the image of
-    x, with 0 as the "undefined" sentinel.  Instances compare and hash by
-    (n, img) and sort by img, which gives the canonical total order used
-    for deterministic enumeration.  ``_table`` is None except on the
-    letters :func:`~fencemonoid.genfam.checked_letter` gave a table.
+    ``raw`` is the length-n bytes image; slot x-1 holds the image of x,
+    with 0 as the "undefined" sentinel.  The constructor keeps bytes as
+    given and converts any other sequence of ints once.  ``img`` is a
+    read-only tuple view of ``raw`` for readers outside the package.
+    Instances compare by (n, raw), hash by raw and sort by raw (bytes of
+    one length sort as the tuples do), which gives the canonical total
+    order used for deterministic enumeration.  ``_table`` is None except
+    on the letters :func:`~fencemonoid.genfam.checked_letter` gave a
+    table.
     """
 
-    __slots__ = ("n", "img", "_hash", "_table")
+    __slots__ = ("n", "raw", "_table")
 
-    def __init__(self, n: int, img: tuple[int, ...]):
+    def __init__(self, n: int, img):
         # Trusted fast constructor: callers guarantee injectivity/range.
         self.n = n
-        self.img = img
-        self._hash = None
+        self.raw = img if img.__class__ is bytes else bytes(img)
         self._table = None
+
+    @property
+    def img(self) -> tuple[int, ...]:
+        """The image as a tuple of ints, a read-only view of ``raw``."""
+        return tuple(self.raw)
 
     @classmethod
     def make(cls, n: int, pairs) -> "PartialInjection":
@@ -78,15 +87,15 @@ class PartialInjection:
                 raise DuplicateTargetError(f"target {y} hit twice (injectivity)")
             img[x - 1] = y
             seen_targets.add(y)
-        return cls(n, tuple(img))
+        return cls(n, img)
 
     @classmethod
     def identity(cls, n: int) -> "PartialInjection":
-        return cls(n, tuple(range(1, n + 1)))
+        return cls(n, range(1, n + 1))
 
     @classmethod
     def empty(cls, n: int) -> "PartialInjection":
-        return cls(n, (0,) * n)
+        return cls(n, bytes(n))
 
     @classmethod
     def identity_on(cls, n: int, points) -> "PartialInjection":
@@ -96,62 +105,54 @@ class PartialInjection:
             if not (1 <= x <= n):
                 raise OutOfRangeError(f"point {x} not in 1..{n}")
             img[x - 1] = x
-        return cls(n, tuple(img))
+        return cls(n, img)
 
     def __call__(self, x: int):
         """Image of x, or None when undefined."""
         if not (1 <= x <= self.n):
             raise OutOfRangeError(f"point {x} not in 1..{self.n}")
-        v = self.img[x - 1]
+        v = self.raw[x - 1]
         return v if v else None
 
     def domain(self) -> tuple[int, ...]:
-        return tuple(x for x in range(1, self.n + 1) if self.img[x - 1])
+        return tuple(x for x, v in enumerate(self.raw, 1) if v)
 
     def image(self) -> tuple[int, ...]:
-        return tuple(sorted(v for v in self.img if v))
+        return tuple(sorted(v for v in self.raw if v))
 
     @property
     def rank(self) -> int:
-        return sum(1 for v in self.img if v)
+        return self.n - self.raw.count(0)
 
     def dom_mask(self) -> int:
-        m = 0
-        for x in range(self.n):
-            if self.img[x]:
-                m |= 1 << x
-        return m
+        return sum(1 << x for x, v in enumerate(self.raw) if v)
 
     def im_mask(self) -> int:
-        m = 0
-        for v in self.img:
-            if v:
-                m |= 1 << (v - 1)
-        return m
+        return sum(1 << v >> 1 for v in self.raw)
 
     def __mul__(self, other: "PartialInjection") -> "PartialInjection":
         if not isinstance(other, PartialInjection):
             return NotImplemented
         if self.n != other.n:
             raise SizeMismatchError(f"ambient sizes differ: {self.n} != {other.n}")
-        table = other._table or translate_table(other.img)
-        return PartialInjection(self.n, tuple(bytes(self.img).translate(table)))
+        table = other._table or translate_table(other.raw)
+        return PartialInjection(self.n, self.raw.translate(table))
 
     def inverse(self) -> "PartialInjection":
-        return PartialInjection(self.n, tuple(inverse_img(bytes(self.img))))
+        return PartialInjection(self.n, inverse_img(self.raw))
 
     def is_partial_identity(self) -> bool:
-        return all(v == 0 or v == x for x, v in enumerate(self.img, start=1))
+        return all(v == 0 or v == x for x, v in enumerate(self.raw, start=1))
 
     @property
     def key(self) -> tuple[int, ...]:
         """Canonical total-order key: equal keys iff equal maps."""
-        return self.img
+        return tuple(self.raw)
 
     def encode(self) -> str:
         """Bit-exact text form, entries sorted by source: ``n=6:[1>3 2>2]``."""
         entries = " ".join(
-            f"{x}>{v}" for x, v in enumerate(self.img, start=1) if v
+            f"{x}>{v}" for x, v in enumerate(self.raw, start=1) if v
         )
         return f"n={self.n}:[{entries}]"
 
@@ -159,38 +160,37 @@ class PartialInjection:
         return (
             isinstance(other, PartialInjection)
             and self.n == other.n
-            and self.img == other.img
+            and self.raw == other.raw
         )
 
     def __hash__(self):
-        if self._hash is None:
-            self._hash = hash((self.n, self.img))
-        return self._hash
+        # the bytes object caches its own hash, and no hash is kept on the
+        # element, so a copy in another process hashes as that process does
+        return hash(self.raw)
 
     def __lt__(self, other: "PartialInjection"):
         if self.n != other.n:
             raise SizeMismatchError("cannot order maps of different ambient size")
-        return self.img < other.img
+        return self.raw < other.raw
 
     def __repr__(self):
         return f"<pinj {self.encode()}>"
 
 
-def translate_table(img) -> bytes:
+def translate_table(img: bytes) -> bytes:
     """The product kernel: ``acc.translate(translate_table(b))`` is the
-    img of ``acc*b``, as bytes, for an img ``acc`` held as bytes and an
-    img ``b`` given as bytes or a tuple.
+    bytes image of ``acc*b``, for bytes images ``acc`` and ``b``.
 
     Slot ``v`` of the 256-byte table holds the image of ``v`` under ``b``
     and slot 0 keeps "undefined" undefined; the slots past n are never
     read.  Points are byte values, so n stays below 256 (:data:`MAX_N`).
     """
-    return (b"\0" + bytes(img)).ljust(256, b"\0")
+    return (b"\0" + img).ljust(256, b"\0")
 
 
 def inverse_img(img: bytes) -> bytes:
-    """The inverse kernel: the img of the inverse map, for an img held as
-    bytes; callers holding a tuple convert it.  The table ``maketrans``
+    """The inverse kernel: the bytes image of the inverse map, for a
+    bytes image.  The table ``maketrans``
     builds sends every point to 0, then each image point back to its
     source."""
     points, unset = _POINTS[len(img)]
@@ -209,12 +209,13 @@ def parse(text: str) -> PartialInjection:
         raise ValueError(f"bad ambient size in {text!r}") from None
     if not (body.startswith("[") and body.endswith("]")):
         raise ValueError(f"bad element literal: {text!r}")
-    inner = body[1:-1].strip()
     pairs = []
-    if inner:
-        for tok in inner.split():
+    try:
+        for tok in body[1:-1].split():
             x, _, y = tok.partition(">")
             pairs.append((int(x), int(y)))
+    except ValueError:
+        raise ValueError(f"bad element literal: {text!r}") from None
     return PartialInjection.make(n, pairs)
 
 

@@ -194,7 +194,7 @@ def _old_build_shift_word(n, kind, m, p, k):
         letters = factor._shift2k_letters(n, m, p, k) + (factor.build_reversal(n, m + 2 * k, p),)
     else:
         raise _KindMismatchError(f"unknown kind {kind!r}")
-    if genfam._value(letters, n) != elt.img:
+    if genfam._value(letters, n) != elt.raw:
         raise factor.FactorizationError(f"{kind} word does not evaluate to its target")
     if not fence.in_if(elt):
         raise factor.FactorizationError(f"{kind} target leaves the semigroup")
@@ -288,8 +288,8 @@ def test_interval_moves_match_loop_builders():
                 for d, asc, image_of in targets:
                     letters = factor.build_shift_word(n, m, p, d, asc)
                     elt = _loop_interval_elt(n, m, p, d + 2, image_of)
-                    assert genfam._value(letters, n) == elt.img
-                    assert genfam._value(letters[::-1], n) == tuple(inverse_img(bytes(elt.img)))
+                    assert genfam._value(letters, n) == elt.raw
+                    assert genfam._value(letters[::-1], n) == inverse_img(elt.raw)
                 cases += 1 + len(targets)
     assert cases == 59976
 
@@ -298,7 +298,7 @@ def test_partial_identity_word():
     # the residual of the pipeline: point-deleted identities, one per
     # point outside the domain; points outside 1..n are boundary
     # neighbours of an interval move and delete nothing
-    assert genfam._value(factor._eps_letters(6, ()), 6) == PartialInjection.identity(6).img
+    assert genfam._value(factor._eps_letters(6, ()), 6) == PartialInjection.identity(6).raw
     assert [l.text() for l in factor._eps_letters(6, [3])] == ["eps:3"]
     letters = factor._eps_letters(6, [1, 4])
     assert factor.eval_word(Word(6, letters)) == pinj.identity_on(6, {2, 3, 5, 6})
@@ -361,7 +361,7 @@ def test_word_text_parse_roundtrip():
 
 def test_parity_normalize_noop_when_aligned():
     a = pinj.make(6, {(1, 3), (2, 4)})
-    assert factor._parity_repair(a) == ((), (), a.img)
+    assert factor._parity_repair(a) == ((), (), a.raw)
 
 
 def test_parity_normalize_single_mismatch():
@@ -376,7 +376,7 @@ def test_parity_normalize_single_mismatch():
 
 def test_parity_normalize_empty_map():
     empty = PartialInjection.empty(5)
-    assert factor._parity_repair(empty) == ((), (), empty.img)
+    assert factor._parity_repair(empty) == ((), (), empty.raw)
 
 
 def test_parity_normalize_exhaustive(table):
@@ -670,7 +670,7 @@ def test_apply_step_matches_object_products(monkeypatch, table):
                 lhs, rhs = factor._step(bf)
                 for letters in (lhs, rhs):
                     value = genfam._value(letters, n)
-                    assert genfam._value(letters[::-1], n) == tuple(inverse_img(bytes(value)))
+                    assert genfam._value(letters[::-1], n) == inverse_img(value)
                 points = [x for b in bf.blocks[: bf.i - 1] for x in range(b.r, b.s + 1)]
                 new = factor._next_form(bf, lhs, rhs).elt.img
                 assert new == _old_apply_step(core, Word(n, lhs), Word(n, rhs), points)
@@ -770,7 +770,7 @@ def test_factorize_sampled_n9_to_32():
                     elt = factor._resolve(letter, n)
                     assert elt.rank >= n - 2 and _old_in_if(elt)
                     if w.provenance != "letter":
-                        assert elt._table == pinj.translate_table(elt.img)
+                        assert elt._table == pinj.translate_table(elt.raw)
             if gset:
                 assert all(factor._resolve(l, n) in gset for l in words[1].letters)
 

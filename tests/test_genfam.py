@@ -158,7 +158,7 @@ def test_translate_fold_matches_multiplier_fold_and_object_product():
             for _ in range(rng.randint(0, 12)):
                 if rng.random() < 0.5:
                     letter = _random_letter(rng, n)
-                    assert letter._table == pinj.translate_table(letter.img)
+                    assert letter._table == pinj.translate_table(letter.raw)
                 else:
                     k = rng.randint(n // 2, n)
                     img = [0] * n
@@ -168,25 +168,25 @@ def test_translate_fold_matches_multiplier_fold_and_object_product():
                     assert letter._table is None
                 letters.append(letter)
             value = genfam._value(letters, n)
-            assert type(value) is tuple
-            assert value == _multiplier_fold(letters, n)
+            assert type(value) is bytes
+            assert tuple(value) == _multiplier_fold(letters, n)
             product = PartialInjection.identity(n)
             for letter in letters:
                 product = product * letter
-            assert value == product.img
+            assert value == product.raw
     # the same with generator specs, resolved through ``named``
     specs = [GeneratorSpec("sig1"), GeneratorSpec("gam", 6), GeneratorSpec("eps", 2),
              GeneratorSpec("del", 3), GeneratorSpec("beta", 1, 5), GeneratorSpec("sig2")]
     elements = [genfam.named(8, s) for s in specs]
-    assert genfam._value(specs, 8) == _multiplier_fold(elements, 8)
+    assert tuple(genfam._value(specs, 8)) == _multiplier_fold(elements, 8)
 
 
 def test_translate_tables_hold_byte_values():
     # a table slot holds a point as one byte
     assert pinj.MAX_N < 256
-    img = tuple(range(pinj.MAX_N, 0, -1))
+    img = bytes(range(pinj.MAX_N, 0, -1))
     table = pinj.translate_table(img)
-    assert len(table) == 256 and table[0] == 0 and tuple(table[1 : pinj.MAX_N + 1]) == img
+    assert len(table) == 256 and table[0] == 0 and table[1 : pinj.MAX_N + 1] == img
     assert not any(table[pinj.MAX_N + 1 :])
 
 
@@ -234,7 +234,7 @@ def test_letter_gate_refuses_escaping_and_low_rank_maps():
     with pytest.raises(factor.FactorizationError):
         genfam.checked_letter(swap)
     a = pinj.make(3, {(1, 1), (3, 3)})
-    assert genfam.checked_letter(a) is a and a._table == pinj.translate_table(a.img)
+    assert genfam.checked_letter(a) is a and a._table == pinj.translate_table(a.raw)
 
 
 def test_constructors_refuse_an_escaping_map(monkeypatch):

@@ -1,4 +1,9 @@
+import os
+import pickle
 import random
+import re
+import subprocess
+import sys
 
 import pytest
 
@@ -167,6 +172,48 @@ def test_parse_rejects_garbage():
     for bad in ("", "6:[1>2]", "n=6:1>2", "n=x:[]"):
         with pytest.raises(ValueError):
             pinj.parse(bad)
+    # a malformed entry names the literal, as a malformed body does
+    for bad in ("n=3:[1-2]", "n=3:[>2]", "n=3:[1>2>3]"):
+        with pytest.raises(ValueError, match=re.escape(f"bad element literal: {bad!r}")):
+            pinj.parse(bad)
+
+
+def test_constructor_stores_one_bytes_image(table):
+    # tuples, lists and bytes give equal elements with equal hashes; the
+    # stored image is bytes and ``img`` is its read-only tuple view
+    elts = [PartialInjection(4, img) for img in ((3, 0, 1, 4), [3, 0, 1, 4], b"\3\0\1\4")]
+    assert len(set(elts)) == 1 and len({hash(a) for a in elts}) == 1
+    for a in elts:
+        assert type(a.raw) is bytes and a.raw == b"\3\0\1\4"
+        assert type(a.img) is tuple and a.img == (3, 0, 1, 4)
+        with pytest.raises(AttributeError):
+            a.img = (1, 2, 3, 4)
+    assert a.img == (3, 0, 1, 4)
+    # the path of a caller that holds tuples, such as the benchmark's
+    elements = table(5)
+    assert len(elements) == 182
+    for a in elements:
+        assert PartialInjection(a.n, a.img) == a
+
+
+def test_unpickled_element_hashes_as_its_process_does():
+    # bytes hashes differ between processes, so an element must not
+    # carry its hash across a pickle
+    code = (
+        "import pickle, sys\n"
+        "from fencemonoid import pinj\n"
+        "a = pickle.loads(sys.stdin.buffer.read())\n"
+        "print({a: 1}.get(pinj.parse('n=4:[1>3 3>1 4>4]')), a.raw == bytes((3, 0, 1, 4)))\n"
+    )
+    a = pinj.parse("n=4:[1>3 3>1 4>4]")
+    hash(a)  # a hash cached on the element would be pickled with it
+    src = os.path.dirname(os.path.dirname(pinj.__file__))
+    env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED="12345")
+    proc = subprocess.run(
+        [sys.executable, "-c", code], input=pickle.dumps(a), env=env, capture_output=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == [b"1", b"True"]
 
 
 def test_parse_accepts_any_pair_order():
@@ -187,5 +234,5 @@ def test_product_kernel_matches_formula(table):
             for b in elements:
                 expected = _product_by_formula(a.img, b.img)
                 assert multiplier(a.img)((0,) + b.img) == expected
-                assert tuple(bytes(a.img).translate(pinj.translate_table(b.img))) == expected
+                assert tuple(a.raw.translate(pinj.translate_table(b.raw))) == expected
                 assert (a * b).img == expected
