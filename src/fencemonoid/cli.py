@@ -2,8 +2,9 @@
 claim verification, with JSON/CSV export.
 
 Exit codes: 0 = ok, 2 = a verified claim was violated (with a
-counterexample in the payload), 1 = usage or resource error.  Text
-output is deterministic given the flags; timing appears only in JSON.
+counterexample in the payload), 1 = usage or resource error, or a
+factorization step that failed its check.  Text output is deterministic
+given the flags; timing appears only in JSON.
 """
 
 from __future__ import annotations
@@ -388,7 +389,7 @@ def main(argv=None) -> int:
         _emit(args, result)
     except BrokenPipeError:
         return 1
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, genfam.FactorizationError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
     return 0 if result.status == "ok" else 2

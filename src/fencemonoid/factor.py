@@ -16,10 +16,9 @@ of letter words, and every letter the steps apply, a reversal or a
 point-deleted identity, is its own inverse, so a step's inverse is its
 words reversed; the rotations of the repair come paired with their
 inverses.  Conjugating back by the inverse words yields the
-factorization.  Each step's postcondition is checked at runtime; any
-violation routes the element to a breadth-first fallback over the
-rank >= n-2 generators, and the produced word records which path was
-taken.
+factorization.  Each step's postcondition is checked at runtime, and a
+violation raises: there is one path, and a word is either the one the
+construction gives or no word at all.
 
 The pipeline runs on bytes images, the elements' own format.  Every
 product, the parity repair's and the far-block reshape's included, is a
@@ -55,16 +54,14 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from . import genfam
-from .enumeration import closure, require_floor_within_limit
+# uncalled: the tracer's CLOSURE_BINDINGS time it, to report factor.j_closure_s
+from .enumeration import closure
 from .fence import in_if, require_if
 from .genfam import (
-    FactorizationError, GeneratorSpec, OddAmbientError, Word, _value, checked_letter, interval_map,
+    BadIndexError, FactorizationError, GeneratorSpec, OddAmbientError, Word, _value, checked_letter,
+    interval_map,
 )
 from .pinj import MAX_N, PartialInjection
-
-
-class BadIndicesError(ValueError):
-    pass
 
 
 class MalformedBlockFormError(ValueError):
@@ -99,9 +96,9 @@ def build_reversal(n: int, m: int, p: int) -> PartialInjection:
     membership checks run once per distinct reversal; bad indices and a
     refused letter are not cached and raise on every call."""
     if m < 1 or p < 0 or m + p > n:
-        raise BadIndicesError(f"need 1 <= m, 0 <= p, m+p <= n; got m={m}, p={p}, n={n}")
+        raise BadIndexError(f"need 1 <= m, 0 <= p, m+p <= n; got m={m}, p={p}, n={n}")
     if p % 2:
-        raise BadIndicesError(f"reversal needs an even interval span, got p={p}")
+        raise BadIndexError(f"reversal needs an even interval span, got p={p}")
     return checked_letter(interval_map(n, m, range(m + p, m - 1, -1)))
 
 
@@ -166,9 +163,9 @@ def build_shift_word(n: int, m: int, p: int, d: int, asc: bool) -> tuple:
     ascending move needs even d, a reversed one a span p of d's parity.
     """
     if m < 1 or p < 0 or d < 0 or m + p + d > n:
-        raise BadIndicesError(f"need 1 <= m, 0 <= p, 0 <= d, m+p+d <= n (m={m}, p={p}, d={d})")
+        raise BadIndexError(f"need 1 <= m, 0 <= p, 0 <= d, m+p+d <= n (m={m}, p={p}, d={d})")
     if asc and d % 2:
-        raise BadIndicesError(f"an ascending move needs an even displacement, got d={d}")
+        raise BadIndexError(f"an ascending move needs an even displacement, got d={d}")
     if not asc and d == 0:
         return (build_reversal(n, m, p),)
     _check_move(n, m, p, d, asc)
@@ -477,12 +474,6 @@ def _pins_left(blk: _Block) -> bool:
 # --- top-level factorization --------------------------------------------------
 
 
-@functools.lru_cache(maxsize=8)
-def _j_closure(n: int, min_rank: int):
-    require_floor_within_limit(n, min_rank)
-    return closure(n, genfam.set_j(n), min_rank)
-
-
 # identity images and undefined ones, sliced for the windows of the
 # predicted steps
 _ID = bytes(range(MAX_N + 1))
@@ -629,29 +620,25 @@ def factorize_j(a: PartialInjection) -> Word:
     """Factor any element into letters of rank >= n-2.
 
     High-rank inputs are their own one-letter word.  Everything else
-    runs the constructive pipeline; if any internal postcondition fails
-    the element is factored by breadth-first search instead and the word
-    is flagged as a fallback.  That search is floored at the element's
-    rank, and past the IF limit it raises :class:`TooLargeError`.
+    runs the constructive pipeline, whose failed postcondition raises
+    :class:`FactorizationError`, :class:`MalformedBlockFormError` or
+    :class:`~fencemonoid.genfam.BadIndexError`: a defect of the pipeline,
+    never a word from another method.  ``fallback`` is always false.
     """
     require_if(a)
     n = a.n
     if a.rank >= n - 2:
         return Word(n, (a,), provenance="letter")
-    try:
-        return _constructive(a)
-    except (FactorizationError, MalformedBlockFormError, BadIndicesError):
-        # the closure's stored shortest word: independent of the pipeline
-        letters = tuple(_j_closure(n, a.rank).word_for(a))
-        return Word(n, letters, provenance="bfs-fallback", fallback=True)
+    return _constructive(a)
 
 
 def factorize_g(a: PartialInjection) -> Word:
     """Factor an element over set_g (even ambient size only).
 
     Runs :func:`factorize_j`, then expands each high-rank letter through
-    the identity table or its BFS fallback; ``bfs_letters`` counts the
-    letters that needed the table miss path.
+    the identity table, or for a letter outside it through a word of the
+    Cayley closure of set_g (:func:`~fencemonoid.genfam.g_word_for`);
+    ``bfs_letters`` counts the letters that took the closure.
     """
     n = a.n
     if n % 2:
@@ -664,13 +651,7 @@ def factorize_g(a: PartialInjection) -> Word:
         gw = genfam.g_word_for(n, _resolve(letter, n))
         letters.extend(gw.letters)
         misses += gw.provenance == "bfs"
-    word = Word(
-        n,
-        tuple(letters),
-        provenance="g-expansion",
-        fallback=base.fallback,
-        bfs_letters=misses,
-    )
+    word = Word(n, tuple(letters), provenance="g-expansion", bfs_letters=misses)
     if _value(word.letters, n) != a.raw:
         raise FactorizationError("generator expansion does not evaluate to the input")
     return word

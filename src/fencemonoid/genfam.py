@@ -31,7 +31,7 @@ from .pinj import PartialInjection, SizeMismatchError, parse, translate_table
 
 
 class BadIndexError(ValueError):
-    pass
+    """Interval or generator indices out of range for the ambient size."""
 
 
 class OddAmbientError(ValueError):
@@ -39,8 +39,9 @@ class OddAmbientError(ValueError):
 
 
 class FactorizationError(RuntimeError):
-    """A letter or a factorization step failed its check; inside
-    :func:`~fencemonoid.factor.factorize_j` it triggers the BFS fallback."""
+    """A letter or a factorization step failed its check: a defect of the
+    pipeline, which :func:`~fencemonoid.factor.factorize_j` raises, never
+    answering with a word from another method."""
 
 
 def checked_letter(a: PartialInjection) -> PartialInjection:
@@ -207,7 +208,7 @@ class Word:
     n: int
     letters: tuple = ()
     provenance: str = "direct"
-    fallback: bool = False
+    fallback: bool = False  # always false; the v1 payload keeps the field
     bfs_letters: int = 0
 
     def __len__(self):
@@ -344,7 +345,7 @@ def _table_word(n: int, target: PartialInjection):
     Covers the set_g members themselves, every eps_i, the two
     parity-repair shapes, and interval reversals beta_{i,j} whose
     expansion indices stay inside the gamma/delta ranges.  Everything
-    else goes to the breadth-first fallback.
+    else goes to the closure search of :func:`g_word_for`.
     """
     lookup = _g_spec_lookup(n)
     if target in lookup:

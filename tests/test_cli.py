@@ -196,14 +196,19 @@ def test_factorize_g_reaches_n32():
         assert elapsed < 2.0, f"n={n}: {elapsed:.2f} s"
 
 
-def test_factorize_fallback_past_limit_exits_1(monkeypatch):
+def test_factorize_pipeline_fault_exits_1(monkeypatch):
+    # a failed step is a defect, reported as an error at every n, never
+    # answered by another method
     def decline(a):
         raise factor.FactorizationError("declined")
 
     monkeypatch.setattr(factor, "_constructive", decline)
-    code, out, err = run("factorize", "--n", "12", "--element", "n=12:[1>1]")
-    assert code == 1 and out == ""
-    assert "IF_12" in err and "1..10" in err
+    for n in (6, 12):
+        for target in ("J", "G"):
+            code, out, err = run(
+                "factorize", "--n", str(n), "--element", f"n={n}:[1>1]", "--target", target,
+            )
+            assert (code, out, err) == (1, "", "error: declined\n")
 
 
 def test_factorize_g_needs_even_n():

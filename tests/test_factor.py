@@ -5,8 +5,8 @@ import pytest
 
 from fencemonoid import enumeration as en
 from fencemonoid import factor, fence, genfam, greens, pinj
-from fencemonoid.factor import BadIndicesError, BlockForm, MalformedBlockFormError
-from fencemonoid.genfam import GeneratorSpec, Word
+from fencemonoid.factor import BlockForm, MalformedBlockFormError
+from fencemonoid.genfam import BadIndexError, GeneratorSpec, Word
 from fencemonoid.pinj import PartialInjection, SizeMismatchError, inverse_img
 
 
@@ -121,9 +121,9 @@ def test_reversal_is_self_inverse_random():
 
 
 def test_reversal_bad_indices():
-    with pytest.raises(BadIndicesError):
+    with pytest.raises(BadIndexError):
         factor.build_reversal(6, 4, 4)  # m+p > n
-    with pytest.raises(BadIndicesError):
+    with pytest.raises(BadIndexError):
         factor.build_reversal(6, 2, 3)  # odd span
 
 
@@ -146,13 +146,13 @@ def test_revshift_example():
 def test_shift_kind_mismatch():
     # a reversed move whose span and displacement differ in parity is
     # refused by the reversal's even-span check
-    with pytest.raises(BadIndicesError, match="even interval span"):
+    with pytest.raises(BadIndexError, match="even interval span"):
         factor.build_shift_word(8, 1, 2, 1, False)  # even span, odd d
-    with pytest.raises(BadIndicesError, match="even interval span"):
+    with pytest.raises(BadIndexError, match="even interval span"):
         factor.build_shift_word(8, 1, 1, 2, False)  # odd span, even d
-    with pytest.raises(BadIndicesError, match="even displacement"):
+    with pytest.raises(BadIndexError, match="even displacement"):
         factor.build_shift_word(8, 1, 2, 1, True)
-    with pytest.raises(BadIndicesError):
+    with pytest.raises(BadIndexError):
         factor.build_shift_word(6, 3, 2, 4, True)  # m+p+d > n
 
 
@@ -166,18 +166,18 @@ class _KindMismatchError(ValueError):
 
 def _old_build_shift_word(n, kind, m, p, k):
     if m < 1 or p < 0:
-        raise BadIndicesError(f"need m >= 1 and p >= 0, got m={m}, p={p}")
+        raise BadIndexError(f"need m >= 1 and p >= 0, got m={m}, p={p}")
     eps = factor._EPS
     if kind == "shift2k":
         if k < 0 or m + p + 2 * k > n:
-            raise BadIndicesError("shift needs 0 <= k and m+p+2k <= n")
+            raise BadIndexError("shift needs 0 <= k and m+p+2k <= n")
         elt = genfam.interval_map(n, m, range(m + 2 * k, m + p + 2 * k + 1), 2 * k + 2)
         letters = factor._shift2k_letters(n, m, p, k)
     elif kind == "revshift2k":
         if p % 2 == 0:
             raise _KindMismatchError(f"reversal-shift needs odd span, got p={p}")
         if k < 1 or m + p + 2 * k - 1 > n:
-            raise BadIndicesError("reversal-shift needs 1 <= k and m+p+2k-1 <= n")
+            raise BadIndexError("reversal-shift needs 1 <= k and m+p+2k-1 <= n")
         elt = genfam.interval_map(n, m, range(m + p + 2 * k - 1, m + 2 * k - 2, -1), 2 * k + 1)
         mm = m + 2 * k - 2
         letters = factor._shift2k_letters(n, m, p, k - 1)
@@ -186,7 +186,7 @@ def _old_build_shift_word(n, kind, m, p, k):
         if p % 2:
             raise _KindMismatchError(f"even reversal-shift needs even span, got p={p}")
         if k < 0 or m + p + 2 * k > n:
-            raise BadIndicesError("even reversal-shift needs 0 <= k and m+p+2k <= n")
+            raise BadIndexError("even reversal-shift needs 0 <= k and m+p+2k <= n")
         if k == 0:
             rev = factor.build_reversal(n, m, p)
             return rev, (rev,)
@@ -219,7 +219,7 @@ def _old_move_letters(n, m, p, d, asc):
 def _refusal(fn, *args):
     try:
         return fn(*args)
-    except (BadIndicesError, _KindMismatchError):
+    except (BadIndexError, _KindMismatchError):
         return "refused"
 
 
@@ -274,7 +274,7 @@ def test_interval_moves_match_loop_builders():
         for m in range(1, n + 1):
             for p in range(n - m + 1):
                 if p % 2:
-                    with pytest.raises(BadIndicesError):
+                    with pytest.raises(BadIndexError):
                         factor.build_reversal(n, m, p)
                 else:
                     assert factor.build_reversal(n, m, p) == _loop_rev_elt(n, m, p)
@@ -703,11 +703,11 @@ def test_apply_step_matches_object_products(monkeypatch, table):
         assert got == (factor.FactorizationError, f"pipeline step {message}")
 
 
-def test_corrupted_rotation_partner_leaves_through_the_fallback(monkeypatch, table):
+def test_corrupted_rotation_partner_is_refused(monkeypatch, table):
     # the parity repair's invertibility check guards the rotation
     # inverses: with each rotation's partner replaced by the rotation
-    # itself, every element that needs a rotation fails a check and is
-    # factored by the counted BFS fallback; the rest keep their words
+    # itself, every element that needs a rotation fails that check and
+    # raises; the rest keep their words
     real = factor._rotation
     elements = [a for n in range(1, 8) for a in table(n)]
     words, affected = [], []
@@ -718,21 +718,21 @@ def test_corrupted_rotation_partner_leaves_through_the_fallback(monkeypatch, tab
         affected.append(bool(seen))
     monkeypatch.setattr(factor, "_rotation", lambda *key: (real(*key)[0],) * 2)
     for a, word, hit in zip(elements, words, affected):
-        w = factor.factorize_j(a)
         if hit:
-            assert (w.provenance, w.fallback) == ("bfs-fallback", True)
-            assert _eval_word_by_objects(w) == a
+            with pytest.raises(factor.FactorizationError, match="parity repair is not invertible"):
+                factor.factorize_j(a)
         else:
+            w = factor.factorize_j(a)
             assert (w.text(), w.provenance) == (word.text(), word.provenance)
             assert not w.fallback
     assert sum(affected) == 1654 and len(elements) == 3161
 
 
-def test_escaping_rotation_is_refused_and_falls_back(monkeypatch, table):
+def test_escaping_rotation_is_refused(monkeypatch, table):
     # the rotations pass the letter gate where they are made: with
     # _eta_left planted to swap 1 and 2, _rotation refuses it, and
-    # exactly the elements that need a rotation are factored by the BFS
-    # fallback; the rest keep their words
+    # exactly the elements that need a rotation raise; the rest keep
+    # their words
     elements = [a for n in range(1, 8) for a in table(n)]
     needs = [a.rank < a.n - 2 and bool(factor._mismatches(a.img)) for a in elements]
     words = [factor.factorize_j(a) for a in elements]
@@ -741,11 +741,11 @@ def test_escaping_rotation_is_refused_and_falls_back(monkeypatch, table):
     with pytest.raises(factor.FactorizationError, match="escapes"):
         factor._rotation(6, 2, True)
     for a, word, need in zip(elements, words, needs):
-        w = factor.factorize_j(a)
         if need:
-            assert (w.provenance, w.fallback) == ("bfs-fallback", True)
-            assert _eval_word_by_objects(w) == a
+            with pytest.raises(factor.FactorizationError, match="escapes"):
+                factor.factorize_j(a)
         else:
+            w = factor.factorize_j(a)
             assert (w.text(), w.provenance, w.fallback) == (word.text(), word.provenance, False)
     assert factor._rotation.cache_info().currsize == 0
     assert sum(needs) == 1654
@@ -847,23 +847,18 @@ def test_factorize_rejects_non_if():
         factor.factorize_j(pinj.make(6, {(1, 3), (2, 2), (4, 6), (5, 5), (6, 4)}))
 
 
-def test_factorize_bfs_matches_table(monkeypatch, table):
-    # the fallback's word is the closure table's stored word, floored at
-    # the element's rank
-    cl = factor._j_closure(4, 0)
-    for g in cl.gens:
-        assert cl.word_for(g) == [g]
-
+def test_planted_pipeline_fault_raises_at_every_n(monkeypatch):
+    # a failed step is never answered by another method, inside the IF
+    # limit or past it
     def decline(a):
         raise factor.FactorizationError("declined")
 
     monkeypatch.setattr(factor, "_constructive", decline)
-    for a in table(4):
-        w = factor.factorize_j(a)
-        assert factor.eval_word(w) == a
-        if a.rank < 2:
-            assert (w.provenance, w.fallback) == ("bfs-fallback", True)
-            assert w.letters == tuple(factor._j_closure(4, a.rank).word_for(a))
+    for n in (6, 12):
+        a = pinj.parse(f"n={n}:[1>1]")
+        for factorize in (factor.factorize_j, factor.factorize_g):
+            with pytest.raises(factor.FactorizationError, match="declined"):
+                factorize(a)
 
 
 def test_factorize_bfs_eps2_length():
@@ -1059,36 +1054,26 @@ def test_factorization_leaves_no_table_on_its_input():
     assert all(factor._resolve(l, 8)._table is not None for l in word.letters)
 
 
-def test_corrupted_eps_word_leaves_through_the_fallback(monkeypatch, table):
+def test_corrupted_eps_word_is_refused(monkeypatch, table):
     # the assembled-word check folds the residual core in place of its
     # eps letters, so the residual check alone guards them: with one eps
-    # letter dropped, every constructive word fails a check and the
-    # element is factored by the counted BFS fallback
+    # letter dropped, every constructive factorization fails a check and
+    # raises
     real = factor._eps_letters
     monkeypatch.setattr(factor, "_eps_letters", lambda n, points: real(n, points)[1:])
     errors = []
-    real_constructive = factor._constructive
-
-    def constructive(a):
-        try:
-            return real_constructive(a)
-        except factor.FactorizationError as exc:
-            errors.append(str(exc))
-            raise
-
-    monkeypatch.setattr(factor, "_constructive", constructive)
     elements = [a for n in range(1, 7) for a in table(n) if a.rank < n - 2]
     for a in elements:
-        w = factor.factorize_j(a)
-        assert (w.provenance, w.fallback) == ("bfs-fallback", True)
-        assert _eval_word_by_objects(w) == a
+        with pytest.raises(factor.FactorizationError) as exc:
+            factor.factorize_j(a)
+        errors.append(str(exc.value))
     assert len(errors) == len(elements)
     assert "residual core is not a partial identity" in errors
 
 
-def test_step_leaving_semigroup_falls_back(monkeypatch):
+def test_step_leaving_semigroup_is_refused(monkeypatch):
     # a step whose result leaves IF_n is caught by the BlockForm built
-    # from it next, and the element is factored by the counted fallback
+    # from it next, and the factorization raises
     n = 6
     swap = pinj.make(n, {(1, 2), (2, 1), (3, 3), (4, 4), (5, 5), (6, 6)})
     a = pinj.parse("n=6:[4>1 6>3]")
@@ -1109,9 +1094,8 @@ def test_step_leaving_semigroup_falls_back(monkeypatch):
 
     monkeypatch.setattr(factor, "_step", leave)
     monkeypatch.setattr(BlockForm, "from_pinj", from_pinj)
-    w = factor.factorize_j(a)
-    assert (w.provenance, w.fallback) == ("bfs-fallback", True)
-    assert factor.eval_word(w) == a
+    with pytest.raises(MalformedBlockFormError, match="not in the semigroup"):
+        factor.factorize_j(a)
     ((elt, message),) = rejected
     assert not fence.in_if(elt) and "not in the semigroup" in message
 
@@ -1194,22 +1178,13 @@ def test_closed_form_refuses_forms_that_break_its_tests():
             assert got[0] is MalformedBlockFormError and message in got[1]
 
 
-def _outcome_of_factorization(monkeypatch, a):
-    """(error the pipeline raised or None, fallback flag, word text)."""
-    errors = []
-    real = factor._constructive
-
-    def constructive(elt):
-        try:
-            return real(elt)
-        except (factor.FactorizationError, MalformedBlockFormError, BadIndicesError) as exc:
-            errors.append((type(exc), str(exc)))
-            raise
-
-    with monkeypatch.context() as m:
-        m.setattr(factor, "_constructive", constructive)
-        w = factor.factorize_j(a)
-    return (errors or None), w.fallback, w.text()
+def _outcome_of_factorization(a):
+    """The error the factorization raised, as (type, message), or the
+    text of its word."""
+    try:
+        return factor.factorize_j(a).text()
+    except (factor.FactorizationError, MalformedBlockFormError, BadIndexError) as exc:
+        return type(exc), str(exc)
 
 
 @pytest.mark.parametrize("kind, swap, counts", [
@@ -1222,11 +1197,10 @@ def test_planted_step_letters_miss_the_closed_form(monkeypatch, table, kind, swa
     # covering reversal, swapped for other valid letters: the pin's word
     # reversed (the identity where that is the same word), or the
     # identity.  Over IF_1..IF_7 the closed form accepts no planted
-    # product, and every outcome (the pipeline's error, the fallback
-    # flag, the word) is the one of the scan alone, which is how every
-    # step was checked before the closed form.  ``counts`` are the
-    # fallbacks and the planted steps whose product reached the closed
-    # form
+    # product, and every outcome (the pipeline's error or the word) is
+    # the one of the scan alone, which is how every step was checked
+    # before the closed form.  ``counts`` are the errors and the planted
+    # steps whose product reached the closed form
     real_step = factor._step
     planted = []
 
@@ -1246,14 +1220,14 @@ def test_planted_step_letters_miss_the_closed_form(monkeypatch, table, kind, swa
     monkeypatch.setattr(factor, "_step", step)
     calls = _record_predictions(monkeypatch)
     elements = [a for n in range(1, 8) for a in table(n)]
-    with_closed_form = [_outcome_of_factorization(monkeypatch, a) for a in elements]
+    with_closed_form = [_outcome_of_factorization(a) for a in elements]
     planted_ids = {id(bf) for bf in planted}  # the forms stay alive in both lists
     reached = [form for bf, _, form in calls if id(bf) in planted_ids]
     assert not any(reached)
     monkeypatch.setattr(factor, "_predicted_form", lambda bf, new: None)
-    assert [_outcome_of_factorization(monkeypatch, a) for a in elements] == with_closed_form
-    fallbacks = sum(fallback for _, fallback, _ in with_closed_form)
-    assert (fallbacks, len(reached)) == counts
+    assert [_outcome_of_factorization(a) for a in elements] == with_closed_form
+    errors = sum(isinstance(outcome, tuple) for outcome in with_closed_form)
+    assert (errors, len(reached)) == counts
 
 
 def test_only_unpredicted_steps_are_scanned(monkeypatch):
@@ -1323,12 +1297,12 @@ def test_cold_and_warm_caches_agree(table):
 def test_bad_moves_raise_on_every_call():
     # lru_cache does not cache exceptions, so every repeat is checked again
     bad = [
-        (BadIndicesError, factor.build_reversal, (6, 4, 4)),
-        (BadIndicesError, factor.build_reversal, (6, 2, 3)),
-        (BadIndicesError, factor.build_shift_word, (6, 3, 2, 4, True)),
-        (BadIndicesError, factor.build_shift_word, (8, 1, 2, 1, False)),
-        (BadIndicesError, factor.build_shift_word, (8, 1, 1, 2, False)),
-        (BadIndicesError, factor.build_shift_word, (8, 1, 2, 1, True)),
+        (BadIndexError, factor.build_reversal, (6, 4, 4)),
+        (BadIndexError, factor.build_reversal, (6, 2, 3)),
+        (BadIndexError, factor.build_shift_word, (6, 3, 2, 4, True)),
+        (BadIndexError, factor.build_shift_word, (8, 1, 2, 1, False)),
+        (BadIndexError, factor.build_shift_word, (8, 1, 1, 2, False)),
+        (BadIndexError, factor.build_shift_word, (8, 1, 2, 1, True)),
     ]
     for _ in range(3):
         factor.build_reversal(6, 2, 2)
