@@ -7,8 +7,9 @@ principal ideals, irreducible elements, least generating sets and
 semigroup rank.  Every bulk product is one ``bytes.translate`` through
 :func:`~fencemonoid.pinj.translate_table`.  One product-saturation
 loop, :func:`saturate`, gives the set a generating set generates, and
-:func:`closure` wraps it in a table with one shortest discovery word
-per element.  Every generation check asks :func:`generated_size` for
+:func:`closure` wraps it in a table.  Nothing here searches for words:
+every word the package gives is built in closed form (:mod:`genfam`,
+:mod:`factor`).  Every generation check asks :func:`generated_size` for
 |<gens>| only: for a set closed under inverse it is the sum over the
 J-classes of |class|^2 |G| (:func:`inverse_orbit_size`, from the orbit
 of image sets and one small permutation group per class; after East,
@@ -59,18 +60,15 @@ class SemigroupTable:
     order) and pairwise distinct.  ``index`` maps each image to its
     position, and ``elements`` gives the elements as objects, built on
     first use.  For closure-built tables, ``gens`` holds the declared
-    generators and each element carries one shortest discovery word over
-    them, retrievable via :meth:`word_for`.
+    generators.
     """
 
-    def __init__(self, n, imgs, closed, gens=None, parents=None):
+    def __init__(self, n, imgs, closed, gens=None):
         self.n = n
         self.imgs = imgs
         self.index = dict(zip(imgs, range(len(imgs))))
         self.closed = closed
         self.gens = tuple(gens) if gens is not None else None
-        # img -> (parent img or None, generator position), as saturate returns
-        self._parents = parents
 
     @cached_property
     def elements(self) -> tuple[PartialInjection, ...]:
@@ -90,17 +88,6 @@ class SemigroupTable:
             return self.index[elt.raw]
         except KeyError:
             raise NotMemberError(f"{elt.encode()} is not in the table") from None
-
-    def word_for(self, elt: PartialInjection) -> list[PartialInjection]:
-        """Shortest discovery word for an element, as generator letters."""
-        if self._parents is None or self.gens is None:
-            raise ValueError("table was not built by closure; no words recorded")
-        img, letters = self.imgs[self.position(elt)], []
-        while img is not None:
-            img, gen = self._parents[img]
-            letters.append(self.gens[gen])
-        letters.reverse()
-        return letters
 
 
 def _domains(n):
@@ -193,16 +180,6 @@ def build(n: int, which: str = "IF") -> SemigroupTable:
     return SemigroupTable(n, imgs, closed=True)
 
 
-def require_floor_within_limit(n: int, min_rank: int) -> None:
-    """Refuse a closure of rank-(>= n-2) generators floored below n-2 past
-    the IF limit: below that layer the closure grows like IF_n itself."""
-    if min_rank < n - 2 and n > MAX_N["IF"]:
-        raise TooLargeError(
-            f"a closure below rank n-2 = {n - 2} would enumerate IF_{n}; "
-            f"IF is built for n in 1..{MAX_N['IF']}, got {n}"
-        )
-
-
 def _generator_list(n: int, gens) -> list:
     """``gens`` deduplicated and canonically sorted; an empty set, or a
     generator of another ambient size than n, raises ValueError."""
@@ -215,53 +192,46 @@ def _generator_list(n: int, gens) -> list:
     return gen_list
 
 
-def saturate(n: int, gens, min_rank: int = 0) -> dict:
-    """The set ``gens`` generates, as bytes img -> (parent img or None,
-    generator position) in discovery order.
+def saturate(n: int, gens, min_rank: int = 0) -> set:
+    """The set ``gens`` generates, as a set of bytes images.
 
-    Frontier-based product saturation: each round multiplies the frontier
-    (in canonical key order) by every generator (canonically sorted, as
-    the positions count them), so ties between equal-length words resolve
-    by the key of the left factor and the result is deterministic.
+    Frontier-based product saturation: each round multiplies the new
+    elements of the last round by every generator, until a round finds
+    nothing new.
 
     With ``min_rank > 0`` every generator and product of rank below the
     floor is dropped.  Because ``rank(x*g) <= rank(x)``, every prefix of
-    a word for an element of rank ``r >= min_rank`` has rank ``>= r``:
-    the floored frontiers are subsequences of the full ones, in the same
-    order, so each element kept has the same parent as in the full
-    saturation.
+    a word for an element of rank ``r >= min_rank`` has rank ``>= r``,
+    so the floored set holds exactly the elements of rank ``>= min_rank``
+    of the full one.
     """
     gen_list = _generator_list(n, gens)
 
     tables = [translate_table(g.raw) for g in gen_list]
     max_zeros = n - min_rank
-    parents = {g.raw: (None, gi) for gi, g in enumerate(gen_list) if g.raw.count(0) <= max_zeros}
-    frontier = sorted(parents)
+    found = {g.raw for g in gen_list if g.raw.count(0) <= max_zeros}
+    frontier = list(found)
     while frontier:
         new = []
         for x in frontier:
-            for gi, p in enumerate(map(x.translate, tables)):
-                if p not in parents and p.count(0) <= max_zeros:
-                    parents[p] = (x, gi)
+            for p in map(x.translate, tables):
+                if p not in found and p.count(0) <= max_zeros:
+                    found.add(p)
                     new.append(p)
-        frontier = sorted(new)
-    return parents
+        frontier = new
+    return found
 
 
 def closure(n: int, gens, min_rank: int = 0) -> SemigroupTable:
-    """Generated closure with one shortest discovery word per element.
+    """The table of the set :func:`saturate` gives, with ``gens`` kept.
 
-    The table of :func:`saturate`: each element's word follows its
-    parents back to a generator.  With ``min_rank > 0`` the table is not
-    closed, and each element kept has the same word as in the full
-    closure.  A check that needs only the generated set should call
-    :func:`saturate`, and one that needs only its size
-    :func:`generated_size`.
+    With ``min_rank > 0`` the table is not closed: it holds the elements
+    of rank ``>= min_rank`` of the full closure.  A check that needs only
+    the generated set should call :func:`saturate`, and one that needs
+    only its size :func:`generated_size`.
     """
-    parents = saturate(n, gens, min_rank)
-    return SemigroupTable(
-        n, sorted(parents), closed=min_rank <= 0, gens=sorted(set(gens)), parents=parents
-    )
+    imgs = sorted(saturate(n, gens, min_rank))
+    return SemigroupTable(n, imgs, closed=min_rank <= 0, gens=sorted(set(gens)))
 
 
 def reduce_generators(gens):
@@ -275,9 +245,7 @@ def reduce_generators(gens):
     is a product of kept ones, and by induction down the ranks the kept
     set generates everything ``gens`` does.  Only literal products are
     used and no fence fact is assumed, so a check over the result still
-    tests its claim.  Returns a canonically sorted list.  Use it where
-    only the generated set matters: :func:`closure` words are over the
-    declared generators.
+    tests its claim.  Returns a canonically sorted list.
     """
     gen_list = sorted(set(gens))
     kept = []

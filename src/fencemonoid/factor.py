@@ -576,7 +576,8 @@ def _step(bf: BlockForm):
 
 
 def _constructive(a: PartialInjection) -> Word:
-    """The block pipeline for a member of the semigroup of rank < n-2."""
+    """The block pipeline for any member of the semigroup; a high-rank
+    one comes out as a word of letters from the identity table."""
     n = a.n
     left_inv, right_inv, img = _parity_repair(a)
     head = [left_inv]  # the assembled word's chunks before the residual
@@ -632,13 +633,27 @@ def factorize_j(a: PartialInjection) -> Word:
     return _constructive(a)
 
 
+@functools.lru_cache(maxsize=1024)
+def _g_base(a: PartialInjection) -> tuple:
+    """The letters :func:`factorize_g` expands for a high-rank input:
+    ``a`` itself when the identity table holds it, else the letters of
+    :func:`_constructive`.  Memoised per element, as the words of
+    :func:`~fencemonoid.genfam.g_word_for` are."""
+    if genfam._table_word(a.n, a) is not None:
+        return (a,)
+    return _constructive(a).letters
+
+
 def factorize_g(a: PartialInjection) -> Word:
     """Factor an element over set_g (even ambient size only).
 
     Runs :func:`factorize_j`, then expands each high-rank letter through
-    the identity table, or for a letter outside it through a word of the
-    Cayley closure of set_g (:func:`~fencemonoid.genfam.g_word_for`);
-    ``bfs_letters`` counts the letters that took the closure.
+    its closed-form word (:func:`~fencemonoid.genfam.g_word_for`).  A
+    high-rank input outside the identity table, whose J word is itself,
+    is expanded through the letters of :func:`_constructive` instead
+    (:func:`_g_base`).  A letter without a closed-form word raises
+    :class:`FactorizationError`; ``bfs_letters`` is always 0, as no
+    letter is searched for.
     """
     n = a.n
     if n % 2:
@@ -646,12 +661,9 @@ def factorize_g(a: PartialInjection) -> Word:
         raise OddAmbientError(f"set_g factorization needs even n, got {n}")
     base = factorize_j(a)  # checks membership
     letters: list = []
-    misses = 0
-    for letter in base.letters:
-        gw = genfam.g_word_for(n, _resolve(letter, n))
-        letters.extend(gw.letters)
-        misses += gw.provenance == "bfs"
-    word = Word(n, tuple(letters), provenance="g-expansion", bfs_letters=misses)
+    for letter in _g_base(a) if base.provenance == "letter" else base.letters:
+        letters.extend(genfam.g_word_for(n, _resolve(letter, n)).letters)
+    word = Word(n, tuple(letters), provenance="g-expansion")
     if _value(word.letters, n) != a.raw:
         raise FactorizationError("generator expansion does not evaluate to the input")
     return word

@@ -16,6 +16,9 @@ shifts of the constructive factorization), is laid out by one builder,
 :func:`interval_map`: fixed prefix, at most one dropped point, the
 moved interval, a gap of dropped points, fixed suffix.  Every letter
 is checked and given its table by one gate, :func:`checked_letter`.
+Over set_g, :func:`g_word_for` gives each letter the factorization
+makes a closed-form word from one table of identities,
+:func:`_table_word`; no word is searched for.
 """
 
 from __future__ import annotations
@@ -25,7 +28,8 @@ import itertools
 from dataclasses import dataclass
 from operator import itemgetter
 
-from .enumeration import NotMemberError, closure, place_blocks, require_floor_within_limit
+# closure is uncalled: the tracer's CLOSURE_BINDINGS time it, to report genfam.g_closure_s
+from .enumeration import closure, place_blocks
 from .fence import in_if
 from .pinj import PartialInjection, SizeMismatchError, parse, translate_table
 
@@ -40,8 +44,9 @@ class OddAmbientError(ValueError):
 
 class FactorizationError(RuntimeError):
     """A letter or a factorization step failed its check: a defect of the
-    pipeline, which :func:`~fencemonoid.factor.factorize_j` raises, never
-    answering with a word from another method."""
+    pipeline, which :func:`~fencemonoid.factor.factorize_j` and
+    :func:`~fencemonoid.factor.factorize_g` raise, never answering with a
+    word from another method."""
 
 
 def checked_letter(a: PartialInjection) -> PartialInjection:
@@ -209,7 +214,7 @@ class Word:
     letters: tuple = ()
     provenance: str = "direct"
     fallback: bool = False  # always false; the v1 payload keeps the field
-    bfs_letters: int = 0
+    bfs_letters: int = 0  # always 0; the v1 payload keeps the field
 
     def __len__(self):
         return len(self.letters)
@@ -314,12 +319,6 @@ def _eta_right(n: int, c: int) -> PartialInjection:
 
 
 @functools.lru_cache(maxsize=8)
-def _g_closure(n: int, min_rank: int):
-    require_floor_within_limit(n, min_rank)
-    return closure(n, set_g(n), min_rank)
-
-
-@functools.lru_cache(maxsize=8)
 def _g_spec_lookup(n: int):
     """The n+1 distinguished generators of set_g, each mapped to its spec."""
     specs = [GeneratorSpec("id"), GeneratorSpec("sig1"), GeneratorSpec("sig2")]
@@ -342,25 +341,29 @@ def _epsilon_word(n: int, i: int):
 def _table_word(n: int, target: PartialInjection):
     """Match ``target`` against the closed identity table; None if no hit.
 
-    Covers the set_g members themselves, every eps_i, the two
-    parity-repair shapes, and interval reversals beta_{i,j} whose
-    expansion indices stay inside the gamma/delta ranges.  Everything
-    else goes to the closure search of :func:`g_word_for`.
+    Covers the set_g members themselves, every partial identity of rank
+    n-1 or n-2 (a product of eps words), the parity-repair rotations at
+    every even a below n, and the interval reversals beta_{i,j} of span
+    at least 4, which expand through the gamma/delta ranges.  These are
+    all the letters :func:`~fencemonoid.factor._constructive` makes.
     """
     lookup = _g_spec_lookup(n)
     if target in lookup:
         return [lookup[target]]
     dom = target.domain()
-    if target.is_partial_identity() and len(dom) == n - 1:
-        (i,) = set(range(1, n + 1)) - set(dom)
-        return _epsilon_word(n, i)
-    for a in range(2, n - 3, 2):
+    missing = sorted(set(range(1, n + 1)) - set(dom))
+    if target.is_partial_identity() and 1 <= len(missing) <= 2:
+        return [letter for i in missing for letter in _epsilon_word(n, i)]
+    for a in range(2, n - 1, 2):
+        # a rotation is sig1 or sig2 between del:(a+1) and del:(a-1); at
+        # a = n-2 there is no del:(n-1), and the word needs none
+        outer = [GeneratorSpec("del", a + 1)] if a < n - 2 else []
         if target == _eta_left(n, a):
-            return [GeneratorSpec("del", a + 1), GeneratorSpec("sig1"), GeneratorSpec("del", a - 1)]
+            return [*outer, GeneratorSpec("sig1"), GeneratorSpec("del", a - 1)]
         if target == _eta_right(n, a):
-            return [GeneratorSpec("del", a - 1), GeneratorSpec("sig2"), GeneratorSpec("del", a + 1)]
+            return [GeneratorSpec("del", a - 1), GeneratorSpec("sig2"), *outer]
     if len(dom) == n - 2:
-        (i, j) = sorted(set(range(1, n + 1)) - set(dom))
+        (i, j) = missing
         if (j - i) % 2 == 0 and target == beta(n, i, j):
             if i % 2 == 1 and 1 <= n - j + i + 1 <= n - 3:
                 return [
@@ -378,26 +381,20 @@ def _table_word(n: int, target: PartialInjection):
 
 
 @functools.lru_cache(maxsize=4096)
-def g_word_for(n: int, target: PartialInjection):
-    """A word over set_g evaluating to ``target``.
+def g_word_for(n: int, target: PartialInjection) -> Word:
+    """The closed-form word over set_g of the letter ``target``.
 
-    Emits a closed-form identity-table word when the target matches one
-    of the known shapes (verified by evaluation); otherwise falls back
-    to the shortest discovery word in the Cayley closure of set_g,
-    floored at ``min(target.rank, n-2)``: every prefix of the target's
-    word has at least its rank, so the word is the one the full closure
-    gives, and a letter of rank >= n-2 never enumerates IF_n.  The
-    returned word records which path produced it.  Words are memoised
-    per (n, target); a :class:`Word` is frozen, so sharing one is safe.
+    The word comes from :func:`_table_word` and is checked by
+    evaluation.  A target outside the table, or a table word that does
+    not evaluate to it, raises :class:`FactorizationError`: there is no
+    search to fall back on.  Words are memoised per (n, target); a
+    :class:`Word` is frozen, so sharing one is safe.
     """
     if n % 2:
         raise OddAmbientError(f"set_g words need even n, got {n}")
     letters = _table_word(n, target)
-    if letters is not None and _value(letters, n) == target.raw:
-        return Word(n, tuple(letters), provenance="table")
-    table = _g_closure(n, min(target.rank, n - 2))
-    if target not in table:
-        raise NotMemberError(f"{target.encode()} is not generated by set_g({n})")
-    lookup = _g_spec_lookup(n)
-    letters = tuple(lookup[g] for g in table.word_for(target))
-    return Word(n, letters, provenance="bfs")
+    if letters is None:
+        raise FactorizationError(f"{target.encode()} has no closed-form word over set_g({n})")
+    if _value(letters, n) != target.raw:
+        raise FactorizationError(f"the table word for {target.encode()} does not evaluate to it")
+    return Word(n, tuple(letters), provenance="table")

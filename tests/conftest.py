@@ -1,6 +1,7 @@
 import pytest
 
 from fencemonoid import enumeration as en
+from fencemonoid import genfam
 from fencemonoid.fence import in_if, in_pfi
 from fencemonoid.pinj import PartialInjection
 from tuple_kernel import i_imgs
@@ -56,3 +57,21 @@ def filter_oracle():
         return sorted(img for img in i_imgs(n) if test(PartialInjection(n, img)))
 
     return get
+
+
+@pytest.fixture
+def last_rotations_missed(monkeypatch):
+    """``genfam._table_word`` with the parity-repair rotations at a = n-2
+    planted out of the table, and the memo of ``g_word_for`` cleared
+    around the plant."""
+    real = genfam._table_word
+
+    def planted(n, target):
+        if target in (genfam._eta_left(n, n - 2), genfam._eta_right(n, n - 2)):
+            return None
+        return real(n, target)
+
+    monkeypatch.setattr(genfam, "_table_word", planted)
+    genfam.g_word_for.cache_clear()
+    yield
+    genfam.g_word_for.cache_clear()

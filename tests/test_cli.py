@@ -180,9 +180,8 @@ def test_factorize_single_letter():
 
 
 def test_factorize_g_reaches_n32():
-    # each run pays for its floored closure of set_g(n), 3,214 elements at n = 32
+    # the input is its own J letter, expanded by its closed-form word
     for n in (12, 32):
-        genfam._g_closure.cache_clear()
         genfam.g_word_for.cache_clear()
         t0 = time.perf_counter()
         code, out, _ = run(
@@ -192,8 +191,20 @@ def test_factorize_g_reaches_n32():
         )
         elapsed = time.perf_counter() - t0
         assert code == 0
-        assert "bfs_letters 1\n" in out and "verified true\n" in out
+        assert "bfs_letters 0\n" in out and "verified true\n" in out
         assert elapsed < 2.0, f"n={n}: {elapsed:.2f} s"
+
+
+def test_factorize_g_table_miss_exits_1(last_rotations_missed):
+    # a letter without a closed-form word is a defect, reported as an
+    # error; the input's parity repair needs a rotation at a = n-2
+    for n in (6, 12):
+        a = pinj.make(n, {(n - 2, n - 3)})
+        code, out, err = run("factorize", "--n", str(n), "--element", a.encode(), "--target", "G")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and "no closed-form word" in err
+        code, _, _ = run("factorize", "--n", str(n), "--element", a.encode(), "--target", "J")
+        assert code == 0
 
 
 def test_factorize_pipeline_fault_exits_1(monkeypatch):

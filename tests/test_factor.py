@@ -3,11 +3,11 @@ from collections import Counter
 
 import pytest
 
-from fencemonoid import enumeration as en
 from fencemonoid import factor, fence, genfam, greens, pinj
 from fencemonoid.factor import BlockForm, MalformedBlockFormError
 from fencemonoid.genfam import BadIndexError, GeneratorSpec, Word
 from fencemonoid.pinj import PartialInjection, SizeMismatchError, inverse_img
+import tuple_kernel as slow
 
 
 def _image_directions(start, length, t):
@@ -861,34 +861,39 @@ def test_planted_pipeline_fault_raises_at_every_n(monkeypatch):
                 factorize(a)
 
 
-def test_factorize_bfs_eps2_length():
-    cl = genfam._g_closure(6, 0)
-    assert len(cl.word_for(genfam.epsilon(6, 2))) == 2
+def test_factorize_g_eps2_word_is_shortest():
+    # eps2's table word is as short as the breadth-first oracle's word
+    gens = genfam.set_g(6)
+    eps2 = genfam.epsilon(6, 2)
+    assert len(slow.word_for(slow.saturate(6, gens), gens, eps2.img)) == 2
+    assert len(factor.factorize_g(eps2)) == 2
 
 
-def test_factorize_g_matches_full_closure_words(table):
-    # reference: each J letter expanded by its table word, or else by its
-    # word in the full, unfloored closure of set_g
+def test_factorize_g_matches_table_expansions(table):
+    # reference: each J letter expanded by its table word, or, for a
+    # high-rank input outside the table, each letter of its constructive
+    # word; no letter is searched for
     for n in (2, 4, 6, 8):
-        full = en.closure(n, genfam.set_g(n))
-        lookup = genfam._g_spec_lookup(n)
-        expansions = {}  # letter -> (word letters, 1 if from the closure)
+        expansions = {}  # letter -> its table word's letters
 
         def expand(letter):
             target = factor._resolve(letter, n)
             if target not in expansions:
-                letters = genfam._table_word(n, target)
-                if letters is not None and factor.eval_word(Word(n, tuple(letters))) == target:
-                    expansions[target] = (tuple(letters), 0)
-                else:
-                    expansions[target] = (tuple(lookup[g] for g in full.word_for(target)), 1)
+                letters = tuple(genfam._table_word(n, target))
+                assert factor.eval_word(Word(n, letters)) == target
+                expansions[target] = letters
             return expansions[target]
 
+        constructive = 0
         for a in table(n):
-            parts = [expand(l) for l in factor.factorize_j(a).letters]
+            base = factor.factorize_j(a)
+            if base.provenance == "letter" and genfam._table_word(n, a) is None:
+                base = factor._constructive(a)
+                constructive += 1
             w = factor.factorize_g(a)
-            assert w.text() == Word(n, sum((p[0] for p in parts), ())).text()
-            assert w.bfs_letters == sum(p[1] for p in parts)
+            assert w.text() == Word(n, sum(map(expand, base.letters), ())).text()
+            assert w.bfs_letters == 0
+        assert constructive > 0 or n == 2
 
 
 def test_factorize_g_table_case():

@@ -2,7 +2,7 @@
 
 Each digest is the sha256 of one tab-separated line per input element:
 its encoding, the word's text, provenance, fallback flag and
-``bfs_letters`` count (0 outside ``factorize_g``).  A change to any
+``bfs_letters`` count (always 0).  A change to any
 letter of any word, or to the path that produced it, changes the digest.
 """
 
@@ -26,17 +26,17 @@ J_WORDS = {
 
 # n -> digest of factorize_g over every element of IF_n
 G_WORDS = {
-    2: "d88dcd45d126af7edfb17ff1024016c8af8285ab336dbc06ddeec46f72fdc20b",
-    4: "0d24de4d750364578c5b2685b64c385af9f6c68c0f587dc6fc9b027b41c32026",
-    6: "dee06d954bbbac2caad10f98f7cc54ca8c91704bab9bceb4738330a2db12a765",
+    2: "ec98c730a7bc660bbb4c63a464689061d6963e13c55561b3d63b356beae7a886",
+    4: "05ed9fef92442ed164145723cda8cba527f83e58aa853754fe1c9540c2d8f7fa",
+    6: "a2df9da1266d4c8beac56b38fcc1fe032e98b9c3e520cbe5056c83abe2ac6300",
 }
 
 # n -> (factorize_j digest, factorize_g digest) over 100 seeded elements
 SEEDED = {
     10: ("8acd8e50cd92c6d73de65e07a733f4325939c57cc8b0ef4da5405e3676d64bd6",
-         "b6ae8816f0b04cc2092a9c8f8f4ab2ecee065e6a66ff589be337c02459394e30"),
+         "cd29f8db51a8a8360b615e5d3b90c281a3576d1ee7b1792e3108295d7a7b4ab2"),
     32: ("1a2531a847661d62f79b6ea85971e2a7a38aebbc08d1f8b40b7a93b952ad01f1",
-         "d9ddc82da3d36acca281f1c62e061f586a76fece9649401dc31b779d1960f3c1"),
+         "56dd8120c258cc6dc7b7661b0431c4641308716f77aacad3dbada918a125c43e"),
 }
 
 

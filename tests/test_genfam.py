@@ -9,9 +9,9 @@ import pytest
 
 from fencemonoid import enumeration as en
 from fencemonoid import factor, fence, genfam, pinj
-from fencemonoid.enumeration import TooLargeError
-from fencemonoid.genfam import BadIndexError, GeneratorSpec, OddAmbientError
+from fencemonoid.genfam import BadIndexError, FactorizationError, GeneratorSpec, OddAmbientError
 from fencemonoid.pinj import PartialInjection
+import tuple_kernel as slow
 from tuple_kernel import multiplier
 
 
@@ -331,28 +331,70 @@ def test_g_word_for_table_hits():
     assert [l.text() for l in w.letters] == ["del:1", "del:3", "del:1"]
 
 
-def test_g_word_out_of_range_indices_fall_back():
-    # adjacent deletions need the breadth-first route
+def test_g_word_for_adjacent_deletions_is_a_table_word():
+    # a two-point partial identity is the product of its two eps words
     w = genfam.g_word_for(6, genfam.beta(6, 1, 3))
-    assert w.provenance == "bfs"
+    assert w.provenance == "table"
+    assert [l.text() for l in w.letters] == ["del:1", "del:1", "del:3", "del:3"]
     assert factor.eval_word(w) == genfam.beta(6, 1, 3)
 
 
 def test_g_word_for_everything(table):
+    # every element's word over set_g is made of g_word_for's table words
     for n in (2, 4, 6):
         for a in table(n):
-            w = genfam.g_word_for(n, a)
-            assert factor.eval_word(w) == a
+            w = factor.factorize_g(a)
+            assert factor.eval_word(w) == a and w.bfs_letters == 0
 
 
 def test_g_word_for_low_rank_past_limit_fails_fast():
-    # a rank-0 target would need the whole closure of set_g(12), IF_12
-    genfam._g_closure.cache_clear()
+    # a rank-0 target has no table word, and there is no search to try
     genfam.g_word_for.cache_clear()
+    empty = PartialInjection.empty(12)
     t0 = time.perf_counter()
-    with pytest.raises(TooLargeError, match="1..10"):
-        genfam.g_word_for(12, PartialInjection.empty(12))
+    with pytest.raises(FactorizationError, match="no closed-form word"):
+        genfam.g_word_for(12, empty)
     assert time.perf_counter() - t0 < 0.5
+    w = factor.factorize_g(empty)
+    assert factor.eval_word(w) == empty and w.bfs_letters == 0
+
+
+def test_closed_forms_of_adjacent_deletions_and_last_rotations():
+    # the two shapes outside the older table rules, at every even n: the
+    # partial identities beta(i, i+2) and the rotations at a = n-2
+    for n in range(4, 33, 2):
+        for i in range(1, n - 1):
+            b = genfam.beta(n, i, i + 2)
+            w = genfam.g_word_for(n, b)
+            assert w.provenance == "table" and factor.eval_word(w) == b
+        for eta, text in (
+            (genfam._eta_left(n, n - 2), ["sig1", f"del:{n - 3}"]),
+            (genfam._eta_right(n, n - 2), [f"del:{n - 3}", "sig2"]),
+        ):
+            w = genfam.g_word_for(n, eta)
+            assert w.provenance == "table" and factor.eval_word(w) == eta
+            assert [l.text() for l in w.letters] == text
+
+
+def test_last_rotation_words_are_the_breadth_first_words():
+    # the closed forms of the rotations at a = n-2 are the shortest
+    # discovery words of the breadth-first oracle, floored at n-2
+    for n in (4, 6, 8):
+        gens = genfam.set_g(n)
+        parents = slow.saturate(n, gens, n - 2)
+        for eta in (genfam._eta_left(n, n - 2), genfam._eta_right(n, n - 2)):
+            letters = genfam.g_word_for(n, eta).letters
+            assert [factor._resolve(l, n) for l in letters] == slow.word_for(parents, gens, eta.img)
+
+
+def test_a_table_miss_is_an_error(last_rotations_missed):
+    # an element whose parity repair needs a rotation at a = n-2, planted
+    # out of the table, gets no word over set_g
+    for n in (6, 12):
+        a = pinj.make(n, {(n - 2, n - 3)})
+        assert factor.factorize_j(a).provenance == "constructive"
+        with pytest.raises(FactorizationError, match="no closed-form word"):
+            factor.factorize_g(a)
 
 
 def test_g_word_rejects_odd_n():

@@ -6,8 +6,11 @@ saturation, the image-set orbit, principal ideals, rank-keeping Cayley
 rows, irreducibles within a layer, regular elements and the listing of
 I_n.  Each works on img tuples and reads nothing from a table but its
 elements, so the tests can require the bytes versions to give the same
-results in the same order.  Regular elements keep the per-pair index
-search that the inverse lookup of the bytes version replaced.
+results in the same order (for saturation, the same set).  Regular
+elements keep the per-pair index search that the inverse lookup of the
+bytes version replaced.  Saturation keeps the parent of each element,
+so it is also the breadth-first oracle for words: :func:`word_for`
+walks an element's parents back to a generator.
 """
 
 import itertools
@@ -52,7 +55,13 @@ def i_imgs(n):
 
 
 def saturate(n, gens, min_rank=0):
-    """img -> (parent img or None, generator position), in discovery order."""
+    """img -> (parent img or None, generator position), in discovery order.
+
+    Each round multiplies the frontier, in canonical order, by every
+    generator, canonically sorted, so ties between words of one length
+    go by the key of the left factor.  A floored saturation keeps the
+    parent an element has in the full one: every prefix of a word has at
+    least the rank of the element it spells."""
     gen_list = sorted(set(gens))
     padded_gens = [(0,) + g.img for g in gen_list]
     max_zeros = n - min_rank
@@ -69,6 +78,17 @@ def saturate(n, gens, min_rank=0):
                     new.append(p)
         frontier = sorted(new)
     return parents
+
+
+def word_for(parents, gens, img):
+    """The shortest discovery word of ``img`` in ``parents``, as
+    :func:`saturate` over ``gens`` returns them: a list of generators."""
+    gen_list = sorted(set(gens))
+    letters = []
+    while img is not None:
+        img, gi = parents[img]
+        letters.append(gen_list[gi])
+    return letters[::-1]
 
 
 def inverse_orbit_size(n, gens):
