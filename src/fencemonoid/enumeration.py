@@ -17,8 +17,8 @@ Egri-Nagy, Mitchell & Peresse, J. Symb. Comput. 92, 2019), so <gens>
 is never listed; other sets are saturated.  The J-class oracles work
 on table positions and images: :func:`principal_ideals` gives every
 principal ideal as a bitmask from one pass over the products, and
-:func:`ideal_j_classes` builds only the rank-keeping edges of its
-Cayley graph.  For a table closed under inverses,
+:func:`ideal_j_classes` builds the two-sided Cayley graph over a
+reduced generating set.  For a table closed under inverses,
 :func:`inverse_j_classes` needs no Cayley graph: a graph on the domains
 of its elements gives the same classes.  Both take the strongly
 connected components of their graph from one Kosaraju search and group
@@ -40,6 +40,11 @@ from .pinj import DEFINED, PartialInjection, inverse_img, translate_table
 # largest n each kind is built for: |I_9| is 17.6M maps, |IF_10| 137,412
 MAX_N = {"I": 8, "PFI": 10, "IF": 10}
 
+# largest table the greedy rank descent runs on: it makes one saturation
+# per element, which took 0.4 s on IF_5 (182 elements) and 2.4 s on PFI_5
+# (332) on one Xeon core, and gave no answer in 9 minutes on IF_7 (2,288)
+DESCENT_MAX_SIZE = 400
+
 
 class TooLargeError(ValueError):
     pass
@@ -54,20 +59,21 @@ class NotSubsetError(ValueError):
 
 
 class SemigroupTable:
-    """A canonically sorted set of partial injections with product access.
+    """A semigroup of partial injections, as a canonically sorted table.
 
-    ``imgs`` holds the elements' bytes images, sorted (the canonical
-    order) and pairwise distinct.  ``index`` maps each image to its
-    position, and ``elements`` gives the elements as objects, built on
-    first use.  For closure-built tables, ``gens`` holds the declared
-    generators.
+    Only :func:`build` and :func:`closure` make tables, and both make
+    sets closed under products, so every oracle that reads a table may
+    take that closure as given.  ``imgs`` holds the elements' bytes
+    images, sorted (the canonical order) and pairwise distinct.
+    ``index`` maps each image to its position, and ``elements`` gives
+    the elements as objects, built on first use.  For closure-built
+    tables, ``gens`` holds the declared generators.
     """
 
-    def __init__(self, n, imgs, closed, gens=None):
+    def __init__(self, n, imgs, gens=None):
         self.n = n
         self.imgs = imgs
         self.index = dict(zip(imgs, range(len(imgs))))
-        self.closed = closed
         self.gens = tuple(gens) if gens is not None else None
 
     @cached_property
@@ -177,7 +183,7 @@ def build(n: int, which: str = "IF") -> SemigroupTable:
     else:
         imgs = place_blocks(n, _domains(n), two_way=which == "IF")
     imgs.sort()
-    return SemigroupTable(n, imgs, closed=True)
+    return SemigroupTable(n, imgs)
 
 
 def _generator_list(n: int, gens) -> list:
@@ -222,16 +228,15 @@ def saturate(n: int, gens, min_rank: int = 0) -> set:
     return found
 
 
-def closure(n: int, gens, min_rank: int = 0) -> SemigroupTable:
-    """The table of the set :func:`saturate` gives, with ``gens`` kept.
+def closure(n: int, gens) -> SemigroupTable:
+    """The table of the set ``gens`` generates, with ``gens`` kept.
 
-    With ``min_rank > 0`` the table is not closed: it holds the elements
-    of rank ``>= min_rank`` of the full closure.  A check that needs only
-    the generated set should call :func:`saturate`, and one that needs
-    only its size :func:`generated_size`.
+    A check that needs only the generated set should call
+    :func:`saturate`, and one that needs only its size
+    :func:`generated_size`.
     """
-    imgs = sorted(saturate(n, gens, min_rank))
-    return SemigroupTable(n, imgs, closed=min_rank <= 0, gens=sorted(set(gens)))
+    imgs = sorted(saturate(n, gens))
+    return SemigroupTable(n, imgs, gens=sorted(set(gens)))
 
 
 def reduce_generators(gens):
@@ -360,7 +365,7 @@ def _reduced_size(n: int, reduced, gens) -> int:
 
 
 def principal_ideals(table: SemigroupTable):
-    """Every principal ideal of a closed table under the S^1 convention.
+    """Every principal ideal of a table under the S^1 convention.
 
     Returns ``(right, left, two_sided)``: three tuples indexed by table
     position, of int bitmasks over positions.  ``right[i]`` is bit i plus
@@ -371,8 +376,6 @@ def principal_ideals(table: SemigroupTable):
     rows of the multiplication table: row i gives ``right[i]`` and
     column j gives ``left[j]``.
     """
-    if not table.closed:
-        raise ValueError("principal ideals need a closed table")
     imgs = table.imgs
     tables = [translate_table(b) for b in imgs]
     position = table.index.__getitem__
@@ -443,32 +446,17 @@ def _strong_components(succ) -> list[int]:
     return comp
 
 
-def _rank_keeping_rows(table: SemigroupTable, gens) -> list[array]:
-    """Successor rows of the two-sided Cayley graph over ``gens``, by
-    table position, holding only the edges that keep rank.
-
-    ``x*g`` keeps x's rank iff im x is inside dom g, and ``g*x`` iff
-    dom x is inside im g; both are tested on bitmasks, read once per
-    image, before the product is formed, so no rank-lowering product is
-    computed.  The left products ``g*x`` share one translate table of x.
-    """
-    index = table.index
-    bits = [1 << x for x in range(table.n)]
-    point_bits = [0] + bits  # image point -> its bit; 0 marks none
-    right_parts = [(g.dom_mask(), translate_table(g.raw)) for g in gens]
-    left_parts = [(g.im_mask(), g.raw) for g in gens]
-    right_tables: dict[int, list] = {}  # im x -> tables of g with im x inside dom g
-    left_imgs: dict[int, list] = {}  # dom x -> images of g with dom x inside im g
+def _cayley_rows(table: SemigroupTable, gens) -> list[array]:
+    """Sorted successor rows, by table position, of the two-sided Cayley
+    graph over ``gens``: ``x -> x*g`` and ``x -> g*x`` for every g."""
+    position = table.index.__getitem__
+    right = [translate_table(g.raw) for g in gens]
+    left = [g.raw for g in gens]
     succ: list[array] = []  # 4-byte entries: the rows hold up to |S| * 2|gens| edges
     for x in table.imgs:
-        im, dom = sum(map(point_bits.__getitem__, x)), sum(itertools.compress(bits, x))
-        if im not in right_tables:
-            right_tables[im] = [table for dom_g, table in right_parts if not im & ~dom_g]
-        if dom not in left_imgs:
-            left_imgs[dom] = [img for im_g, img in left_parts if not dom & ~im_g]
-        left = map(bytes.translate, left_imgs[dom], itertools.repeat(translate_table(x)))
-        row = set(map(index.__getitem__, map(x.translate, right_tables[im])))
-        row.update(map(index.__getitem__, left))
+        x_table = translate_table(x)
+        row = set(map(position, map(x.translate, right)))
+        row.update(map(position, map(bytes.translate, left, itertools.repeat(x_table))))
         succ.append(array("i", sorted(row)))
     return succ
 
@@ -485,25 +473,23 @@ def ideal_j_classes(table: SemigroupTable, gens):
     :func:`is_generating` does but on the one reduction, before use, so
     nothing beyond the definition of an ideal is assumed.
 
-    No edge ``x -> x*g`` or ``x -> g*x`` raises rank, so an edge that
-    lowers it lies on no cycle, and dropping it leaves every strongly
-    connected component unchanged: the graph holds only the edges of
-    :func:`_rank_keeping_rows`, and :func:`_strong_components` splits
-    it.  Returns the classes as sorted lists of bytes images, ordered by
-    least member: the table is in canonical order, so each class fills
-    in sorted.  A table closed under inverses gets the same classes from
-    :func:`inverse_j_classes` at a fraction of the cost; this graph
-    serves tables that are not, such as PFI_n.
+    The rows of :func:`_cayley_rows` hold that graph, and
+    :func:`_strong_components` splits it.  Returns the classes as sorted
+    lists of bytes images, ordered by least member: the table is in
+    canonical order, so each class fills in sorted.  A table closed
+    under inverses gets the same classes from :func:`inverse_j_classes`
+    at a fraction of the cost; this graph serves tables that are not,
+    such as PFI_n.
     """
     gens = _members(table, gens)
     reduced = reduce_generators(gens)
     if not (gens and _reduced_size(table.n, reduced, gens) == len(table)):
         raise ValueError("oracle generators do not generate the table")
-    return fibres(_strong_components(_rank_keeping_rows(table, reduced)), table.imgs)
+    return fibres(_strong_components(_cayley_rows(table, reduced)), table.imgs)
 
 
 def inverse_j_classes(table: SemigroupTable):
-    """J-class partition of a closed, inverse-closed table of partial
+    """J-class partition of an inverse-closed table of partial
     injections, from the domains and images of its elements.
 
     In an inverse semigroup, a R b iff aa^-1 = bb^-1 and a L b iff
@@ -517,17 +503,16 @@ def inverse_j_classes(table: SemigroupTable):
     The edge of a^-1 reverses the edge of a, so this graph is symmetric
     and :func:`_strong_components` gives its connected components.
 
-    Closure under inverse is checked literally on bytes images; closure
-    under products is taken from the table's ``closed`` flag.  For
-    ``build(n, "IF")`` it holds: if a and b preserve the fence, so does
-    ab, and so does its inverse b^-1 a^-1 when a^-1 and b^-1 do, so the
-    composite of two maps that preserve the fence both ways does too.
+    Closure under inverse is checked literally on bytes images; every
+    table is closed under products (:class:`SemigroupTable`).  For
+    ``build(n, "IF")`` that holds: if a and b preserve the fence, so
+    does ab, and so does its inverse b^-1 a^-1 when a^-1 and b^-1 do, so
+    the composite of two maps that preserve the fence both ways does
+    too.
     No fingerprint and no fence fact is read, so the partition tests the
     J criterion without assuming it.  Returns the classes as sorted
     lists of bytes images, ordered by least member.
     """
-    if not table.closed:
-        raise ValueError("J-classes from domains and images need a table closed under products")
     imgs = table.imgs
     index = table.index
     doms = [img.translate(DEFINED) for img in imgs]
@@ -546,10 +531,7 @@ def inverse_j_classes(table: SemigroupTable):
 
 def _members(table: SemigroupTable, gens) -> list:
     """``gens`` as a list, each checked to lie in the table, so that the
-    set they generate does too.  A table not closed under products, such
-    as a floored closure, could match its size spuriously: ValueError."""
-    if not table.closed:
-        raise ValueError("a generation check needs a table closed under products")
+    set they generate does too: the table is closed under products."""
     gens = list(gens)
     for g in gens:
         if g not in table:
@@ -599,10 +581,8 @@ def _irreducible_scan(table: SemigroupTable):
     below k, or to 0, since T_j is T_k for every j in between.  T_0 is
     the whole table and needs no check; there the irreducibles generate
     when they are the whole table, and one more check decides it
-    otherwise.  Valid only because the table is closed.
+    otherwise.  Valid because the table is closed under products.
     """
-    if not table.closed:
-        raise ValueError("irreducibles are only meaningful for a closed table")
     n = table.n
     ranks = [n - img.count(0) for img in table.imgs]
     k = max(n - 2, 0)
@@ -643,11 +623,19 @@ def semigroup_rank(table: SemigroupTable):
     Exact when a least generating set exists.  Otherwise the lower bound
     is the irreducible count and the upper bound comes from a greedy
     descent: starting from the whole table, repeatedly drop the
-    largest-key element whose removal keeps generation.
+    largest-key element whose removal keeps generation.  The descent
+    runs one saturation per element, so a table of more than
+    :data:`DESCENT_MAX_SIZE` elements raises :class:`TooLargeError`
+    instead.
     """
     irr, generates = _irreducible_scan(table)
     if generates:
         return ("exact", len(irr))
+    if len(table) > DESCENT_MAX_SIZE:
+        raise TooLargeError(
+            f"no least generating set, and the greedy rank descent runs on at most "
+            f"{DESCENT_MAX_SIZE} elements, got {len(table)}"
+        )
     lo = len(irr)
     target = len(table)
     current = set(table.elements)
@@ -668,12 +656,9 @@ def regular_elements(table: SemigroupTable):
     an inverse of a; inverses in I_n are unique (Howie, Fundamentals of
     Semigroup Theory, 1995, Thm 5.1.1), so y = a^-1.  Conversely
     a*a^-1*a = a.  So one pass looks each inverse up in the table and
-    confirms each hit with the literal product.  Closure under products
-    is taken from the table's ``closed`` flag; a table that is not
-    closed, such as a floored closure, raises ValueError.
+    confirms each hit with the literal product.  The argument needs y in
+    S, which holds as every table is closed under products.
     """
-    if not table.closed:
-        raise ValueError("regular elements need a table closed under products")
     index = table.index
     out = []
     for a in table.imgs:

@@ -75,7 +75,7 @@ class JInvariant:
         """Canonical text: ``k:total[:odd]`` terms joined by ``;``, ascending k."""
         odd = dict(self.odd_starts)
         return ";".join(
-            f"{k}:{cnt}:{odd.get(k, 0)}" if _keeps_start_parity(k) else f"{k}:{cnt}"
+            f"{k}:{cnt}:{odd[k]}" if _keeps_start_parity(k) else f"{k}:{cnt}"
             for k, cnt in self.sizes
         )
 

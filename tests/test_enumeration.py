@@ -2,6 +2,7 @@ import contextlib
 import io
 import math
 import random
+import time
 import tracemalloc
 
 import pytest
@@ -136,25 +137,41 @@ def test_closure_shortest_words(table):
 
 
 def test_floored_closure_words_match_full():
-    # the floored closure is the full one cut at the floor, and the
+    # the floored saturation is the full one cut at the floor, and the
     # breadth-first oracle gives each element kept its full word, for
     # every floor up to the least generator rank
     cases = [(n, genfam.set_g(n)) for n in (2, 4, 6, 8)]
     cases += [(n, genfam.set_j(n)) for n in range(1, 7)]
     for n, gens in cases:
-        full = en.closure(n, gens)
+        full = en.saturate(n, gens)
+        assert full == set(en.closure(n, gens).imgs)
         full_words = _bfs_words(n, gens)
         for k in range(min(g.rank for g in gens) + 1):
-            floored = en.closure(n, gens, k)
-            assert floored.closed == (k == 0)
-            assert floored.elements == tuple(e for e in full if e.rank >= k)
-            assert en.saturate(n, gens, k) == {bytes(e.img) for e in floored}
+            floored = en.saturate(n, gens, k)
+            assert floored == {img for img in full if n - img.count(0) >= k}
             floored_words = _bfs_words(n, gens, k)
-            assert set(floored_words) == set(floored.elements)
-            for a in floored:
-                assert floored_words[a] == full_words[a]
+            assert {a.raw for a in floored_words} == floored
+            for a, word in floored_words.items():
+                assert word == full_words[a]
     ident, empty = PartialInjection.identity(4), PartialInjection.empty(4)
-    assert en.closure(4, [ident, empty], 1).elements == (ident,)
+    assert en.saturate(4, [ident, empty], 1) == {ident.raw}
+
+
+def test_closure_tables_are_closed_under_products():
+    # every literal product of two members is a member, on seeded
+    # generator sets of I_n, with and without their inverses
+    rng = random.Random(36)
+    kinds = set()
+    for n in range(1, 5):
+        elements = en.build(n, "I").elements
+        for _ in range(6):
+            gens = rng.sample(elements, rng.randint(1, min(3, len(elements))))
+            for gen_set in (gens, _with_inverses(gens)):
+                tbl = en.closure(n, gen_set)
+                kinds.add(all(g.inverse() in tbl for g in gen_set))
+                members = set(tbl.elements)
+                assert all(a * b in members for a in members for b in members), n
+    assert kinds == {True, False}
 
 
 def test_closure_stays_inside_if(table):
@@ -237,16 +254,6 @@ def test_is_generating_self(table):
 def test_is_generating_not_subset(table):
     with pytest.raises(NotSubsetError):
         en.is_generating(table(3), [PartialInjection.identity(4)])
-
-
-def test_is_generating_refuses_table_not_closed():
-    # the floored closure holds only the rank >= n-2 layer, which set_j
-    # fills exactly: a size match against it proves nothing
-    for n in (4, 6):
-        floored = en.closure(n, genfam.set_j(n), n - 2)
-        assert not floored.closed and len(floored) == len(genfam.set_j(n))
-        with pytest.raises(ValueError, match="closed under products"):
-            en.is_generating(floored, genfam.set_j(n))
 
 
 def _with_inverses(gens):
@@ -484,42 +491,6 @@ def test_ideal_j_classes_match_unreduced_graph(monkeypatch, table):
         assert reduced == unreduced, n
 
 
-def _unpruned_rows(table, gens):
-    """Successor rows of the two-sided Cayley graph with every edge, rank-
-    lowering ones included: the row builder the rank-keeping one replaced."""
-    imgs = [e.img for e in table.elements]
-    index = {img: i for i, img in enumerate(imgs)}
-    gen_muls = [multiplier(g.img) for g in gens]
-    padded_gens = [(0,) + g.img for g in gens]
-    succ = []
-    for a in imgs:
-        padded_a = (0,) + a
-        row = {index[p] for p in map(multiplier(a), padded_gens)}
-        row.update(index[mul(padded_a)] for mul in gen_muls)
-        succ.append(sorted(row))
-    return succ
-
-
-def _partition(succ):
-    groups = {}
-    for pos, c in enumerate(en._strong_components(succ)):
-        groups.setdefault(c, []).append(pos)
-    return sorted(groups.values())
-
-
-def test_rank_keeping_rows_drop_only_rank_lowering_edges(table):
-    for n in range(1, 9):
-        tbl = table(n)
-        gens = en.reduce_generators(genfam.set_j(n))
-        full = _unpruned_rows(tbl, gens)
-        kept = en._rank_keeping_rows(tbl, gens)
-        ranks = [e.rank for e in tbl.elements]
-        for x, (row, pruned) in enumerate(zip(full, kept)):
-            assert list(pruned) == [y for y in row if ranks[y] == ranks[x]], (n, x)
-        # a rank-lowering edge lies on no cycle, so the components agree
-        assert _partition(kept) == _partition(full), n
-
-
 def test_inverse_j_classes_match_ideal_and_fingerprint_classes(table):
     for n in range(1, 9):
         tbl = table(n)
@@ -546,7 +517,6 @@ def test_inverse_j_classes_match_all_pairs_principal_ideals(table):
 def test_inverse_j_classes_on_closure_tables():
     for n in (2, 4, 6):
         tbl = en.closure(n, genfam.set_g(n))
-        assert tbl.closed
         assert en.inverse_j_classes(tbl) == en.ideal_j_classes(tbl, tbl.gens), n
     # on closures that are not fence monoids: agree where closed under
     # inverse, refuse where not
@@ -567,10 +537,6 @@ def test_inverse_j_classes_on_closure_tables():
 def test_inverse_j_classes_refuse_tables_not_inverse_closed(table):
     with pytest.raises(ValueError, match="inverse of n=4:"):
         en.inverse_j_classes(table(4, "PFI"))
-    floored = en.closure(6, genfam.set_j(6), min_rank=3)
-    assert not floored.closed
-    with pytest.raises(ValueError, match="closed under products"):
-        en.inverse_j_classes(floored)
 
 
 def test_inverse_j_classes_read_no_fingerprint_or_fence_fact(monkeypatch, table):
@@ -727,14 +693,17 @@ def test_principal_ideals_match_tuple_kernel(table):
         assert en.principal_ideals(tbl) == slow.principal_ideals(tbl)
 
 
-def test_rank_keeping_rows_match_tuple_kernel(table):
-    cases = [(table(n), en.reduce_generators(genfam.set_j(n))) for n in range(1, 9)]
+def test_cayley_rows_match_tuple_kernel(table):
+    # the two-sided Cayley graph over the reduced generators that
+    # ideal_j_classes splits, edge for edge
+    cases = [(table(n), genfam.set_j(n)) for n in range(1, 9)]
     for n in range(1, 7):
         pfi = table(n, "PFI")
         cases.append((pfi, [e for e in pfi.elements if e.rank >= n - 2]))
     for tbl, gens in cases:
-        got = [list(row) for row in en._rank_keeping_rows(tbl, gens)]
-        assert got == slow.rank_keeping_rows(tbl, gens), (tbl.n, len(tbl))
+        reduced = en.reduce_generators(gens)
+        got = [list(row) for row in en._cayley_rows(tbl, reduced)]
+        assert got == slow.cayley_rows(tbl, reduced), (tbl.n, len(tbl))
 
 
 def test_irreducibles_within_match_tuple_kernel(table):
@@ -750,17 +719,6 @@ def test_regular_elements_match_tuple_kernel(table):
     tables = [table(n, "PFI") for n in range(1, 8)] + [table(n) for n in range(1, 9)]
     for tbl in tables + _low_rank_closures():
         assert en.regular_elements(tbl) == slow.regular_elements(tbl), (tbl.n, len(tbl))
-
-
-def test_regular_elements_refuse_table_not_closed():
-    # a floored closure of set_j and its inverses is the rank >= n-2
-    # layer of IF_n: every member's inverse is in it, yet products fall out
-    n = 5
-    floored = en.closure(n, _with_inverses(genfam.set_j(n)), n - 2)
-    assert not floored.closed
-    assert all(pinj.inverse_img(img) in floored.index for img in floored.imgs)
-    with pytest.raises(ValueError, match="closed under products"):
-        en.regular_elements(floored)
 
 
 def test_regular_elements_confirm_each_inverse_with_the_product(monkeypatch, table):
@@ -819,12 +777,24 @@ def test_semigroup_rank_exact(table):
 
 
 def test_semigroup_rank_bounds(table):
-    for n in (3, 5):
+    for n, bounds in ((3, (1, 5)), (5, (1, 6))):
         kind, lo, hi = en.semigroup_rank(table(n))
         assert kind == "bounds"
         assert lo <= hi
         # the greedy result still generates, so rank is at most hi
         assert hi <= len(table(n))
+        assert (lo, hi) == bounds
+
+
+def test_semigroup_rank_descent_refuses_large_tables(table):
+    # IF_7 has no least generating set and lies past the descent's
+    # limit: refused after the irreducible scan, before any descent
+    tbl = table(7)
+    assert len(table(5)) <= en.DESCENT_MAX_SIZE < len(tbl)
+    start = time.perf_counter()
+    with pytest.raises(TooLargeError, match="descent"):
+        en.semigroup_rank(tbl)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_regular_pfi_elements_lie_in_if(table):

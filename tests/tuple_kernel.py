@@ -2,7 +2,7 @@
 
 The product kernel here is a C-level ``itemgetter`` over img tuples, and
 every bulk consumer of :mod:`fencemonoid.enumeration` is restated on it:
-saturation, the image-set orbit, principal ideals, rank-keeping Cayley
+saturation, the image-set orbit, principal ideals, two-sided Cayley
 rows, irreducibles within a layer, regular elements and the listing of
 I_n.  Each works on img tuples and reads nothing from a table but its
 elements, so the tests can require the bytes versions to give the same
@@ -150,19 +150,18 @@ def principal_ideals(table):
     return right, left, two_sided
 
 
-def rank_keeping_rows(table, gens):
+def cayley_rows(table, gens):
     """Sorted successor positions of each element under ``x*g`` and
-    ``g*x`` for the generators g that keep its rank."""
+    ``g*x`` for every generator g: the two-sided Cayley graph."""
     imgs = [e.img for e in table.elements]
     index = {img: i for i, img in enumerate(imgs)}
+    gen_muls = [multiplier(g.img) for g in gens]
+    padded_gens = [(0,) + g.img for g in gens]
     succ = []
-    for x in table.elements:
-        im, dom = x.im_mask(), x.dom_mask()
-        right = [(0,) + g.img for g in gens if not im & ~g.dom_mask()]
-        left = [multiplier(g.img) for g in gens if not dom & ~g.im_mask()]
-        padded_x = (0,) + x.img
-        row = {index[p] for p in map(multiplier(x.img), right)}
-        row.update(index[mul(padded_x)] for mul in left)
+    for a in imgs:
+        padded_a = (0,) + a
+        row = {index[p] for p in map(multiplier(a), padded_gens)}
+        row.update(index[mul(padded_a)] for mul in gen_muls)
         succ.append(sorted(row))
     return succ
 
