@@ -247,23 +247,24 @@ def _verify_jcrit(n):
         # the two-sided principal ideals, from one bulk pass
         _, _, jsets = en.principal_ideals(table)
         oracle = en.fibres(jsets, table.imgs)
-        if crit == oracle:
-            return True, {"classes": len(crit), "pairs": len(table) ** 2}
-        # the pair an all-pairs scan meets first: the first element whose two
-        # classes differ, and the least member of their symmetric difference
-        crit_of, oracle_of = ({a: s for s in map(set, cs) for a in s} for cs in (crit, oracle))
-        a = next(a for a in table.imgs if crit_of[a] != oracle_of[a])
-        b = min(crit_of[a] ^ oracle_of[a])  # images sort in table order
-        criterion = b in crit_of[a]
-        pair = [pinj.PartialInjection(n, img).encode() for img in (a, b)]
-        return False, {"counterexample": pair, "criterion": criterion, "oracle": not criterion}
-    # oracle: D = J in the inverse semigroup IF_n, whose R- and L-classes
-    # are fixed by domain and image; it reads no fingerprint and no fence
-    # fact (see inverse_j_classes)
-    oracle = en.inverse_j_classes(table)
+        summary = {"classes": len(crit), "pairs": len(table) ** 2}
+    else:
+        # oracle: D = J in the inverse semigroup IF_n, whose R- and
+        # L-classes are fixed by domain and image; it reads no fingerprint
+        # and no fence fact (see inverse_j_classes)
+        oracle = en.inverse_j_classes(table)
+        summary = {"classes": len(crit), "oracle_classes": len(oracle)}
     # both partitions come as sorted classes ordered by least member
-    ok = crit == oracle
-    return ok, {"classes": len(crit), "oracle_classes": len(oracle)}
+    if crit == oracle:
+        return True, summary
+    # the pair an all-pairs scan meets first: the first element whose two
+    # classes differ, and the least member of their symmetric difference
+    crit_of, oracle_of = ({a: s for s in map(set, cs) for a in s} for cs in (crit, oracle))
+    a = next(a for a in table.imgs if crit_of[a] != oracle_of[a])
+    b = min(crit_of[a] ^ oracle_of[a])  # images sort in table order
+    criterion = b in crit_of[a]
+    pair = [pinj.PartialInjection(n, img).encode() for img in (a, b)]
+    return False, {"counterexample": pair, "criterion": criterion, "oracle": not criterion}
 
 
 def _verify_regular(n):

@@ -50,10 +50,6 @@ class TooLargeError(ValueError):
     pass
 
 
-class NotMemberError(ValueError):
-    pass
-
-
 class NotSubsetError(ValueError):
     pass
 
@@ -88,12 +84,6 @@ class SemigroupTable:
 
     def __contains__(self, elt):
         return isinstance(elt, PartialInjection) and elt.raw in self.index
-
-    def position(self, elt: PartialInjection) -> int:
-        try:
-            return self.index[elt.raw]
-        except KeyError:
-            raise NotMemberError(f"{elt.encode()} is not in the table") from None
 
 
 def _domains(n):

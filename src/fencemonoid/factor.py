@@ -71,12 +71,6 @@ class MalformedBlockFormError(ValueError):
 # --- words ------------------------------------------------------------------
 
 
-def _resolve(letter, n: int) -> PartialInjection:
-    if isinstance(letter, GeneratorSpec):
-        return genfam.named(n, letter)
-    return letter
-
-
 def eval_word(word: Word) -> PartialInjection:
     """The product of the letters, folded over bytes images; one element
     is built at the end."""
@@ -102,23 +96,27 @@ def build_reversal(n: int, m: int, p: int) -> PartialInjection:
     return checked_letter(interval_map(n, m, range(m + p, m - 1, -1)))
 
 
-# one shared spec per point, so a letter reuses its spec instead of
-# running GeneratorSpec's validating constructor
-_EPS = (None,) + tuple(GeneratorSpec("eps", i) for i in range(1, MAX_N + 1))
+@functools.lru_cache(maxsize=MAX_N)
+def _eps(n: int) -> tuple:
+    """(None, eps_1, ..., eps_n): the named point-deleted identities of
+    {1..n}, indexed by the deleted point."""
+    return (None, *(genfam.named(n, GeneratorSpec("eps", i)) for i in range(1, n + 1)))
 
 
 def _eps_letters(n, points):
-    return tuple(_EPS[i] for i in points if 1 <= i <= n)
+    eps = _eps(n)
+    return tuple(eps[i] for i in points if 1 <= i <= n)
 
 
 def _shift2k_letters(n, m, p, k):
     if k == 0:
         return _eps_letters(n, (m - 1, m + p + 1))
     letters = []
+    eps = _eps(n)
     for i in range(k):
         mm = m + 2 * i
         if p % 2 == 0:
-            letters += [build_reversal(n, mm, p + 2), build_reversal(n, mm + 2, p), _EPS[mm]]
+            letters += [build_reversal(n, mm, p + 2), build_reversal(n, mm + 2, p), eps[mm]]
         else:
             letters += [build_reversal(n, mm, p + 1), build_reversal(n, mm + 1, p + 1)]
     return tuple(letters)
@@ -131,7 +129,7 @@ def _move_letters(n: int, m: int, p: int, d: int, asc: bool) -> tuple:
     if asc:
         return letters
     if d % 2:
-        return letters + (build_reversal(n, m + d - 1, p + 1), _EPS[m + d - 1])
+        return letters + (build_reversal(n, m + d - 1, p + 1), _eps(n)[m + d - 1])
     return letters + (build_reversal(n, m + d, p),)
 
 
@@ -662,7 +660,7 @@ def factorize_g(a: PartialInjection) -> Word:
     base = factorize_j(a)  # checks membership
     letters: list = []
     for letter in _g_base(a) if base.provenance == "letter" else base.letters:
-        letters.extend(genfam.g_word_for(n, _resolve(letter, n)).letters)
+        letters.extend(genfam.g_word_for(n, letter).letters)
     word = Word(n, tuple(letters), provenance="g-expansion")
     if _value(word.letters, n) != a.raw:
         raise FactorizationError("generator expansion does not evaluate to the input")

@@ -7,15 +7,17 @@ reversals beta_{i,j} are the building blocks of every factorization
 this package produces.  set_j collects all elements of rank >= n-2
 (a generating set for every n); set_g is {id, sig1, sig2} + gammas +
 deltas, the least generating set when n is even, of size n+1.  A
-:class:`Word` is a product of such letters (or of explicit maps), and
-:func:`_value` folds one into the bytes image it evaluates to, through
+:class:`Word` is a product of elements, and :func:`_value` folds one
+into the bytes image it evaluates to, through
 :func:`~fencemonoid.pinj.translate_table`.
 
 Every interval move, here and in :mod:`factor` (the reversals and
 shifts of the constructive factorization), is laid out by one builder,
 :func:`interval_map`: fixed prefix, at most one dropped point, the
 moved interval, a gap of dropped points, fixed suffix.  Every letter
-is checked and given its table by one gate, :func:`checked_letter`.
+is a :class:`Letter`, checked and given its table by one gate,
+:func:`checked_letter`; :func:`named` is the one place where a
+:class:`GeneratorSpec` becomes a letter, which keeps it as its name.
 Over set_g, :func:`g_word_for` gives each letter the factorization
 makes a closed-form word from one table of identities,
 :func:`_table_word`; no word is searched for.
@@ -49,8 +51,17 @@ class FactorizationError(RuntimeError):
     word from another method."""
 
 
-def checked_letter(a: PartialInjection) -> PartialInjection:
-    """The letter gate: ``a`` with its translate table kept on it, once
+class Letter(PartialInjection):
+    """A checked letter: an element of IF_n of rank >= n-2 that keeps its
+    translate table ``_table`` and ``spec``, the :class:`GeneratorSpec`
+    it was named by, or None.  It equals, hashes and multiplies as the
+    element it is; only :func:`checked_letter` makes one."""
+
+    __slots__ = ("_table", "spec")
+
+
+def checked_letter(a: PartialInjection, spec=None) -> Letter:
+    """The letter gate: ``a`` as a :class:`Letter` named ``spec``, once
     ``a`` is shown to have rank >= n-2 and to lie in IF_n; raises
     :class:`FactorizationError` otherwise.  Every memoised letter, named
     generator, reversal or rotation, passes here once, where it is made."""
@@ -58,8 +69,10 @@ def checked_letter(a: PartialInjection) -> PartialInjection:
         raise FactorizationError(f"letter {a.encode()} is not high-rank")
     if not in_if(a):
         raise FactorizationError(f"letter {a.encode()} escapes the semigroup")
-    a._table = translate_table(a.raw)
-    return a
+    letter = Letter(a.n, a.raw)
+    letter._table = translate_table(a.raw)
+    letter.spec = spec
+    return letter
 
 
 def interval_map(n: int, m: int, values, gap: int = 2) -> PartialInjection:
@@ -81,28 +94,28 @@ def epsilon(n: int, i: int) -> PartialInjection:
     """Identity on {1..n} minus {i}: the rank n-1 idempotents."""
     if not 1 <= i <= n:
         raise BadIndexError(f"epsilon index must be in 1..{n}, got {i}")
-    return checked_letter(interval_map(n, i + 1, (), 1))  # the empty move at i+1 drops only i
+    return interval_map(n, i + 1, (), 1)  # the empty move at i+1 drops only i
 
 
 def sigma1(n: int) -> PartialInjection:
     """1 -> n, x -> x-2 for 3 <= x <= n; undefined at 2.  Rank n-1, even n only."""
     if n % 2 or n < 2:
         raise OddAmbientError(f"sigma1 needs even ambient size, got {n}")
-    return checked_letter(_eta_left(n, n))
+    return _eta_left(n, n)
 
 
 def sigma2(n: int) -> PartialInjection:
     """The inverse of sigma1: x -> x+2 for x <= n-2, n -> 1."""
     if n % 2 or n < 2:
         raise OddAmbientError(f"sigma2 needs even ambient size, got {n}")
-    return checked_letter(_eta_right(n, n))
+    return _eta_right(n, n)
 
 
 def gamma(n: int, i: int) -> PartialInjection:
     """Reverse {1..i-1} in place, fix {i+1..n}; undefined at i.  i even, 4 <= i <= n."""
     if i % 2 or not 4 <= i <= n:
         raise BadIndexError(f"gamma index must be even in 4..{n}, got {i}")
-    return checked_letter(interval_map(n, 1, range(i - 1, 0, -1)))
+    return interval_map(n, 1, range(i - 1, 0, -1))
 
 
 def delta(n: int, i: int) -> PartialInjection:
@@ -115,7 +128,7 @@ def delta(n: int, i: int) -> PartialInjection:
         raise OddAmbientError(f"delta needs even ambient size, got {n}")
     if i % 2 == 0 or not 1 <= i <= n - 3:
         raise BadIndexError(f"delta index must be odd in 1..{n - 3}, got {i}")
-    return checked_letter(interval_map(n, i + 1, range(n, i, -1)))
+    return interval_map(n, i + 1, range(n, i, -1))
 
 
 def beta(n: int, i: int, j: int) -> PartialInjection:
@@ -127,7 +140,7 @@ def beta(n: int, i: int, j: int) -> PartialInjection:
         raise BadIndexError(f"beta needs 1 <= i < j <= {n}, got ({i}, {j})")
     if (j - i) % 2:
         raise BadIndexError(f"beta indices must share parity, got ({i}, {j})")
-    return checked_letter(interval_map(n, i + 1, range(j - 1, i, -1)))
+    return interval_map(n, i + 1, range(j - 1, i, -1))
 
 
 _FAMILIES = ("id", "sig1", "sig2", "eps", "gam", "del", "beta")
@@ -178,27 +191,27 @@ class GeneratorSpec(tuple):
 
 
 @functools.lru_cache(maxsize=1024)
-def named(n: int, spec: GeneratorSpec) -> PartialInjection:
-    """Realize a generator spec as a concrete map on {1..n}.
-
-    Cached: specs and maps are immutable, and a factorization resolves
-    the same few letters many times.  Each map, made through
-    :func:`checked_letter`, keeps its translate table for :func:`_value`.
-    """
+def named(n: int, spec: GeneratorSpec) -> Letter:
+    """The generator ``spec`` names, as a :class:`Letter` on {1..n} that
+    keeps ``spec`` and its translate table: the one place where a spec
+    becomes a letter.  Memoised, so each named letter passes the gate
+    :func:`checked_letter` once."""
     fam = spec.family
     if fam == "id":
-        return checked_letter(PartialInjection.identity(n))
-    if fam == "sig1":
-        return sigma1(n)
-    if fam == "sig2":
-        return sigma2(n)
-    if fam == "eps":
-        return epsilon(n, spec.i)
-    if fam == "gam":
-        return gamma(n, spec.i)
-    if fam == "del":
-        return delta(n, spec.i)
-    return beta(n, spec.i, spec.j)
+        a = PartialInjection.identity(n)
+    elif fam == "sig1":
+        a = sigma1(n)
+    elif fam == "sig2":
+        a = sigma2(n)
+    elif fam == "eps":
+        a = epsilon(n, spec.i)
+    elif fam == "gam":
+        a = gamma(n, spec.i)
+    elif fam == "del":
+        a = delta(n, spec.i)
+    else:
+        a = beta(n, spec.i, spec.j)
+    return checked_letter(a, spec)
 
 
 # --- words -------------------------------------------------------------------
@@ -206,53 +219,50 @@ def named(n: int, spec: GeneratorSpec) -> PartialInjection:
 
 @dataclass(frozen=True)
 class Word:
-    """A sequence of letters (generator specs or explicit maps) with an
-    evaluation contract: the product is taken left to right, and the
-    empty word denotes the identity."""
+    """A sequence of letters, each an element of the same ambient size,
+    with an evaluation contract: the product is taken left to right, and
+    the empty word denotes the identity.  A :class:`Letter` named by a
+    spec prints as its spec, any other letter as its image."""
 
     n: int
     letters: tuple = ()
     provenance: str = "direct"
-    fallback: bool = False  # always false; the v1 payload keeps the field
-    bfs_letters: int = 0  # always 0; the v1 payload keeps the field
+    fallback = False  # a class constant: the v1 payload keeps the field
+    bfs_letters = 0  # a class constant: the v1 payload keeps the field
 
     def __len__(self):
         return len(self.letters)
 
     def text(self) -> str:
-        parts = []
-        for l in self.letters:
-            if isinstance(l, GeneratorSpec):
-                parts.append(l.text())
-            else:
-                head, _, body = l.encode().partition(":")
-                parts.append(body)
+        parts = [
+            l.spec.text() if l.spec is not None else l.encode().partition(":")[2]
+            for l in self.letters
+        ]
         return " ".join([f"w{self.n}:"] + parts)
 
 
 def _value(letters, n: int) -> bytes:
-    """The bytes image of the product of the letters; () is the identity.
+    """The bytes image of the product of the letters, which are elements;
+    () is the identity.
 
     The fold runs on the :func:`~fencemonoid.pinj.translate_table`
     kernel: from the identity, each letter translates the running image
-    through its table.  A
-    memoised letter (a generator from :func:`named`, a reversal or an
-    inverse from :mod:`factor`) keeps its table; any other operand gets
-    a throwaway one, so no caller's element keeps a table.  A letter of
-    another ambient size raises :class:`SizeMismatchError`, as the
-    element product does."""
+    through its table.  A :class:`Letter` keeps its table; any other
+    element gets a throwaway one, so no caller's element keeps a table.
+    A letter of another ambient size raises :class:`SizeMismatchError`,
+    as the element product does."""
     acc = bytes(range(1, n + 1))
     for letter in letters:
-        elt = named(n, letter) if isinstance(letter, GeneratorSpec) else letter
-        if elt.n != n:
-            raise SizeMismatchError(f"ambient sizes differ: {n} != {elt.n}")
-        acc = acc.translate(elt._table or translate_table(elt.raw))
+        if letter.n != n:
+            raise SizeMismatchError(f"ambient sizes differ: {n} != {letter.n}")
+        acc = acc.translate(letter._table or translate_table(letter.raw))
     return acc
 
 
 def parse_word(text: str) -> Word:
-    """Inverse of :meth:`Word.text`; raw letters are bracketed and may
-    contain spaces, so tokenization is bracket-aware."""
+    """Inverse of :meth:`Word.text`: a spec token becomes its
+    :func:`named` letter, a bracketed image a plain element.  Raw letters
+    may contain spaces, so tokenization is bracket-aware."""
     text = text.strip()
     head, _, rest = text.partition(":")
     if not head.startswith("w"):
@@ -271,7 +281,7 @@ def parse_word(text: str) -> Word:
                 tok += " " + tokens[i]
             letters.append(parse(f"n={n}:{tok}"))
         else:
-            letters.append(GeneratorSpec.parse(tok))
+            letters.append(named(n, GeneratorSpec.parse(tok)))
         i += 1
     return Word(n, tuple(letters))
 
@@ -298,7 +308,7 @@ def set_g(n: int):
     """{id, sig1, sig2} + all gammas + all deltas: n+1 elements, even n."""
     if n % 2:
         raise OddAmbientError(f"the distinguished generating set needs even n, got {n}")
-    gens = _g_spec_lookup(n)  # element -> spec, so equal elements collapse
+    gens = _g_letters(n)  # keyed by element, so equal elements collapse
     if len(gens) != n + 1:
         raise RuntimeError(f"set_g({n}) does not have n+1 distinct generators")
     return tuple(sorted(gens))
@@ -318,24 +328,30 @@ def _eta_right(n: int, c: int) -> PartialInjection:
     return interval_map(n, 1, (*range(3, c + 1), 0, 1))
 
 
+def _g(n: int, family: str, i: int | None = None) -> Letter:
+    """The named letter of a set_g family on {1..n}."""
+    return named(n, GeneratorSpec(family, i))
+
+
 @functools.lru_cache(maxsize=8)
-def _g_spec_lookup(n: int):
-    """The n+1 distinguished generators of set_g, each mapped to its spec."""
-    specs = [GeneratorSpec("id"), GeneratorSpec("sig1"), GeneratorSpec("sig2")]
-    specs += [GeneratorSpec("gam", i) for i in range(4, n + 1, 2)]
-    specs += [GeneratorSpec("del", i) for i in range(1, n - 2, 2)]
-    return {named(n, s): s for s in specs}
+def _g_letters(n: int):
+    """The n+1 distinguished generators of set_g, each element mapped to
+    its named letter."""
+    letters = [_g(n, "id"), _g(n, "sig1"), _g(n, "sig2")]
+    letters += [_g(n, "gam", i) for i in range(4, n + 1, 2)]
+    letters += [_g(n, "del", i) for i in range(1, n - 2, 2)]
+    return dict(zip(letters, letters))
 
 
 def _epsilon_word(n: int, i: int):
     """Two-letter expression for eps_i over set_g; total for even n."""
     if i % 2 == 0:
         if i == 2:
-            return [GeneratorSpec("sig1"), GeneratorSpec("sig2")]
-        return [GeneratorSpec("gam", i)] * 2
+            return [_g(n, "sig1"), _g(n, "sig2")]
+        return [_g(n, "gam", i)] * 2
     if i <= n - 3:
-        return [GeneratorSpec("del", i)] * 2
-    return [GeneratorSpec("sig2"), GeneratorSpec("sig1")]  # i == n-1
+        return [_g(n, "del", i)] * 2
+    return [_g(n, "sig2"), _g(n, "sig1")]  # i == n-1
 
 
 def _table_word(n: int, target: PartialInjection):
@@ -347,7 +363,7 @@ def _table_word(n: int, target: PartialInjection):
     at least 4, which expand through the gamma/delta ranges.  These are
     all the letters :func:`~fencemonoid.factor._constructive` makes.
     """
-    lookup = _g_spec_lookup(n)
+    lookup = _g_letters(n)
     if target in lookup:
         return [lookup[target]]
     dom = target.domain()
@@ -357,26 +373,18 @@ def _table_word(n: int, target: PartialInjection):
     for a in range(2, n - 1, 2):
         # a rotation is sig1 or sig2 between del:(a+1) and del:(a-1); at
         # a = n-2 there is no del:(n-1), and the word needs none
-        outer = [GeneratorSpec("del", a + 1)] if a < n - 2 else []
+        outer = [_g(n, "del", a + 1)] if a < n - 2 else []
         if target == _eta_left(n, a):
-            return [*outer, GeneratorSpec("sig1"), GeneratorSpec("del", a - 1)]
+            return [*outer, _g(n, "sig1"), _g(n, "del", a - 1)]
         if target == _eta_right(n, a):
-            return [GeneratorSpec("del", a - 1), GeneratorSpec("sig2"), *outer]
+            return [_g(n, "del", a - 1), _g(n, "sig2"), *outer]
     if len(dom) == n - 2:
         (i, j) = missing
         if (j - i) % 2 == 0 and target == beta(n, i, j):
             if i % 2 == 1 and 1 <= n - j + i + 1 <= n - 3:
-                return [
-                    GeneratorSpec("del", i),
-                    GeneratorSpec("del", n - j + i + 1),
-                    GeneratorSpec("del", i),
-                ]
+                return [_g(n, "del", i), _g(n, "del", n - j + i + 1), _g(n, "del", i)]
             if i % 2 == 0 and j - i >= 4:
-                return [
-                    GeneratorSpec("gam", j),
-                    GeneratorSpec("gam", j - i),
-                    GeneratorSpec("gam", j),
-                ]
+                return [_g(n, "gam", j), _g(n, "gam", j - i), _g(n, "gam", j)]
     return None
 
 

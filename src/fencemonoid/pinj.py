@@ -10,10 +10,9 @@ images ``a`` and ``b``, ``a.translate(translate_table(b))`` is the
 image of ``a*b``, and :func:`inverse_img` is the inverse kernel.  The
 bulk products of :mod:`enumeration` run on the bytes images of a table
 and build each right factor's table once; a word folds left to right,
-one letter at a time.  A letter folded many
-times keeps the table its gate gave it
-(:func:`~fencemonoid.genfam.checked_letter`); any other operand is
-given a throwaway one.
+one letter at a time.  A :class:`~fencemonoid.genfam.Letter`, the
+element the letter gate :func:`~fencemonoid.genfam.checked_letter`
+returns, keeps its table; any other operand is given a throwaway one.
 """
 
 from __future__ import annotations
@@ -48,21 +47,22 @@ class PartialInjection:
     ``raw`` is the length-n bytes image; slot x-1 holds the image of x,
     with 0 as the "undefined" sentinel.  The constructor keeps bytes as
     given and converts any other sequence of ints once.  ``img`` is a
-    read-only tuple view of ``raw`` for readers outside the package.
-    Instances compare by (n, raw), hash by raw and sort by raw (bytes of
-    one length sort as the tuples do), which gives the canonical total
-    order used for deterministic enumeration.  ``_table`` is None except
-    on the letters :func:`~fencemonoid.genfam.checked_letter` gave a
-    table.
+    read-only tuple view of ``raw`` for tuple readers, such as
+    :func:`canonical_key`.  Instances compare by (n, raw), hash by raw
+    and sort by raw (bytes of one length sort as the tuples do), which
+    gives the canonical total order used for deterministic enumeration.
+    ``_table`` and ``spec`` are class-level None defaults, which the
+    product and the word fold read without a branch; only a
+    :class:`~fencemonoid.genfam.Letter` holds values in them.
     """
 
-    __slots__ = ("n", "raw", "_table")
+    __slots__ = ("n", "raw")
+    _table = spec = None
 
     def __init__(self, n: int, img):
         # Trusted fast constructor: callers guarantee injectivity/range.
         self.n = n
         self.raw = img if img.__class__ is bytes else bytes(img)
-        self._table = None
 
     @property
     def img(self) -> tuple[int, ...]:
@@ -124,12 +124,6 @@ class PartialInjection:
     def rank(self) -> int:
         return self.n - self.raw.count(0)
 
-    def dom_mask(self) -> int:
-        return sum(1 << x for x, v in enumerate(self.raw) if v)
-
-    def im_mask(self) -> int:
-        return sum(1 << v >> 1 for v in self.raw)
-
     def __mul__(self, other: "PartialInjection") -> "PartialInjection":
         if not isinstance(other, PartialInjection):
             return NotImplemented
@@ -143,11 +137,6 @@ class PartialInjection:
 
     def is_partial_identity(self) -> bool:
         return all(v == 0 or v == x for x, v in enumerate(self.raw, start=1))
-
-    @property
-    def key(self) -> tuple[int, ...]:
-        """Canonical total-order key: equal keys iff equal maps."""
-        return tuple(self.raw)
 
     def encode(self) -> str:
         """Bit-exact text form, entries sorted by source: ``n=6:[1>3 2>2]``."""
@@ -237,4 +226,5 @@ def identity_on(n: int, points) -> PartialInjection:
 
 
 def canonical_key(a: PartialInjection) -> tuple[int, ...]:
-    return a.key
+    """Canonical total-order key: equal keys iff equal maps."""
+    return a.img

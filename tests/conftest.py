@@ -27,13 +27,13 @@ def ideal_sets():
     """ideal_sets(table, a): a's (R, L, J) principal ideals as element sets.
 
     One bulk ``principal_ideals`` pass per table gives the masks, which
-    are unpacked at ``table.position(a)``: a non-member raises
-    NotMemberError.
+    are unpacked at ``table.index[a.raw]``: a non-member raises
+    KeyError.
     """
     masks = {}
 
     def get(tbl, a):
-        pos = tbl.position(a)
+        pos = tbl.index[a.raw]
         if tbl not in masks:
             masks[tbl] = en.principal_ideals(tbl)
         return tuple(

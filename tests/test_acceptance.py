@@ -135,8 +135,7 @@ def test_08_factorization_soundness(table):
             constructive += w.provenance == "constructive"
             if factor.eval_word(w) != a:
                 report(8, "factorization soundness", False, f"eval mismatch n={n}")
-            for letter in w.letters:
-                elt = factor._resolve(letter, n)
+            for elt in w.letters:
                 if elt.rank < n - 2 or not fence.in_if(elt):
                     report(8, "factorization soundness", False, f"low-rank letter n={n}")
     for n in (2, 4, 6):
@@ -144,7 +143,7 @@ def test_08_factorization_soundness(table):
         for a in table(n):
             w = factor.factorize_g(a)
             if factor.eval_word(w) != a or any(
-                factor._resolve(l, n) not in gset for l in w.letters
+                l not in gset for l in w.letters
             ):
                 report(8, "factorization soundness", False, f"generator word n={n}")
     report(8, "factorization soundness (n<=6; generator words n=2,4,6)", True,

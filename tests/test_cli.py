@@ -6,6 +6,7 @@ import time
 from fencemonoid import cli, factor, fence, genfam, greens, pinj
 from fencemonoid import enumeration as en
 from fencemonoid.pinj import PartialInjection
+import tuple_kernel as slow
 
 ALPHA = "n=6:[1>3 2>2 4>6 5>5 6>4]"
 
@@ -268,7 +269,9 @@ def test_verify_jcrit_makes_one_bulk_ideal_pass(monkeypatch):
 
 
 def test_verify_jcrit_detects_rank_only_partition(monkeypatch):
-    # rank merges J-classes from n = 4 on; the n >= 6 oracle must see it
+    # rank merges J-classes from n = 4 on; the n >= 6 oracle must see it,
+    # and the violation names the first pair in table order on which the
+    # criterion and the oracle disagree, as it does at n <= 5
     def by_rank(table):
         classes = {}
         for img, a in zip(table.imgs, table.elements):
@@ -279,7 +282,23 @@ def test_verify_jcrit_detects_rank_only_partition(monkeypatch):
     code, out, _ = run("verify", "--n", "6", "--claim", "jcrit", "--format", "json")
     doc = json.loads(out)
     assert code == 2 and doc["status"] == "violation"
-    assert doc["result"]["classes"] == 7 and doc["result"]["oracle_classes"] == 19
+    pair = ["n=6:[5>1 6>2]", "n=6:[4>1 6>3]"]
+    assert doc["result"] == {"counterexample": pair, "criterion": True, "oracle": False, "claim": "jcrit"}
+    # the same pair as an all-pairs scan in table order
+    table = en.build(6, "IF")
+    oracle = {img: k for k, cls in enumerate(en.inverse_j_classes(table)) for img in cls}
+    rank = {img: 6 - img.count(0) for img in table.imgs}
+    first = next(
+        (a, b) for a in table.imgs for b in table.imgs
+        if (rank[a] == rank[b]) != (oracle[a] == oracle[b])
+    )
+    assert [PartialInjection(6, img).encode() for img in first] == pair
+    code, out, _ = run("verify", "--n", "6", "--claim", "jcrit")
+    assert code == 2 and out == (
+        "claim jcrit: violation\n"
+        f"counterexample {json.dumps(pair)}\n"
+        "criterion true\noracle false\n"
+    )
 
 
 def test_verify_jcrit_builds_no_cayley_graph(monkeypatch):
@@ -348,7 +367,7 @@ def test_generation_claims_take_the_orbit_path(monkeypatch):
 
     def floored_or_group(n, gens, min_rank=0):
         gens = list(gens)
-        sets = {g.dom_mask() for g in gens} | {g.im_mask() for g in gens}
+        sets = {slow.dom_mask(g) for g in gens} | {slow.im_mask(g) for g in gens}
         if min_rank <= 0 and len(sets) != 1:
             raise AssertionError("a generation check saturated the generated set")
         return real(n, gens, min_rank)

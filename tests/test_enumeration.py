@@ -10,7 +10,6 @@ import pytest
 from fencemonoid import enumeration as en
 from fencemonoid import cli, factor, fence, genfam, greens, pinj
 from fencemonoid.enumeration import (
-    NotMemberError,
     NotSubsetError,
     TooLargeError,
 )
@@ -216,7 +215,7 @@ def test_principal_ideals_hand_computed(table, ideal_sets):
 
 
 def test_principal_ideals_not_member(table, ideal_sets):
-    with pytest.raises(NotMemberError):
+    with pytest.raises(KeyError):
         ideal_sets(table(6), ALPHA)
 
 

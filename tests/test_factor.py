@@ -73,19 +73,13 @@ def _eval_word_by_objects(word):
     :func:`factor.eval_word`."""
     result = PartialInjection.identity(word.n)
     for letter in word.letters:
-        result = result * factor._resolve(letter, word.n)
+        result = result * letter
     return result
 
 
 def _inverse_letters(letters):
-    """The letters of the inverse word: in reverse order, sig1 and sig2
-    swapped, any other spec kept (id, eps, gam, del and beta are
-    involutions) and each explicit letter inverted."""
-    swap = {"sig1": GeneratorSpec("sig2"), "sig2": GeneratorSpec("sig1")}
-    return tuple(
-        swap.get(l.family, l) if isinstance(l, GeneratorSpec) else l.inverse()
-        for l in reversed(letters)
-    )
+    """The letters of the inverse word: in reverse order, each inverted."""
+    return tuple(l.inverse() for l in reversed(letters))
 
 
 def _clear_caches():
@@ -167,7 +161,7 @@ class _KindMismatchError(ValueError):
 def _old_build_shift_word(n, kind, m, p, k):
     if m < 1 or p < 0:
         raise BadIndexError(f"need m >= 1 and p >= 0, got m={m}, p={p}")
-    eps = factor._EPS
+    eps = factor._eps(n)
     if kind == "shift2k":
         if k < 0 or m + p + 2 * k > n:
             raise BadIndexError("shift needs 0 <= k and m+p+2k <= n")
@@ -299,10 +293,11 @@ def test_partial_identity_word():
     # point outside the domain; points outside 1..n are boundary
     # neighbours of an interval move and delete nothing
     assert genfam._value(factor._eps_letters(6, ()), 6) == PartialInjection.identity(6).raw
-    assert [l.text() for l in factor._eps_letters(6, [3])] == ["eps:3"]
+    assert [l.spec.text() for l in factor._eps_letters(6, [3])] == ["eps:3"]
     letters = factor._eps_letters(6, [1, 4])
     assert factor.eval_word(Word(6, letters)) == pinj.identity_on(6, {2, 3, 5, 6})
-    assert factor._eps_letters(6, [0, 2, 7]) == (GeneratorSpec("eps", 2),)
+    (eps2,) = factor._eps_letters(6, [0, 2, 7])
+    assert eps2 is genfam.named(6, GeneratorSpec("eps", 2)) and eps2 == genfam.epsilon(6, 2)
 
 
 def test_eval_word_empty_is_identity():
@@ -310,8 +305,19 @@ def test_eval_word_empty_is_identity():
 
 
 def test_eval_word_resolves_specs():
-    w = Word(6, (GeneratorSpec("sig1"), GeneratorSpec("sig2")))
+    # a spec becomes a letter through ``named`` only; the letter keeps it
+    w = Word(6, (genfam.named(6, GeneratorSpec("sig1")), genfam.named(6, GeneratorSpec("sig2"))))
+    assert [l.spec for l in w.letters] == [GeneratorSpec("sig1"), GeneratorSpec("sig2")]
     assert factor.eval_word(w) == genfam.epsilon(6, 2)
+    assert w.text() == "w6: sig1 sig2"
+
+
+def test_eval_word_refuses_a_raw_spec_letter():
+    # a word's letters are elements: a bare spec is not resolved, and a
+    # word holding one raises instead of evaluating
+    for letters in ((GeneratorSpec("eps", 2),), (genfam.epsilon(6, 3), GeneratorSpec("sig1"))):
+        with pytest.raises(AttributeError):
+            factor.eval_word(Word(6, letters))
 
 
 def test_eval_word_matches_object_fold(table):
@@ -341,18 +347,28 @@ def test_eval_word_rejects_letter_of_other_size():
     assert all(letter._table is not None for letter in tabled)
     for letter in tabled:
         with pytest.raises(SizeMismatchError):
-            factor.eval_word(Word(6, (GeneratorSpec("eps", 1), letter)))
+            factor.eval_word(Word(6, (genfam.named(6, GeneratorSpec("eps", 1)), letter)))
     with pytest.raises(SizeMismatchError):
         _eval_word_by_objects(Word(6, (PartialInjection.identity(8),)))
 
 
-def test_word_text_parse_roundtrip():
-    elt = factor.build_reversal(6, 2, 2)
-    w = Word(6, (elt, GeneratorSpec("eps", 2), GeneratorSpec("beta", 1, 5)))
+def test_word_text_parse_roundtrip(table):
+    named = [genfam.named(6, GeneratorSpec.parse(t)) for t in ("eps:2", "beta:1,5")]
+    w = Word(6, (factor.build_reversal(6, 2, 2), *named))
     assert w.text() == "w6: [2>4 3>3 4>2 6>6] eps:2 beta:1,5"
     parsed = genfam.parse_word(w.text())
+    assert parsed.letters == w.letters and parsed.text() == w.text()
+    assert [l.spec for l in parsed.letters] == [None, *(l.spec for l in named)]
     assert factor.eval_word(parsed) == factor.eval_word(w)
     assert genfam.parse_word("w6:").letters == ()
+    # every J and G word of IF_1..IF_6 prints a text that parses back to
+    # the same text and to the input
+    for n in range(1, 7):
+        for a in table(n):
+            words = [factor.factorize_j(a)] + ([factor.factorize_g(a)] if n % 2 == 0 else [])
+            for w in words:
+                parsed = genfam.parse_word(w.text())
+                assert parsed.text() == w.text() and factor.eval_word(parsed) == a
     # an unterminated raw letter is a bad literal, not an index error
     for text in ("w6: [1>1", "w6: eps:2 [2>4 3>3"):
         with pytest.raises(ValueError, match="bad word literal"):
@@ -445,7 +461,7 @@ def _old_block_form(a):
             break
     rest = range(stage - 1, len(blocks))
     low = min(rest, key=lambda l: blocks[l][2]) if rest else len(blocks)
-    return blocks, stage, low, a.dom_mask(), a.im_mask()
+    return blocks, stage, low, slow.dom_mask(a), slow.im_mask(a)
 
 
 def _old_apply_step(core, w1, w2, prefix_points):
@@ -576,8 +592,8 @@ def _old_reversal_cases(bf):
     n = bf.elt.n
     idx = bf.i - 1
     k0 = bf.low
-    dom_mask = bf.elt.dom_mask()
-    im_mask = bf.elt.im_mask()
+    dom_mask = slow.dom_mask(bf.elt)
+    im_mask = slow.im_mask(bf.elt)
     in_dom = lambda x: 1 <= x <= n and (dom_mask >> (x - 1)) & 1
     in_im = lambda x: 1 <= x <= n and (im_mask >> (x - 1)) & 1
     r_i = bf.blocks[idx].r
@@ -616,8 +632,8 @@ def test_covering_reversal_matches_six_branches(table):
             cur, least = bf.blocks[bf.i - 1], bf.blocks[bf.low]
             old = _old_reversal_cases(bf)
             if old is None:
-                assert factor._covering_reversal(n, a.dom_mask(), cur.r, least.s) is None
-                assert factor._covering_reversal(n, a.im_mask(), least.t, cur.u) is None
+                assert factor._covering_reversal(n, slow.dom_mask(a), cur.r, least.s) is None
+                assert factor._covering_reversal(n, slow.im_mask(a), least.t, cur.u) is None
             else:
                 assert factor._align_dispatch(bf) == old
                 covered += 1
@@ -695,7 +711,7 @@ def test_apply_step_matches_object_products(monkeypatch, table):
     bf = BlockForm.from_pinj(core)
     assert (bf.i, bf.aligned) == (2, True)
     for w1, message in (
-        (Word(8, (GeneratorSpec("eps", 5),)), "lost domain points"),
+        (Word(8, (genfam.named(8, GeneratorSpec("eps", 5)),)), "lost domain points"),
         (Word(8, (factor.build_reversal(8, 1, 2),)), "disturbed the fixed prefix"),
     ):
         got = _outcome(lambda *step: factor._next_form(*step).elt.img, bf, w1.letters, ())
@@ -766,13 +782,12 @@ def test_factorize_sampled_n9_to_32():
             for w in words:
                 assert not w.fallback
                 assert _eval_word_by_objects(w) == a
-                for letter in set(w.letters):
-                    elt = factor._resolve(letter, n)
+                for elt in set(w.letters):
                     assert elt.rank >= n - 2 and _old_in_if(elt)
                     if w.provenance != "letter":
                         assert elt._table == pinj.translate_table(elt.raw)
             if gset:
-                assert all(factor._resolve(l, n) in gset for l in words[1].letters)
+                assert all(l in gset for l in words[1].letters)
 
 
 def _refuse(*args):
@@ -805,7 +820,7 @@ def test_fix_noop_when_fixed(monkeypatch):
     assert BlockForm.from_pinj(a).all_fixed
     monkeypatch.setattr(factor, "_step", _refuse)
     w = factor.factorize_j(a)
-    assert [l.text() for l in w.letters] == ["eps:3", "eps:4", "eps:5", "eps:6"]
+    assert [l.spec.text() for l in w.letters] == ["eps:3", "eps:4", "eps:5", "eps:6"]
     assert (w.provenance, w.fallback) == ("constructive", False)
 
 
@@ -837,8 +852,7 @@ def test_factorize_j_exhaustive_small(table):
             w = factor.factorize_j(a)
             assert not w.fallback
             assert factor.eval_word(w) == a
-            for letter in w.letters:
-                elt = factor._resolve(letter, n)
+            for elt in w.letters:
                 assert elt.rank >= n - 2 and fence.in_if(elt)
 
 
@@ -876,8 +890,7 @@ def test_factorize_g_matches_table_expansions(table):
     for n in (2, 4, 6, 8):
         expansions = {}  # letter -> its table word's letters
 
-        def expand(letter):
-            target = factor._resolve(letter, n)
+        def expand(target):
             if target not in expansions:
                 letters = tuple(genfam._table_word(n, target))
                 assert factor.eval_word(Word(n, letters)) == target
@@ -898,7 +911,7 @@ def test_factorize_g_matches_table_expansions(table):
 
 def test_factorize_g_table_case():
     w = factor.factorize_g(genfam.epsilon(6, 4))
-    assert [l.text() for l in w.letters] == ["gam:4", "gam:4"]
+    assert [l.spec.text() for l in w.letters] == ["gam:4", "gam:4"]
 
 
 def test_factorize_g_exhaustive(table):
@@ -907,7 +920,7 @@ def test_factorize_g_exhaustive(table):
         for a in table(n):
             w = factor.factorize_g(a)
             assert factor.eval_word(w) == a
-            assert all(factor._resolve(l, n) in gset for l in w.letters)
+            assert all(l in gset for l in w.letters)
 
 
 def test_factorize_g_rejects_odd_n():
@@ -941,7 +954,7 @@ def test_far_block_alignment_cases():
         w = factor.factorize_j(a)
         assert not w.fallback
         assert factor.eval_word(w) == a
-        assert all(factor._resolve(l, 8).rank >= 6 for l in w.letters)
+        assert all(l.rank >= 6 for l in w.letters)
 
 
 def test_reversal_check_rejects_low_rank(monkeypatch):
@@ -1056,7 +1069,7 @@ def test_factorization_leaves_no_table_on_its_input():
     assert low._table is None and high._table is None
     # the memoised letters of a word do keep theirs
     word = factor.factorize_j(low)
-    assert all(factor._resolve(l, 8)._table is not None for l in word.letters)
+    assert all(l._table is not None for l in word.letters)
 
 
 def test_corrupted_eps_word_is_refused(monkeypatch, table):
@@ -1163,7 +1176,7 @@ def test_closed_form_refuses_forms_that_break_its_tests():
 
     def form(img, blocks, i, low):
         elt = PartialInjection(len(img), img)
-        return BlockForm(elt, [B(*b) for b in blocks], i, low, elt.dom_mask(), elt.im_mask())
+        return BlockForm(elt, [B(*b) for b in blocks], i, low, slow.dom_mask(elt), slow.im_mask(elt))
 
     cases = [
         # a reversal of [2, 4] mirrors 2 -> 5 onto 4 -> 5, breaking parity

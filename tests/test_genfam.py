@@ -174,11 +174,13 @@ def test_translate_fold_matches_multiplier_fold_and_object_product():
             for letter in letters:
                 product = product * letter
             assert value == product.raw
-    # the same with generator specs, resolved through ``named``
+    # the same with named letters, each keeping its spec and its table
     specs = [GeneratorSpec("sig1"), GeneratorSpec("gam", 6), GeneratorSpec("eps", 2),
              GeneratorSpec("del", 3), GeneratorSpec("beta", 1, 5), GeneratorSpec("sig2")]
-    elements = [genfam.named(8, s) for s in specs]
-    assert tuple(genfam._value(specs, 8)) == _multiplier_fold(elements, 8)
+    letters = [genfam.named(8, s) for s in specs]
+    assert [l.spec for l in letters] == specs
+    assert all(l._table == pinj.translate_table(l.raw) for l in letters)
+    assert tuple(genfam._value(letters, 8)) == _multiplier_fold(letters, 8)
 
 
 def test_translate_tables_hold_byte_values():
@@ -223,38 +225,48 @@ def test_set_j_equals_high_rank_filter(table):
 
 
 def test_letter_gate_refuses_escaping_and_low_rank_maps():
-    # the gate raises, so it holds under python -O; a refused map keeps
-    # no table, an accepted one is returned with its table
+    # the gate raises, so it holds under python -O; an accepted map comes
+    # back as a Letter, equal to it, with its table and the spec it is
+    # given; the map itself keeps no table
     swap = pinj.make(2, {(1, 2), (2, 1)})
     low = PartialInjection.empty(3)
     for a, message in ((swap, "escapes"), (low, "high-rank")):
         with pytest.raises(RuntimeError, match=message):
             genfam.checked_letter(a)
-        assert a._table is None
     with pytest.raises(factor.FactorizationError):
         genfam.checked_letter(swap)
     a = pinj.make(3, {(1, 1), (3, 3)})
-    assert genfam.checked_letter(a) is a and a._table == pinj.translate_table(a.raw)
+    letter = genfam.checked_letter(a)
+    assert type(letter) is genfam.Letter and letter == a and hash(letter) == hash(a)
+    assert letter._table == pinj.translate_table(a.raw) and letter.spec is None
+    assert a._table is None and a.spec is None
+    spec = GeneratorSpec("eps", 2)
+    assert genfam.checked_letter(a, spec).spec is spec
+    # a plain element holds its image only; tables and names are a letter's
+    assert PartialInjection.__slots__ == ("n", "raw")
+    assert genfam.Letter.__slots__ == ("_table", "spec")
 
 
 def test_constructors_refuse_an_escaping_map(monkeypatch):
-    # every family constructor called directly passes its map through
-    # the gate: with the interval builder planted to swap 1 and 2, each
-    # refuses its map
+    # every family's map becomes a letter through ``named``, which passes
+    # it through the gate: with the interval builder planted to swap 1
+    # and 2, each named letter is refused (the memo is cleared around the
+    # plant, and a refused letter is not recorded)
     monkeypatch.setattr(genfam, "interval_map", lambda n, *args: PartialInjection(n, (2, 1, *range(3, n + 1))))
-    constructors = (
-        lambda: genfam.sigma1(6), lambda: genfam.sigma2(6), lambda: genfam.gamma(6, 4),
-        lambda: genfam.delta(6, 1), lambda: genfam.beta(6, 1, 5), lambda: genfam.epsilon(6, 2),
-    )
-    for construct in constructors:
-        with pytest.raises(RuntimeError, match="escapes"):
-            construct()
+    genfam.named.cache_clear()
+    try:
+        for text in ("sig1", "sig2", "gam:4", "del:1", "beta:1,5", "eps:2"):
+            with pytest.raises(RuntimeError, match="escapes"):
+                genfam.named(6, GeneratorSpec.parse(text))
+        assert genfam.named.cache_info().currsize == 0
+    finally:
+        genfam.named.cache_clear()
 
 
 def test_set_g_rejects_repeated_generator(monkeypatch):
     # set_g reads the memoised spec lookup, so its caches are cleared
     # around the patch
-    caches = (genfam.named, genfam._g_spec_lookup)
+    caches = (genfam.named, genfam._g_letters)
     monkeypatch.setattr(genfam, "sigma2", genfam.sigma1)
     for cached in caches:
         cached.cache_clear()
@@ -323,19 +335,19 @@ def test_beta_identities_exhaustive():
 
 def test_g_word_for_table_hits():
     w = genfam.g_word_for(6, genfam.epsilon(6, 4))
-    assert [l.text() for l in w.letters] == ["gam:4", "gam:4"]
+    assert [l.spec.text() for l in w.letters] == ["gam:4", "gam:4"]
     assert w.provenance == "table"
     w = genfam.g_word_for(6, genfam.epsilon(6, 2))
-    assert [l.text() for l in w.letters] == ["sig1", "sig2"]
+    assert [l.spec.text() for l in w.letters] == ["sig1", "sig2"]
     w = genfam.g_word_for(6, genfam.beta(6, 1, 5))
-    assert [l.text() for l in w.letters] == ["del:1", "del:3", "del:1"]
+    assert [l.spec.text() for l in w.letters] == ["del:1", "del:3", "del:1"]
 
 
 def test_g_word_for_adjacent_deletions_is_a_table_word():
     # a two-point partial identity is the product of its two eps words
     w = genfam.g_word_for(6, genfam.beta(6, 1, 3))
     assert w.provenance == "table"
-    assert [l.text() for l in w.letters] == ["del:1", "del:1", "del:3", "del:3"]
+    assert [l.spec.text() for l in w.letters] == ["del:1", "del:1", "del:3", "del:3"]
     assert factor.eval_word(w) == genfam.beta(6, 1, 3)
 
 
@@ -373,7 +385,7 @@ def test_closed_forms_of_adjacent_deletions_and_last_rotations():
         ):
             w = genfam.g_word_for(n, eta)
             assert w.provenance == "table" and factor.eval_word(w) == eta
-            assert [l.text() for l in w.letters] == text
+            assert [l.spec.text() for l in w.letters] == text
 
 
 def test_last_rotation_words_are_the_breadth_first_words():
@@ -384,7 +396,7 @@ def test_last_rotation_words_are_the_breadth_first_words():
         parents = slow.saturate(n, gens, n - 2)
         for eta in (genfam._eta_left(n, n - 2), genfam._eta_right(n, n - 2)):
             letters = genfam.g_word_for(n, eta).letters
-            assert [factor._resolve(l, n) for l in letters] == slow.word_for(parents, gens, eta.img)
+            assert list(letters) == slow.word_for(parents, gens, eta.img)
 
 
 def test_a_table_miss_is_an_error(last_rotations_missed):

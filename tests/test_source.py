@@ -156,22 +156,26 @@ def _uncalled_definitions(sources):
     """(file, line, name) of every function and class defined in
     ``sources`` (file name -> source text) whose name is referenced
     nowhere outside its own body and is not listed in an ``__all__``.
+    A method counts as referenced only through an attribute, never
+    through a bare name such as a local variable of the same name.
     Dunder methods, called by the language, are skipped."""
 
     def references(node):
-        names = []
+        names, attrs = Counter(), Counter()
         for sub in ast.walk(node):
             if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
-                names.append(sub.id)
+                names[sub.id] += 1
             elif isinstance(sub, ast.Attribute):
-                names.append(sub.attr)
-        return names
+                attrs[sub.attr] += 1
+        return names, attrs
 
     trees = {name: ast.parse(text, filename=name) for name, text in sources.items()}
-    total = Counter()
+    names, attrs = Counter(), Counter()
     exported = set()
     for tree in trees.values():
-        total.update(references(tree))
+        tree_names, tree_attrs = references(tree)
+        names.update(tree_names)
+        attrs.update(tree_attrs)
         for node in ast.walk(tree):
             if isinstance(node, ast.Assign) and any(
                 isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
@@ -179,13 +183,21 @@ def _uncalled_definitions(sources):
                 exported.update(ast.literal_eval(node.value))
     found = []
     for filename, tree in trees.items():
+        methods = {
+            id(f) for c in ast.walk(tree) if isinstance(c, ast.ClassDef) for f in c.body
+            if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))
+        }
         for node in ast.walk(tree):
             if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 continue
             name = node.name
             if name.startswith("__") and name.endswith("__") or name in exported:
                 continue
-            if total[name] == Counter(references(node))[name]:
+            own_names, own_attrs = references(node)
+            used = attrs[name] - own_attrs[name]
+            if id(node) not in methods:
+                used += names[name] - own_names[name]
+            if not used:
                 found.append((filename, node.lineno, name))
     return sorted(found)
 
@@ -205,10 +217,13 @@ def test_every_src_definition_is_called():
             "    def method(self): return 1\n"
             "    @property\n"
             "    def prop(self): return 2\n"
+            "    def shadowed(self): return 3\n"
         ),
-        "b.py": "x = used()\ny = Box().method()\n",
+        "b.py": "x = used()\ny = Box().method()\nshadowed = x\nz = shadowed\n",
     }
-    assert _uncalled_definitions(planted) == [("a.py", 5, "recursive"), ("a.py", 10, "prop")]
+    assert _uncalled_definitions(planted) == [
+        ("a.py", 5, "recursive"), ("a.py", 10, "prop"), ("a.py", 11, "shadowed"),
+    ]
     sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
     found = _uncalled_definitions(sources)
     assert [f"{f}:{line} {name}" for f, line, name in found if name not in UNCALLED_ALLOWED] == []

@@ -42,6 +42,16 @@ def _inverse(img):
     return tuple(inv[1:])
 
 
+def dom_mask(a):
+    """The domain of an element as a bitmask, bit x-1 for point x."""
+    return sum(1 << x - 1 for x in a.domain())
+
+
+def im_mask(a):
+    """The image of an element as a bitmask, bit v-1 for point v."""
+    return sum(1 << v - 1 for v in a.image())
+
+
 def i_imgs(n):
     """The img of every partial injection of {1..n}, unsorted."""
     pts = range(1, n + 1)
