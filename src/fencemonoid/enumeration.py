@@ -4,7 +4,15 @@ Builds the full symmetric inverse monoid on {1..n} (or its one-way /
 two-way fence-preserving subsemigroups), each up to its own size limit
 in :data:`MAX_N`, as a sorted table of bytes images, and computes
 principal ideals, irreducible elements, least generating sets and
-semigroup rank.  Every bulk product is one ``bytes.translate`` through
+semigroup rank.  :func:`count` gives the same sizes, within the same
+limits, without building a table: |I_n| is the sum over k of
+C(n, k)^2 k!, and |PFI_n| and |IF_n| are the sum over domain
+fingerprints (the sorted block keys of :mod:`greens`) of the number of
+domains with that fingerprint times the placements of one of them.
+That is exact because the placements of a block read its start only
+through the parity its key records, and placements conflict
+symmetrically, so the count is blind to block order and position.
+Every bulk product is one ``bytes.translate`` through
 :func:`~fencemonoid.pinj.translate_table`.  One product-saturation
 loop, :func:`saturate`, gives the set a generating set generates, and
 :func:`closure` wraps it in a table.  Nothing here searches for words:
@@ -30,11 +38,13 @@ All outputs are canonically sorted, so results are byte-identical.
 from __future__ import annotations
 
 import itertools
+import math
 from array import array
+from collections import Counter, defaultdict
 from functools import cached_property, reduce
 from operator import ne, or_
 
-from .greens import blocks
+from .greens import _block_key, blocks
 from .pinj import DEFINED, PartialInjection, inverse_img, translate_table
 
 # largest n each kind is built for: |I_9| is 17.6M maps, |IF_10| 137,412
@@ -62,15 +72,18 @@ class SemigroupTable:
     take that closure as given.  ``imgs`` holds the elements' bytes
     images, sorted (the canonical order) and pairwise distinct.
     ``index`` maps each image to its position, and ``elements`` gives
-    the elements as objects, built on first use.  For closure-built
-    tables, ``gens`` holds the declared generators.
+    the elements as objects; both are built on first use.  For
+    closure-built tables, ``gens`` holds the declared generators.
     """
 
     def __init__(self, n, imgs, gens=None):
         self.n = n
         self.imgs = imgs
-        self.index = dict(zip(imgs, range(len(imgs))))
         self.gens = tuple(gens) if gens is not None else None
+
+    @cached_property
+    def index(self) -> dict[bytes, int]:
+        return dict(zip(self.imgs, range(len(self.imgs))))
 
     @cached_property
     def elements(self) -> tuple[PartialInjection, ...]:
@@ -155,25 +168,88 @@ def place_blocks(n, domains, two_way=True):
     return imgs
 
 
-def build(n: int, which: str = "IF") -> SemigroupTable:
-    """Enumerate I_n, PFI_n or IF_n as a canonically sorted table.
-
-    ``which`` is one of I, PFI, IF.  PFI and IF are generated directly by
-    :func:`place_blocks`; I lists every partial injection.  n must lie in
-    1..MAX_N[which]; a larger n raises :class:`TooLargeError`.
-    """
+def _checked_kind(n: int, which: str) -> str:
+    """``which`` upper-cased, once it is shown to name I, PFI or IF and n
+    to lie in 1..MAX_N[which]; a larger n raises :class:`TooLargeError`."""
     which = which.upper()
     if which not in MAX_N:
         raise ValueError(f"which must be I, PFI or IF, got {which!r}")
     if not (1 <= n <= MAX_N[which]):
         raise TooLargeError(f"{which} is built for n in 1..{MAX_N[which]}, got {n}")
+    return which
 
+
+def build(n: int, which: str = "IF") -> SemigroupTable:
+    """Enumerate I_n, PFI_n or IF_n as a canonically sorted table.
+
+    ``which`` is one of I, PFI, IF.  PFI and IF are generated directly by
+    :func:`place_blocks`; I lists every partial injection.  n must lie in
+    1..MAX_N[which]; a larger n raises :class:`TooLargeError`.  A caller
+    that needs only the size asks :func:`count`.
+    """
+    which = _checked_kind(n, which)
     if which == "I":
         imgs = list(_iter_imgs_for_domains(n, _domains(n)))
     else:
         imgs = place_blocks(n, _domains(n), two_way=which == "IF")
     imgs.sort()
     return SemigroupTable(n, imgs)
+
+
+def count(n: int, which: str = "IF") -> int:
+    """|I_n|, |PFI_n| or |IF_n|, without building a table.
+
+    The kinds and limits are those of :func:`build`, with the same
+    errors.  |I_n| is the sum over k of C(n, k)^2 k!: a domain and an
+    image of k points each, and a bijection between them.
+
+    For PFI and IF, every map :func:`place_blocks` makes is one choice of
+    a placement from :func:`_block_placements` per domain block, no two
+    in conflict, and distinct choices give distinct maps.  The count of
+    such choices depends on the domain only through its fingerprint, the
+    sorted tuple of its blocks' :func:`~fencemonoid.greens._block_key`:
+
+    - :func:`_block_placements` reads ``start`` only through its parity,
+      which the key records exactly where it matters.  A block of odd
+      length >= 3 has both orientations at the image starts t of its own
+      start's parity and none at the others.  A singleton, or a block of
+      even length (whose two ends differ in parity), has one orientation
+      at every t.  So the (mask, blocked) pairs of a block are fixed by
+      its key and n.
+    - Two placements conflict when one's ``mask`` meets the other's
+      ``blocked``.  That is symmetric (``blocked`` is ``mask``, or
+      ``mask`` grown by one point each way), so the count does not
+      depend on the order in which the blocks are placed.
+
+    So the 2^n domains are grouped by fingerprint, with N(fp) domains
+    each, and one representative domain per fingerprint is counted by a
+    DP over its blocks whose state is the used image mask.  The size is
+    the sum of N(fp) times that count.
+    """
+    which = _checked_kind(n, which)
+    if which == "I":
+        return sum(math.comb(n, k) ** 2 * math.factorial(k) for k in range(n + 1))
+    two_way = which == "IF"
+    domains = Counter()  # fingerprint -> N(fp)
+    first = {}  # fingerprint -> the blocks of its first domain
+    for dom in _domains(n):
+        found = blocks(n, dom)
+        fp = tuple(sorted(_block_key(*blk) for blk in found))
+        domains[fp] += 1
+        first.setdefault(fp, found)
+    total = 0
+    for fp, size in domains.items():
+        states = {0: 1}  # used image mask -> placements of the blocks so far
+        for start, length in first[fp]:
+            placements = _block_placements(n, start, length, two_way)
+            grown = defaultdict(int)
+            for used, ways in states.items():
+                for mask, blocked, _ in placements:
+                    if not used & mask:
+                        grown[used | blocked] += ways
+            states = grown
+        total += size * sum(states.values())
+    return total
 
 
 def _generator_list(n: int, gens) -> list:

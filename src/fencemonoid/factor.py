@@ -618,16 +618,20 @@ def _constructive(a: PartialInjection) -> Word:
 def factorize_j(a: PartialInjection) -> Word:
     """Factor any element into letters of rank >= n-2.
 
-    High-rank inputs are their own one-letter word.  Everything else
-    runs the constructive pipeline, whose failed postcondition raises
-    :class:`FactorizationError`, :class:`MalformedBlockFormError` or
+    A high-rank input is its own one-letter word, held as a plain
+    element, so a named :class:`~fencemonoid.genfam.Letter` prints as
+    the element it equals and the word's text depends on the element
+    alone.  Everything else runs the constructive pipeline, whose failed
+    postcondition raises :class:`FactorizationError`,
+    :class:`MalformedBlockFormError` or
     :class:`~fencemonoid.genfam.BadIndexError`: a defect of the pipeline,
     never a word from another method.  ``fallback`` is always false.
     """
     require_if(a)
     n = a.n
     if a.rank >= n - 2:
-        return Word(n, (a,), provenance="letter")
+        letter = a if a.__class__ is PartialInjection else PartialInjection(n, a.raw)
+        return Word(n, (letter,), provenance="letter")
     return _constructive(a)
 
 

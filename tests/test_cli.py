@@ -394,6 +394,41 @@ def test_verify_thm2_violation(monkeypatch):
     assert len(en.saturate(6, [g for g in real(6) if g != gam4])) < 612
 
 
+def test_sizes_are_counted_without_a_table(monkeypatch):
+    # thm1, thm2 and enumerate read only |S|, and --contains asks the
+    # kind's own membership test; only --elements lists the table
+    probes = (ALPHA, "n=6:[1>2 2>1]", "n=6:[1>1 2>2 3>3 4>4 5>5 6>6]", "n=6:[]")
+    argvs = [
+        ("verify", "--n", str(n), "--claim", claim, "--format", fmt)
+        for claim, n in (("thm1", 5), ("thm1", 6), ("thm2", 6)) for fmt in ("text", "json")
+    ]
+    argvs += [
+        ("enumerate", "--n", "6", "--which", which, *query)
+        for which in ("I", "PFI", "IF")
+        for query in ((), *(("--contains", elt) for elt in probes))
+    ]
+    expected = [_untimed(*run(*argv)) for argv in argvs]
+    assert [code for code, _, _ in expected] == [0] * len(argvs)
+    # the membership lines agree with lookups in the built tables
+    for argv, (_, out, _) in zip(argvs, expected):
+        if "--contains" in argv:
+            elt = pinj.parse(argv[-1])
+            assert out.endswith(f"contains {str(elt in en.build(6, argv[4])).lower()}\n")
+    real = en.build
+    listing = ("enumerate", "--n", "5", "--which", "PFI", "--elements", "--format", "json")
+    listed = _untimed(*run(*listing))
+
+    def refuse(*args):
+        raise AssertionError("a table was built to read its size")
+
+    monkeypatch.setattr(en, "build", refuse)
+    assert [_untimed(*run(*argv)) for argv in argvs] == expected
+    built = []
+    monkeypatch.setattr(en, "build", lambda *args: built.append(args) or real(*args))
+    assert _untimed(*run(*listing)) == listed and built == [(5, "PFI")]
+    assert listed[1]["result"]["count"] == len(listed[1]["result"]["elements"]) == 332
+
+
 def test_verify_parity_guards():
     assert run("verify", "--n", "3", "--claim", "rank")[0] == 1
     code, _, err = run("verify", "--n", "3", "--claim", "thm2")

@@ -1053,6 +1053,22 @@ def test_no_per_step_builds(monkeypatch, table):
     assert calls == {"inverse": 0, "interval_map": 0, "checked_letter": 0}
 
 
+def test_high_rank_word_text_depends_on_the_element_alone():
+    # a named letter and the plain element it equals factor to one text:
+    # the word holds a plain element, not the letter and its spec
+    letters = [genfam.named(6, GeneratorSpec.parse(t)) for t in ("gam:4", "del:1", "eps:3")]
+    for n in (4, 6):
+        letters += [g for g in genfam.set_g(n) if g.spec is not None]
+    for letter in letters:
+        plain = PartialInjection(letter.n, letter.raw)
+        word = factor.factorize_j(letter)
+        body = plain.encode().split(":", 1)[1]  # the image, "[1>3 2>2 ...]"
+        assert word.text() == factor.factorize_j(plain).text() == f"w{letter.n}: {body}"
+        (held,) = word.letters
+        assert held == plain and held.__class__ is PartialInjection and held.spec is None
+        assert factor.eval_word(word) == letter
+
+
 def test_factorization_leaves_no_table_on_its_input():
     # translate tables are kept only on memoised letters; the input, and
     # a high-rank input that is its own one-letter word, are folded

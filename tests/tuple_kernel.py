@@ -10,7 +10,9 @@ results in the same order (for saturation, the same set).  Regular
 elements keep the per-pair index search that the inverse lookup of the
 bytes version replaced.  Saturation keeps the parent of each element,
 so it is also the breadth-first oracle for words: :func:`word_for`
-walks an element's parents back to a generator.
+walks an element's parents back to a generator.  :func:`count_by_search`
+counts IF_n and PFI_n from the fence order alone, the oracle for the
+placement count of :func:`fencemonoid.enumeration.count`.
 """
 
 import itertools
@@ -208,3 +210,50 @@ def regular_elements(table):
             if multiplier(ax)((0,) + a) == a:
                 out.append(PartialInjection(table.n, a))
     return tuple(out)
+
+
+def _fence_less(x, y):
+    """x <_f y in the up-fence: adjacent points, the lesser one odd."""
+    return abs(x - y) == 1 and x % 2 == 1
+
+
+def _keeps_order(img):
+    """Every comparable pair of defined points maps to a pair in the same
+    order: (x, x+1) onto (u, v) with u <_f v when x is odd, v <_f u when
+    x is even."""
+    return all(
+        not (u and v) or (_fence_less(u, v) if x % 2 else _fence_less(v, u))
+        for x, (u, v) in enumerate(zip(img, img[1:]), start=1)
+    )
+
+
+def count_by_search(n, two_way=True):
+    """|IF_n| (|PFI_n| when not ``two_way``) from the definition of the
+    fence alone, with no block theory.
+
+    A depth-first search assigns x -> v for x = 1..n in turn, v = 0
+    leaving x undefined and no v used twice.  The comparable pairs of the
+    fence are the pairs (x-1, x), so a branch is cut as soon as such a
+    pair of defined points maps out of order.  For IF, the inverse of
+    each complete map is tested for the same order at the leaf.
+    """
+    img = [0] * n
+    free = set(range(1, n + 1))
+
+    def search(x):  # points 1..x are assigned
+        if x == n:
+            return int(not two_way or _keeps_order(_inverse(img)))
+        u = img[x - 1] if x else 0
+        total = 0
+        for v in [0, *sorted(free)]:
+            if u and v and not (_fence_less(u, v) if x % 2 else _fence_less(v, u)):
+                continue
+            img[x] = v
+            free.discard(v)
+            total += search(x + 1)
+            if v:
+                free.add(v)
+        img[x] = 0
+        return total
+
+    return search(0)
