@@ -3,8 +3,9 @@ claim verification, with JSON/CSV export.
 
 Exit codes: 0 = ok, 2 = a verified claim was violated (with a
 counterexample in the payload), 1 = usage or resource error, or a
-factorization step that failed its check.  Text output is deterministic
-given the flags; timing appears only in JSON.
+runtime check that failed (a factorization step, a witness pair, a
+J-class row).  Text output is deterministic given the flags; timing
+appears only in JSON.
 """
 
 from __future__ import annotations
@@ -84,14 +85,17 @@ def cmd_greens(args) -> CommandResult:
     if args.classes:
         if args.elements or args.witness:
             raise ValueError("--classes takes no element literals and no --witness")
-        table = en.build(args.n, "IF")
-        classes = greens.j_classes(table)
+        # one row per domain fingerprint, counted: no table is built
         rows = []
-        for idx, cls in enumerate(classes):
-            least = pinj.PartialInjection(args.n, cls[0])
+        for idx, (img, size, key) in enumerate(en.j_class_rows(args.n)):
+            least = pinj.PartialInjection(args.n, img)
             inv, rep = greens.j_invariant(least).encode(), least.encode()
-            rows.append({"class": idx, "invariant": inv, "size": len(cls), "representative": rep})
-        return CommandResult("ok", {"count": len(table), "classes": rows})
+            if not fence.in_if(least):
+                raise RuntimeError(f"class {idx}: representative {rep} is not in IF_{args.n}")
+            if greens._shape(greens._block_order(least)) != key:
+                raise RuntimeError(f"class {idx}: representative {rep} has another fingerprint")
+            rows.append({"class": idx, "invariant": inv, "size": size, "representative": rep})
+        return CommandResult("ok", {"count": sum(row["size"] for row in rows), "classes": rows})
 
     if len(args.elements) == 1:
         elts = [args.elements[0], args.elements[0]]
@@ -398,7 +402,8 @@ def main(argv=None) -> int:
         _emit(args, result)
     except BrokenPipeError:
         return 1
-    except (ValueError, OSError, genfam.FactorizationError) as exc:
+    except (ValueError, OSError, RuntimeError) as exc:
+        # a RuntimeError is a failed runtime check, FactorizationError among them
         sys.stderr.write(f"error: {exc}\n")
         return 1
     return 0 if result.status == "ok" else 2

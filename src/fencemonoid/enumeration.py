@@ -12,6 +12,10 @@ domains with that fingerprint times the placements of one of them.
 That is exact because the placements of a block read its start only
 through the parity its key records, and placements conflict
 symmetrically, so the count is blind to block order and position.
+:func:`j_class_rows` reads the same grouping for the J-classes of IF_n,
+whose fingerprints they are: each class's size from the count, and its
+least image from the least placement of each of its domains, so
+``greens --classes`` lists no table.
 Every bulk product is one ``bytes.translate`` through
 :func:`~fencemonoid.pinj.translate_table`.  One product-saturation
 loop, :func:`saturate`, gives the set a generating set generates, and
@@ -40,9 +44,9 @@ from __future__ import annotations
 import itertools
 import math
 from array import array
-from collections import Counter, defaultdict
+from collections import defaultdict
 from functools import cached_property, reduce
-from operator import ne, or_
+from operator import itemgetter, ne, or_
 
 from .greens import _block_key, blocks
 from .pinj import DEFINED, PartialInjection, inverse_img, translate_table
@@ -222,34 +226,114 @@ def count(n: int, which: str = "IF") -> int:
       depend on the order in which the blocks are placed.
 
     So the 2^n domains are grouped by fingerprint, with N(fp) domains
-    each, and one representative domain per fingerprint is counted by a
-    DP over its blocks whose state is the used image mask.  The size is
-    the sum of N(fp) times that count.
+    each (:func:`_fingerprint_groups`), and the first domain of each
+    fingerprint has its placements counted (:func:`_placement_count`).
+    The size is the sum of N(fp) times that count.  :func:`j_class_rows`
+    reads the same grouping and counts.
     """
     which = _checked_kind(n, which)
     if which == "I":
         return sum(math.comb(n, k) ** 2 * math.factorial(k) for k in range(n + 1))
     two_way = which == "IF"
-    domains = Counter()  # fingerprint -> N(fp)
-    first = {}  # fingerprint -> the blocks of its first domain
+    groups = _fingerprint_groups(n).values()
+    return sum(len(doms) * _placement_count(n, doms[0], two_way) for doms in groups)
+
+
+def _fingerprint_groups(n: int) -> dict:
+    """The 2^n domains grouped by fingerprint, the sorted tuple of their
+    blocks' keys: fingerprint -> the block decomposition of each of its
+    domains, in the order of :func:`_domains`."""
+    groups = defaultdict(list)
     for dom in _domains(n):
         found = blocks(n, dom)
-        fp = tuple(sorted(_block_key(*blk) for blk in found))
-        domains[fp] += 1
-        first.setdefault(fp, found)
-    total = 0
-    for fp, size in domains.items():
-        states = {0: 1}  # used image mask -> placements of the blocks so far
-        for start, length in first[fp]:
-            placements = _block_placements(n, start, length, two_way)
-            grown = defaultdict(int)
-            for used, ways in states.items():
-                for mask, blocked, _ in placements:
-                    if not used & mask:
-                        grown[used | blocked] += ways
-            states = grown
-        total += size * sum(states.values())
-    return total
+        groups[tuple(sorted(_block_key(*blk) for blk in found))].append(found)
+    return groups
+
+
+def _placement_count(n: int, found, two_way: bool) -> int:
+    """The number of maps in IF_n (PFI_n when not ``two_way``) with the
+    domain blocks ``found``: a DP over the blocks whose state is the used
+    image mask, the union of the ``blocked`` masks placed so far."""
+    states = {0: 1}  # used image mask -> placements of the blocks so far
+    for start, length in found:
+        placements = _block_placements(n, start, length, two_way)
+        grown = defaultdict(int)
+        for used, ways in states.items():
+            for mask, blocked, _ in placements:
+                if not used & mask:
+                    grown[used | blocked] += ways
+        states = grown
+    return sum(states.values())
+
+
+def j_class_rows(n: int) -> list[tuple[bytes, int, tuple]]:
+    """(least image, size, fingerprint) of every J-class of IF_n, sorted
+    by least image: the rows :func:`~fencemonoid.greens.j_classes` gives
+    for ``build(n)``, read without building it.  n must lie in
+    1..MAX_N["IF"], with the errors of :func:`build`.
+
+    The J-class of a fingerprint holds the maps whose domains have that
+    fingerprint, so its size is N(fp) times the placements of one of
+    them, as :func:`count` sums them.  Its least image is the least over
+    its domains of each domain's least placement.  With the domain
+    fixed, its undefined slots are fixed zeros and its blocks'
+    segments have fixed lengths at fixed positions, so the lexicographic
+    order of images is the lexicographic order of their tuples of
+    segments, in domain order.  The least placement is therefore built
+    block by block, each block taking its least segment on the image
+    points still free, as long as that choice leaves the later blocks
+    room.  It always does: by induction, the segments taken for blocks
+    1..i-1 lie in [1, e] for e the last point of block i-1, and their
+    ``blocked`` masks in [1, e+1], below block i's start s.  So block i's
+    own points are free, and that segment, the identity on the block,
+    is among its placements; the least free segment opens at or below
+    s, and ascending or descending it lies in [1, s+length-1], which
+    carries the induction on.  A domain is dropped as soon as its prefix
+    exceeds the least image found so far.  A fingerprint or block found
+    with no placement, which the identity on the domain rules out,
+    raises RuntimeError.
+    """
+    _checked_kind(n, "IF")
+    placements = {  # (start, length) -> placements, least values first
+        (start, length): sorted(_block_placements(n, start, length, True), key=itemgetter(2))
+        for length in range(1, n + 1)
+        for start in range(1, n + 2 - length)
+    }
+    rows = []
+    for fp, doms in _fingerprint_groups(n).items():
+        size = len(doms) * _placement_count(n, doms[0], two_way=True)
+        if not size:
+            raise RuntimeError(f"fingerprint {fp} has no placement in IF_{n}")
+        least = None
+        # latest domains first: their images open with the most zeros, so
+        # the least image is met early and cuts the others short
+        for found in reversed(doms):
+            least = _least_placement(n, found, least, placements) or least
+        rows.append((least, size, fp))
+    rows.sort()
+    return rows
+
+
+def _least_placement(n, found, bound, placements):
+    """The least image with the domain blocks ``found``, built block by
+    block as :func:`j_class_rows` argues, or None once its prefix
+    exceeds that of ``bound`` (a least image met before, or None)."""
+    img, used, pos = b"", 0, 1
+    for start, length in found:
+        for mask, blocked, values in placements[start, length]:
+            if not used & mask:
+                break
+        else:
+            raise RuntimeError(f"domain blocks {found} have no placement in IF_{n}")
+        img += bytes(start - pos) + values
+        used |= blocked
+        pos = start + length
+        if bound is not None:
+            if img > bound[: len(img)]:
+                return None
+            if img < bound[: len(img)]:
+                bound = None  # the rest of this image cannot lose to ``bound``
+    return img + bytes(n + 1 - pos)
 
 
 def _generator_list(n: int, gens) -> list:

@@ -151,6 +151,62 @@ def test_greens_classes_refuses_elements_and_witness(monkeypatch):
         assert err == "error: --classes takes no element literals and no --witness\n"
 
 
+def _table_classes(args):
+    """``greens --classes`` by the table path the fingerprint rows
+    replaced: IF_n listed, split into J-classes, each read off its least
+    member."""
+    table = en.build(args.n, "IF")
+    rows = []
+    for idx, cls in enumerate(greens.j_classes(table)):
+        least = PartialInjection(args.n, cls[0])
+        inv, rep = greens.j_invariant(least).encode(), least.encode()
+        rows.append({"class": idx, "invariant": inv, "size": len(cls), "representative": rep})
+    return cli.CommandResult("ok", {"count": len(table), "classes": rows})
+
+
+def test_greens_classes_build_no_table(monkeypatch):
+    argvs = [
+        ("greens", "--n", str(n), "--classes", "--format", fmt)
+        for n in range(1, 9) for fmt in ("text", "json", "csv")
+    ]
+    monkeypatch.setattr(cli, "cmd_greens", _table_classes)
+    expected = [_untimed(*run(*argv)) for argv in argvs]
+    monkeypatch.undo()
+
+    def refuse(*args):
+        raise AssertionError("a table was built for greens --classes")
+
+    monkeypatch.setattr(en, "build", refuse)
+    monkeypatch.setattr(greens, "j_classes", refuse)
+    assert [_untimed(*run(*argv)) for argv in argvs] == expected
+    assert [code for code, _, _ in expected] == [0] * len(argvs)
+
+
+def test_greens_classes_check_each_row(monkeypatch):
+    # a wrong least image is refused by the checks on each row, which
+    # are raised, not asserted, so python -O keeps them
+    real = en.j_class_rows(5)
+    swapped = [real[0], (real[2][0], *real[1][1:]), *real[2:]]  # row 1 takes row 2's image
+    outside = [(bytes([2, 1, 0, 0, 0]), *real[0][1:]), *real[1:]]  # 1>2 2>1 leaves IF_5
+    for rows, err in (
+        (swapped, "error: class 1: representative n=5:[4>2 5>1] has another fingerprint\n"),
+        (outside, "error: class 0: representative n=5:[1>2 2>1] is not in IF_5\n"),
+    ):
+        monkeypatch.setattr(en, "j_class_rows", lambda n, rows=rows: rows)
+        for fmt in ("text", "json", "csv"):
+            assert run("greens", "--n", "5", "--classes", "--format", fmt) == (1, "", err)
+
+
+def test_runtime_check_failures_exit_1(monkeypatch):
+    # a failed runtime check outside factorization is reported, not raised
+    def fail(a, b):
+        raise RuntimeError("witness pair does not carry a onto b")
+
+    monkeypatch.setattr(greens, "j_witness", fail)
+    code, out, err = run("greens", "--n", "4", "n=4:[1>1]", "n=4:[2>2]", "--witness")
+    assert (code, out, err) == (1, "", "error: witness pair does not carry a onto b\n")
+
+
 def test_greens_rejects_non_if():
     code, _, err = run("greens", "--n", "6", ALPHA, ALPHA)
     assert code == 1 and "fence-preserving" in err

@@ -109,6 +109,46 @@ def test_count_refuses_as_build():
         assert (counted.type, str(counted.value)) == (built.type, str(built.value))
 
 
+def test_j_class_rows_match_the_table(table):
+    # the table path the rows replace: least member and size of each class
+    for n in range(1, 9):
+        rows = en.j_class_rows(n)
+        assert [(least, size) for least, size, _ in rows] == [
+            (cls[0], len(cls)) for cls in greens.j_classes(table(n))
+        ], n
+        for least, _, key in rows:
+            assert greens._shape(greens._block_order(PartialInjection(n, least))) == key
+
+
+def test_j_class_rows_match_definition_search():
+    # against a search that knows only the fence order and shares no
+    # block placement with the rows: its first leaf per fingerprint is
+    # the least map, its leaf count the class size
+    for n in range(1, 9):
+        found = {
+            greens.j_invariant(PartialInjection(n, least)).encode(): [tuple(least), size]
+            for least, size, _ in en.j_class_rows(n)
+        }
+        assert found == slow.search_by_fingerprint(n), n
+
+
+def test_j_class_rows_refuse_as_build(monkeypatch):
+    for n in (0, 11):
+        with pytest.raises(TooLargeError) as built:
+            en.build(n, "IF")
+        with pytest.raises(TooLargeError) as rows:
+            en.j_class_rows(n)
+        assert str(rows.value) == str(built.value)
+    # a fingerprint with no placement is a defect, raised under python -O too
+    real = en._block_placements
+    monkeypatch.setattr(
+        en, "_block_placements", lambda n, start, length, two_way:
+        [] if length == 2 else real(n, start, length, two_way)
+    )
+    with pytest.raises(RuntimeError, match=r"fingerprint \(\(2, False\),\) has no placement"):
+        en.j_class_rows(4)
+
+
 def test_table_index_is_built_on_first_use():
     tbl = en.build(5, "IF")
     assert len(tbl.elements) == 182 and "index" not in vars(tbl)

@@ -10,15 +10,19 @@ results in the same order (for saturation, the same set).  Regular
 elements keep the per-pair index search that the inverse lookup of the
 bytes version replaced.  Saturation keeps the parent of each element,
 so it is also the breadth-first oracle for words: :func:`word_for`
-walks an element's parents back to a generator.  :func:`count_by_search`
-counts IF_n and PFI_n from the fence order alone, the oracle for the
-placement count of :func:`fencemonoid.enumeration.count`.
+walks an element's parents back to a generator.
+:func:`search_by_fingerprint` lists IF_n and PFI_n from the fence order
+alone, with the least map and the size of each J fingerprint's share:
+the oracle for the placement count of
+:func:`fencemonoid.enumeration.count` and for the rows of
+:func:`fencemonoid.enumeration.j_class_rows`.
 """
 
 import itertools
 from functools import reduce
 from operator import itemgetter, ne, or_
 
+from fencemonoid.greens import j_invariant
 from fencemonoid.pinj import PartialInjection
 
 
@@ -227,33 +231,52 @@ def _keeps_order(img):
     )
 
 
-def count_by_search(n, two_way=True):
-    """|IF_n| (|PFI_n| when not ``two_way``) from the definition of the
-    fence alone, with no block theory.
+def search_by_fingerprint(n, two_way=True):
+    """The maps of IF_n (PFI_n when not ``two_way``) from the definition
+    of the fence alone, with no block placement, as {J fingerprint:
+    [first leaf, leaf count]}, the fingerprint in the text of
+    :meth:`~fencemonoid.greens.JInvariant.encode`.
 
     A depth-first search assigns x -> v for x = 1..n in turn, v = 0
     leaving x undefined and no v used twice.  The comparable pairs of the
     fence are the pairs (x-1, x), so a branch is cut as soon as such a
     pair of defined points maps out of order.  For IF, the inverse of
-    each complete map is tested for the same order at the leaf.
+    each complete map is tested for the same order at the leaf.  The
+    values are tried in increasing order, 0 first, so the leaves come in
+    increasing lexicographic order, and the first leaf of a fingerprint
+    is its least map.
     """
     img = [0] * n
     free = set(range(1, n + 1))
+    leaves = {}  # domain mask -> [first leaf, leaf count], in search order
 
-    def search(x):  # points 1..x are assigned
+    def search(x, dom):  # points 1..x are assigned, dom holds the defined ones
         if x == n:
-            return int(not two_way or _keeps_order(_inverse(img)))
+            if not two_way or _keeps_order(_inverse(img)):
+                found = leaves.setdefault(dom, [tuple(img), 0])
+                found[1] += 1
+            return
         u = img[x - 1] if x else 0
-        total = 0
         for v in [0, *sorted(free)]:
             if u and v and not (_fence_less(u, v) if x % 2 else _fence_less(v, u)):
                 continue
             img[x] = v
             free.discard(v)
-            total += search(x + 1)
+            search(x + 1, dom | (1 << x if v else 0))
             if v:
                 free.add(v)
         img[x] = 0
-        return total
 
-    return search(0)
+    search(0, 0)
+    by_fingerprint = {}
+    for first, total in leaves.values():
+        fp = j_invariant(PartialInjection(n, first)).encode()
+        # domains are met in the order of their first leaves
+        by_fingerprint.setdefault(fp, [first, 0])[1] += total
+    return by_fingerprint
+
+
+def count_by_search(n, two_way=True):
+    """|IF_n| (|PFI_n| when not ``two_way``) from the leaves of
+    :func:`search_by_fingerprint`."""
+    return sum(total for _, total in search_by_fingerprint(n, two_way).values())
