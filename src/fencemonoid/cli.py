@@ -251,31 +251,36 @@ def _verify_odd_neg(n):
 
 
 def _verify_jcrit(n):
-    table = en.build(n, "IF")
-    crit = greens.j_classes(table)
     if n <= 5:
         # literal oracle: a J b iff S^1aS^1 = S^1bS^1, and b in S^1aS^1
         # puts S^1bS^1 inside S^1aS^1, so the J-classes are the fibres of
         # the two-sided principal ideals, from one bulk pass
+        table = en.build(n, "IF")
+        crit = greens.j_classes(table)
         _, _, jsets = en.principal_ideals(table)
         oracle = en.fibres(jsets, table.imgs)
         summary = {"classes": len(crit), "pairs": len(table) ** 2}
     else:
-        # oracle: D = J in the inverse semigroup IF_n, whose R- and
-        # L-classes are fixed by domain and image; it reads no fingerprint
-        # and no fence fact (see inverse_j_classes)
-        oracle = en.inverse_j_classes(table)
+        # partitions of the domains: the oracle by the images their maps
+        # take (D = J in the inverse semigroup IF_n; see domain_j_classes),
+        # the criterion by fingerprint.  No table is listed unless they differ
+        oracle = en.domain_j_classes(n)
+        crit = list(en._fingerprint_groups(n).values())
         summary = {"classes": len(crit), "oracle_classes": len(oracle)}
-    # both partitions come as sorted classes ordered by least member
-    if crit == oracle:
+    crit_of, oracle_of = ({k: s for s in map(frozenset, cs) for k in s} for cs in (crit, oracle))
+    if crit_of == oracle_of:
         return True, summary
-    # the pair an all-pairs scan meets first: the first element whose two
-    # classes differ, and the least member of their symmetric difference
-    crit_of, oracle_of = ({a: s for s in map(set, cs) for a in s} for cs in (crit, oracle))
-    a = next(a for a in table.imgs if crit_of[a] != oracle_of[a])
-    b = min(crit_of[a] ^ oracle_of[a])  # images sort in table order
-    criterion = b in crit_of[a]
-    pair = [pinj.PartialInjection(n, img).encode() for img in (a, b)]
+    if n > 5:
+        table = en.build(n, "IF")
+    # each element is keyed by itself at n <= 5, by its domain above
+    keys = table.imgs if n <= 5 else [greens.blocks(n, a.domain()) for a in table.elements]
+    # the pair an all-pairs scan meets first: the first element in table
+    # order whose classes differ, and the least of their difference
+    i = next(i for i, k in enumerate(keys) if crit_of[k] != oracle_of[k])
+    apart = crit_of[keys[i]] ^ oracle_of[keys[i]]
+    j = next(j for j, k in enumerate(keys) if k in apart)
+    criterion = keys[j] in crit_of[keys[i]]
+    pair = [pinj.PartialInjection(n, table.imgs[x]).encode() for x in (i, j)]
     return False, {"counterexample": pair, "criterion": criterion, "oracle": not criterion}
 
 

@@ -15,8 +15,8 @@ symmetrically, so the count is blind to block order and position.
 :func:`j_class_rows` reads the same grouping for the J-classes of IF_n,
 whose fingerprints they are: each class's size from the count, and its
 least image from the least placement of each of its domains, so
-``greens --classes`` lists no table.
-Every bulk product is one ``bytes.translate`` through
+``greens --classes`` lists no table, nor ``verify --claim jcrit`` at
+n >= 6.  Every bulk product is one ``bytes.translate`` through
 :func:`~fencemonoid.pinj.translate_table`.  One product-saturation
 loop, :func:`saturate`, gives the set a generating set generates, and
 :func:`closure` wraps it in a table.  Nothing here searches for words:
@@ -26,16 +26,17 @@ every word the package gives is built in closed form (:mod:`genfam`,
 J-classes of |class|^2 |G| (:func:`inverse_orbit_size`, from the orbit
 of image sets and one small permutation group per class; after East,
 Egri-Nagy, Mitchell & Peresse, J. Symb. Comput. 92, 2019), so <gens>
-is never listed; other sets are saturated.  The J-class oracles work
-on table positions and images: :func:`principal_ideals` gives every
-principal ideal as a bitmask from one pass over the products, and
-:func:`ideal_j_classes` builds the two-sided Cayley graph over a
-reduced generating set.  For a table closed under inverses,
-:func:`inverse_j_classes` needs no Cayley graph: a graph on the domains
-of its elements gives the same classes.  Both take the strongly
-connected components of their graph from one Kosaraju search and group
-the images by component with :func:`fibres`, as the literal check of
-``verify --claim jcrit`` at n <= 5 groups them by two-sided ideal mask.
+is never listed; other sets are saturated.  Of the J-class oracles,
+:func:`principal_ideals` gives every principal ideal of a table as a
+bitmask from one pass over the products, and :func:`ideal_j_classes`
+builds a table's two-sided Cayley graph over a reduced generating set.
+IF_n is inverse, so :func:`domain_j_classes` needs no table: its graph
+is on domains, dom a -> im a, with the images of each domain's maps
+from :func:`build`'s placement rule and no fingerprint.  Both take the
+strongly connected components of their graph from one Kosaraju search
+and group the nodes by component with :func:`fibres`, as the literal
+check of ``verify --claim jcrit`` at n <= 5 groups images by two-sided
+ideal mask.
 All outputs are canonically sorted, so results are byte-identical.
 """
 
@@ -45,11 +46,11 @@ import itertools
 import math
 from array import array
 from collections import defaultdict
-from functools import cached_property, reduce
+from functools import cache, cached_property, reduce
 from operator import itemgetter, ne, or_
 
 from .greens import _block_key, blocks
-from .pinj import DEFINED, PartialInjection, inverse_img, translate_table
+from .pinj import PartialInjection, inverse_img, translate_table
 
 # largest n each kind is built for: |I_9| is 17.6M maps, |IF_10| 137,412
 MAX_N = {"I": 8, "PFI": 10, "IF": 10}
@@ -118,6 +119,7 @@ def _iter_imgs_for_domains(n, domains):
             yield bytes(img)
 
 
+@cache
 def _block_placements(n, start, length, two_way):
     """(mask, blocked, values) for each image interval one domain block may take.
 
@@ -136,7 +138,7 @@ def _block_placements(n, start, length, two_way):
             out.append((mask, blocked, bytes(range(t, t + length))))
         if length > 1 and (t + length - 1 - start) % 2 == 0:
             out.append((mask, blocked, bytes(range(t + length - 1, t - 1, -1))))
-    return out
+    return tuple(out)
 
 
 def place_blocks(n, domains, two_way=True):
@@ -227,7 +229,7 @@ def count(n: int, which: str = "IF") -> int:
 
     So the 2^n domains are grouped by fingerprint, with N(fp) domains
     each (:func:`_fingerprint_groups`), and the first domain of each
-    fingerprint has its placements counted (:func:`_placement_count`).
+    fingerprint has its placements counted (:func:`_image_counts`).
     The size is the sum of N(fp) times that count.  :func:`j_class_rows`
     reads the same grouping and counts.
     """
@@ -236,7 +238,7 @@ def count(n: int, which: str = "IF") -> int:
         return sum(math.comb(n, k) ** 2 * math.factorial(k) for k in range(n + 1))
     two_way = which == "IF"
     groups = _fingerprint_groups(n).values()
-    return sum(len(doms) * _placement_count(n, doms[0], two_way) for doms in groups)
+    return sum(len(doms) * sum(_image_counts(n, doms[0], two_way).values()) for doms in groups)
 
 
 def _fingerprint_groups(n: int) -> dict:
@@ -250,20 +252,25 @@ def _fingerprint_groups(n: int) -> dict:
     return groups
 
 
-def _placement_count(n: int, found, two_way: bool) -> int:
-    """The number of maps in IF_n (PFI_n when not ``two_way``) with the
-    domain blocks ``found``: a DP over the blocks whose state is the used
-    image mask, the union of the ``blocked`` masks placed so far."""
-    states = {0: 1}  # used image mask -> placements of the blocks so far
+def _image_counts(n: int, found, two_way: bool) -> dict:
+    """Image mask -> the number of maps in IF_n (PFI_n when not
+    ``two_way``) with the domain blocks ``found`` and that image.  Such
+    a map is one placement per block (:func:`place_blocks`), none
+    meeting another's ``blocked`` mask, which is ``mask`` grown by one
+    point each way in the two-way case.  So a DP over the blocks whose
+    state is the image mask counts them, testing each placement against
+    that mask so grown."""
+    states = {0: 1}  # image mask -> placements of the blocks so far
     for start, length in found:
         placements = _block_placements(n, start, length, two_way)
         grown = defaultdict(int)
-        for used, ways in states.items():
-            for mask, blocked, _ in placements:
-                if not used & mask:
-                    grown[used | blocked] += ways
+        for im, ways in states.items():
+            near = im | im << 1 | im >> 1 if two_way else im
+            for mask, _, _ in placements:
+                if not mask & near:
+                    grown[im | mask] += ways
         states = grown
-    return sum(states.values())
+    return states
 
 
 def j_class_rows(n: int) -> list[tuple[bytes, int, tuple]]:
@@ -301,7 +308,7 @@ def j_class_rows(n: int) -> list[tuple[bytes, int, tuple]]:
     }
     rows = []
     for fp, doms in _fingerprint_groups(n).items():
-        size = len(doms) * _placement_count(n, doms[0], two_way=True)
+        size = len(doms) * sum(_image_counts(n, doms[0], two_way=True).values())
         if not size:
             raise RuntimeError(f"fingerprint {fp} has no placement in IF_{n}")
         least = None
@@ -626,10 +633,9 @@ def ideal_j_classes(table: SemigroupTable, gens):
     The rows of :func:`_cayley_rows` hold that graph, and
     :func:`_strong_components` splits it.  Returns the classes as sorted
     lists of bytes images, ordered by least member: the table is in
-    canonical order, so each class fills in sorted.  A table closed
-    under inverses gets the same classes from :func:`inverse_j_classes`
-    at a fraction of the cost; this graph serves tables that are not,
-    such as PFI_n.
+    canonical order, so each class fills in sorted.  IF_n gets the
+    same classes, as sets of domains, from :func:`domain_j_classes`
+    without a table; this graph serves any table, PFI_n among them.
     """
     gens = _members(table, gens)
     reduced = reduce_generators(gens)
@@ -638,45 +644,35 @@ def ideal_j_classes(table: SemigroupTable, gens):
     return fibres(_strong_components(_cayley_rows(table, reduced)), table.imgs)
 
 
-def inverse_j_classes(table: SemigroupTable):
-    """J-class partition of an inverse-closed table of partial
-    injections, from the domains and images of its elements.
+def domain_j_classes(n: int) -> list[list]:
+    """J-classes of IF_n as a partition of its 2^n domains, each given
+    by its blocks (:func:`~fencemonoid.greens.blocks`), without building
+    IF_n; n is checked as :func:`build` checks it.
 
-    In an inverse semigroup, a R b iff aa^-1 = bb^-1 and a L b iff
-    a^-1a = b^-1b (Howie, Fundamentals of Semigroup Theory, 1995, Prop.
-    5.1.2), and in a finite semigroup D = J.  A table closed under
-    products and inverses is an inverse subsemigroup of I_n, where
-    aa^-1 = id(dom a) and a^-1a = id(im a).  So a R b iff dom a = dom b,
-    a L b iff im a = im b, and a J b iff dom a and dom b lie in one
-    component of the graph on domains with one edge, dom a -> im a, per
-    element: each edge joins two D-related idempotents, and D = R o L.
-    The edge of a^-1 reverses the edge of a, so this graph is symmetric
-    and :func:`_strong_components` gives its connected components.
-
-    Closure under inverse is checked literally on bytes images; every
-    table is closed under products (:class:`SemigroupTable`).  For
-    ``build(n, "IF")`` that holds: if a and b preserve the fence, so
-    does ab, and so does its inverse b^-1 a^-1 when a^-1 and b^-1 do, so
-    the composite of two maps that preserve the fence both ways does
-    too.
-    No fingerprint and no fence fact is read, so the partition tests the
-    J criterion without assuming it.  Returns the classes as sorted
-    lists of bytes images, ordered by least member.
+    IF_n is inverse (its maps preserve the fence both ways, so their
+    inverses do), so a R b iff dom a = dom b and a L b iff im a = im b
+    (Howie, Fundamentals of Semigroup Theory, 1995, Prop. 5.1.2), and
+    D = R o L = J as IF_n is finite.  So a J b iff dom a and dom b lie
+    in one component of the graph with an edge dom a -> im a per
+    element, whose edges :func:`_image_counts` reads from the placement
+    rule of :func:`build`.  The edge of a^-1 reverses that of a, and a
+    missing reverse raises RuntimeError, so :func:`_strong_components`
+    gives connected components.  No fingerprint is read, so the
+    partition tests the J criterion without assuming it.  Each class
+    lists its domains by mask (bit x-1 for point x), and the classes
+    come in order of least mask.
     """
-    imgs = table.imgs
-    index = table.index
-    doms = [img.translate(DEFINED) for img in imgs]
-    # nodes are the domains that occur, not all 2^n subsets
-    number = {dom: i for i, dom in enumerate(dict.fromkeys(doms))}
-    succ: list[set] = [set() for _ in number]
-    for img, dom in zip(imgs, doms):
-        pos = index.get(inverse_img(img))
-        if pos is None:
-            elt = PartialInjection(table.n, img).encode()
-            raise ValueError(f"the inverse of {elt} is not in the table")
-        succ[number[dom]].add(number[doms[pos]])  # im a = dom a^-1
-    comp = dict(zip(number, _strong_components(succ)))
-    return fibres(map(comp.__getitem__, doms), table.imgs)
+    _checked_kind(n, "IF")
+    doms = sorted(_domains(n), key=lambda dom: sum(1 << x - 1 for x in dom))
+    found = [blocks(n, dom) for dom in doms]
+    succ = [_image_counts(n, blks, two_way=True) for blks in found]  # mask -> image masks
+    for dom, images in enumerate(succ):
+        for im in images:
+            if dom not in succ[im]:
+                raise RuntimeError(
+                    f"IF_{n} maps domain {list(doms[dom])} onto {list(doms[im])} but nothing back"
+                )
+    return fibres(_strong_components(succ), found)
 
 
 def _members(table: SemigroupTable, gens) -> list:

@@ -324,17 +324,21 @@ def test_verify_jcrit_makes_one_bulk_ideal_pass(monkeypatch):
     assert len(calls) == 1
 
 
+def _domains_by_rank(n):
+    """``en._fingerprint_groups`` with each domain keyed by its size
+    alone, which merges J-classes from n = 4 on."""
+    groups = {}
+    for dom in en._domains(n):
+        groups.setdefault(len(dom), []).append(greens.blocks(n, dom))
+    return groups
+
+
 def test_verify_jcrit_detects_rank_only_partition(monkeypatch):
     # rank merges J-classes from n = 4 on; the n >= 6 oracle must see it,
     # and the violation names the first pair in table order on which the
-    # criterion and the oracle disagree, as it does at n <= 5
-    def by_rank(table):
-        classes = {}
-        for img, a in zip(table.imgs, table.elements):
-            classes.setdefault(a.rank, []).append(img)
-        return sorted(classes.values(), key=lambda cls: cls[0])
-
-    monkeypatch.setattr(greens, "j_classes", by_rank)
+    # criterion and the oracle disagree, as it does at n <= 5.  At n >= 6
+    # the criterion groups the domains, so the plant groups them by size
+    monkeypatch.setattr(en, "_fingerprint_groups", _domains_by_rank)
     code, out, _ = run("verify", "--n", "6", "--claim", "jcrit", "--format", "json")
     doc = json.loads(out)
     assert code == 2 and doc["status"] == "violation"
@@ -342,7 +346,7 @@ def test_verify_jcrit_detects_rank_only_partition(monkeypatch):
     assert doc["result"] == {"counterexample": pair, "criterion": True, "oracle": False, "claim": "jcrit"}
     # the same pair as an all-pairs scan in table order
     table = en.build(6, "IF")
-    oracle = {img: k for k, cls in enumerate(en.inverse_j_classes(table)) for img in cls}
+    oracle = {img: k for k, cls in enumerate(slow.inverse_j_classes(table)) for img in cls}
     rank = {img: 6 - img.count(0) for img in table.imgs}
     first = next(
         (a, b) for a in table.imgs for b in table.imgs
@@ -357,6 +361,22 @@ def test_verify_jcrit_detects_rank_only_partition(monkeypatch):
     )
 
 
+def test_verify_jcrit_missing_reverse_edge_exits_1(monkeypatch):
+    # planted: a block is placed only at or after its own start, so the
+    # domain {1} reaches {2} and nothing maps {2} back onto {1}
+    real = en._block_placements
+    monkeypatch.setattr(
+        en, "_block_placements",
+        lambda n, start, length, two_way: tuple(
+            p for p in real(n, start, length, two_way) if p[0] >= 1 << start - 1
+        ),
+    )
+    for fmt in ("text", "json"):
+        assert run("verify", "--n", "6", "--claim", "jcrit", "--format", fmt) == (
+            1, "", "error: IF_6 maps domain [1] onto [2] but nothing back\n",
+        )
+
+
 def test_verify_jcrit_builds_no_cayley_graph(monkeypatch):
     calls = []
     real_ideal, real_set_j = en.ideal_j_classes, genfam.set_j
@@ -367,6 +387,13 @@ def test_verify_jcrit_builds_no_cayley_graph(monkeypatch):
     for n in (6, 7, 8):
         assert run("verify", "--n", str(n), "--claim", "jcrit")[0] == 0
     assert calls == []
+
+
+def test_verify_jcrit_refuses_past_max_n():
+    for fmt in ("text", "json"):
+        assert run("verify", "--n", "11", "--claim", "jcrit", "--format", fmt) == (
+            1, "", "error: IF is built for n in 1..10, got 11\n",
+        )
 
 
 def test_verify_jcrit_n9():

@@ -565,7 +565,7 @@ def test_ideal_j_classes_match_unreduced_graph(monkeypatch, table):
 def test_inverse_j_classes_match_ideal_and_fingerprint_classes(table):
     for n in range(1, 9):
         tbl = table(n)
-        classes = en.inverse_j_classes(tbl)
+        classes = slow.inverse_j_classes(tbl)
         assert classes == en.ideal_j_classes(tbl, genfam.set_j(n)), n
         assert classes == greens.j_classes(tbl), n
 
@@ -581,20 +581,20 @@ def test_inverse_j_classes_match_all_pairs_principal_ideals(table):
             for i in range(size)
         ]
         oracle = sorted(set(related))
-        got = sorted(tuple(map(tbl.index.__getitem__, cls)) for cls in en.inverse_j_classes(tbl))
+        got = sorted(tuple(map(tbl.index.__getitem__, cls)) for cls in slow.inverse_j_classes(tbl))
         assert got == oracle, n
 
 
 def test_inverse_j_classes_on_closure_tables():
     for n in (2, 4, 6):
         tbl = en.closure(n, genfam.set_g(n))
-        assert en.inverse_j_classes(tbl) == en.ideal_j_classes(tbl, tbl.gens), n
+        assert slow.inverse_j_classes(tbl) == en.ideal_j_classes(tbl, tbl.gens), n
     # on closures that are not fence monoids: agree where closed under
     # inverse, refuse where not
     agreed = refused = 0
     for tbl in _low_rank_closures():
         try:
-            classes = en.inverse_j_classes(tbl)
+            classes = slow.inverse_j_classes(tbl)
         except ValueError as exc:
             assert "inverse" in str(exc)
             assert any(e.inverse() not in tbl for e in tbl)
@@ -607,7 +607,7 @@ def test_inverse_j_classes_on_closure_tables():
 
 def test_inverse_j_classes_refuse_tables_not_inverse_closed(table):
     with pytest.raises(ValueError, match="inverse of n=4:"):
-        en.inverse_j_classes(table(4, "PFI"))
+        slow.inverse_j_classes(table(4, "PFI"))
 
 
 def test_inverse_j_classes_read_no_fingerprint_or_fence_fact(monkeypatch, table):
@@ -622,7 +622,7 @@ def test_inverse_j_classes_read_no_fingerprint_or_fence_fact(monkeypatch, table)
         (en, "blocks"), (fence, "in_if"), (fence, "in_pfi"),
     ):
         monkeypatch.setattr(mod, name, refuse)
-    assert [en.inverse_j_classes(tbl) for tbl in tables] == expected
+    assert [slow.inverse_j_classes(tbl) for tbl in tables] == expected
 
 
 def _components_partition(comp):
@@ -713,13 +713,63 @@ def test_inverse_j_classes_number_only_the_domains_that_occur():
     tbl = en.closure(n, [PartialInjection.identity(n), genfam.epsilon(n, 1)])
     tracemalloc.start()
     try:
-        classes = en.inverse_j_classes(tbl)
+        classes = slow.inverse_j_classes(tbl)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert len(classes) == 2
     # a list over all 2^20 domain masks alone would take megabytes
     assert peak < 1 << 20
+
+
+def _domain_graph(monkeypatch, n):
+    """(domain_j_classes(n), the successor lists it splits), the latter
+    taken from its call to ``_strong_components``."""
+    seen = []
+    real = en._strong_components
+    monkeypatch.setattr(en, "_strong_components", lambda succ: seen.append(succ) or real(succ))
+    classes = en.domain_j_classes(n)
+    monkeypatch.undo()
+    (succ,) = seen
+    return classes, succ
+
+
+def test_domain_j_classes_read_the_domain_image_pairs_of_the_table(monkeypatch, table):
+    for n in range(1, 9):
+        _, succ = _domain_graph(monkeypatch, n)
+        pairs = slow.domain_image_counts(table(n))
+        assert len(succ) == 2**n
+        assert {(dom, im) for dom, ims in enumerate(succ) for im in ims} == set(pairs), n
+        # and each pair's count is the number of maps with that domain and image
+        assert {(dom, im): c for dom, ims in enumerate(succ) for im, c in ims.items()} == pairs, n
+
+
+def test_domain_j_classes_match_the_table_oracles(table):
+    for n in range(1, 9):
+        tbl = table(n)
+        lifted = slow.lift_domain_classes(tbl, en.domain_j_classes(n))
+        assert lifted == slow.inverse_j_classes(tbl), n
+        assert lifted == greens.j_classes(tbl), n
+
+
+def test_domain_j_classes_read_no_fingerprint(monkeypatch):
+    expected = [en.domain_j_classes(n) for n in range(1, 11)]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the oracle read the criterion")
+
+    for mod, name in (
+        (greens, "_block_key"), (en, "_block_key"), (greens, "_shape"),
+        (greens, "j_invariant"), (greens, "j_classes"), (en, "_fingerprint_groups"),
+        (en, "build"), (fence, "in_if"),
+    ):
+        monkeypatch.setattr(mod, name, refuse)
+    assert [en.domain_j_classes(n) for n in range(1, 11)] == expected
+    # and the partition is the fingerprint grouping
+    monkeypatch.undo()
+    for n, classes in enumerate(expected, 1):
+        groups = en._fingerprint_groups(n).values()
+        assert set(map(frozenset, classes)) == set(map(frozenset, groups)), n
 
 
 def test_regular_elements_match_full_scan(table):

@@ -18,6 +18,7 @@ import pytest
 from fencemonoid import cli, greens
 from fencemonoid import enumeration as en
 from fencemonoid.pinj import PartialInjection
+import tuple_kernel as slow
 
 # n -> (text, json)
 JCRIT = {
@@ -249,3 +250,103 @@ def test_jcrit_reports_first_counterexample_in_table_order(
     assert (result["counterexample"], result["criterion"], result["oracle"]) == (
         pair, criterion, oracle,
     )
+
+
+def test_verify_jcrit_lists_no_table_at_n_6_to_10(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a table was listed for verify --claim jcrit")
+
+    monkeypatch.setattr(en, "build", refuse)
+    monkeypatch.setattr(greens, "j_classes", refuse)
+    for n, classes in ((6, 19), (7, 26), (8, 42), (9, 55), (10, 86)):
+        code, out, err = run("verify", "--n", str(n), "--claim", "jcrit")
+        assert (code, out, err) == (
+            0, f"claim jcrit: ok\nclasses {classes}\noracle_classes {classes}\n", "",
+        )
+        code, out, err = run("verify", "--n", str(n), "--claim", "jcrit", "--format", "json")
+        doc = json.loads(out)
+        del doc["timing_ms"]
+        assert (code, err) == (0, "")
+        assert doc == {
+            "command": "verify", "n": n, "params": {"claim": "jcrit"},
+            "result": {"claim": "jcrit", "classes": classes, "oracle_classes": classes},
+            "status": "ok", "version": "v1",
+        }
+
+
+def _domain_plants(table):
+    """The wrong criteria of the n <= 5 test above, restated as domain
+    groupings in the shape of ``en._fingerprint_groups``: name -> plant."""
+    real = en._fingerprint_groups
+
+    def keyed(key):
+        def planted(n):
+            groups = {}
+            for dom in en._domains(n):
+                groups.setdefault(key(n, dom), []).append(greens.blocks(n, dom))
+            return groups
+
+        return planted
+
+    def least_image(n, dom):
+        # the image set of the least map with this domain
+        return next(
+            tuple(sorted(set(img) - {0})) for img in table(n).imgs
+            if tuple(x for x, v in enumerate(img, 1) if v) == dom
+        )
+
+    def split_largest(n):
+        groups = list(real(n).values())
+        k = max(range(len(groups)), key=lambda k: len(groups[k]))
+        half = len(groups[k]) // 2
+        return dict(enumerate(groups[:k] + [groups[k][:half], groups[k][half:]] + groups[k + 1:]))
+
+    return {
+        # rank alone merges J-classes
+        "rank": keyed(lambda n, dom: len(dom)),
+        # the domain itself splits each J-class into its R-classes
+        "domain": keyed(lambda n, dom: dom),
+        # the image of each domain's least map splits J-classes too
+        "image": keyed(least_image),
+        # one class split in two
+        "split": split_largest,
+    }
+
+
+def _table_scan(n, crit_groups, table):
+    """``verify --claim jcrit`` at n >= 6 restated on the table: each
+    element in the criterion class of its domain, the oracle classes of
+    ``tuple_kernel.inverse_j_classes``, and the first element in table
+    order whose two classes differ, with the least member of their
+    symmetric difference."""
+    tbl = table(n)
+    crit = slow.lift_domain_classes(tbl, crit_groups)
+    oracle = slow.inverse_j_classes(tbl)
+    crit_of, oracle_of = ({a: set(c) for c in cs for a in c} for cs in (crit, oracle))
+    a = next(a for a in tbl.imgs if crit_of[a] != oracle_of[a])
+    b = min(crit_of[a] ^ oracle_of[a])
+    pair = [PartialInjection(n, img).encode() for img in (a, b)]
+    return pair, b in crit_of[a]
+
+
+@pytest.mark.parametrize("name", ["rank", "domain", "image", "split"])
+def test_jcrit_at_n_6_and_7_reports_the_table_scan_pair(monkeypatch, table, name):
+    plant = _domain_plants(table)[name]
+    for n in (6, 7):
+        pair, criterion = _table_scan(n, list(plant(n).values()), table)
+        monkeypatch.setattr(en, "_fingerprint_groups", plant)
+        code, out, err = run("verify", "--n", str(n), "--claim", "jcrit")
+        assert (code, err) == (2, "")
+        assert out == (
+            "claim jcrit: violation\n"
+            f"counterexample {json.dumps(pair)}\n"
+            f"criterion {json.dumps(criterion)}\n"
+            f"oracle {json.dumps(not criterion)}\n"
+        )
+        code, out, _ = run("verify", "--n", str(n), "--claim", "jcrit", "--format", "json")
+        assert code == 2
+        assert json.loads(out)["result"] == {
+            "claim": "jcrit", "counterexample": pair, "criterion": criterion,
+            "oracle": not criterion,
+        }
+        monkeypatch.undo()

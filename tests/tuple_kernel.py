@@ -15,15 +15,21 @@ walks an element's parents back to a generator.
 alone, with the least map and the size of each J fingerprint's share:
 the oracle for the placement count of
 :func:`fencemonoid.enumeration.count` and for the rows of
-:func:`fencemonoid.enumeration.j_class_rows`.
+:func:`fencemonoid.enumeration.j_class_rows`.  :func:`inverse_j_classes`
+splits a table closed under inverse into J-classes by a graph on the
+domains of its elements; it is the oracle for
+:func:`fencemonoid.enumeration.domain_j_classes`, which reads the same
+graph from per-domain image sets without a table.
 """
 
 import itertools
+from collections import Counter
 from functools import reduce
 from operator import itemgetter, ne, or_
 
-from fencemonoid.greens import j_invariant
-from fencemonoid.pinj import PartialInjection
+from fencemonoid import enumeration as en
+from fencemonoid.greens import blocks, j_invariant
+from fencemonoid.pinj import DEFINED, PartialInjection, inverse_img
 
 
 def multiplier(img):
@@ -280,3 +286,66 @@ def count_by_search(n, two_way=True):
     """|IF_n| (|PFI_n| when not ``two_way``) from the leaves of
     :func:`search_by_fingerprint`."""
     return sum(total for _, total in search_by_fingerprint(n, two_way).values())
+
+
+def inverse_j_classes(table):
+    """J-class partition of an inverse-closed table of partial
+    injections, from the domains and images of its elements.
+
+    In an inverse semigroup, a R b iff aa^-1 = bb^-1 and a L b iff
+    a^-1a = b^-1b (Howie, Fundamentals of Semigroup Theory, 1995, Prop.
+    5.1.2), and in a finite semigroup D = J.  A table closed under
+    products and inverses is an inverse subsemigroup of I_n, where
+    aa^-1 = id(dom a) and a^-1a = id(im a).  So a R b iff dom a = dom b,
+    a L b iff im a = im b, and a J b iff dom a and dom b lie in one
+    component of the graph on domains with one edge, dom a -> im a, per
+    element: each edge joins two D-related idempotents, and D = R o L.
+    The edge of a^-1 reverses the edge of a, so this graph is symmetric
+    and :func:`~fencemonoid.enumeration._strong_components` gives its
+    connected components.
+
+    Closure under inverse is checked literally on bytes images; every
+    table is closed under products
+    (:class:`~fencemonoid.enumeration.SemigroupTable`).  For
+    ``en.build(n, "IF")`` that holds: if a and b preserve the fence, so
+    does ab, and so does its inverse b^-1 a^-1 when a^-1 and b^-1 do, so
+    the composite of two maps that preserve the fence both ways does
+    too.
+    No fingerprint and no fence fact is read, so the partition tests the
+    J criterion without assuming it.  Returns the classes as sorted
+    lists of bytes images, ordered by least member.
+    """
+    imgs = table.imgs
+    index = table.index
+    doms = [img.translate(DEFINED) for img in imgs]
+    # nodes are the domains that occur, not all 2^n subsets
+    number = {dom: i for i, dom in enumerate(dict.fromkeys(doms))}
+    succ: list[set] = [set() for _ in number]
+    for img, dom in zip(imgs, doms):
+        pos = index.get(inverse_img(img))
+        if pos is None:
+            elt = PartialInjection(table.n, img).encode()
+            raise ValueError(f"the inverse of {elt} is not in the table")
+        succ[number[dom]].add(number[doms[pos]])  # im a = dom a^-1
+    comp = dict(zip(number, en._strong_components(succ)))
+    return en.fibres(map(comp.__getitem__, doms), table.imgs)
+
+
+def lift_domain_classes(table, domain_classes):
+    """A partition of the domains, each given by its blocks, such as
+    :func:`fencemonoid.enumeration.domain_j_classes` gives, as the
+    partition of the table it induces: each element in the class of its
+    domain.  Classes come as sorted lists of bytes images ordered by
+    least member, as :func:`inverse_j_classes` gives them."""
+    label = {dom: k for k, cls in enumerate(domain_classes) for dom in cls}
+    doms = [blocks(table.n, [x for x, v in enumerate(img, 1) if v]) for img in table.imgs]
+    return en.fibres([label[dom] for dom in doms], table.imgs)
+
+
+def domain_image_counts(table):
+    """(domain mask, image mask) -> the number of the table's elements
+    with that domain and image, bit x-1 standing for point x."""
+    return Counter(
+        (sum(1 << x - 1 for x, v in enumerate(img, 1) if v), sum(1 << v - 1 for v in img if v))
+        for img in table.imgs
+    )
