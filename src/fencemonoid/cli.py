@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 import time
@@ -329,6 +330,18 @@ def _render_verify(result, out):
 # --- wiring ------------------------------------------------------------------
 
 
+def _command(name: str):
+    """(function, renderer) of a subcommand, looked up when it runs, so
+    the parser, built once per process, holds neither."""
+    return {
+        "enumerate": (cmd_enumerate, _render_enumerate),
+        "greens": (cmd_greens, _render_greens),
+        "factorize": (cmd_factorize, _render_factorize),
+        "verify": (cmd_verify, _render_verify),
+    }[name]
+
+
+@functools.lru_cache(maxsize=1)
 def _build_parser() -> _Parser:
     parser = _Parser(prog="fence-monoid", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -342,7 +355,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--which", choices=("I", "PFI", "IF"), default="IF")
     p.add_argument("--elements", action="store_true", help="print all elements")
     p.add_argument("--contains", metavar="ELT", help="membership query")
-    p.set_defaults(func=cmd_enumerate, render=_render_enumerate)
 
     p = sub.add_parser("greens", help="Green's relations, invariants, witnesses")
     common(p)
@@ -350,28 +362,25 @@ def _build_parser() -> _Parser:
     p.add_argument("--relation", choices=("R", "L", "H", "J", "D", "all"), default="all")
     p.add_argument("--witness", action="store_true")
     p.add_argument("--classes", action="store_true", help="full J-class table of IF_n")
-    p.set_defaults(func=cmd_greens, render=_render_greens)
 
     p = sub.add_parser("factorize", help="factor an element into high-rank letters")
     common(p)
     p.add_argument("--element", required=True, metavar="ELT")
     p.add_argument("--target", choices=("J", "G"), default="J")
     p.add_argument("--verify", action="store_true", help="re-evaluate the word")
-    p.set_defaults(func=cmd_factorize, render=_render_factorize)
 
     p = sub.add_parser("verify", help="check a structural claim, report ok/violation")
     common(p)
     p.add_argument("--claim", choices=sorted(_CLAIMS), required=True)
-    p.set_defaults(func=cmd_verify, render=_render_verify)
     return parser
 
 
-def _emit(args, result: CommandResult) -> None:
+def _emit(args, result: CommandResult, render) -> None:
     if args.format == "json":
         params = {
             k: v
             for k, v in vars(args).items()
-            if k not in ("func", "render", "command", "n", "format") and v is not None
+            if k not in ("command", "n", "format") and v is not None
         }
         doc = {
             "command": args.command,
@@ -386,13 +395,12 @@ def _emit(args, result: CommandResult) -> None:
     elif args.format == "csv":
         _greens_csv(result.payload, sys.stdout)
     else:
-        args.render(result, sys.stdout)
+        render(result, sys.stdout)
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code or 0
     if args.n < 1:
@@ -401,10 +409,11 @@ def main(argv=None) -> int:
     try:
         if args.format == "csv" and not (args.command == "greens" and args.classes):
             raise ValueError("csv format is only available for tabular output (greens --classes)")
+        func, render = _command(args.command)
         t0 = time.perf_counter()
-        result = args.func(args)
+        result = func(args)
         result.timing_ms = (time.perf_counter() - t0) * 1000.0
-        _emit(args, result)
+        _emit(args, result, render)
     except BrokenPipeError:
         return 1
     except (ValueError, OSError, RuntimeError) as exc:

@@ -26,7 +26,9 @@ every word the package gives is built in closed form (:mod:`genfam`,
 J-classes of |class|^2 |G| (:func:`inverse_orbit_size`, from the orbit
 of image sets and one small permutation group per class; after East,
 Egri-Nagy, Mitchell & Peresse, J. Symb. Comput. 92, 2019), so <gens>
-is never listed; other sets are saturated.  Of the J-class oracles,
+is never listed; other sets are saturated.  The orbit acts on image
+sets as bitmasks, through per-call lookup tables, and forms a product
+only on the edges that keep the rank.  Of the J-class oracles,
 :func:`principal_ideals` gives every principal ideal of a table as a
 bitmask from one pass over the products, and :func:`ideal_j_classes`
 builds a table's two-sided Cayley graph over a reduced generating set.
@@ -46,7 +48,7 @@ import itertools
 import math
 from array import array
 from collections import defaultdict
-from functools import cache, cached_property, reduce
+from functools import cached_property, lru_cache, reduce
 from operator import itemgetter, ne, or_
 
 from .greens import _block_key, blocks
@@ -119,7 +121,9 @@ def _iter_imgs_for_domains(n, domains):
             yield bytes(img)
 
 
-@cache
+# keys (n, start, length, two_way) with start + length <= n + 1: n(n+1)/2
+# per n and flag, so 4096 entries hold both flags' keys of three n up to 32
+@lru_cache(maxsize=4096)
 def _block_placements(n, start, length, two_way):
     """(mask, blocked, values) for each image interval one domain block may take.
 
@@ -430,9 +434,8 @@ def inverse_orbit_size(n: int, gens) -> int:
     Since (g1...gk)^-1 = gk^-1...g1^-1, S = <gens> is an inverse
     subsemigroup of I_n, where aa^-1 = id(dom a) and a^-1a = id(im a).
 
-    - Image sets, keyed by the set of an image's bytes (with 0 in it
-      exactly when rank < n), are acted on by A.g = (A & dom g)g,
-      and im(ag) = (im a).g, so the image sets of S are the orbit of
+    - Image sets are acted on by A.g = (A & dom g)g, and
+      im(ag) = (im a).g, so the image sets of S are the orbit of
       the generators' image sets.  Each is the domain and image of the
       idempotent id_A = a^-1a of S, and these are all its idempotents.
     - For A in the orbit and A inside dom g, id_A g in S maps A onto
@@ -451,8 +454,14 @@ def inverse_orbit_size(n: int, gens) -> int:
 
     So |S| is the sum of |class|^2 |G| over the classes.  Closure under
     inverse is checked literally on bytes images, and a generator whose
-    inverse is missing raises ValueError; no fence fact is read.  The
-    orbit runs on bytes images, the Schreier products included.
+    inverse is missing raises ValueError; no fence fact is read.
+
+    Image sets are int masks, bit x-1 for point x.  Each generator g
+    acts on them through :func:`_image_tables`, and A & ~dom g decides
+    whether an edge keeps the rank, so an edge that drops it (most of
+    them) forms no product.  Only rank-keeping edges form the bytes
+    products u_A g of the tree and u_B g u_C^-1 of the Schreier
+    generators.  The tables live for one call; nothing is memoised.
     """
     gen_list = _generator_list(n, gens)
     imgs = {g.raw for g in gen_list}
@@ -460,35 +469,50 @@ def inverse_orbit_size(n: int, gens) -> int:
         if inverse_img(g.raw) not in imgs:
             raise ValueError(f"the inverse of {g.encode()} is not among the generators")
 
-    tables = [translate_table(g.raw) for g in gen_list]
-    seen = set(map(frozenset, imgs))  # image sets found so far
+    # chunks of at most 8 points, two of ceil(n/2) through n = 16: the
+    # first indexed by A & low, the last (top) by A >> top, and any
+    # middle ones (past n = 16) by the shift of their first point
+    width = min(8, (n + 1) // 2)
+    low = (1 << width) - 1
+    top = (max(n, 2 * width) - 1) // width * width
+    acts = []
+    for g in gen_list:
+        first, *middle, last = _image_tables(g.raw, width)
+        outside = sum(1 << x for x, y in enumerate(g.raw) if not y)  # ~dom g
+        shifted = [(k * width, t) for k, t in enumerate(middle, 1)]
+        acts.append((outside, first, last, shifted, translate_table(g.raw)))
+    seen = {sum(1 << y >> 1 for y in img) for img in imgs}  # image sets found so far
     pending = list(seen)
-    placed: set[frozenset] = set()  # image sets whose class is counted
+    placed: set[int] = set()  # image sets whose class is counted
     size = 0
     while pending:
         root = pending.pop()
         if root in placed:
             continue
-        ident = bytes(x if x in root else 0 for x in range(1, n + 1))
-        zeros = ident.count(0)
+        ident = bytes(x if root >> (x - 1) & 1 else 0 for x in range(1, n + 1))
         # image set B -> table of the inverse of u_B, the BFS tree's map root -> B
         back = {root: translate_table(ident)}
         schreier = set()
-        frontier = [ident]
+        frontier = [(root, ident)]
         while frontier:
             new = []
-            for u in frontier:
-                for p in map(u.translate, tables):
-                    b = frozenset(p)
-                    if p.count(0) != zeros:  # rank drops: b lies in a lower class
+            for a, u in frontier:
+                for outside, first, last, shifted, table in acts:
+                    b = first[a & low] | last[a >> top]
+                    if shifted:
+                        for shift, t in shifted:
+                            b |= t[a >> shift & low]
+                    if a & outside:  # rank drops: b lies in a lower class
                         if b not in seen:
                             seen.add(b)
                             pending.append(b)
-                    elif b in back:
+                        continue
+                    p = u.translate(table)
+                    if b in back:
                         schreier.add(p.translate(back[b]))
                     else:
                         back[b] = translate_table(inverse_img(p))
-                        new.append(p)
+                        new.append((b, p))
             frontier = new
         seen.update(back)
         placed.update(back)
@@ -497,6 +521,26 @@ def inverse_orbit_size(n: int, gens) -> int:
         group = saturate(n, [PartialInjection(n, s) for s in schreier | {ident}])
         size += len(back) ** 2 * len(group)
     return size
+
+
+def _image_tables(img: bytes, width: int) -> list[list[int]]:
+    """Lookup tables of the action A -> (A & dom g)g of the map with
+    bytes image ``img`` on image-set masks, one per chunk of ``width``
+    points, at least two.
+
+    Entry m of a chunk's table is the image mask of the points of the
+    chunk whose bits are set in m, so A.g is the OR of each chunk's
+    entry for A's bits in it.  Each entry is one OR: the entries for a
+    chunk point's bit set are those without it, with its image's bit.
+    """
+    tables = []
+    for lo in range(0, max(len(img), 2 * width), width):
+        table = [0]
+        for y in img[lo : lo + width]:
+            bit = 1 << y >> 1  # the bit of point y, none for y = 0
+            table += [m | bit for m in table]
+        tables.append(table)
+    return tables
 
 
 def generated_size(n: int, gens) -> int:

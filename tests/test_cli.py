@@ -3,6 +3,8 @@ import io
 import json
 import time
 
+import pytest
+
 from fencemonoid import cli, factor, fence, genfam, greens, pinj
 from fencemonoid import enumeration as en
 from fencemonoid.pinj import PartialInjection
@@ -180,6 +182,29 @@ def test_greens_classes_build_no_table(monkeypatch):
     monkeypatch.setattr(greens, "j_classes", refuse)
     assert [_untimed(*run(*argv)) for argv in argvs] == expected
     assert [code for code, _, _ in expected] == [0] * len(argvs)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("enumerate", "--n", "3"),
+        ("greens", "--n", "3", "--classes"),
+        ("factorize", "--n", "3", "--element", "n=3:[1>1]"),
+        ("verify", "--n", "3", "--claim", "thm1"),
+    ],
+)
+def test_patched_command_is_reached_after_an_earlier_call(monkeypatch, argv):
+    # the parser is built once per process, and each command and its
+    # renderer are looked up when main runs, so a patch made after an
+    # earlier call is the one called
+    command = argv[0]
+    assert run(*argv)[0] == 0
+    assert cli._build_parser() is cli._build_parser()
+    monkeypatch.setattr(cli, f"cmd_{command}", lambda args: cli.CommandResult("ok", {"n": args.n}))
+    monkeypatch.setattr(cli, f"_render_{command}", lambda result, out: out.write("patched\n"))
+    assert run(*argv) == (0, "patched\n", "")
+    code, out, err = run(*argv, "--format", "json")
+    assert (code, err, json.loads(out)["result"]) == (0, "", {"n": 3})
 
 
 def test_greens_classes_check_each_row(monkeypatch):

@@ -409,6 +409,66 @@ def test_orbit_size_of_random_inverse_closed_sets():
     assert groups >= 20
 
 
+def _table_action(tables, width, a):
+    """A.g from the chunk tables of g: the OR of each chunk's entry for
+    the bits of A in it."""
+    low = (1 << width) - 1
+    b = 0
+    for k, t in enumerate(tables):
+        b |= t[a >> k * width & low]
+    return b
+
+
+def _literal_image_mask(g, a):
+    """The mask of the image of A & dom g, point by point."""
+    return sum(1 << y >> 1 for x, y in enumerate(g.raw) if a >> x & 1)
+
+
+def test_mask_action_matches_literal_image():
+    # inverse_orbit_size splits n <= 16 points into two chunks, of
+    # ceil(n/2) points and of the rest, so odd n has an uneven split;
+    # every subset is checked
+    checked = 0
+    for n in range(1, 9):
+        width = (n + 1) // 2
+        gens = list(genfam.set_j(n)) + (list(genfam.set_g(n)) if n % 2 == 0 else [])
+        for g in gens:
+            tables = en._image_tables(g.raw, width)
+            assert [len(t) for t in tables] == [1 << width, 1 << n - width]
+            for a in range(1 << n):
+                assert _table_action(tables, width, a) == _literal_image_mask(g, a), (g, a)
+                checked += 1
+    assert checked > 60_000
+
+
+def test_mask_action_past_16_points():
+    # past n = 16 the chunks have 8 points, the last one fewer
+    rng = random.Random(16)
+    for n in (17, 20, 24, 25, 32):
+        chunks = (n + 7) // 8
+        for _ in range(5):
+            g = PartialInjection(n, rng.sample(range(n + 1), n))
+            tables = en._image_tables(g.raw, 8)
+            assert [len(t) for t in tables] == [256] * (chunks - 1) + [1 << (n - 8 * chunks + 8)]
+            for a in [0, (1 << n) - 1] + [rng.getrandbits(n) for _ in range(200)]:
+                assert _table_action(tables, 8, a) == _literal_image_mask(g, a)
+
+
+def test_orbit_size_past_16_points():
+    # partial identities that miss one of five points each, and
+    # transpositions that generate their symmetric group: on the five
+    # points, in every chunk of 8, this is I_5
+    for n in (17, 20, 25):
+        points = (3, 9, 12, 16, n)
+        gens = [pinj.identity_on(n, set(range(1, n + 1)) - {p}) for p in points]
+        for p, q in zip(points, points[1:]):
+            fixed = {(x, x) for x in range(1, n + 1) if x not in (p, q)}
+            gens.append(pinj.make(n, fixed | {(p, q), (q, p)}))
+        expected = len(en.saturate(n, gens))
+        assert expected == 1546
+        assert en.inverse_orbit_size(n, gens) == slow.inverse_orbit_size(n, gens) == expected, n
+
+
 def test_orbit_size_edge_cases():
     empty, ident = PartialInjection.empty(4), PartialInjection.identity(4)
     a = pinj.make(4, {(1, 2)})

@@ -7,7 +7,6 @@ pair-query digest also covers each run's stderr and exit code.
 """
 
 import contextlib
-import functools
 import hashlib
 import io
 import json
@@ -139,9 +138,7 @@ def _pairs(table):
 
 
 @pytest.mark.parametrize("flags", sorted(PAIR_QUERIES))
-def test_greens_pair_output_pinned(monkeypatch, table, flags):
-    # one parser serves every run: building it is most of a run's cost
-    monkeypatch.setattr(cli, "_build_parser", functools.cache(cli._build_parser))
+def test_greens_pair_output_pinned(table, flags):
     pairs = _pairs(table)
     got = []
     for fmt in ("text", "json"):

@@ -68,14 +68,24 @@ def _grown_containers(tree):
 
 
 def _unbounded_caches(source, filename):
-    """Line numbers of ``lru_cache(maxsize=None)``, ``functools.cache`` and
-    of every place a function grows a module-level dict, set or list."""
+    """Line numbers of ``lru_cache(maxsize=None)``, of ``functools.cache``
+    (also by a name that ``from functools import cache`` binds) and of
+    every place a function grows a module-level dict, set or list."""
     tree = ast.parse(source, filename=filename)
     found = _grown_containers(tree)
+    bare = {
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "functools"
+        for alias in node.names
+        if alias.name == "cache"
+    }
     for node in ast.walk(tree):
         if isinstance(node, ast.Attribute) and node.attr == "cache":
             if isinstance(node.value, ast.Name) and node.value.id == "functools":
                 found.append(node.lineno)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and node.id in bare:
+            found.append(node.lineno)
         elif isinstance(node, ast.Call):
             name = getattr(node.func, "attr", None) or getattr(node.func, "id", None)
             if name == "lru_cache":
@@ -105,8 +115,14 @@ def test_no_unbounded_caches_in_src():
         "def forget(key):\n"
         "    del MEMO[key]\n"
         "    return FIXED.get(key, SEEN)\n"
+        "from functools import cache, cache as memo, lru_cache\n"
+        "@cache\ndef c(n): return n\n"
+        "@memo\ndef m(n): return n\n"
+        "@lru_cache(maxsize=4)\ndef b(n): return n\n"
     )
-    assert _unbounded_caches(planted, "planted.py") == [2, 4, 6, 15, 16, 17]
+    assert _unbounded_caches(planted, "planted.py") == [2, 4, 6, 15, 16, 17, 24, 26]
+    # a name ``cache`` that functools did not bind is no cache
+    assert _unbounded_caches("def get(cache, key):\n    return cache[key]\n", "local.py") == []
     found = [
         f"{path.name}:{line}"
         for path in sorted(SRC.glob("*.py"))
