@@ -28,7 +28,9 @@ of image sets and one small permutation group per class; after East,
 Egri-Nagy, Mitchell & Peresse, J. Symb. Comput. 92, 2019), so <gens>
 is never listed; other sets are saturated.  The orbit acts on image
 sets as bitmasks, through per-call lookup tables, and forms a product
-only on the edges that keep the rank.  Of the J-class oracles,
+only on the edges that keep the rank; likewise the irreducible scan
+multiplies only the pairs whose image and domain meet in at least the
+least rank of the layer it scans.  Of the J-class oracles,
 :func:`principal_ideals` gives every principal ideal of a table as a
 bitmask from one pass over the products, and :func:`ideal_j_classes`
 builds a table's two-sided Cayley graph over a reduced generating set.
@@ -52,7 +54,7 @@ from functools import cached_property, lru_cache, reduce
 from operator import itemgetter, ne, or_
 
 from .greens import _block_key, blocks
-from .pinj import PartialInjection, inverse_img, translate_table
+from .pinj import DEFINED, PartialInjection, inverse_img, translate_table
 
 # largest n each kind is built for: |I_9| is 17.6M maps, |IF_10| 137,412
 MAX_N = {"I": 8, "PFI": 10, "IF": 10}
@@ -738,15 +740,42 @@ def is_generating(table: SemigroupTable, gens) -> bool:
 
 def _irreducibles_within(layer):
     """The bytes images of ``layer`` that are not a product of two other
-    images of ``layer``, in ``layer``'s order."""
-    tables = [translate_table(b) for b in layer]
+    images of ``layer``, in ``layer``'s order.
+
+    x(ab) is defined exactly when xa is defined and lies in dom b, and a
+    is injective, so rank(ab) = |im a & dom b|.  With k the least rank in the layer, a
+    pair whose image and domain meet in fewer than k points has a
+    product outside the layer, which decides nothing; that holds whether
+    or not the layer is rank-closed.  So the layer is grouped once by
+    domain and once by image, and the left factors with one image are
+    multiplied only by the groups whose domain meets it in at least k
+    points.  A set of points is a mask with one byte per point (the
+    pattern ``DEFINED`` reads off a map, or off its inverse for the
+    image), so the size of an intersection is the bit count of the AND.
+    """
+    if not layer:
+        return []
+    k = min(len(b) - b.count(0) for b in layer)
+    by_dom = defaultdict(lambda: ([], []))  # domain mask -> (members, their tables)
+    by_im = defaultdict(list)  # image mask -> members
+    for b in layer:
+        members, member_tables = by_dom[int.from_bytes(b.translate(DEFINED), "little")]
+        members.append(b)
+        member_tables.append(translate_table(b))
+        by_im[int.from_bytes(inverse_img(b).translate(DEFINED), "little")].append(b)
     reducible = set()
-    for a in layer:
-        products = list(map(a.translate, tables))
-        # products a*b that differ from b, then from a
-        row = set(itertools.compress(products, map(ne, products, layer)))
-        row.discard(a)
-        reducible |= row
+    for im, lefts in by_im.items():
+        right, tables = [], []  # the members of the groups im meets in >= k points
+        for dom, (members, member_tables) in by_dom.items():
+            if (dom & im).bit_count() >= k:
+                right += members
+                tables += member_tables
+        for a in lefts:
+            products = list(map(a.translate, tables))
+            # products a*b that differ from b, then from a
+            row = set(itertools.compress(products, map(ne, products, right)))
+            row.discard(a)
+            reducible |= row
     return [b for b in layer if b not in reducible]
 
 
@@ -757,6 +786,9 @@ def _irreducible_scan(table: SemigroupTable):
     rank b), an element of rank r >= k is a product of two others only
     through factors of rank >= r, so products of pairs in T_k decide
     which elements of T_k are irreducible, whether or not T_k generates.
+    Since rank(ab) = |im a & dom b|, only the pairs whose image and
+    domain meet in at least k points can give an element of T_k, and
+    :func:`_irreducibles_within` multiplies only those.
     If T_k generates the table, every element of rank < k is a product
     of two others: in a word over T_k for it, the first prefix equal to
     it is longer than one letter, so it is that prefix without its last

@@ -887,13 +887,60 @@ def test_cayley_rows_match_tuple_kernel(table):
         assert got == slow.cayley_rows(tbl, reduced), (tbl.n, len(tbl))
 
 
+def _check_irreducibles_within(layer, *context):
+    got = [tuple(img) for img in en._irreducibles_within(layer)]
+    assert got == slow.irreducibles_within(list(map(tuple, layer))), context
+
+
 def test_irreducibles_within_match_tuple_kernel(table):
-    tables = [table(n) for n in range(1, 7)] + [table(n, "PFI") for n in range(1, 6)]
-    for tbl in tables + _low_rank_closures():
+    # every layer T_k of IF_1..6, PFI_1..6 and the low-rank closures, and
+    # the layers k >= n-3 of IF_7 and IF_8
+    tables = [table(n) for n in range(1, 7)] + [table(n, "PFI") for n in range(1, 7)]
+    layers = [(tbl, k) for tbl in tables + _low_rank_closures() for k in range(tbl.n + 1)]
+    layers += [(table(n), k) for n in (7, 8) for k in range(n - 3, n + 1)]
+    for tbl, k in layers:
+        layer = [img for img in tbl.imgs if tbl.n - img.count(0) >= k]
+        _check_irreducibles_within(layer, tbl.n, len(tbl), k)
+    # seeded subsets of layers, in random order: a subset is not closed
+    # under products and its least rank may lie above the layer's k, so
+    # the scan must bound what it skips by the least rank it is given
+    rng = random.Random(41)
+    for tbl in (table(5), table(6), table(7), table(5, "PFI"), table(6, "PFI")):
         for k in range(tbl.n + 1):
             layer = [img for img in tbl.imgs if tbl.n - img.count(0) >= k]
-            got = [tuple(img) for img in en._irreducibles_within(layer)]
-            assert got == slow.irreducibles_within(list(map(tuple, layer))), (tbl.n, k)
+            for _ in range(3):
+                subset = rng.sample(layer, rng.randint(1, min(len(layer), 200)))
+                _check_irreducibles_within(subset, tbl.n, len(tbl), k, len(subset))
+
+
+def test_irreducibles_within_edge_layers():
+    # the empty layer, and one-element layers: a map alone is irreducible,
+    # since its only product is its square, which for the empty map is
+    # itself and so neither other factor
+    empty, identity = PartialInjection.empty(5).raw, PartialInjection.identity(5).raw
+    assert en._irreducibles_within([]) == []
+    for img in (empty, identity, pinj.make(5, [(1, 2)]).raw, pinj.make(5, [(1, 2), (2, 1)]).raw):
+        assert en._irreducibles_within([img]) == [img]
+    for layer in ([empty, identity], [identity, empty]):
+        _check_irreducibles_within(layer)
+
+
+def _rank_of_product_matches_meet(a, b):
+    meet = set(a.img) & {x for x, y in enumerate(b.img, 1) if y}
+    return (a * b).rank == len(meet - {0})
+
+
+def test_rank_of_a_product_is_the_meet_of_image_and_domain(table):
+    # rank(ab) = |im a & dom b|, which the irreducible scan reads to skip
+    # the pairs whose product leaves its layer: every pair of I_4, and
+    # seeded pairs at n = 9..32
+    elements = table(4, "I").elements
+    assert all(_rank_of_product_matches_meet(a, b) for a in elements for b in elements)
+    rng = random.Random(9)
+    for n in range(9, 33):
+        for _ in range(200):
+            a, b = _random_map(rng, n, 0, n), _random_map(rng, n, 0, n)
+            assert _rank_of_product_matches_meet(a, b), (a.encode(), b.encode())
 
 
 def test_regular_elements_match_tuple_kernel(table):

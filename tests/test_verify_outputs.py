@@ -1,13 +1,16 @@
 """Pinned output of ``verify`` for ``thm1``, ``thm2``, ``least``, ``rank``,
 ``odd-neg`` and ``regular`` at n = 1..8, parity refusals included.
 
-The digests and how they are taken are in ``tests/verify_digests.py``,
-which also prints this table again.
+``VERIFY_LARGE`` pins ``least``, ``rank`` and ``odd-neg`` at n = 9 and
+10 the same way; a ``python -O`` CI step checks it, and the tests here
+check only that it covers those claims and sizes.  The digests and how
+they are taken are in ``tests/verify_digests.py``, which also prints
+both tables again.
 """
 
 import pytest
 
-from verify_digests import CLAIMS, SIZES, digests
+from verify_digests import CLAIMS, LARGE_CLAIMS, LARGE_SIZES, SIZES, moved
 
 # claim -> n -> (text, json): exit code, stdout without timing_ms, stderr
 VERIFY = {
@@ -121,14 +124,37 @@ VERIFY = {
     },
 }
 
+# claim -> n -> (text, json), at the sizes past the test suite's
+VERIFY_LARGE = {
+    "least": {
+        9: ("6895ed98211fa196a9d255f4b9cef2ed00ea75567fec85cbedaa2e7ae9e46585",
+            "6895ed98211fa196a9d255f4b9cef2ed00ea75567fec85cbedaa2e7ae9e46585"),
+        10: ("dcd3029641d574d21f5c757ca57d498b1d02203413c5076f794a33753a2f171e",
+            "60ed64977a248568f8ff6f823bc7d757bf75df27614e94d570931fd0d72fe5e1"),
+    },
+    "rank": {
+        9: ("39714bce460ae84dbcb8c6385cd843c3d60cb83d3bc910eec90a2fa5285f49ce",
+            "39714bce460ae84dbcb8c6385cd843c3d60cb83d3bc910eec90a2fa5285f49ce"),
+        10: ("a0bd1b5021f94accbaaa14de5b30e3c6cd3b1b1a279cfe320e7af36da2835c21",
+            "2f3d963ed4d2bc7bf7cec425c995adc74d6f8af272a11af0389ef83f937151ed"),
+    },
+    "odd-neg": {
+        9: ("f044844e068bb6247656270ac0294400bb62333ec8329c7a6cfa37853e5647cc",
+            "ff86e1f4f92cc546182e4ed64e6f5a0852ac857f7dfbf8579f9235b654802bbe"),
+        10: ("ceffbab56f0d278df7cdc6dd82ea2f7321ff806fafca9ce69b72e490eda4e27e",
+            "ceffbab56f0d278df7cdc6dd82ea2f7321ff806fafca9ce69b72e490eda4e27e"),
+    },
+}
+
 
 def test_table_covers_every_claim_and_size():
     assert sorted(VERIFY) == sorted(CLAIMS)
     assert all(sorted(by_n) == list(SIZES) for by_n in VERIFY.values())
+    assert sorted(VERIFY_LARGE) == sorted(LARGE_CLAIMS)
+    assert all(sorted(by_n) == list(LARGE_SIZES) for by_n in VERIFY_LARGE.values())
 
 
 @pytest.mark.parametrize("claim", CLAIMS)
 def test_verify_output_pinned(claim):
-    got = digests(claim)
-    moved = [n for n in SIZES if got[n] != VERIFY[claim][n]]
-    assert not moved, f"verify --claim {claim}: output moved at n = {moved}"
+    found = moved({claim: VERIFY[claim]}, SIZES)
+    assert not found, f"verify output moved at (claim, n) = {found}"
